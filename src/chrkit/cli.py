@@ -22,7 +22,7 @@ from .sequential import InvariantViolation, run_sequential
 from .store import DeadIdError
 from .syntax import ParseError, load_program, parse_goals
 from .terms import render_constraint
-from .trace import serialize_trace
+from .trace import TraceFormatError, serialize_trace
 from .verify import verify_run
 
 
@@ -153,6 +153,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"status: {status}", file=sys.stderr)
             return 1
         return 0
+    except (ParseError, TraceFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (InvariantViolation, DeadIdError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 2

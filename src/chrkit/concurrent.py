@@ -305,69 +305,6 @@ def run_concurrent(goals: Iterable[Constraint], program: Program,
     return engine.run(goals)
 
 
-# ------------------------------------------------- overlap decomposition
-
-@dataclass(frozen=True)
-class PairComposition:
-    seq1: int
-    seq2: int
-    prop_ids: tuple[int, ...]
-    simp_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OverlapViolation:
-    seq1: int
-    seq2: int
-    detail: str
-
-
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
-def decompose_k(records: list[CommitRecord]
-                ) -> tuple[list[PairComposition], Optional[OverlapViolation]]:
-    """Check that all time-overlapping committed steps with side-effects are
-    reducible to nested pairwise concurrent compositions: every overlapping
-    pair's side-effects must be non-overlapping (one's simplified set is
-    disjoint from the other's propagated and simplified sets).  Returns the
-    composable pairs, or the first offending pair.
-    """
-    effectful = [r for r in records
-                 if r.step.delta.prop_ids or r.step.delta.simp_ids]
-    pairs: list[PairComposition] = []
-    for i in range(len(effectful)):
-        for j in range(i + 1, len(effectful)):
-            a, b = effectful[i], effectful[j]
-            if a.interval is None or b.interval is None:
-                continue
-            if not _overlaps(a.interval, b.interval):
-                continue
-            s1, p1 = set(a.step.delta.simp_ids), set(a.step.delta.prop_ids)
-            s2, p2 = set(b.step.delta.simp_ids), set(b.step.delta.prop_ids)
-            if s1 & (p2 | s2) or s2 & (p1 | s1):
-                clash = sorted((s1 & (p2 | s2)) | (s2 & (p1 | s1)))
-                return pairs, OverlapViolation(
-                    a.seq, b.seq, f"shared ids {clash}")
-            pairs.append(PairComposition(
-                a.seq, b.seq,
-                tuple(sorted(p1 | p2)), tuple(sorted(s1 | s2))))
-    return pairs, None
-
-
-def overlapping_firing_pairs(records: list[CommitRecord]) -> int:
-    """How many pairs of committed rule firings genuinely overlapped in time
-    (used to show the overlap audit is not vacuous)."""
-    firings = [r for r in records if r.step.kind in ("Simplify", "Propagate")]
-    count = 0
-    for i in range(len(firings)):
-        for j in range(i + 1, len(firings)):
-            if _overlaps(firings[i].interval, firings[j].interval):
-                count += 1
-    return count
-
-
 # ------------------------------------------------ rejected engine variants
 
 # Test-only executors reproducing the classic pitfalls of naive concurrent

@@ -9,7 +9,8 @@ comment, newlines are insignificant:
 
 `guard |` may be omitted (defaults to true); a body of `true` is the empty
 body.  Constraints are comma-separated; predicates begin uppercase,
-variables lowercase, `'quoted'` atoms, integer literals, and infix operators
+variables lowercase, `'quoted'` atoms (no whitespace or `;` inside, so
+every term survives the trace format), integer literals, and infix operators
 with conventional precedence (|| < && < comparisons < + - < *).
 
 Rule variables are renamed apart on load (an internal `.N` suffix per rule),
@@ -84,7 +85,13 @@ def lex(text: str, allow_dotted: bool = False) -> list[Token]:
                 j += 1
             if j >= n:
                 raise ParseError("unterminated atom", l0, c0)
-            toks.append(Token("atom", text[i + 1:j], l0, c0))
+            atom = text[i + 1:j]
+            # trace lines separate fields by spaces and lines by line breaks,
+            # and substitution bindings by ';': no atom may contain them
+            bad = next((c for c in atom if c.isspace() or c == ";"), None)
+            if bad is not None:
+                raise ParseError(f"atom may not contain {bad!r}", l0, c0)
+            toks.append(Token("atom", atom, l0, c0))
             advance(j - i + 1)
             continue
         if ch.isalpha() or ch == "_":

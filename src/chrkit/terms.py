@@ -307,8 +307,10 @@ def render_term(t: Term, prec: int = 0, rename=None) -> str:
             return str(v)
         return f"'{v}'"
     p = _PREC[t.fn]
-    # left-associative: the right operand needs strictly higher precedence
-    s = f"{render_term(t.args[0], p, rename)}{t.fn}{render_term(t.args[1], p + 1, rename)}"
+    # left-associative: the right operand needs strictly higher precedence;
+    # comparisons do not associate at all, so neither operand may be one
+    left = p + 1 if t.fn in COMPARE_OPS or t.fn in EQUALITY_OPS else p
+    s = f"{render_term(t.args[0], left, rename)}{t.fn}{render_term(t.args[1], p + 1, rename)}"
     return f"({s})" if p < prec else s
 
 

@@ -2,31 +2,44 @@
 
 The verifier re-executes trace text against its own minimal store replica;
 it deliberately does not reuse the engines' store, goal pool or matching
-machinery, so an engine bug cannot mask itself.  Checks:
+machinery, so an engine bug cannot mask itself.  `verify_run` parses a trace
+once and replays it once.  That single pass checks, at every step:
 
-  replay           every step's preconditions hold at its turn in seq order,
-                   and the replayed final store dump equals the engine's
-  project_abstract after each step the id-erased state is unchanged or one
-                   valid abstract rewrite away
+  replay           the step's preconditions hold at its turn in seq order;
+                   after the last step, the replayed store dump equals the
+                   engine's
+  project_abstract the step's change to the projection NoIds(G) + DropIds(Sn)
+                   is empty (Solve/Activate/Drop), or it is one valid
+                   abstract rewrite (Simplify/Propagate): the simplified
+                   heads out, the instantiated body in.  Only that delta is
+                   compared, and the rewrite is validated on its heads alone,
+                   so a step costs O(heads + body), not O(store).
+
+and then, over the replayed state and the trace's commit intervals:
+
   check_final      a finished state's visible store admits no more rewrites
-  audit_overlap    time-overlapping commits have non-overlapping side-effects
+  audit_overlap    time-overlapping commits have non-overlapping side-effects;
+                   a sweep over intervals sorted by start that keeps only the
+                   still-open ones, costing n log n + (overlapping pairs)
 """
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .abstract import AbstractStore, rewrite_steps, validate_rewrite
-from .concurrent import decompose_k
 from .store import NumberedConstraint, State
 from .syntax import Program
-from .terms import (Chr, Constraint, Eq, Subst, apply_subst, entails, mgu,
+from .terms import (Chr, Constraint, Eq, Subst, apply_subst, mgu,
                     normalize_constraint, render_constraint)
-from .trace import (CommitRecord, ParsedStep, ParsedTrace, SideEffect,
-                    TraceStep, parse_trace)
+from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
+from .trace import ParsedStep, ParsedTrace, parse_trace
 
 HistoryKey = tuple[str, tuple[int, ...]]
+# (seq, (start, commit) interval, propagated ids, simplified ids)
+AuditRecord = tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,82 +66,69 @@ def no_ids(goals: Iterable) -> list[Constraint]:
 
 class _Replica:
     """Fresh store + goal multiset driven purely by trace steps.  Un-numbered
-    goal keys are rendered constraints; numbered goals are keyed by id alone.
-    Store entries stay raw (as activated), exactly like the engine store."""
+    goals are counted by rendered constraint; numbered goals by id alone, as
+    wake-ups can change the rendered form while a stale goal copy is still
+    queued.  Store entries stay raw (as activated), exactly like the engine
+    store.  `theta` is the m.g.u. of the equations, kept from one Solve to
+    the next.  `delta` collects what the current step adds to and removes
+    from the projection NoIds(G) + DropIds(Sn)."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals = Counter(render_constraint(normalize_constraint(g))
                              for g in goals0)
+        self.numbered: Counter = Counter()
         self.entries: dict[int, Chr] = {}
+        self.keys: dict[int, str] = {}  # rendered raw entries
         self.alive: set[int] = set()
         self.eqs: list[Eq] = []
+        self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
         self.history: set[HistoryKey] = set()
-
-    def goal_present(self, key: str) -> bool:
-        return self.goals[key] > 0
+        self.delta: Counter = Counter()
 
     def goal_remove(self, key: str) -> None:
         self.goals[key] -= 1
         if self.goals[key] <= 0:
             del self.goals[key]
+        self.delta[key] -= 1
 
     def goal_add(self, key: str) -> None:
         self.goals[key] += 1
+        self.delta[key] += 1
 
-    @staticmethod
-    def nc_key(cid: int) -> str:
-        # a numbered goal is identified by its id alone: wake-ups can change
-        # the rendered form while a stale goal copy is still queued
-        return f"#{cid}"
+    def numbered_remove(self, cid: int) -> None:
+        self.numbered[cid] -= 1
+        if self.numbered[cid] <= 0:
+            del self.numbered[cid]
 
-    def theta(self) -> Optional[Subst]:
-        return mgu(self.eqs)
-
-    def norm(self, c: Constraint, theta: Optional[Subst]) -> Constraint:
-        if theta:
-            c = apply_subst(theta, c)
+    def norm(self, c: Constraint) -> Constraint:
+        if self.theta:
+            c = apply_subst(self.theta, c)
         return normalize_constraint(c)
 
-    def wake_ids(self, e: Eq) -> Optional[list[int]]:
-        """Alive ids whose equation-normal form the new equation changes;
-        None when the extended equations are unsatisfiable."""
-        theta = mgu(self.eqs + [e])
+    def wake_ids(self, theta: Optional[Subst]) -> list[int]:
+        """Alive ids whose equation-normal form changes from the current
+        theta to `theta`, the m.g.u. with the new equation added; none when
+        that is unsatisfiable."""
         if theta is None:
-            return None
-        phi = self.theta() or {}
+            return []
+        phi = self.theta or {}
         return [cid for cid in sorted(self.alive)
                 if apply_subst(phi, self.entries[cid])
                 != apply_subst(theta, self.entries[cid])]
 
-    def store_constraints(self) -> list[Constraint]:
-        out: list[Constraint] = [self.entries[i] for i in sorted(self.alive)]
-        out.extend(self.eqs)
-        return out
+    def live_items(self) -> list[tuple[Chr, int]]:
+        return [(self.entries[i], i) for i in sorted(self.alive)]
 
     def pending_goals(self) -> list[str]:
-        """Goal keys that still await execution; numbered goals whose entry
-        died are stale and not pending (engines discard them on dequeue)."""
-        out = []
-        for key, n in self.goals.items():
-            if key.startswith("#") and int(key[1:]) not in self.alive:
-                continue  # stale: discarded on dequeue
-            out.extend([key] * n)
-        return out
-
-    def projection(self) -> Counter:
-        """NoIds(goals) + DropIds(store) as a rendered multiset."""
-        out: Counter = Counter()
-        for key, n in self.goals.items():
-            if key.startswith("#"):
-                continue  # numbered goal: its store copy is counted below
-            out[key] += n
-        for c in self.store_constraints():
-            out[render_constraint(c)] += 1
+        """Goals that still await execution; numbered goals whose entry died
+        are stale and not pending (engines discard them on dequeue)."""
+        out = [key for key, n in self.goals.items() for _ in range(n)]
+        out.extend(f"#{cid}" for cid, n in self.numbered.items()
+                   if cid in self.alive for _ in range(n))
         return out
 
     def dump(self) -> str:
-        lines = [f"{render_constraint(self.entries[cid])}#{cid}"
-                 for cid in sorted(self.alive)]
+        lines = [f"{self.keys[cid]}#{cid}" for cid in sorted(self.alive)]
         lines.extend(sorted(render_constraint(e) for e in self.eqs))
         return "\n".join(lines)
 
@@ -141,127 +141,163 @@ def _steps_in_order(trace: ParsedTrace) -> Optional[list[ParsedStep]]:
     return steps
 
 
-def _replay_step(rep: _Replica, st: ParsedStep, program: Program) -> Optional[str]:
-    """Apply one step to the replica; returns an error string when its
-    preconditions do not hold at this turn."""
+def _replay_step(rep: _Replica, st: ParsedStep, program: Program
+                 ) -> tuple[Optional[str], Optional[Counter]]:
+    """Apply one step to the replica.  Returns (error, expected): error when
+    the step's preconditions do not hold at this turn (a firing must be one
+    valid abstract rewrite); otherwise the change to the projection the
+    abstract semantics expects of the step."""
     if st.kind == "Activate":
         if st.goal_id is None:
-            return "activation without an id"
+            return "activation without an id", None
         if st.goal_id in rep.entries:
-            return f"id {st.goal_id} is not fresh"
+            return f"id {st.goal_id} is not fresh", None
         if not isinstance(st.goal, Chr):
-            return "only CHR constraints can be activated"
+            return "only CHR constraints can be activated", None
         if st.prop_ids or st.simp_ids:
-            return "activation carries side effects"
+            return "activation carries side effects", None
         key = render_constraint(st.goal)
-        if not rep.goal_present(key):
-            return f"activated goal {key} not in the goal multiset"
+        if rep.goals[key] <= 0:
+            return f"activated goal {key} not in the goal multiset", None
         rep.goal_remove(key)
         rep.entries[st.goal_id] = st.goal
+        rep.keys[st.goal_id] = key
         rep.alive.add(st.goal_id)
-        rep.goal_add(rep.nc_key(st.goal_id))
-        return None
+        rep.delta[key] += 1  # the goal moved into the store
+        rep.numbered[st.goal_id] += 1
+        return None, Counter()
 
     if st.kind == "Solve":
         if not isinstance(st.goal, Eq):
-            return "solve goal is not an equation"
+            return "solve goal is not an equation", None
         key = render_constraint(st.goal)
-        if not rep.goal_present(key):
-            return f"solved equation {key} not in the goal multiset"
+        if rep.goals[key] <= 0:
+            return f"solved equation {key} not in the goal multiset", None
         if st.simp_ids:
-            return "solve must not simplify"
-        woken = rep.wake_ids(st.goal)
-        expected = tuple(woken) if woken is not None else ()
-        if tuple(sorted(st.prop_ids)) != expected:
+            return "solve must not simplify", None
+        theta = mgu(rep.eqs + [st.goal])
+        woken = rep.wake_ids(theta)
+        if sorted(st.prop_ids) != woken:
             return (f"wake-up mismatch: recorded {sorted(st.prop_ids)}, "
-                    f"expected {list(expected)}")
+                    f"expected {woken}"), None
         rep.goal_remove(key)
         rep.eqs.append(st.goal)
-        for cid in expected:
-            rep.goal_add(rep.nc_key(cid))
-        return None
+        rep.theta = theta
+        rep.delta[key] += 1  # the goal moved into the store
+        for cid in woken:
+            rep.numbered[cid] += 1
+        return None, Counter()
 
     # numbered-goal steps
     if st.goal_id is None:
-        return f"{st.kind} goal carries no id"
+        return f"{st.kind} goal carries no id", None
     cid = st.goal_id
     if cid not in rep.alive:
-        return f"goal id {cid} is not alive"
-    key = rep.nc_key(cid)
-    if not rep.goal_present(key):
-        return f"goal #{cid} not in the goal multiset"
+        return f"goal id {cid} is not alive", None
+    if rep.numbered[cid] <= 0:
+        return f"goal #{cid} not in the goal multiset", None
 
     if st.kind == "Drop":
         if st.prop_ids or st.simp_ids:
-            return "drop carries side effects"
-        rep.goal_remove(key)
-        return None
+            return "drop carries side effects", None
+        rep.numbered_remove(cid)
+        return None, Counter()
 
     # Simplify / Propagate
     if st.rule is None:
-        return "firing without a rule name"
+        return "firing without a rule name", None
     try:
         rule = program.rule(st.rule)
     except KeyError:
-        return f"unknown rule {st.rule!r}"
+        return f"unknown rule {st.rule!r}", None
     own = st.simp_ids if st.kind == "Simplify" else st.prop_ids
     if cid not in own:
-        return f"active goal id {cid} missing from its own side-effect set"
+        return f"active goal id {cid} missing from its own side-effect set", None
     all_ids = set(st.prop_ids) | set(st.simp_ids)
     if len(st.prop_ids) + len(st.simp_ids) != len(all_ids):
-        return "propagated and simplified sets overlap"
+        return "propagated and simplified sets overlap", None
     dead = [i for i in all_ids if i not in rep.alive]
     if dead:
-        return f"side-effect ids not alive: {sorted(dead)}"
+        return f"side-effect ids not alive: {sorted(dead)}", None
 
-    theta = rep.theta()
-
-    def norm_multiset(ids):
-        return Counter(render_constraint(rep.norm(rep.entries[i], theta))
-                       for i in ids)
-
-    want_p = Counter(render_constraint(rep.norm(apply_subst(st.phi, h), theta))
-                     for h in rule.propagated)
-    want_s = Counter(render_constraint(rep.norm(apply_subst(st.phi, h), theta))
-                     for h in rule.simplified)
-    if want_p != norm_multiset(st.prop_ids):
-        return f"propagated heads do not match rule {rule.name}"
-    if want_s != norm_multiset(st.simp_ids):
-        return f"simplified heads do not match rule {rule.name}"
-    if not entails(rep.eqs, st.phi, rule.guard):
-        return f"guard of rule {rule.name} not entailed"
+    heads_p = [rep.norm(rep.entries[i]) for i in st.prop_ids]
+    heads_s = [rep.norm(rep.entries[i]) for i in st.simp_ids]
+    # the abstract semantics' own check, on the heads' equation-normal forms
+    # alone; theta is current, so phi is composed with it rather than the
+    # equations being solved again
+    theta = rep.theta
+    theta_phi = ({x: apply_subst(theta, t) for x, t in st.phi.items()}
+                 if theta is not None else None)
+    if theta_phi is None or validate_rewrite(
+            heads_p + heads_s, rule, theta_phi, heads_p, heads_s) is None:
+        return _rewrite_mismatch(rep, st, rule, heads_p, heads_s), None
     if st.kind == "Propagate":
         hkey = (rule.name, tuple(sorted(all_ids)))
         if hkey in rep.history:
-            return f"propagation instance fired twice: {hkey}"
+            return f"propagation instance fired twice: {hkey}", None
         rep.history.add(hkey)
 
-    rep.goal_remove(key)
+    body = [render_constraint(normalize_constraint(apply_subst(st.phi, b)))
+            for b in rule.body]
+    expected = Counter(body)
+    expected.subtract(rep.keys[i] for i in st.simp_ids)
+
+    rep.numbered_remove(cid)
     for i in st.simp_ids:
         rep.alive.discard(i)
+        rep.delta[rep.keys[i]] -= 1
     if st.kind == "Propagate":
-        rep.goal_add(rep.nc_key(cid))
-    for b in rule.body:
-        inst = normalize_constraint(apply_subst(st.phi, b))
-        rep.goal_add(render_constraint(inst))
-    return None
+        rep.numbered[cid] += 1
+    for key in body:
+        rep.goal_add(key)
+    return None, expected
+
+
+def _rewrite_mismatch(rep: _Replica, st: ParsedStep, rule, heads_p: list,
+                      heads_s: list) -> str:
+    """Why a recorded firing is not a valid abstract rewrite."""
+    for role, patterns, heads in (("propagated", rule.propagated, heads_p),
+                                  ("simplified", rule.simplified, heads_s)):
+        want = Counter(render_constraint(rep.norm(apply_subst(st.phi, h)))
+                       for h in patterns)
+        if want != Counter(render_constraint(c) for c in heads):
+            return f"{role} heads do not match rule {rule.name}"
+    return f"guard of rule {rule.name} not entailed"
+
+
+def _delta_text(delta: Counter) -> str:
+    return str({key: n for key, n in sorted(delta.items()) if n})
 
 
 def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
-                program: Program) -> tuple[Optional[_Replica], Verdict]:
+                program: Program) -> tuple[Optional[_Replica], Verdict, Verdict]:
+    """The single pass: replays every step in seq order and checks its
+    projection delta.  Returns the replica with the replay and the
+    project-abstract verdicts.  A replay failure at a step fails both."""
     steps = _steps_in_order(trace)
     if steps is None:
-        return None, Verdict(False, "replay", "duplicate seq numbers")
+        detail = "duplicate seq numbers"
+        return (None, Verdict(False, "replay", detail),
+                Verdict(False, "project-abstract", detail))
     rep = _Replica(goals0)
+    projected = Verdict(True, "project-abstract")
     for st in steps:
-        err = _replay_step(rep, st, program)
+        rep.delta = Counter()
+        err, expected = _replay_step(rep, st, program)
         if err is not None:
-            return None, Verdict(False, "replay", f"step {st.seq}: {err}")
+            detail = f"step {st.seq}: {err}"
+            return (None, Verdict(False, "replay", detail),
+                    Verdict(False, "project-abstract", detail))
+        if projected.passed and rep.delta != expected:
+            projected = Verdict(
+                False, "project-abstract",
+                f"step {st.seq} ({st.kind}) changed the projection by "
+                f"{_delta_text(rep.delta)}, expected {_delta_text(expected)}")
     if trace.final_dump is not None and rep.dump() != trace.final_dump:
         return rep, Verdict(False, "replay",
                             f"final store mismatch:\nreplayed:\n{rep.dump()}\n"
-                            f"recorded:\n{trace.final_dump}")
-    return rep, Verdict(True, "replay")
+                            f"recorded:\n{trace.final_dump}"), projected
+    return rep, Verdict(True, "replay"), projected
 
 
 def replay(trace: ParsedTrace, goals0: Iterable[Constraint],
@@ -269,124 +305,114 @@ def replay(trace: ParsedTrace, goals0: Iterable[Constraint],
     """Re-execute every step, in seq order, as the corresponding derivation
     rule with the recorded substitution, heads and ids; then compare the
     replayed store dump with the one the engine recorded."""
-    _, verdict = _run_replay(trace, goals0, program)
-    return verdict
+    return _run_replay(trace, goals0, program)[1]
 
 
 def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
                      program: Program) -> Verdict:
-    """After every step, the projection NoIds(G) + DropIds(Sn) must be
-    multiset-equal to its predecessor (Solve/Activate/Drop) or one valid
-    abstract rewrite away (Simplify/Propagate), validated with the recorded
-    rule, substitution and head ids."""
-    steps = _steps_in_order(trace)
-    if steps is None:
-        return Verdict(False, "project-abstract", "duplicate seq numbers")
-    rep = _Replica(goals0)
-    prev = rep.projection()
-    for st in steps:
-        firing = st.kind in ("Simplify", "Propagate")
-        if firing:
-            pre_store = rep.store_constraints()
-            heads_p = [rep.entries[i] for i in st.prop_ids]
-            heads_s = [rep.entries[i] for i in st.simp_ids]
-        err = _replay_step(rep, st, program)
-        if err is not None:
-            return Verdict(False, "project-abstract", f"step {st.seq}: {err}")
-        cur = rep.projection()
-        if not firing:
-            if cur != prev:
-                return Verdict(False, "project-abstract",
-                               f"step {st.seq} ({st.kind}) changed the projection")
-        else:
-            rule = program.rule(st.rule)
-            successor = validate_rewrite(pre_store, rule, st.phi,
-                                         heads_p, heads_s)
-            if successor is None:
-                return Verdict(False, "project-abstract",
-                               f"step {st.seq}: not a valid abstract rewrite")
-            expected = prev.copy()
-            expected.subtract(render_constraint(c) for c in heads_s)
-            for b in rule.body:
-                inst = normalize_constraint(apply_subst(st.phi, b))
-                expected[render_constraint(inst)] += 1
-            expected = +expected
-            if cur != expected:
-                return Verdict(False, "project-abstract",
-                               f"step {st.seq}: projection is not the rewrite "
-                               "successor")
-        prev = cur
-    return Verdict(True, "project-abstract")
+    """Every step must leave the projection NoIds(G) + DropIds(Sn) unchanged
+    (Solve/Activate/Drop) or change it by one valid abstract rewrite
+    (Simplify/Propagate), validated with the recorded rule, substitution and
+    head ids."""
+    return _run_replay(trace, goals0, program)[2]
+
+
+def _finality(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
+              history: Iterable[HistoryKey], pending: list[str],
+              program: Program) -> Verdict:
+    """No goal may be pending, and the visible store must admit no abstract
+    rewrite beyond the propagation instances already fired."""
+    if pending:
+        return Verdict(False, "check-final",
+                       f"{len(pending)} goal(s) still pending: {pending[:5]}")
+    s = AbstractStore.from_identified(items, eqs, history)
+    steps = rewrite_steps(s, program)
+    if not steps:
+        return Verdict(True, "check-final")
+    return Verdict(False, "check-final",
+                   f"rule {steps[0].rule} still applies to ids "
+                   f"{steps[0].used_tags}")
 
 
 def check_final(state: State, program: Program,
                 history: Iterable[HistoryKey] = ()) -> Verdict:
-    """A finished run's visible store must admit no further abstract rewrite
+    """A finished engine state must admit no further abstract rewrite
     (beyond propagation instances already fired)."""
-    if state.goals:
-        return Verdict(False, "check-final",
-                       f"{len(state.goals)} goal(s) still pending")
     store = state.store
     items = [(nc.constraint, nc.id) for nc in store.live_items()]
-    s = AbstractStore.from_identified(items, store.eqs(), history)
-    steps = rewrite_steps(s, program)
-    if not steps:
-        return Verdict(True, "check-final")
-    return Verdict(False, "check-final",
-                   f"rule {steps[0].rule} still applies to ids "
-                   f"{steps[0].used_tags}")
+    pending = [g.render() if isinstance(g, NumberedConstraint)
+               else render_constraint(g) for g in state.goals]
+    return _finality(items, store.eqs(), history, pending, program)
 
 
 def check_final_from_replay(rep: _Replica, program: Program) -> Verdict:
-    pending = rep.pending_goals()
-    if pending:
-        return Verdict(False, "check-final",
-                       f"goals still pending: {pending[:5]}")
-    items = [(rep.entries[i], i) for i in sorted(rep.alive)]
-    s = AbstractStore.from_identified(items, rep.eqs, rep.history)
-    steps = rewrite_steps(s, program)
-    if not steps:
-        return Verdict(True, "check-final")
-    return Verdict(False, "check-final",
-                   f"rule {steps[0].rule} still applies to ids "
-                   f"{steps[0].used_tags}")
+    """check_final over the replayed state."""
+    return _finality(rep.live_items(), rep.eqs, rep.history,
+                     rep.pending_goals(), program)
 
 
-def audit_overlap(records: list[CommitRecord]) -> Verdict:
+def decompose_k(records: Iterable[AuditRecord]
+                ) -> tuple[list[tuple[int, int]],
+                           Optional[tuple[int, int, tuple[int, ...]]]]:
+    """Check that all time-overlapping committed steps with side-effects are
+    reducible to nested pairwise concurrent compositions: every overlapping
+    pair's side-effects must be non-overlapping (one's simplified set is
+    disjoint from the other's propagated and simplified sets).
+
+    Intervals (start, commit) overlap when each starts before the other
+    commits.  Returns every overlapping pair as (seq, seq), smaller first,
+    and the first offending pair found as (seq, seq, shared ids), or None.
+    A sweep over the records by start keeps the still-open intervals in a
+    heap by commit tick: n log n + (overlapping pairs).
+    """
+    effectful = sorted((r for r in records if r[2] or r[3]),
+                       key=lambda r: (r[1][0], r[0]))
+    open_: list = []  # (commit, n, start, seq, propagated, simplified)
+    pairs: list[tuple[int, int]] = []
+    violation = None
+    for n, (seq, (start, end), prop, simp) in enumerate(effectful):
+        while open_ and open_[0][0] <= start:
+            heapq.heappop(open_)
+        p, s = set(prop), set(simp)
+        for _, _, start2, seq2, p2, s2 in open_:
+            if not start2 < end:
+                continue
+            pairs.append((min(seq, seq2), max(seq, seq2)))
+            clash = (s & (p2 | s2)) | (s2 & (p | s))
+            if clash and violation is None:
+                violation = (min(seq, seq2), max(seq, seq2),
+                             tuple(sorted(clash)))
+        heapq.heappush(open_, (end, n, start, seq, p, s))
+    return pairs, violation
+
+
+def audit_overlap(records: Iterable[AuditRecord]) -> Verdict:
     """Definition of non-overlapping side-effects, applied to every pair of
     committed steps whose (start, commit) intervals overlap in time."""
     pairs, violation = decompose_k(records)
     if violation is not None:
+        a, b, clash = violation
         return Verdict(False, "audit-overlap",
-                       f"steps {violation.seq1} and {violation.seq2}: "
-                       f"{violation.detail}")
+                       f"steps {a} and {b}: shared ids {list(clash)}")
     return Verdict(True, "audit-overlap", f"{len(pairs)} overlapping pair(s)")
 
 
 def audit_overlap_trace(trace: ParsedTrace) -> Verdict:
     """audit_overlap over a parsed (serialized) trace."""
-    records = []
-    for st in _steps_in_order(trace) or []:
-        if st.interval is None:
-            continue
-        delta = SideEffect(
-            propagated=tuple(NumberedConstraint(Chr("_"), i) for i in st.prop_ids),
-            simplified=tuple(NumberedConstraint(Chr("_"), i) for i in st.simp_ids))
-        records.append(CommitRecord(
-            TraceStep(st.seq, st.kind, st.goal, delta),
-            st.worker if st.worker is not None else 0, st.interval))
-    return audit_overlap(records)
+    return audit_overlap(
+        (st.seq, st.interval, st.prop_ids, st.simp_ids)
+        for st in _steps_in_order(trace) or [] if st.interval is not None)
 
 
 def verify_run(trace_text: str, goals0: Iterable[Constraint],
                program: Program, concurrent: bool = False) -> list[Verdict]:
-    """The full check battery over one serialized trace."""
+    """The full check battery over one serialized trace: one parse, one
+    replay."""
     trace = parse_trace(trace_text)
-    goals0 = list(goals0)
-    rep, replay_verdict = _run_replay(trace, goals0, program)
-    verdicts = [replay_verdict]
-    if replay_verdict.passed and rep is not None:
-        verdicts.append(project_abstract(trace, goals0, program))
+    rep, replayed, projected = _run_replay(trace, list(goals0), program)
+    verdicts = [replayed]
+    if replayed.passed:
+        verdicts.append(projected)
         if trace.status == "done":
             verdicts.append(check_final_from_replay(rep, program))
     if concurrent:

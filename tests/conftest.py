@@ -27,6 +27,34 @@ MULTI_FIRING = ("gcd", "channel", "mergesort", "prop_once", "opt_join",
                 "opt_drop")
 
 
+def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] < b[1] and b[0] < a[1]
+
+
+def overlapping_firing_pairs(trace) -> int:
+    """How many pairs of committed rule firings genuinely overlapped in time
+    (shows the overlap audit is not vacuous)."""
+    firings = [r for r in trace if r.step.kind in ("Simplify", "Propagate")]
+    return sum(_overlaps(a.interval, b.interval)
+               for i, a in enumerate(firings) for b in firings[i + 1:])
+
+
+def all_pairs_audit(records) -> tuple[set, bool]:
+    """Reference for the sweep audit: every pair of effectful records whose
+    intervals overlap, as (smaller seq, larger seq), and whether any such
+    pair shares a simplified id with the other's side-effects."""
+    effectful = [r for r in records if r[2] or r[3]]
+    pairs, violating = set(), False
+    for i, (seq1, iv1, p1, s1) in enumerate(effectful):
+        for seq2, iv2, p2, s2 in effectful[i + 1:]:
+            if not _overlaps(iv1, iv2):
+                continue
+            pairs.add((min(seq1, seq2), max(seq1, seq2)))
+            if set(s1) & set(p2 + s2) or set(s2) & set(p1 + s1):
+                violating = True
+    return pairs, violating
+
+
 def program_text(name: str) -> str:
     return (PROGRAMS / f"{name}.chr").read_text()
 

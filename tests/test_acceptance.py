@@ -15,15 +15,15 @@ import pytest
 
 from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
                              final_stores, run_abstract)
-from chrkit.concurrent import (EngineConfig, overlapping_firing_pairs,
-                               run_concurrent, run_pitfall_variant)
+from chrkit.concurrent import EngineConfig, run_concurrent, run_pitfall_variant
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const
 from chrkit.trace import parse_trace, serialize_trace
 from chrkit.verify import audit_overlap_trace, check_final, replay
 
-from conftest import CORPUS, MULTI_FIRING, goals_for, load
+from conftest import (CORPUS, MULTI_FIRING, goals_for, load,
+                      overlapping_firing_pairs)
 
 GCD_ANSWER = ("Gcd(3)",)
 CHANNEL_ANSWERS = {("m=1", "n=8"), ("m=8", "n=1")}

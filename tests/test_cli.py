@@ -58,6 +58,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_atom_with_trace_delimiter_exits_1(capsys):
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "P('a b'),Q(1)", "--verify")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_trace_format_error_exits_1(capsys, monkeypatch):
+    import chrkit.cli
+    from chrkit.trace import TraceFormatError
+
+    def broken(*args, **kwargs):
+        raise TraceFormatError("malformed field 'x'")
+
+    monkeypatch.setattr(chrkit.cli, "verify_run", broken)
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(3)", "--verify")
+    assert code == 1
+    assert err == "error: malformed field 'x'\n"
+
+
 def test_trace_file_written(tmp_path, capsys):
     path = tmp_path / "run.trace"
     code, out, err = run_cli(capsys, str(PROGRAMS / "channel.chr"),

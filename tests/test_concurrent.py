@@ -1,18 +1,14 @@
 import pytest
 
 from chrkit.abstract import canonical_multiset
-from chrkit.concurrent import (ConcurrentEngine, EngineConfig, OverlapViolation,
-                               PairComposition, decompose_k,
-                               overlapping_firing_pairs, run_concurrent,
+from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                                run_pitfall_variant, _TickConflict)
 from chrkit.sequential import run_sequential
-from chrkit.store import NumberedConstraint
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Var
-from chrkit.trace import CommitRecord, SideEffect, TraceStep
-from chrkit.verify import check_final
+from chrkit.verify import check_final, decompose_k
 
-from conftest import CORPUS, goals_for, load
+from conftest import CORPUS, goals_for, load, overlapping_firing_pairs
 
 
 def canon_store(state):
@@ -151,30 +147,22 @@ def test_step_limit_concurrent():
 
 # ------------------------------------------------------------ decompose
 
-def _record(seq, kind, prop_ids, simp_ids, interval, worker=0):
-    delta = SideEffect(
-        propagated=tuple(NumberedConstraint(Chr("G", (Var(f"v{i}"),)), i)
-                         for i in prop_ids),
-        simplified=tuple(NumberedConstraint(Chr("G", (Var(f"v{i}"),)), i)
-                         for i in simp_ids))
-    goal = NumberedConstraint(Chr("G", (Var("v"),)), simp_ids[0] if simp_ids else 99)
-    return CommitRecord(TraceStep(seq, kind, goal, delta), worker, interval)
-
+# overlap audit records: (seq, (start, commit) interval, prop ids, simp ids)
 
 def test_decompose_two_disjoint_overlapping_firings():
     trace = [
-        _record(10, "Simplify", (), (1, 3), (1, 10), worker=0),
-        _record(11, "Simplify", (), (2, 4), (2, 11), worker=1),
+        (10, (1, 10), (), (1, 3)),
+        (11, (2, 11), (), (2, 4)),
     ]
     pairs, violation = decompose_k(trace)
     assert violation is None
-    assert pairs == [PairComposition(10, 11, (), (1, 2, 3, 4))]
+    assert pairs == [(10, 11)]
 
 
 def test_decompose_sequential_trace_has_singleton_groups():
     trace = [
-        _record(5, "Simplify", (), (1, 3), (1, 5)),
-        _record(8, "Simplify", (), (2, 4), (6, 8)),
+        (5, (1, 5), (), (1, 3)),
+        (8, (6, 8), (), (2, 4)),
     ]
     pairs, violation = decompose_k(trace)
     assert violation is None and pairs == []
@@ -182,19 +170,17 @@ def test_decompose_sequential_trace_has_singleton_groups():
 
 def test_decompose_flags_shared_simplified_id():
     trace = [
-        _record(10, "Simplify", (), (1, 3), (1, 10), worker=0),
-        _record(11, "Simplify", (), (1, 4), (2, 11), worker=1),
+        (10, (1, 10), (), (1, 3)),
+        (11, (2, 11), (), (1, 4)),
     ]
     pairs, violation = decompose_k(trace)
-    assert isinstance(violation, OverlapViolation)
-    assert (violation.seq1, violation.seq2) == (10, 11)
-    assert "1" in violation.detail
+    assert violation == (10, 11, (1,))
 
 
 def test_decompose_flags_propagated_head_killed_by_overlapping_firing():
     trace = [
-        _record(10, "Propagate", (7,), (), (1, 10), worker=0),
-        _record(11, "Simplify", (), (7,), (2, 11), worker=1),
+        (10, (1, 10), (7,), ()),
+        (11, (2, 11), (), (7,)),
     ]
     _, violation = decompose_k(trace)
     assert violation is not None
@@ -205,7 +191,9 @@ def test_engine_traces_never_violate_overlap_audit():
         p, goals = load(name), goals_for(name)
         for seed in range(10):
             res = run_concurrent(goals, p, EngineConfig(workers=4, seed=seed))
-            _, violation = decompose_k(res.trace)
+            _, violation = decompose_k(
+                (r.seq, r.interval, r.step.delta.prop_ids, r.step.delta.simp_ids)
+                for r in res.trace)
             assert violation is None, (name, seed, violation)
 
 

@@ -150,6 +150,15 @@ def test_negative_literals_and_atoms():
     assert goals[1] == Chr("Q", (Const("ab"),))
 
 
+def test_atoms_may_not_contain_trace_delimiters():
+    for text in ("P('a b')", "P('a;b')", "P('a\nb')", "P('a\tb')",
+                 "P('\u2028')"):
+        with pytest.raises(ParseError, match="atom may not contain"):
+            parse_goals(text)
+    # the other trace punctuation survives the format, so atoms keep it
+    assert parse_goals("P('a}->{b=#1')") == (Chr("P", (Const("a}->{b=#1"),)),)
+
+
 def test_zero_arity_accepts_parens():
     assert parse_goals("P()") == parse_goals("P")
 

@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.store import NumberedConstraint, State
-from chrkit.syntax import load_program, parse_goals
-from chrkit.terms import Chr, Const, Eq, Var
-from chrkit.trace import parse_trace, serialize_trace
-from chrkit.verify import (Verdict, audit_overlap_trace, check_final, no_ids,
-                           project_abstract, replay, verify_run)
+from chrkit.syntax import ParseError, load_program, parse_goals, parse_term_text
+from chrkit.terms import FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var
+from chrkit.trace import (CommitRecord, SideEffect, TraceStep, parse_line,
+                          parse_trace, serialize_trace, step_to_line)
+from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
+                           decompose_k, no_ids, project_abstract, replay,
+                           verify_run)
 
-from conftest import CORPUS, goals_for, load
+from conftest import CORPUS, all_pairs_audit, goals_for, load
 
 
 def seq_trace_text(name, goals=None):
@@ -219,6 +223,31 @@ def test_audit_overlap_flags_synthetic_violation():
     assert not verdict.passed and "10" in verdict.detail
 
 
+def test_sweep_audit_matches_all_pairs_reference():
+    # small tick ranges give equal starts, touching ends, empty and reversed
+    # intervals
+    rng = random.Random(7)
+    violating_cases = 0
+    for _ in range(400):
+        records = []
+        for seq in rng.sample(range(100), rng.randrange(25)):
+            start = rng.randrange(20)
+            ids = rng.sample(range(1, 8), rng.randrange(4))
+            cut = rng.randrange(len(ids) + 1)
+            records.append((seq, (start, start + rng.randrange(-1, 7)),
+                            tuple(sorted(ids[:cut])), tuple(sorted(ids[cut:]))))
+        want_pairs, want_violating = all_pairs_audit(records)
+        pairs, violation = decompose_k(records)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == want_pairs
+        assert (violation is not None) == want_violating
+        if violation is not None:
+            violating_cases += 1
+            a, b, clash = violation
+            assert (a, b) in want_pairs and clash
+    assert 0 < violating_cases < 400
+
+
 # -------------------------------------------------------------- verify_run
 
 def test_verify_run_full_battery_sequential():
@@ -235,6 +264,72 @@ def test_verify_run_full_battery_concurrent():
     assert [v.check for v in verdicts] == ["replay", "project-abstract",
                                            "check-final", "audit-overlap"]
     assert all(v.passed for v in verdicts)
+
+
+def _relines(text, edit):
+    """Apply `edit` to the step lines of a trace and number them afresh."""
+    head = [l for l in text.splitlines() if l.startswith("#")]
+    steps = edit([l for l in text.splitlines() if not l.startswith("#")])
+    steps = [f"{k} {l.split(' ', 1)[1]}" for k, l in enumerate(steps)]
+    return "\n".join(head[:2] + steps + head[2:])
+
+
+def _wake_program():
+    p = load_program("r1 @ A(x), B(x) <=> C(x).")
+    goals = parse_goals("A(a),B(2),a=2")
+    res = run_sequential(goals, p)
+    return p, goals, serialize_trace(res.trace, {}, res.status,
+                                     res.state.store.dump())
+
+
+def _duplicate_propagation(lines):
+    k = next(i for i, l in enumerate(lines) if " Propagate " in l)
+    return lines[:k + 1] + [lines[k]] + lines[k + 1:]
+
+
+FORGERIES = [
+    # (name, program, goals, forge, check, detail)
+    ("wrong rule", "gcd", None,
+     lambda t: t.replace("rule=gcd2", "rule=gcd1", 1),
+     "replay", "step 3: propagated heads do not match rule gcd1"),
+    ("wrong wake-up set", None, None,
+     lambda t: t.replace("Solve goal=a=2 P={1}", "Solve goal=a=2 P={}"),
+     "replay", "wake-up mismatch: recorded [], expected [1]"),
+    ("step deleted", "gcd", None,
+     lambda t: _relines(t, lambda ls: [l for l in ls
+                                       if "Activate goal=Gcd(0)#3" not in l]),
+     "replay", "goal id 3 is not alive"),
+    ("duplicate seq", "gcd", None,
+     lambda t: t.replace("\n5 Simplify", "\n4 Simplify"),
+     "replay", "duplicate seq numbers"),
+    ("altered final dump", "gcd", None,
+     lambda t: t.replace("# final: Gcd(3)#6", "# final: Gcd(4)#6"),
+     "replay", "final store mismatch"),
+    ("simplified id not alive", "channel",
+     "Get(x1),Get(x2),Put(1),Put(2)",
+     lambda t: t.replace("S={2,4}", "S={1,4}"),
+     "replay", "side-effect ids not alive: [1]"),
+    ("propagation fired twice", "prop_once", None,
+     lambda t: _relines(t, _duplicate_propagation),
+     "replay", "propagation instance fired twice"),
+]
+
+
+@pytest.mark.parametrize("name,prog,goals,forge,check,detail", FORGERIES,
+                         ids=[f[0] for f in FORGERIES])
+def test_verify_run_rejects_forged_traces(name, prog, goals, forge, check,
+                                          detail):
+    if prog is None:
+        p, goals, text = _wake_program()
+    else:
+        goals = parse_goals(goals) if goals else goals_for(prog)
+        p, goals, _, text = seq_trace_text(prog, goals)
+    assert all(v.passed for v in verify_run(text, goals, p))
+    forged = forge(text)
+    assert forged != text
+    verdicts = verify_run(forged, goals, p)
+    assert [v.check for v in verdicts] == [check]
+    assert not verdicts[0].passed and detail in verdicts[0].detail, verdicts
 
 
 def test_verdict_requires_detail_on_failure():
@@ -265,3 +360,65 @@ def test_trace_phi_and_interval_fields_roundtrip():
             assert s.phi
         assert s.interval is not None and s.worker is not None
     assert parsed.meta["workers"] == "4"
+
+
+def _random_term(rng, depth=0):
+    k = rng.randrange(6 if depth < 2 else 4)
+    if k == 0:
+        return Const(rng.randrange(-10**12, 10**12))
+    if k == 1:
+        return _random_atom(rng)
+    if k == 2:
+        return rng.choice([Const(True), Const(False), Var("y1")])
+    if k == 3:
+        return Var("x")
+    return App(rng.choice(FUNCTION_SYMBOLS),
+               (_random_term(rng, depth + 1), _random_term(rng, depth + 1)))
+
+
+ATOM_CHARS = "ab Z0_;:,.(){}[]#=-><|&!%'\\\"\t\n\r\x0b\x1c\u2028 \u00e9"
+
+
+def _random_atom(rng):
+    """An atom the parser accepts, drawn from text full of trace
+    punctuation."""
+    while True:
+        text = "".join(rng.choice(ATOM_CHARS) for _ in range(rng.randrange(4)))
+        try:
+            return parse_term_text(f"'{text}'")
+        except ParseError:
+            continue
+
+
+def test_trace_line_roundtrip_over_generated_steps():
+    rng = random.Random(11)
+    for _ in range(1500):
+        kind = rng.choice(["Activate", "Solve", "Simplify", "Propagate", "Drop"])
+        c = Chr(rng.choice(["P", "Get", "A_1"]),
+                tuple(_random_term(rng) for _ in range(rng.randrange(3))))
+        cid = rng.randrange(1, 99)
+        goal = (Eq(_random_term(rng), _random_term(rng)) if kind == "Solve"
+                else NumberedConstraint(c, cid))
+        rule = phi = None
+        if kind in ("Simplify", "Propagate"):
+            rule = "r1"
+            phi = {f"v{j}.0": _random_term(rng) for j in range(rng.randrange(3))}
+        ids = rng.sample(range(1, 20), rng.randrange(4))
+        delta = SideEffect(
+            propagated=tuple(NumberedConstraint(c, i) for i in ids[:1]),
+            simplified=tuple(NumberedConstraint(c, i) for i in ids[1:]))
+        step = TraceStep(rng.randrange(10**6), kind, goal, delta, rule, phi)
+        worker, interval = rng.choice([(None, None), (1, (3, 9))])
+        parsed = parse_line(step_to_line(step, worker, interval))
+        assert parsed.goal == (goal if kind == "Solve" else c)
+        assert parsed.goal_id == (None if kind == "Solve" else cid)
+        assert (parsed.seq, parsed.kind, parsed.rule, parsed.phi,
+                parsed.prop_ids, parsed.simp_ids, parsed.worker,
+                parsed.interval) == (step.seq, kind, rule, phi or {},
+                                     delta.prop_ids, delta.simp_ids, worker,
+                                     interval)
+        dump = goal.render() if kind != "Solve" else ""
+        record = CommitRecord(step, 0, (1, 2))
+        whole = parse_trace(serialize_trace([record], {}, "done", dump))
+        assert len(whole.steps) == 1 and whole.steps[0].goal == parsed.goal
+        assert whole.final_dump == dump
