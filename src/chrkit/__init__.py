@@ -6,8 +6,7 @@ goal-based executor) plus a verifier that replays recorded traces and
 checks them against the abstract semantics.
 """
 from .abstract import (AbstractStore, LimitExceeded, canonical_multiset,
-                       concurrent_compose_check, final_stores, is_final,
-                       rewrite_steps, run_abstract)
+                       final_stores, is_final, rewrite_steps, run_abstract)
 from .concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                          run_pitfall_variant)
 from .sequential import SequentialEngine, run_sequential

@@ -8,17 +8,27 @@ convention the goal engines use, so "final" means the same thing in both).
 
 This engine is a verification oracle for small instances (around ten store
 constraints), not a production engine; it is single-threaded.
+
+Cost model of the exhaustive search.  Every item is rendered once, when it
+enters a store, and successors inherit the rendered forms of the items they
+keep, so a state key is a sort of cached strings.  rewrite_steps solves the
+store's equations once (not at all when there are none), looks up head
+candidates by predicate, tests a rule's guard as soon as the heads assigned
+so far bind its variables, and instantiates each distinct body instance
+once per call.  The search still builds every successor, duplicates
+included, before it looks up the successor's key.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .syntax import Program, Rule
-from .terms import (Chr, Constraint, Eq, Subst, apply_subst, entails,
-                    match, mgu, normalize_constraint, render_constraint)
+from .terms import (Chr, Constraint, Eq, Subst, apply_subst, holds, match,
+                    mgu, normalize_constraint, render_constraint)
+from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 
 HistoryKey = tuple[str, tuple[int, ...]]
 
@@ -29,9 +39,20 @@ class LimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class AbstractStore:
+    """Items are in normal form (the constructors and rewrites normalize).
+    `renders` caches each item's rendered form, in item order: rewrites carry
+    it from parent to successor, so an item is rendered once."""
+
     items: tuple[tuple[Constraint, int], ...]  # (constraint, instance tag)
     history: frozenset[HistoryKey] = frozenset()
     next_tag: int = 0
+    renders: Optional[tuple[str, ...]] = field(default=None, compare=False,
+                                               repr=False)
+
+    def __post_init__(self):
+        if self.renders is None:
+            object.__setattr__(self, "renders", tuple(
+                render_constraint(c) for c, _ in self.items))
 
     @staticmethod
     def from_constraints(cs: Iterable[Constraint]) -> "AbstractStore":
@@ -79,62 +100,93 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
     """Every applicable single rewrite: every rule, every injective assignment
     of distinct store elements to head positions, every matching substitution
     with the guard entailed.  Deterministic enumeration order (rules top to
-    bottom, elements in tag order).  Empty result means the store is final.
+    bottom, heads in textual order, elements in tag order).  Empty result
+    means the store is final.
+
+    The equations are solved once per store, and the guard is tested as soon
+    as the heads assigned so far bind all of its variables; that prunes only
+    assignments that would fail it anyway, so the order is unchanged.
     """
     eqs = s.eqs()
-    theta = mgu(eqs)
-    if theta is None:
-        return []  # inconsistent store entails nothing; final by convention
-    chr_items = [(c, t) for c, t in s.items if isinstance(c, Chr)]
-    norm: dict[int, Chr] = {t: _theta_norm(theta, c) for c, t in chr_items}
+    theta: Subst = {}
+    if eqs:
+        theta = mgu(eqs)
+        if theta is None:
+            return []  # inconsistent store entails nothing; final by convention
+    # CHR items per predicate, in store order, in equation-normal form
+    by_pred: dict[str, list[tuple[Chr, int]]] = {}
+    for c, t in s.items:
+        if isinstance(c, Chr):
+            if theta:
+                c = _theta_norm(theta, c)
+            by_pred.setdefault(c.pred, []).append((c, t))
     out: list[RewriteStep] = []
 
     for rule in p.rules:
-        heads = rule.heads  # textual order: propagated then simplified
-        pure_propagation = not rule.simplified
+        heads = rule.heads
+        n, guard_at = len(heads), rule.guard_at
+        used: list[tuple[str, Chr, int]] = []
+        used_tags: set[int] = set()
+        bodies: dict[tuple, tuple] = {}  # body-variable values -> instance
 
-        def assign(k: int, phi: Subst, used: list[tuple[str, Chr, int]]):
-            if k == len(heads):
-                if not entails(eqs, phi, rule.guard):
+        def assign(k: int, phi: Subst):
+            if k == guard_at and not holds(theta, phi, rule.guard):
+                return
+            if k == n:
+                tags = tuple(sorted(used_tags))
+                if not rule.simplified and (rule.name, tags) in s.history:
                     return
-                tags = tuple(sorted(t for _, _, t in used))
-                if pure_propagation:
-                    key = (rule.name, tags)
-                    if key in s.history:
-                        return
-                out.append(_apply(s, rule, phi, used))
+                values = tuple(phi.get(v) for v in rule.body_vars)
+                body = bodies.get(values)
+                if body is None:
+                    body = bodies[values] = _instantiate(rule, phi)
+                out.append(_apply(s, rule, phi, used, tags, body))
                 return
             role, _, pattern = heads[k]
-            for c, t in chr_items:
-                if any(t == u for _, _, u in used):
+            for c, t in by_pred.get(pattern.pred, ()):
+                if t in used_tags:
                     continue
-                phi2 = match(pattern, norm[t], phi)
+                phi2 = match(pattern, c, phi)
                 if phi2 is None:
                     continue
-                assign(k + 1, phi2, used + [(role, norm[t], t)])
+                used.append((role, c, t))
+                used_tags.add(t)
+                assign(k + 1, phi2)
+                used.pop()
+                used_tags.discard(t)
 
-        assign(0, {}, [])
+        assign(0, {})
     return out
 
 
+def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],
+                                                  tuple[str, ...]]:
+    """The rule's body under phi, normalized, with its rendered forms."""
+    body = tuple(normalize_constraint(apply_subst(phi, b)) for b in rule.body)
+    return body, tuple(render_constraint(c) for c in body)
+
+
 def _apply(s: AbstractStore, rule: Rule, phi: Subst,
-           used: list[tuple[str, Chr, int]]) -> RewriteStep:
-    simp_tags = {t for role, _, t in used if role == "simplified"}
-    items = [(c, t) for c, t in s.items if t not in simp_tags]
+           used: list[tuple[str, Chr, int]], tags: tuple[int, ...],
+           body: tuple[tuple[Constraint, ...], tuple[str, ...]]) -> RewriteStep:
+    simplified = tuple((c, t) for role, c, t in used if role == "simplified")
+    simp_tags = {t for _, t in simplified}
+    items = [it for it in s.items if it[1] not in simp_tags]
+    renders = [r for r, it in zip(s.renders, s.items) if it[1] not in simp_tags]
     tag = s.next_tag
-    for b in rule.body:
-        items.append((normalize_constraint(apply_subst(phi, b)), tag))
-        tag += 1
+    cs, rs = body
+    items += zip(cs, range(tag, tag + len(cs)))
+    renders += rs
+    tag += len(cs)
     history = s.history
     if not rule.simplified:
-        history = history | {(rule.name, tuple(sorted(t for _, _, t in used)))}
-    result = AbstractStore(tuple(items), history, tag)
+        history = history | {(rule.name, tags)}
     return RewriteStep(
         rule=rule.name,
         phi=phi,
         propagated=tuple((c, t) for role, c, t in used if role == "propagated"),
-        simplified=tuple((c, t) for role, c, t in used if role == "simplified"),
-        result=result,
+        simplified=simplified,
+        result=AbstractStore(tuple(items), history, tag, tuple(renders)),
     )
 
 
@@ -158,14 +210,19 @@ def canonical_multiset(cs: Iterable[Constraint]) -> tuple[str, ...]:
 
 
 def _state_key(s: AbstractStore) -> tuple:
-    order = sorted(s.items, key=lambda it: (render_constraint(it[0]), it[1]))
+    """The sorted rendered items, plus the history with each tag replaced by
+    its item's position in that order (ties between equal items broken by
+    tag)."""
+    if not s.history:
+        return (tuple(sorted(s.renders)), ())
+    order = sorted(zip(s.renders, (t for _, t in s.items)))
     index = {t: k for k, (_, t) in enumerate(order)}
     hist = sorted(
         (r, tuple(index[t] for t in tags))
         for r, tags in s.history
         if all(t in index for t in tags)  # entries about removed instances are moot
     )
-    return (tuple(render_constraint(c) for c, _ in order), tuple(hist))
+    return (tuple(r for r, _ in order), tuple(hist))
 
 
 def final_stores(s: AbstractStore, p: Program,
@@ -185,7 +242,7 @@ def final_stores(s: AbstractStore, p: Program,
             raise LimitExceeded(f"depth bound {max_depth} exceeded")
         steps = rewrite_steps(cur, p)
         if not steps:
-            finals.add(canonical_multiset(cur.constraints()))
+            finals.add(tuple(sorted(cur.renders)))
             continue
         for st in steps:
             key = _state_key(st.result)
@@ -212,18 +269,6 @@ def run_abstract(s: AbstractStore, p: Program, seed: int = 0,
     return cur, "step-limit"
 
 
-def concurrent_compose_check(s: AbstractStore,
-                             step1: tuple[Iterable[Constraint], object],
-                             step2: tuple[Iterable[Constraint], object]) -> bool:
-    """Whether two derivations from s compose concurrently: their simplified
-    multisets must be disjoint sub-multisets of s."""
-    pool = Counter(render_constraint(c) for c in s.constraints())
-    h1 = Counter(render_constraint(c) for c in step1[0])
-    h2 = Counter(render_constraint(c) for c in step2[0])
-    combined = h1 + h2
-    return all(combined[k] <= pool[k] for k in combined)
-
-
 def validate_rewrite(constraints: list[Constraint], rule: Rule, phi: Subst,
                      prop_cs: list[Chr], simp_cs: list[Chr]) -> Optional[list[Constraint]]:
     """Check that firing `rule` at instance `phi` on the given head
@@ -237,9 +282,7 @@ def validate_rewrite(constraints: list[Constraint], rule: Rule, phi: Subst,
         return None
     eqs = [c for c in constraints if isinstance(c, Eq)]
     theta = mgu(eqs)
-    if theta is None:
-        return None
-    if not entails(eqs, phi, rule.guard):
+    if theta is None or not holds(theta, phi, rule.guard):
         return None
 
     def forms(patterns, actual):

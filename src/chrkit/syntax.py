@@ -20,6 +20,7 @@ can never collide with goal variables, which cannot contain dots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .terms import (App, Chr, Const, Constraint, Eq, Term, Var,
@@ -272,12 +273,29 @@ class Rule:
     body: tuple[Constraint, ...]
     index: int = 0
 
-    @property
+    @cached_property
     def heads(self) -> tuple[tuple[str, int, Chr], ...]:
         """All heads in textual order as (role, position-within-role, pattern)."""
         out = [("propagated", i, h) for i, h in enumerate(self.propagated)]
         out += [("simplified", i, h) for i, h in enumerate(self.simplified)]
         return tuple(out)
+
+    @cached_property
+    def guard_at(self) -> int:
+        """How many heads, in textual order, bind every guard variable (the
+        number of heads when some guard variable is in no head)."""
+        need = vars_of(self.guard)
+        bound: set[str] = set()
+        for k, (_, _, h) in enumerate(self.heads):
+            if need <= bound:
+                return k
+            bound |= vars_of(h)
+        return len(self.heads)
+
+    @cached_property
+    def body_vars(self) -> tuple[str, ...]:
+        """The body's variables, sorted (range restriction: all in heads)."""
+        return tuple(sorted(set().union(*(vars_of(b) for b in self.body))))
 
 
 @dataclass(frozen=True)

@@ -257,11 +257,16 @@ def entails(eqs: Iterable[Eq], phi: Subst, guard: Term) -> bool:
     matching never narrows store variables.
     """
     theta = mgu(eqs)
-    if theta is None:
-        return False
-    g = apply_subst(theta, apply_subst(phi, guard))
-    if not is_ground(g):
-        return False
+    return theta is not None and holds(theta, phi, guard)
+
+
+def holds(theta: Subst, phi: Subst, guard: Term) -> bool:
+    """entails() for equations already solved to theta: callers that test
+    many guards against one equation set solve it once.  A non-ground guard
+    needs no separate test: evaluation reaches every variable and fails."""
+    g = apply_subst(phi, guard)
+    if theta:
+        g = apply_subst(theta, g)
     try:
         return eval_ground(g) is True
     except EvalError:

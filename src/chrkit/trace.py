@@ -125,11 +125,22 @@ class TraceFormatError(Exception):
     pass
 
 
-def _parse_ids(text: str) -> tuple[int, ...]:
+def _int(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TraceFormatError(f"{name} is not an integer: {text!r}") from None
+
+
+def _parse_ids(name: str, text: str) -> tuple[int, ...]:
     inner = text.strip("{}")
     if not inner:
         return ()
-    return tuple(int(x) for x in inner.split(","))
+    try:
+        return tuple(int(x) for x in inner.split(","))
+    except ValueError:
+        raise TraceFormatError(
+            f"{name} is not a set of integers: {text!r}") from None
 
 
 def _parse_phi(text: str) -> Subst:
@@ -154,7 +165,7 @@ def parse_line(line: str) -> ParsedStep:
     parts = line.split(" ")
     if len(parts) < 3:
         raise TraceFormatError(f"malformed trace line: {line!r}")
-    seq = int(parts[0])
+    seq = _int("seq", parts[0])
     kind = parts[1]
     if kind not in KINDS:
         raise TraceFormatError(f"unknown step kind {kind!r}")
@@ -170,7 +181,7 @@ def parse_line(line: str) -> ParsedStep:
     interval = None
     if "interval" in fields:
         a, _, b = fields["interval"].partition(",")
-        interval = (int(a), int(b))
+        interval = (_int("interval", a), _int("interval", b))
     return ParsedStep(
         seq=seq,
         kind=kind,
@@ -178,9 +189,9 @@ def parse_line(line: str) -> ParsedStep:
         goal_id=goal_id,
         rule=fields.get("rule"),
         phi=_parse_phi(fields["phi"]) if "phi" in fields else {},
-        prop_ids=_parse_ids(fields.get("P", "{}")),
-        simp_ids=_parse_ids(fields.get("S", "{}")),
-        worker=int(fields["worker"]) if "worker" in fields else None,
+        prop_ids=_parse_ids("P", fields.get("P", "{}")),
+        simp_ids=_parse_ids("S", fields.get("S", "{}")),
+        worker=_int("worker", fields["worker"]) if "worker" in fields else None,
         interval=interval,
     )
 

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
-                             concurrent_compose_check, final_stores, is_final,
-                             rewrite_steps, run_abstract, validate_rewrite)
+                             final_stores, is_final, rewrite_steps,
+                             run_abstract, validate_rewrite)
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var
 
-from conftest import load
+from conftest import concurrent_compose_check, load
 
 
 def store_of(text):

@@ -22,8 +22,8 @@ from chrkit.terms import Chr, Const
 from chrkit.trace import parse_trace, serialize_trace
 from chrkit.verify import audit_overlap_trace, check_final, replay
 
-from conftest import (CORPUS, MULTI_FIRING, goals_for, load,
-                      overlapping_firing_pairs)
+from conftest import (CORPUS, MULTI_FIRING, fuzz_case, goals_for, load,
+                      overlapping_firing_pairs, scripted_overlap)
 
 GCD_ANSWER = ("Gcd(3)",)
 CHANNEL_ANSWERS = {("m=1", "n=8"), ("m=8", "n=1")}
@@ -103,46 +103,13 @@ def merge_runs():
     return arts, walks, time.perf_counter() - t0
 
 
-def _fuzz_case(rng):
-    """A random terminating program: every rule removes at least one head,
-    and every body argument is strictly below a removed head's argument, so
-    the multiset of arguments decreases on every firing."""
-    preds = ["A", "B", "C"]
-    lines = []
-    for ri in range(rng.randrange(1, 5)):
-        n_heads = rng.randrange(1, 4)
-        n_simp = rng.randrange(1, n_heads + 1)
-        vs = [f"v{ri}x{k}" for k in range(n_heads)]
-        heads = [f"{rng.choice(preds)}({vs[k]})" for k in range(n_heads)]
-        simp, prop = heads[:n_simp], heads[n_simp:]
-        x = rng.choice(vs[:n_simp])
-        roll = rng.random()
-        guard, body = None, "true"
-        if roll < 0.30:
-            pass
-        elif roll < 0.80:
-            guard, body = f"{x}>0", f"{rng.choice(preds)}({x}-1)"
-        elif roll < 0.92 and n_simp >= 2:
-            y = rng.choice([v for v in vs[:n_simp] if v != x])
-            guard, body = f"{x}>={y} && {y}>0", f"{rng.choice(preds)}({x}-{y})"
-        else:
-            guard = f"{x}>1"
-            body = f"{rng.choice(preds)}({x}-1),{rng.choice(preds)}({x}-1)"
-        head_txt = (", ".join(prop) + " \\ " if prop else "") + ", ".join(simp)
-        guard_txt = f"{guard} | " if guard else ""
-        lines.append(f"r{ri} @ {head_txt} <=> {guard_txt}{body}.")
-    goals = ",".join(f"{rng.choice(preds)}({rng.randrange(0, 5)})"
-                     for _ in range(rng.randrange(3, 9)))
-    return "\n".join(lines), goals
-
-
 @pytest.fixture(scope="module")
 def fuzz_runs():
     rng = random.Random(20240817)
     arts, skipped = [], 0
     oracle_finals = []
     for case in range(500):
-        text, gtext = _fuzz_case(rng)
+        text, gtext = fuzz_case(rng)
         program = load_program(text)
         goals = parse_goals(gtext)
         art = _con_artifact(f"fuzz/{case}", program, goals,
@@ -235,7 +202,7 @@ def test_criterion_6_finality_every_done_run(all_artifacts):
     print(f"\nCRITERION 6 PASS finality on {checked} done runs")
 
 
-def test_criterion_7_overlap_audit_and_nonvacuity(all_artifacts):
+def test_criterion_7_overlap_audit_and_nonvacuity(all_artifacts, monkeypatch):
     audited = 0
     for art in all_artifacts:
         if not art.concurrent:
@@ -243,22 +210,18 @@ def test_criterion_7_overlap_audit_and_nonvacuity(all_artifacts):
         verdict = audit_overlap_trace(parse_trace(art.trace_text))
         assert verdict.passed, (art.label, verdict.detail)
         audited += 1
-    # the audit must not be vacuous: hunt one genuinely overlapping committed
-    # pair per multi-firing corpus program
+    # the audit must not be vacuous: a scripted two-worker schedule commits a
+    # genuinely overlapping pair for every multi-firing corpus program
     found = {}
     for name in MULTI_FIRING:
-        program, goals = load(name), goals_for(name)
-        for seed in range(400):
-            res = run_concurrent(goals, program,
-                                 EngineConfig(workers=4, seed=seed))
-            n = overlapping_firing_pairs(res.trace)
-            if n > 0:
-                verdict = audit_overlap_trace(parse_trace(serialize_trace(
-                    res.trace, {}, res.status, res.state.store.dump())))
-                assert verdict.passed, (name, seed, verdict.detail)
-                found[name] = (seed, n)
-                break
-        assert name in found, f"no overlapping pair found for {name}"
+        program = load(name)
+        forced = scripted_overlap(program, goals_for(name), monkeypatch)
+        assert forced is not None, f"no overlapping pair for {name}"
+        _, res = forced
+        verdict = audit_overlap_trace(parse_trace(serialize_trace(
+            res.trace, {}, res.status, res.state.store.dump())))
+        assert verdict.passed, (name, verdict.detail)
+        found[name] = overlapping_firing_pairs(res.trace)
     print(f"\nCRITERION 7 PASS audit on {audited} concurrent traces; "
           f"overlapping pairs: {found}")
 

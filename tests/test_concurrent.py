@@ -6,9 +6,12 @@ from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Var
-from chrkit.verify import check_final, decompose_k
+from chrkit.trace import serialize_trace
+from chrkit.verify import check_final, decompose_k, verify_run
 
-from conftest import CORPUS, goals_for, load, overlapping_firing_pairs
+from conftest import (CORPUS, MULTI_FIRING, goals_for, load,
+                      overlapping_firing_pairs, run_scripted_pair,
+                      scripted_overlap)
 
 
 def canon_store(state):
@@ -197,12 +200,23 @@ def test_engine_traces_never_violate_overlap_audit():
             assert violation is None, (name, seed, violation)
 
 
-def test_overlapping_pairs_exist_somewhere_in_seed_space():
-    p, goals = load("mergesort"), goals_for("mergesort")
-    assert any(
-        overlapping_firing_pairs(
-            run_concurrent(goals, p, EngineConfig(workers=4, seed=s)).trace) > 0
-        for s in range(50))
+@pytest.mark.parametrize("name", MULTI_FIRING)
+def test_scripted_schedule_commits_overlapping_pairs(name, monkeypatch):
+    p = load(name)
+    forced = scripted_overlap(p, goals_for(name), monkeypatch)
+    assert forced is not None, name
+    order, res = forced
+    assert overlapping_firing_pairs(res.trace) > 0
+    assert {r.worker for r in res.trace} == {0, 1}
+    # the schedule is a legal run: the whole verifier accepts its trace
+    text = serialize_trace(res.trace, {}, res.status, res.state.store.dump())
+    verdicts = verify_run(text, order, p, concurrent=True)
+    assert len(verdicts) == 4 and all(v.passed for v in verdicts), verdicts
+    # and it is fixed: the same goal order gives the same trace again
+    with monkeypatch.context() as mp:
+        again = run_scripted_pair(p, order, mp)
+    assert [(r.step, r.worker, r.interval) for r in again.trace] == \
+        [(r.step, r.worker, r.interval) for r in res.trace]
 
 
 # ------------------------------------------------------- rejected variants

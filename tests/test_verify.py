@@ -7,8 +7,9 @@ from chrkit.sequential import run_sequential
 from chrkit.store import NumberedConstraint, State
 from chrkit.syntax import ParseError, load_program, parse_goals, parse_term_text
 from chrkit.terms import FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var
-from chrkit.trace import (CommitRecord, SideEffect, TraceStep, parse_line,
-                          parse_trace, serialize_trace, step_to_line)
+from chrkit.trace import (CommitRecord, SideEffect, TraceFormatError,
+                          TraceStep, parse_line, parse_trace, serialize_trace,
+                          step_to_line)
 from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
                            decompose_k, no_ids, project_abstract, replay,
                            verify_run)
@@ -360,6 +361,23 @@ def test_trace_phi_and_interval_fields_roundtrip():
             assert s.phi
         assert s.interval is not None and s.worker is not None
     assert parsed.meta["workers"] == "4"
+
+
+@pytest.mark.parametrize("line,field", [
+    ("x Activate goal=A#1 P={} S={}", "seq"),
+    ("1.5 Activate goal=A#1 P={} S={}", "seq"),
+    ("3 Simplify goal=A#1 rule=r P={a} S={1}", "P"),
+    ("3 Simplify goal=A#1 rule=r P={} S={1,,2}", "S"),
+    ("3 Activate goal=A#1 P={} S={} worker=w", "worker"),
+    ("3 Activate goal=A#1 P={} S={} interval=3", "interval"),
+    ("3 Activate goal=A#1 P={} S={} interval=1,b", "interval"),
+    ("3 Activate goal=A#1 P={} S={} interval=", "interval"),
+])
+def test_parse_line_names_the_non_integer_field(line, field):
+    with pytest.raises(TraceFormatError, match=f"^{field} is not"):
+        parse_line(line)
+    with pytest.raises(TraceFormatError, match=f"^{field} is not"):
+        parse_trace("# chr-trace v1\n" + line + "\n")
 
 
 def _random_term(rng, depth=0):
