@@ -7,8 +7,7 @@ checks them against the abstract semantics.
 """
 from .abstract import (AbstractStore, LimitExceeded, canonical_multiset,
                        final_stores, is_final, rewrite_steps, run_abstract)
-from .concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
-                         run_pitfall_variant)
+from .concurrent import ConcurrentEngine, EngineConfig, run_concurrent
 from .sequential import SequentialEngine, run_sequential
 from .store import NumberedConstraint, State, Store
 from .syntax import (ParseError, Program, Rule, compile_occurrences,

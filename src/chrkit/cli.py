@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .abstract import AbstractStore, LimitExceeded, final_stores, run_abstract
-from .concurrent import ConcurrentEngine, EngineConfig
+from .concurrent import EngineConfig, run_concurrent
 from .sequential import InvariantViolation, run_sequential
 from .store import DeadIdError
 from .syntax import ParseError, load_program, parse_goals
@@ -56,31 +57,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run_once(program, goals, args, seed: int):
+def _run_once(program, goals, args, cfg: EngineConfig):
     """One engine run; returns (dump, trace_text, status, verdicts)."""
     if args.engine == "sequential":
         res = run_sequential(goals, program, policy=args.policy,
                              max_steps=args.max_steps,
                              check_invariants=args.check_invariants)
         meta = {"engine": "sequential", "policy": args.policy}
-        dump = res.state.store.dump()
-        trace_text = serialize_trace(res.trace, meta, res.status, dump)
-        status = res.status
     else:
-        cfg = EngineConfig(workers=args.workers, seed=seed,
-                           max_steps=args.max_steps)
-        engine = ConcurrentEngine(program, cfg)
-        res = engine.run(goals)
-        meta = {"engine": "concurrent", "workers": str(args.workers),
-                "seed": str(seed), "policy": "fifo"}
-        dump = res.state.store.dump()
-        trace_text = serialize_trace(res.trace, meta, res.status, dump)
-        status = res.status
+        res = run_concurrent(goals, program, cfg)
+        meta = {"engine": "concurrent", "workers": str(cfg.workers),
+                "seed": str(cfg.seed), "policy": "fifo"}
+    dump = res.state.store.dump()
+    trace_text = serialize_trace(res.trace, meta, res.status, dump)
     verdicts = None
     if args.verify:
         verdicts = verify_run(trace_text, goals, program,
                               concurrent=(args.engine == "concurrent"))
-    return dump, trace_text, status, verdicts
+    return dump, trace_text, res.status, verdicts
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -93,7 +87,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 goals = parse_goals(fh.read())
         else:
             goals = parse_goals(args.goals or "")
-    except (ParseError, OSError) as exc:
+        cfg = EngineConfig(workers=args.workers, seed=args.seed,
+                           max_steps=args.max_steps)
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -123,7 +119,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             status_all = "done"
             for k in range(args.repeat):
                 dump, _, status, verdicts = _run_once(
-                    program, goals, args, args.seed + k)
+                    program, goals, args, replace(cfg, seed=args.seed + k))
                 seen[dump] = seen.get(dump, 0) + 1
                 if verdicts and not all(v.passed for v in verdicts):
                     for v in verdicts:
@@ -138,7 +134,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0 if status_all == "done" else 1
 
         dump, trace_text, status, verdicts = _run_once(
-            program, goals, args, args.seed)
+            program, goals, args, cfg)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace_text)

@@ -12,6 +12,11 @@ their simplified sets are disjoint from each other's propagated and
 simplified sets.  An aborted commit mutated nothing; the worker resumes its
 partner search, or rescans with a fresh start tick after a tick conflict.
 
+What a firing does (step kind, side effect, propagation-history key, kept
+only for pure propagation rules, and the goals it pushes) comes from the
+firing core in `matching` that the sequential engine uses too, so a
+concurrent goal step is a sequential one made real by the commit.
+
 Solve (equation insertion plus wake-up) runs in one store-lock critical
 section, serialized against all commits, and the woken ids are recorded as
 propagated at the solve's commit tick.
@@ -24,13 +29,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import iter_matches
+from .abstract import HistoryKey
+from .matching import RunResult, iter_matches
 from .store import NumberedConstraint, State, Store
 from .syntax import Program
-from .terms import Chr, Constraint, Eq, apply_subst, normalize_constraint
+from .terms import Chr, Constraint, Eq, normalize_constraint
 from .trace import CommitRecord, SideEffect, TraceStep
-
-HistoryKey = tuple[str, tuple[int, ...]]
 
 
 @dataclass
@@ -38,21 +42,10 @@ class EngineConfig:
     workers: int = 1
     seed: int = 0
     max_steps: Optional[int] = None
-    solve_mode: str = "serialized"
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.solve_mode != "serialized":
-            raise ValueError("only solve_mode='serialized' is implemented")
-
-
-@dataclass
-class ConcurrentResult:
-    state: State
-    trace: list[CommitRecord]
-    history: set[HistoryKey]
-    status: str  # done | failed | step-limit
 
 
 class _Pool:
@@ -116,7 +109,6 @@ class ConcurrentEngine:
         self.last_prop_tick: dict[int, int] = {}
         self._tick = 0
         self._tick_lock = threading.Lock()
-        self._steps = 0
         self.status = "done"
         self._crashed: Optional[BaseException] = None
 
@@ -130,12 +122,6 @@ class ConcurrentEngine:
     def _stop(self, status: str) -> None:
         self.status = status
         self.pool.stop()
-
-    def _count_step(self) -> None:
-        self._steps += 1
-        if self.cfg.max_steps is not None and self._steps >= self.cfg.max_steps:
-            if self.status == "done":
-                self._stop("step-limit")
 
     # ----------------------------------------------------------- commits
 
@@ -172,7 +158,9 @@ class ConcurrentEngine:
     def _record(self, step: TraceStep, worker: int, start: int) -> None:
         # called with the store lock held, so the list is ordered by seq
         self.trace.append(CommitRecord(step, worker, (start, step.seq)))
-        self._count_step()
+        limit = self.cfg.max_steps
+        if limit is not None and len(self.trace) >= limit and self.status == "done":
+            self._stop("step-limit")
 
     # ------------------------------------------------------------- steps
 
@@ -184,7 +172,7 @@ class ConcurrentEngine:
             self._record(TraceStep(tick, "Activate", nc), worker, start)
         local.appendleft(nc)
 
-    def solve_serialized(self, e: Eq, worker: int) -> list[NumberedConstraint]:
+    def solve_serialized(self, e: Eq, worker: int) -> None:
         """Equation insertion plus wake-up as one critical section against
         all commits; woken constraints are this step's propagated set."""
         start = self._next_tick()
@@ -200,7 +188,6 @@ class ConcurrentEngine:
                 self._stop("failed")
         if woken:
             self.pool.push_many(woken)
-        return woken
 
     def _execute_numbered(self, goal: NumberedConstraint, local: deque,
                           worker: int) -> None:
@@ -226,31 +213,16 @@ class ConcurrentEngine:
     def _try_fire(self, goal: NumberedConstraint, local: deque, worker: int,
                   start: int) -> bool:
         for m in iter_matches(self.store, goal, self.program):
-            if m.role == "simplified":
-                simplified = (goal,) + m.simplified
-                propagated = m.propagated
-                key = None
-            else:
-                simplified = m.simplified
-                propagated = (goal,) + m.propagated
-                key = (m.rule.name, m.head_ids(goal.id))
-                if key in self.history:
-                    continue  # dirty check; the commit rechecks atomically
-            delta = SideEffect(propagated=propagated, simplified=simplified)
-            kind = "Simplify" if m.role == "simplified" else "Propagate"
+            key = m.history_key
+            if key in self.history:
+                continue  # dirty check; the commit rechecks atomically
             with self.store.lock:
-                tick = self.commit_firing(simplified, propagated, start, key)
-                if tick is not None:
-                    self._record(
-                        TraceStep(tick, kind, goal, delta, m.rule.name, m.phi),
-                        worker, start)
-            if tick is None:
-                continue  # aborted: resume the partner search
-            body = [normalize_constraint(apply_subst(m.phi, b))
-                    for b in m.rule.body]
-            if m.role == "propagated":
-                local.appendleft(goal)  # stays active, behind its body goals
-            local.extendleft(reversed(body))
+                tick = self.commit_firing(m.delta.simplified, m.delta.propagated,
+                                          start, key)
+                if tick is None:
+                    continue  # aborted: resume the partner search
+                self._record(m.step(tick), worker, start)
+            local.extendleft(reversed(m.continuation()))
             return True
         return False
 
@@ -281,7 +253,7 @@ class ConcurrentEngine:
             if local:
                 self.pool.push_many(local)
 
-    def run(self, goals: Iterable[Constraint]) -> ConcurrentResult:
+    def run(self, goals: Iterable[Constraint]) -> RunResult:
         self.pool.items.extend(normalize_constraint(g) for g in goals)
         threads = [threading.Thread(target=self._worker, args=(w,), daemon=True)
                    for w in range(self.cfg.workers)]
@@ -292,7 +264,7 @@ class ConcurrentEngine:
         if self._crashed is not None:
             raise self._crashed
         state = State(goals=deque(self.pool.items), store=self.store)
-        return ConcurrentResult(state, self.trace, self.history, self.status)
+        return RunResult(state, self.trace, self.history, self.status)
 
 
 class _TickConflict(Exception):
@@ -300,115 +272,7 @@ class _TickConflict(Exception):
 
 
 def run_concurrent(goals: Iterable[Constraint], program: Program,
-                   cfg: Optional[EngineConfig] = None) -> ConcurrentResult:
+                   cfg: Optional[EngineConfig] = None) -> RunResult:
     engine = ConcurrentEngine(program, cfg or EngineConfig())
     return engine.run(goals)
 
-
-# ------------------------------------------------ rejected engine variants
-
-# Test-only executors reproducing the classic pitfalls of naive concurrent
-# goal execution.  Each runs its logical threads in deterministic lockstep
-# rounds: every thread picks its next step against the round-start view,
-# then all effects are applied in thread order.  The shipped engine avoids
-# all three by storing at activation, sharing one store, and committing
-# single steps.
-
-PITFALL_VARIANTS = ("store_on_drop", "split_store", "multi_step")
-
-
-def run_pitfall_variant(goals_per_thread: list[list[Constraint]],
-                        program: Program, variant: str) -> State:
-    if variant not in PITFALL_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    queues = [deque(normalize_constraint(g) for g in gs)
-              for gs in goals_per_thread]
-    n = len(queues)
-    entries: dict[int, Chr] = {}  # the real (union) store
-    visible: list[dict[int, Chr]] = [entries for _ in range(n)]
-    if variant == "split_store":
-        visible = [{} for _ in range(n)]
-    next_id = 1
-
-    def scan(view: dict[int, Chr], nc: NumberedConstraint):
-        temp = Store()
-        remap: dict[int, int] = {}
-        for cid in sorted(view):
-            got = temp.insert(view[cid])
-            remap[got.id] = cid
-        mine = temp.insert(nc.constraint)
-        remap[mine.id] = nc.id
-        for m in iter_matches(temp, mine, program):
-            if m.role == "simplified":
-                kill = [nc.id] + [remap[x.id] for x in m.simplified]
-            else:
-                kill = [remap[x.id] for x in m.simplified]
-            body = [normalize_constraint(apply_subst(m.phi, b))
-                    for b in m.rule.body]
-            return kill, body, m.role
-        return None
-
-    while any(queues):
-        # decision phase: every thread inspects the round-start view
-        plans = []
-        for t in range(n):
-            if not queues[t]:
-                plans.append(None)
-                continue
-            steps = 2 if variant == "multi_step" else 1
-            view = dict(visible[t])
-            acts = []
-            for _ in range(steps):
-                if not queues[t]:
-                    break
-                g = queues[t].popleft()
-                if isinstance(g, Chr):
-                    nc = NumberedConstraint(g, next_id)
-                    next_id += 1
-                    if variant != "store_on_drop":
-                        view[nc.id] = nc.constraint
-                        acts.append(("store", nc))
-                    queues[t].appendleft(nc)
-                elif isinstance(g, NumberedConstraint):
-                    found = scan(view, g)
-                    if found is None:
-                        acts.append(("drop", g))
-                        view[g.id] = g.constraint  # visible once dropped/stored
-                    else:
-                        kill, body, role = found
-                        for cid in kill:
-                            view.pop(cid, None)
-                        acts.append(("fire", g, kill, body, role))
-                else:
-                    raise ValueError("equations are not supported in pitfall runs")
-            plans.append(acts)
-        # apply phase, thread order
-        for t, acts in enumerate(plans):
-            if not acts:
-                continue
-            for act in acts:
-                if act[0] == "store":
-                    visible[t][act[1].id] = act[1].constraint
-                    if variant == "split_store":
-                        entries[act[1].id] = act[1].constraint
-                elif act[0] == "drop":
-                    visible[t][act[1].id] = act[1].constraint
-                    entries[act[1].id] = act[1].constraint
-                else:
-                    _, g, kill, body, role = act
-                    if any(cid not in entries and cid != g.id for cid in kill):
-                        queues[t].appendleft(g)  # lost the round; retry
-                        continue
-                    for cid in kill:
-                        entries.pop(cid, None)
-                        visible[t].pop(cid, None)
-                    if role == "propagated":
-                        queues[t].appendleft(g)
-                    for b in reversed(body):
-                        queues[t].appendleft(b)
-
-    final = Store()
-    order = sorted(entries)
-    for cid in order:
-        final.insert(entries[cid])
-    return State(goals=deque(), store=final)

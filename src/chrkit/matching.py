@@ -1,22 +1,28 @@
-"""Lazy partner search for an active goal.
+"""The firing core shared by both goal engines.
 
-Matches are built only around the specific goal and applied immediately:
-occurrences are tried top-to-bottom, partner constraints are looked up via
-the store indexes in the compiled join order, and the guard is tested as
-soon as all of its variables are bound.
+`iter_matches` is the lazy partner search around one active goal:
+occurrences are tried top-to-bottom, partners are looked up via the store
+indexes in the compiled join order, and the guard is tested as soon as all
+of its variables are bound.  A `Match` also says what firing it does; that
+is worked out only when asked for, so a match that never fires costs only
+its search.  The engines differ only in how a firing is made real.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Optional
 
-from .store import NumberedConstraint, Store
+from .abstract import HistoryKey
+from .store import GoalItem, NumberedConstraint, State, Store
 from .syntax import Occurrence, Program, Rule
-from .terms import Subst, entails, match
+from .terms import Subst, apply_subst, entails, match, normalize_constraint
+from .trace import SideEffect, TraceStep
 
 
 @dataclass(frozen=True)
 class Match:
+    goal: NumberedConstraint  # the active goal, in its matching view
     occurrence: Occurrence
     rule: Rule
     phi: Subst
@@ -24,14 +30,49 @@ class Match:
     simplified: tuple[NumberedConstraint, ...]  # partners matched to removed heads
 
     @property
-    def role(self) -> str:
-        return self.occurrence.role
+    def kind(self) -> str:
+        """Simplify if the goal matched a removed head, else Propagate."""
+        return "Simplify" if self.occurrence.role == "simplified" else "Propagate"
 
-    def head_ids(self, goal_id: int) -> tuple[int, ...]:
-        ids = [goal_id]
-        ids += [nc.id for nc in self.propagated]
-        ids += [nc.id for nc in self.simplified]
-        return tuple(sorted(ids))
+    @cached_property
+    def delta(self) -> SideEffect:
+        """The side effect: the partners plus the goal, on its head's side."""
+        if self.kind == "Simplify":
+            return SideEffect(self.propagated, (self.goal,) + self.simplified)
+        return SideEffect((self.goal,) + self.propagated, self.simplified)
+
+    @property
+    def history_key(self) -> Optional[HistoryKey]:
+        """The instance's propagation-history entry, for a pure propagation
+        rule only.  Any other firing removes one of its heads, so the same
+        instance can never match again; the oracle ignores such keys too."""
+        if self.rule.simplified:
+            return None
+        return (self.rule.name, self.delta.prop_ids)
+
+    def step(self, seq: int) -> TraceStep:
+        return TraceStep(seq, self.kind, self.goal, self.delta, self.rule.name,
+                         self.phi)
+
+    def continuation(self) -> list[GoalItem]:
+        """The goals the firing pushes, front first: the body under phi, left
+        to right (depth-first), then, after a Propagate, the goal itself."""
+        goals: list[GoalItem] = [normalize_constraint(apply_subst(self.phi, b))
+                                 for b in self.rule.body]
+        if self.kind == "Propagate":
+            goals.append(self.goal)
+        return goals
+
+
+@dataclass
+class RunResult:
+    """A goal-engine run; trace items are TraceStep (sequential) or
+    CommitRecord (concurrent)."""
+
+    state: State
+    trace: list
+    history: set[HistoryKey]
+    status: str  # done | failed | step-limit
 
 
 def iter_matches(store: Store, goal: NumberedConstraint,
@@ -60,7 +101,7 @@ def _search(store: Store, goal: NumberedConstraint, occ: Occurrence,
             guard_done: bool) -> Iterator[Match]:
     if k == len(occ.partners):
         if guard_done or entails(eqs, phi, rule.guard):
-            yield Match(occ, rule, phi, props, simps)
+            yield Match(goal, occ, rule, phi, props, simps)
         return
     entry = occ.partners[k]
     for nc in store.candidates(entry.pattern.pred, phi, entry.pattern):

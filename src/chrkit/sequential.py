@@ -6,6 +6,8 @@ Each iteration takes one goal and performs one derivation step:
   plain constraint    -> Activate (fresh id, stored immediately)
   numbered constraint -> one rule firing (Simplify/Propagate) or Drop
 
+Firings come from the firing core in `matching`, shared with the concurrent
+engine; propagation history is kept for pure propagation rules only.
 Activation always stores immediately and every firing commits in the same
 step that found it; late storage and continuation optimizations are
 deliberately not implemented, since they are unsound once the same store is
@@ -13,28 +15,18 @@ shared with concurrent workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import iter_matches
+from .abstract import AbstractStore, HistoryKey, rewrite_steps
+from .matching import RunResult, iter_matches
 from .store import NumberedConstraint, State
 from .syntax import Program
-from .terms import Chr, Constraint, Eq, apply_subst, normalize_constraint
+from .terms import Chr, Constraint, Eq, normalize_constraint
 from .trace import SideEffect, TraceStep
-
-HistoryKey = tuple[str, tuple[int, ...]]
 
 
 class InvariantViolation(Exception):
     """An internal engine invariant failed (exit code 2 territory)."""
-
-
-@dataclass
-class RunResult:
-    state: State
-    trace: list[TraceStep]
-    history: set[HistoryKey]
-    status: str  # done | failed | step-limit
 
 
 class SequentialEngine:
@@ -52,15 +44,11 @@ class SequentialEngine:
         self.state = State()
         self.trace: list[TraceStep] = []
         self.history: set[HistoryKey] = set()
-        self._seq = 0
 
     # ------------------------------------------------------------- steps
 
-    def _emit(self, kind: str, goal, delta: SideEffect = SideEffect(),
-              rule: Optional[str] = None, phi=None) -> TraceStep:
-        step = TraceStep(self._seq, kind, goal, delta, rule, phi)
-        self._seq += 1
-        self.trace.append(step)
+    def _emit(self, step: TraceStep) -> TraceStep:
+        self.trace.append(step)  # seq numbers are trace positions
         return step
 
     def step_solve(self, e: Eq) -> TraceStep:
@@ -68,45 +56,30 @@ class SequentialEngine:
         whose normal form it changes (they are the step's propagated set)."""
         woken = self.state.store.add_equation(e)
         self.state.goals.extendleft(reversed(woken))  # ascending id order
-        return self._emit("Solve", e, SideEffect(propagated=tuple(woken)))
+        return self._emit(TraceStep(len(self.trace), "Solve", e,
+                                    SideEffect(propagated=tuple(woken))))
 
     def step_activate(self, c: Chr) -> TraceStep:
         nc = self.state.store.insert(c)
         self.state.goals.appendleft(nc)  # executes next
-        return self._emit("Activate", nc)
-
-    def _push_body(self, body: Iterable[Constraint]) -> None:
-        # body goals run depth-first, left to right, ahead of older goals
-        self.state.goals.extendleft(reversed(list(body)))
+        return self._emit(TraceStep(len(self.trace), "Activate", nc))
 
     def execute_goal(self, goal: NumberedConstraint) -> TraceStep:
-        """Try the goal's occurrences top-to-bottom and fire the first
-        complete match; a propagation instance already in the history is
-        skipped and the search continues.  No match at all drops the goal
-        (it stays in the store)."""
+        """Fire the goal's first match whose instance is not in the
+        propagation history; no such match drops the goal (it stays in the
+        store)."""
         store = self.state.store
         goal = store.get(goal.id)  # refresh to the current normal form
         for m in iter_matches(store, goal, self.program):
-            body = [normalize_constraint(apply_subst(m.phi, b))
-                    for b in m.rule.body]
-            if m.role == "simplified":
-                kill = {goal.id} | {nc.id for nc in m.simplified}
-                store.kill(kill)
-                self._push_body(body)
-                delta = SideEffect(propagated=m.propagated,
-                                   simplified=(goal,) + m.simplified)
-                return self._emit("Simplify", goal, delta, m.rule.name, m.phi)
-            key = (m.rule.name, m.head_ids(goal.id))
+            key = m.history_key
             if key in self.history:
                 continue
-            self.history.add(key)
-            store.kill({nc.id for nc in m.simplified})
-            self.state.goals.appendleft(goal)  # stays active, after the body
-            self._push_body(body)
-            delta = SideEffect(propagated=(goal,) + m.propagated,
-                               simplified=m.simplified)
-            return self._emit("Propagate", goal, delta, m.rule.name, m.phi)
-        return self._emit("Drop", goal)
+            if key is not None:
+                self.history.add(key)
+            store.kill(m.delta.simp_ids)
+            self.state.goals.extendleft(reversed(m.continuation()))
+            return self._emit(m.step(len(self.trace)))
+        return self._emit(TraceStep(len(self.trace), "Drop", goal))
 
     # --------------------------------------------------------------- run
 
@@ -122,7 +95,7 @@ class SequentialEngine:
         self.load_goals(goals)
         status = "done"
         while self.state.goals:
-            if self.max_steps is not None and self._seq >= self.max_steps:
+            if self.max_steps is not None and len(self.trace) >= self.max_steps:
                 status = "step-limit"
                 break
             g = self.state.goals.popleft()
@@ -158,19 +131,17 @@ def active_instance_violations(state: State, program: Program,
                                history: set[HistoryKey]) -> list[tuple[str, tuple[int, ...]]]:
     """Brute-force enumeration of rule-head instances (Simplify/Propagate
     premises) over the live store; returns those with no member in goals."""
-    from .abstract import AbstractStore, rewrite_steps
-
     store = state.store
     if store.inconsistent:
         return []
     items = [(nc.constraint, nc.id) for nc in store.live_items()]
     s = AbstractStore.from_identified(items, store.eqs(), history)
-    goal_ids = {g.id for g in state.goals
-                if isinstance(g, NumberedConstraint) and store.alive(g.id)}
+    pending = {g.id for g in state.goals
+               if isinstance(g, NumberedConstraint) and store.alive(g.id)}
     bad = []
     for step in rewrite_steps(s, program):
         tags = set(step.used_tags)  # head instances are CHR constraints: tags are ids
-        if tags and not (tags & goal_ids):
+        if tags and not (tags & pending):
             bad.append((step.rule, tuple(sorted(tags))))
     return bad
 

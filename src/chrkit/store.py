@@ -65,9 +65,6 @@ class Store:
         """The matching view (equation-normal form) of an entry."""
         return NumberedConstraint(self._norm[cid], cid)
 
-    def get_raw(self, cid: int) -> NumberedConstraint:
-        return NumberedConstraint(self._raw[cid], cid)
-
     def live_items(self) -> list[NumberedConstraint]:
         with self.lock:
             return [NumberedConstraint(self._raw[i], i)
@@ -76,9 +73,6 @@ class Store:
     def eqs(self) -> tuple[Eq, ...]:
         with self.lock:
             return tuple(self._eqs)
-
-    def theta(self) -> Optional[Subst]:
-        return self._theta
 
     def size(self) -> int:
         return len(self._alive)
@@ -138,30 +132,30 @@ class Store:
         constraints) when the extended equation set has no unifier.
         """
         with self.lock:
-            theta = mgu(list(self._eqs) + [e])
-            if theta is None:
-                self.inconsistent = True
-                return []
-            phi = self._theta or {}
-            woken = []
-            for cid in sorted(self._alive):
-                c = self._raw[cid]
-                if apply_subst(phi, c) != apply_subst(theta, c):
-                    woken.append(NumberedConstraint(c, cid))
-            return woken
+            return self._woken(mgu(list(self._eqs) + [e]))
+
+    def _woken(self, theta: Optional[Subst]) -> list[NumberedConstraint]:
+        """Alive entries theta renormalizes; no unifier flags inconsistency."""
+        if theta is None:
+            self.inconsistent = True
+            return []
+        phi = self._theta or {}
+        return [NumberedConstraint(self._raw[cid], cid)
+                for cid in sorted(self._alive)
+                if apply_subst(phi, self._raw[cid])
+                != apply_subst(theta, self._raw[cid])]
 
     def add_equation(self, e: Eq) -> list[NumberedConstraint]:
         """Move e into the equation substore and return the woken
-        constraints.  One atomic step: no firing can interleave between the
-        wake-up computation and the insertion.
+        constraints (see wake_up), solving the extended equation set once.
+        One atomic step: no firing can interleave between the wake-up
+        computation and the insertion.
         """
         with self.lock:
-            woken = self.wake_up(e)
             self._eqs.append(e)
-            if self.inconsistent:
-                self._theta = None
-                return []
-            self._theta = mgu(self._eqs)
+            theta = mgu(self._eqs)
+            woken = self._woken(theta)
+            self._theta = theta
             for nc in woken:
                 new = self._normalize(self._raw[nc.id])
                 self._index_remove(nc.id, self._norm[nc.id])
@@ -223,6 +217,3 @@ class State:
 
     goals: deque = field(default_factory=deque)
     store: Store = field(default_factory=Store)
-
-    def goal_ids(self) -> set[int]:
-        return {g.id for g in self.goals if isinstance(g, NumberedConstraint)}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .store import NumberedConstraint
-from .syntax import parse_constraint_text, parse_term_text
+from .syntax import ParseError, parse_constraint_text, parse_term_text
 from .terms import Constraint, Subst, render_constraint, render_term
 
 KINDS = ("Solve", "Activate", "Simplify", "Propagate", "Drop")
@@ -125,25 +125,24 @@ class TraceFormatError(Exception):
     pass
 
 
+def _field(name: str, what: str, parse, text: str):
+    """parse(text), or a TraceFormatError naming the trace field."""
+    try:
+        return parse(text)
+    except (ValueError, ParseError):
+        raise TraceFormatError(f"{name} is not {what}: {text!r}") from None
+
+
 def _int(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise TraceFormatError(f"{name} is not an integer: {text!r}") from None
+    return _field(name, "an integer", int, text)
 
 
-def _parse_ids(name: str, text: str) -> tuple[int, ...]:
+def _ids(text: str) -> tuple[int, ...]:
     inner = text.strip("{}")
-    if not inner:
-        return ()
-    try:
-        return tuple(int(x) for x in inner.split(","))
-    except ValueError:
-        raise TraceFormatError(
-            f"{name} is not a set of integers: {text!r}") from None
+    return tuple(int(x) for x in inner.split(",")) if inner else ()
 
 
-def _parse_phi(text: str) -> Subst:
+def _phi(text: str) -> Subst:
     inner = text.strip("{}")
     phi: Subst = {}
     if not inner:
@@ -154,7 +153,7 @@ def _parse_phi(text: str) -> Subst:
     return phi
 
 
-def _parse_goal(text: str) -> tuple[Constraint, Optional[int]]:
+def _goal(text: str) -> tuple[Constraint, Optional[int]]:
     base, hash_, idtext = text.rpartition("#")
     if hash_ and idtext.isdigit():
         return parse_constraint_text(base), int(idtext)
@@ -177,7 +176,7 @@ def parse_line(line: str) -> ParsedStep:
         fields[key] = value
     if "goal" not in fields:
         raise TraceFormatError("missing goal field")
-    goal, goal_id = _parse_goal(fields["goal"])
+    goal, goal_id = _field("goal", "a constraint", _goal, fields["goal"])
     interval = None
     if "interval" in fields:
         a, _, b = fields["interval"].partition(",")
@@ -188,9 +187,10 @@ def parse_line(line: str) -> ParsedStep:
         goal=goal,
         goal_id=goal_id,
         rule=fields.get("rule"),
-        phi=_parse_phi(fields["phi"]) if "phi" in fields else {},
-        prop_ids=_parse_ids("P", fields.get("P", "{}")),
-        simp_ids=_parse_ids("S", fields.get("S", "{}")),
+        phi=(_field("phi", "a substitution", _phi, fields["phi"])
+             if "phi" in fields else {}),
+        prop_ids=_field("P", "a set of integers", _ids, fields.get("P", "{}")),
+        simp_ids=_field("S", "a set of integers", _ids, fields.get("S", "{}")),
         worker=_int("worker", fields["worker"]) if "worker" in fields else None,
         interval=interval,
     )
@@ -214,9 +214,11 @@ def serialize_trace(steps, meta: dict[str, str], status: str,
 
 
 def parse_trace(text: str) -> ParsedTrace:
+    """Parse a serialized trace; a malformed step line raises
+    TraceFormatError prefixed with its 1-based line number."""
     out = ParsedTrace()
     dump_lines: list[str] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -232,6 +234,9 @@ def parse_trace(text: str) -> ParsedTrace:
                     if eq:
                         out.meta[k] = v
             continue
-        out.steps.append(parse_line(line))
+        try:
+            out.steps.append(parse_line(line))
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
     out.final_dump = "\n".join(dump_lines)
     return out

@@ -29,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .abstract import AbstractStore, rewrite_steps, validate_rewrite
+from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
+                       validate_rewrite)
 from .store import NumberedConstraint, State
 from .syntax import Program
 from .terms import (Chr, Constraint, Eq, Subst, apply_subst, mgu,
@@ -37,7 +38,6 @@ from .terms import (Chr, Constraint, Eq, Subst, apply_subst, mgu,
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedStep, ParsedTrace, parse_trace
 
-HistoryKey = tuple[str, tuple[int, ...]]
 # (seq, (start, commit) interval, propagated ids, simplified ids)
 AuditRecord = tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]
 

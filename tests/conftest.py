@@ -12,7 +12,8 @@ import chrkit.concurrent as concurrent
 from chrkit.abstract import (AbstractStore, LimitExceeded, RewriteStep,
                              canonical_multiset)
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
-from chrkit.store import NumberedConstraint
+from chrkit.matching import RunResult, iter_matches
+from chrkit.store import NumberedConstraint, State, Store
 from chrkit.syntax import Program, Rule, load_program, parse_goals
 from chrkit.terms import (Chr, Constraint, Subst, apply_subst, entails, match,
                           mgu, normalize_constraint, render_constraint)
@@ -283,7 +284,7 @@ def concurrent_compose_check(s: AbstractStore,
 # ------------------------------------------------ scripted concurrent runs
 
 def run_scripted_pair(program: Program, goals: Iterable[Constraint],
-                      monkeypatch) -> concurrent.ConcurrentResult:
+                      monkeypatch) -> RunResult:
     """A concurrent run under a fixed two-worker schedule, in one thread.
 
     Worker 0 is the engine's own thread.  Each time it has found a match and
@@ -301,11 +302,8 @@ def run_scripted_pair(program: Program, goals: Iterable[Constraint],
     nested = []
 
     def fires(nc: NumberedConstraint) -> bool:
-        for m in real_matches(engine.store, nc, program):
-            key = (m.rule.name, m.head_ids(nc.id))
-            if m.role == "simplified" or key not in engine.history:
-                return True
-        return False
+        return any(m.history_key not in engine.history
+                   for m in real_matches(engine.store, nc, program))
 
     def second_worker() -> None:
         for g in list(pool):
@@ -348,3 +346,109 @@ def scripted_overlap(program: Program, goals, monkeypatch):
         if overlapping_firing_pairs(res.trace):
             return order, res
     return None
+
+
+# ------------------------------------------------ rejected engine variants
+
+# Test-only executors reproducing the classic pitfalls of naive concurrent
+# goal execution.  Each runs its logical threads in deterministic lockstep
+# rounds: every thread picks its next step against the round-start view,
+# then all effects are applied in thread order.  The shipped engine avoids
+# all three by storing at activation, sharing one store, and committing
+# single steps.
+
+PITFALL_VARIANTS = ("store_on_drop", "split_store", "multi_step")
+
+
+def run_pitfall_variant(goals_per_thread: list[list[Constraint]],
+                        program: Program, variant: str) -> State:
+    if variant not in PITFALL_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    queues = [deque(normalize_constraint(g) for g in gs)
+              for gs in goals_per_thread]
+    n = len(queues)
+    entries: dict[int, Chr] = {}  # the real (union) store
+    visible: list[dict[int, Chr]] = [entries for _ in range(n)]
+    if variant == "split_store":
+        visible = [{} for _ in range(n)]
+    next_id = 1
+
+    def scan(view: dict[int, Chr], nc: NumberedConstraint):
+        temp = Store()
+        remap: dict[int, int] = {}
+        for cid in sorted(view):
+            got = temp.insert(view[cid])
+            remap[got.id] = cid
+        mine = temp.insert(nc.constraint)
+        remap[mine.id] = nc.id
+        for m in iter_matches(temp, mine, program):
+            kill = [remap[x.id] for x in m.delta.simplified]
+            body = [normalize_constraint(apply_subst(m.phi, b))
+                    for b in m.rule.body]
+            return kill, body, m.kind
+        return None
+
+    while any(queues):
+        # decision phase: every thread inspects the round-start view
+        plans = []
+        for t in range(n):
+            if not queues[t]:
+                plans.append(None)
+                continue
+            steps = 2 if variant == "multi_step" else 1
+            view = dict(visible[t])
+            acts = []
+            for _ in range(steps):
+                if not queues[t]:
+                    break
+                g = queues[t].popleft()
+                if isinstance(g, Chr):
+                    nc = NumberedConstraint(g, next_id)
+                    next_id += 1
+                    if variant != "store_on_drop":
+                        view[nc.id] = nc.constraint
+                        acts.append(("store", nc))
+                    queues[t].appendleft(nc)
+                elif isinstance(g, NumberedConstraint):
+                    found = scan(view, g)
+                    if found is None:
+                        acts.append(("drop", g))
+                        view[g.id] = g.constraint  # visible once dropped/stored
+                    else:
+                        kill, body, kind = found
+                        for cid in kill:
+                            view.pop(cid, None)
+                        acts.append(("fire", g, kill, body, kind))
+                else:
+                    raise ValueError("equations are not supported in pitfall runs")
+            plans.append(acts)
+        # apply phase, thread order
+        for t, acts in enumerate(plans):
+            if not acts:
+                continue
+            for act in acts:
+                if act[0] == "store":
+                    visible[t][act[1].id] = act[1].constraint
+                    if variant == "split_store":
+                        entries[act[1].id] = act[1].constraint
+                elif act[0] == "drop":
+                    visible[t][act[1].id] = act[1].constraint
+                    entries[act[1].id] = act[1].constraint
+                else:
+                    _, g, kill, body, kind = act
+                    if any(cid not in entries and cid != g.id for cid in kill):
+                        queues[t].appendleft(g)  # lost the round; retry
+                        continue
+                    for cid in kill:
+                        entries.pop(cid, None)
+                        visible[t].pop(cid, None)
+                    if kind == "Propagate":
+                        queues[t].appendleft(g)
+                    for b in reversed(body):
+                        queues[t].appendleft(b)
+
+    final = Store()
+    order = sorted(entries)
+    for cid in order:
+        final.insert(entries[cid])
+    return State(goals=deque(), store=final)

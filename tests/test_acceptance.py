@@ -15,7 +15,7 @@ import pytest
 
 from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
                              final_stores, run_abstract)
-from chrkit.concurrent import EngineConfig, run_concurrent, run_pitfall_variant
+from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const
@@ -23,7 +23,8 @@ from chrkit.trace import parse_trace, serialize_trace
 from chrkit.verify import audit_overlap_trace, check_final, replay
 
 from conftest import (CORPUS, MULTI_FIRING, fuzz_case, goals_for, load,
-                      overlapping_firing_pairs, scripted_overlap)
+                      overlapping_firing_pairs, run_pitfall_variant,
+                      scripted_overlap)
 
 GCD_ANSWER = ("Gcd(3)",)
 CHANNEL_ANSWERS = {("m=1", "n=8"), ("m=8", "n=1")}

@@ -1,3 +1,5 @@
+import pytest
+
 from chrkit.cli import main
 
 from conftest import PROGRAMS
@@ -56,6 +58,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, str(bad), "--goals", "")
     assert code == 1
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_bad_worker_count_exits_1(capsys, workers):
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(4)", "--engine", "concurrent",
+                             f"--workers={workers}")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_atom_with_trace_delimiter_exits_1(capsys):

@@ -99,6 +99,15 @@ def test_propagation_fires_once_per_instance():
     assert len(fires) == 2
     assert {s.delta.prop_ids for s in fires} == {(1,), (3,)}
     assert sorted(canon_store(res.state)) == ["P", "P", "Q", "Q"]
+    assert res.history == {("r1", (1,)), ("r1", (3,))}
+
+
+def test_history_keeps_pure_propagation_rules_only():
+    # merge1 is a simpagation rule: a Propagate step of it removes a head,
+    # so its instance needs no history entry
+    res = run_sequential(goals_for("mergesort"), load("mergesort"))
+    assert any(s.kind == "Propagate" for s in res.trace)
+    assert res.history == set()
 
 
 def test_propagation_keeps_goal_after_body():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from chrkit.store import DeadIdError, Store
-from chrkit.terms import Chr, Const, Eq, Var
+from chrkit.store import DeadIdError, NumberedConstraint, Store
+from chrkit.terms import Chr, Const, Eq, Var, mgu
 
 
 def chr1(pred, *vals):
@@ -156,11 +156,27 @@ def test_add_equation_renormalizes_matching_view():
     woken = st.add_equation(Eq(Var("a"), Const(2)))
     assert [nc.id for nc in woken] == [a.id]
     # the raw entry never changes; the matching view and index follow theta
-    assert st.get_raw(a.id).constraint == Chr("A", (Var("a"),))
+    assert st.live_items() == [NumberedConstraint(Chr("A", (Var("a"),)), a.id)]
     assert st.get(a.id).constraint == chr1("A", 2)
     got = st.candidates("A", {"x": Const(2)}, Chr("A", (Var("x"),)))
     assert [nc.id for nc in got] == [a.id]
     assert st.dump() == "A(a)#1\na=2"
+
+
+def test_add_equation_solves_the_equations_once(monkeypatch):
+    import chrkit.store
+    calls = []
+
+    def counted(eqs):
+        calls.append(len(eqs))
+        return mgu(eqs)
+
+    monkeypatch.setattr(chrkit.store, "mgu", counted)
+    st = Store()
+    st.insert(Chr("A", (Var("a"),)))
+    st.add_equation(Eq(Var("a"), Var("b")))
+    st.add_equation(Eq(Var("b"), Const(2)))
+    assert calls == [1, 2]
 
 
 def test_drop_ids_multiset():

@@ -372,11 +372,13 @@ def test_trace_phi_and_interval_fields_roundtrip():
     ("3 Activate goal=A#1 P={} S={} interval=3", "interval"),
     ("3 Activate goal=A#1 P={} S={} interval=1,b", "interval"),
     ("3 Activate goal=A#1 P={} S={} interval=", "interval"),
+    ("1 Simplify goal=A#1 rule=r phi={x->} P={} S={1}", "phi"),
+    ("1 Activate goal=A( P={} S={}", "goal"),
 ])
 def test_parse_line_names_the_non_integer_field(line, field):
     with pytest.raises(TraceFormatError, match=f"^{field} is not"):
         parse_line(line)
-    with pytest.raises(TraceFormatError, match=f"^{field} is not"):
+    with pytest.raises(TraceFormatError, match=f"^line 2: {field} is not"):
         parse_trace("# chr-trace v1\n" + line + "\n")
 
 
