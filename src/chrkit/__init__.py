@@ -14,7 +14,7 @@ from .syntax import (ParseError, Program, Rule, compile_occurrences,
                      load_program, parse_goals, parse_program, pretty_program)
 from .terms import (App, Chr, Const, Eq, EvalError, Term, Var, apply_subst,
                     entails, eval_ground, match, mgu)
-from .trace import CommitRecord, SideEffect, TraceStep, parse_trace, serialize_trace
+from .trace import Step, parse_trace, serialize_trace
 from .verify import (Verdict, audit_overlap, check_final, decompose_k, no_ids,
                      project_abstract, replay, verify_run)
 

@@ -89,6 +89,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             goals = parse_goals(args.goals or "")
         cfg = EngineConfig(workers=args.workers, seed=args.seed,
                            max_steps=args.max_steps)
+        if args.repeat is not None and args.repeat < 1:
+            raise ValueError("repeat must be >= 1")
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -108,8 +110,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                         print(f"  {line}")
                 print(f"{len(finals)} final store(s)")
                 return 0
+            limit = 100_000 if args.max_steps is None else args.max_steps
             final, status = run_abstract(store, program, seed=args.seed,
-                                         max_steps=args.max_steps or 100_000)
+                                         max_steps=limit)
             for line in sorted(render_constraint(c) for c in final.constraints()):
                 print(line)
             return 0 if status == "done" else 1

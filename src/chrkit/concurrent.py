@@ -19,14 +19,15 @@ concurrent goal step is a sequential one made real by the commit.
 
 Solve (equation insertion plus wake-up) runs in one store-lock critical
 section, serialized against all commits, and the woken ids are recorded as
-propagated at the solve's commit tick.
+propagated at the solve's commit tick.  The step limit is checked under the
+store lock before a step commits, so a run records at most max_steps steps.
 """
 from __future__ import annotations
 
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .abstract import HistoryKey
@@ -34,7 +35,7 @@ from .matching import RunResult, iter_matches
 from .store import NumberedConstraint, State, Store
 from .syntax import Program
 from .terms import Chr, Constraint, Eq, normalize_constraint
-from .trace import CommitRecord, SideEffect, TraceStep
+from .trace import Step
 
 
 @dataclass
@@ -46,6 +47,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
 
 class _Pool:
@@ -104,7 +107,7 @@ class ConcurrentEngine:
         self.store = Store()
         rng = random.Random(cfg.seed) if cfg.workers > 1 else None
         self.pool = _Pool(cfg.workers, rng)
-        self.trace: list[CommitRecord] = []
+        self.trace: list[Step] = []  # appended under the store lock: seq order
         self.history: set[HistoryKey] = set()
         self.last_prop_tick: dict[int, int] = {}
         self._tick = 0
@@ -125,9 +128,8 @@ class ConcurrentEngine:
 
     # ----------------------------------------------------------- commits
 
-    def commit_firing(self, simplified: tuple[NumberedConstraint, ...],
-                      propagated: tuple[NumberedConstraint, ...],
-                      start_tick: int,
+    def commit_firing(self, simp_ids: tuple[int, ...],
+                      prop_ids: tuple[int, ...], start_tick: int,
                       history_key: Optional[HistoryKey] = None) -> Optional[int]:
         """Atomically: revalidate every involved id alive, refuse simplified
         ids propagated over since start_tick, then kill the simplified set.
@@ -138,38 +140,44 @@ class ConcurrentEngine:
         with store.lock:
             if store.inconsistent:
                 return None  # the run is failing; nothing may fire after that
-            ids = [nc.id for nc in simplified] + [nc.id for nc in propagated]
-            if not all(store.alive(i) for i in ids):
+            if not all(store.alive(i) for i in simp_ids + prop_ids):
                 return None  # lost race: some head died under us
-            for nc in simplified:
-                if self.last_prop_tick.get(nc.id, 0) >= start_tick:
+            for i in simp_ids:
+                if self.last_prop_tick.get(i, 0) >= start_tick:
                     raise _TickConflict
             if history_key is not None:
                 if history_key in self.history:
                     return None  # another worker fired this instance first
                 self.history.add(history_key)
             tick = self._next_tick()
-            for nc in propagated:
-                self.last_prop_tick[nc.id] = tick
-            if simplified:
-                store.kill([nc.id for nc in simplified])
+            for i in prop_ids:
+                self.last_prop_tick[i] = tick
+            if simp_ids:
+                store.kill(simp_ids)
             return tick
 
-    def _record(self, step: TraceStep, worker: int, start: int) -> None:
-        # called with the store lock held, so the list is ordered by seq
-        self.trace.append(CommitRecord(step, worker, (start, step.seq)))
+    def _at_limit(self, goal) -> bool:
+        """Called with the store lock held, before a step commits: once the
+        trace holds max_steps steps, put the goal back and stop the run."""
         limit = self.cfg.max_steps
-        if limit is not None and len(self.trace) >= limit and self.status == "done":
+        if limit is None or len(self.trace) < limit:
+            return False
+        if self.status == "done":
             self._stop("step-limit")
+        self.pool.push_many([goal])
+        return True
 
     # ------------------------------------------------------------- steps
 
     def _activate(self, c: Chr, local: deque, worker: int) -> None:
         start = self._next_tick()
         with self.store.lock:
+            if self._at_limit(c):
+                return
             nc = self.store.insert(c)
             tick = self._next_tick()
-            self._record(TraceStep(tick, "Activate", nc), worker, start)
+            self.trace.append(Step(tick, "Activate", c, nc.id, worker=worker,
+                                   interval=(start, tick)))
         local.appendleft(nc)
 
     def solve_serialized(self, e: Eq, worker: int) -> None:
@@ -177,13 +185,15 @@ class ConcurrentEngine:
         all commits; woken constraints are this step's propagated set."""
         start = self._next_tick()
         with self.store.lock:
+            if self._at_limit(e):
+                return
             woken = self.store.add_equation(e)
             tick = self._next_tick()
-            for nc in woken:
-                self.last_prop_tick[nc.id] = tick
-            self._record(
-                TraceStep(tick, "Solve", e, SideEffect(propagated=tuple(woken))),
-                worker, start)
+            woken_ids = tuple(nc.id for nc in woken)
+            for i in woken_ids:
+                self.last_prop_tick[i] = tick
+            self.trace.append(Step(tick, "Solve", e, prop_ids=woken_ids,
+                                   worker=worker, interval=(start, tick)))
             if self.store.inconsistent:
                 self._stop("failed")
         if woken:
@@ -204,10 +214,12 @@ class ConcurrentEngine:
                 continue  # a concurrent commit raced us; rescan afresh
             # no occurrence fired: Drop (the goal stays in the store)
             with store.lock:
-                if store.alive(goal.id):
+                if store.alive(goal.id) and not self._at_limit(goal):
                     tick = self._next_tick()
-                    self._record(TraceStep(tick, "Drop", store.get(goal.id)),
-                                 worker, start)
+                    now = store.get(goal.id).constraint
+                    self.trace.append(Step(tick, "Drop", now, goal.id,
+                                           worker=worker,
+                                           interval=(start, tick)))
             return
 
     def _try_fire(self, goal: NumberedConstraint, local: deque, worker: int,
@@ -217,11 +229,13 @@ class ConcurrentEngine:
             if key in self.history:
                 continue  # dirty check; the commit rechecks atomically
             with self.store.lock:
-                tick = self.commit_firing(m.delta.simplified, m.delta.propagated,
-                                          start, key)
+                if self._at_limit(goal):
+                    return True  # the goal went back to the pool
+                tick = self.commit_firing(m.simp_ids, m.prop_ids, start, key)
                 if tick is None:
                     continue  # aborted: resume the partner search
-                self._record(m.step(tick), worker, start)
+                self.trace.append(replace(m.step(tick), worker=worker,
+                                          interval=(start, tick)))
             local.extendleft(reversed(m.continuation()))
             return True
         return False

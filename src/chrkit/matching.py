@@ -3,21 +3,21 @@
 `iter_matches` is the lazy partner search around one active goal:
 occurrences are tried top-to-bottom, partners are looked up via the store
 indexes in the compiled join order, and the guard is tested as soon as all
-of its variables are bound.  A `Match` also says what firing it does; that
-is worked out only when asked for, so a match that never fires costs only
-its search.  The engines differ only in how a firing is made real.
+of its variables are bound.  A `Match` carries the firing's side-effect
+ids and says what else the firing does (its kind, history key, trace step
+and the goals it pushes), worked out only when asked for.  The engines
+differ only in how a firing is made real.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional
 
 from .abstract import HistoryKey
 from .store import GoalItem, NumberedConstraint, State, Store
 from .syntax import Occurrence, Program, Rule
 from .terms import Subst, apply_subst, entails, match, normalize_constraint
-from .trace import SideEffect, TraceStep
+from .trace import Step
 
 
 @dataclass(frozen=True)
@@ -26,20 +26,13 @@ class Match:
     occurrence: Occurrence
     rule: Rule
     phi: Subst
-    propagated: tuple[NumberedConstraint, ...]  # partners matched to kept heads
-    simplified: tuple[NumberedConstraint, ...]  # partners matched to removed heads
+    prop_ids: tuple[int, ...]  # the side effect, sorted: kept heads' ids
+    simp_ids: tuple[int, ...]  # and removed heads' ids, the goal's among them
 
     @property
     def kind(self) -> str:
         """Simplify if the goal matched a removed head, else Propagate."""
         return "Simplify" if self.occurrence.role == "simplified" else "Propagate"
-
-    @cached_property
-    def delta(self) -> SideEffect:
-        """The side effect: the partners plus the goal, on its head's side."""
-        if self.kind == "Simplify":
-            return SideEffect(self.propagated, (self.goal,) + self.simplified)
-        return SideEffect((self.goal,) + self.propagated, self.simplified)
 
     @property
     def history_key(self) -> Optional[HistoryKey]:
@@ -48,11 +41,11 @@ class Match:
         instance can never match again; the oracle ignores such keys too."""
         if self.rule.simplified:
             return None
-        return (self.rule.name, self.delta.prop_ids)
+        return (self.rule.name, self.prop_ids)
 
-    def step(self, seq: int) -> TraceStep:
-        return TraceStep(seq, self.kind, self.goal, self.delta, self.rule.name,
-                         self.phi)
+    def step(self, seq: int) -> Step:
+        return Step(seq, self.kind, self.goal.constraint, self.goal.id,
+                    self.rule.name, self.phi, self.prop_ids, self.simp_ids)
 
     def continuation(self) -> list[GoalItem]:
         """The goals the firing pushes, front first: the body under phi, left
@@ -66,11 +59,11 @@ class Match:
 
 @dataclass
 class RunResult:
-    """A goal-engine run; trace items are TraceStep (sequential) or
-    CommitRecord (concurrent)."""
+    """A goal-engine run; the trace is the committed steps in seq order, with
+    worker and interval set on the concurrent engine's."""
 
     state: State
-    trace: list
+    trace: list[Step]
     history: set[HistoryKey]
     status: str  # done | failed | step-limit
 
@@ -90,22 +83,23 @@ def iter_matches(store: Store, goal: NumberedConstraint,
         guard_done = occ.guard_at == 0
         if guard_done and not entails(eqs, phi0, rule.guard):
             continue
-        yield from _search(store, goal, occ, rule, eqs, 0, phi0,
-                           (goal.id,), (), (), guard_done)
+        own = (goal.id,)
+        props, simps = ((), own) if occ.role == "simplified" else (own, ())
+        yield from _search(store, goal, occ, rule, eqs, 0, phi0, props, simps,
+                           guard_done)
 
 
 def _search(store: Store, goal: NumberedConstraint, occ: Occurrence,
-            rule: Rule, eqs, k: int, phi: Subst, used: tuple[int, ...],
-            props: tuple[NumberedConstraint, ...],
-            simps: tuple[NumberedConstraint, ...],
-            guard_done: bool) -> Iterator[Match]:
+            rule: Rule, eqs, k: int, phi: Subst, props: tuple[int, ...],
+            simps: tuple[int, ...], guard_done: bool) -> Iterator[Match]:
     if k == len(occ.partners):
         if guard_done or entails(eqs, phi, rule.guard):
-            yield Match(goal, occ, rule, phi, props, simps)
+            yield Match(goal, occ, rule, phi, tuple(sorted(props)),
+                        tuple(sorted(simps)))
         return
     entry = occ.partners[k]
     for nc in store.candidates(entry.pattern.pred, phi, entry.pattern):
-        if nc.id in used:
+        if nc.id in props or nc.id in simps:
             continue  # injective: distinct store elements per head position
         phi2 = match(entry.pattern, nc.constraint, phi)
         if phi2 is None:
@@ -115,7 +109,7 @@ def _search(store: Store, goal: NumberedConstraint, occ: Occurrence,
             if not entails(eqs, phi2, rule.guard):
                 continue  # early guard scheduling prunes this branch
             done2 = True
-        next_props = props + (nc,) if entry.role == "propagated" else props
-        next_simps = simps + (nc,) if entry.role == "simplified" else simps
+        next_props = props + (nc.id,) if entry.role == "propagated" else props
+        next_simps = simps + (nc.id,) if entry.role == "simplified" else simps
         yield from _search(store, goal, occ, rule, eqs, k + 1, phi2,
-                           used + (nc.id,), next_props, next_simps, done2)
+                           next_props, next_simps, done2)

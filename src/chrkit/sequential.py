@@ -22,7 +22,7 @@ from .matching import RunResult, iter_matches
 from .store import NumberedConstraint, State
 from .syntax import Program
 from .terms import Chr, Constraint, Eq, normalize_constraint
-from .trace import SideEffect, TraceStep
+from .trace import Step
 
 
 class InvariantViolation(Exception):
@@ -42,29 +42,29 @@ class SequentialEngine:
         self.max_steps = max_steps
         self.check_invariants = check_invariants
         self.state = State()
-        self.trace: list[TraceStep] = []
+        self.trace: list[Step] = []
         self.history: set[HistoryKey] = set()
 
     # ------------------------------------------------------------- steps
 
-    def _emit(self, step: TraceStep) -> TraceStep:
+    def _emit(self, step: Step) -> Step:
         self.trace.append(step)  # seq numbers are trace positions
         return step
 
-    def step_solve(self, e: Eq) -> TraceStep:
+    def step_solve(self, e: Eq) -> Step:
         """Move the equation into the store; re-activate every constraint
         whose normal form it changes (they are the step's propagated set)."""
         woken = self.state.store.add_equation(e)
         self.state.goals.extendleft(reversed(woken))  # ascending id order
-        return self._emit(TraceStep(len(self.trace), "Solve", e,
-                                    SideEffect(propagated=tuple(woken))))
+        return self._emit(Step(len(self.trace), "Solve", e,
+                               prop_ids=tuple(nc.id for nc in woken)))
 
-    def step_activate(self, c: Chr) -> TraceStep:
+    def step_activate(self, c: Chr) -> Step:
         nc = self.state.store.insert(c)
         self.state.goals.appendleft(nc)  # executes next
-        return self._emit(TraceStep(len(self.trace), "Activate", nc))
+        return self._emit(Step(len(self.trace), "Activate", c, nc.id))
 
-    def execute_goal(self, goal: NumberedConstraint) -> TraceStep:
+    def execute_goal(self, goal: NumberedConstraint) -> Step:
         """Fire the goal's first match whose instance is not in the
         propagation history; no such match drops the goal (it stays in the
         store)."""
@@ -76,10 +76,11 @@ class SequentialEngine:
                 continue
             if key is not None:
                 self.history.add(key)
-            store.kill(m.delta.simp_ids)
+            store.kill(m.simp_ids)
             self.state.goals.extendleft(reversed(m.continuation()))
             return self._emit(m.step(len(self.trace)))
-        return self._emit(TraceStep(len(self.trace), "Drop", goal))
+        return self._emit(Step(len(self.trace), "Drop", goal.constraint,
+                               goal.id))
 
     # --------------------------------------------------------------- run
 

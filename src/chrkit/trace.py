@@ -1,77 +1,48 @@
-"""Derivation traces: typed steps, commit records and the stable line format.
+"""Derivation traces: the step record and its stable line format.
 
-One line per step:
+Both goal engines record a run as a list of `Step`s, and the verifier reads
+the same `Step`s back from text.  One line per step:
 
     <seq> <kind> goal=<constraint[#id]> [rule=<name>] [phi={x.0->3;y.0->m}]
         P={ids} S={ids} [worker=<k>] [interval=<start,commit>]
 
-Header lines start with `#` and carry the engine configuration; footer lines
-carry the run status and the final store dump so a trace file is
-self-contained evidence.  The verifier consumes this text format, never
-in-memory engine state.
+`phi` is written for firings (Simplify/Propagate) only, `worker` and
+`interval` only when the step has them (concurrent commits).  Header lines
+start with `#` and carry the engine configuration; footer lines carry the
+run status and the final store dump so a trace file is self-contained
+evidence.  The verifier consumes this text format, never in-memory engine
+state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from .store import NumberedConstraint
 from .syntax import ParseError, parse_constraint_text, parse_term_text
 from .terms import Constraint, Subst, render_constraint, render_term
 
 KINDS = ("Solve", "Activate", "Simplify", "Propagate", "Drop")
+FIRINGS = ("Simplify", "Propagate")
 
 
 @dataclass(frozen=True)
-class SideEffect:
-    """delta = H_P \\ H_S: the numbered constraints one step propagated over
-    and simplified away.  The two sets never intersect."""
+class Step:
+    """One derivation step.  `goal_id` is set when the goal is a numbered
+    constraint; `prop_ids`/`simp_ids` are the side effect H_P \\ H_S, the
+    sorted ids the step propagated over and simplified away; a concurrent
+    commit also carries its worker and (start tick, commit tick) interval.
+    seq numbers are a total order consistent with real-time commit order."""
 
-    propagated: tuple[NumberedConstraint, ...] = ()
-    simplified: tuple[NumberedConstraint, ...] = ()
-
-    @property
-    def prop_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(nc.id for nc in self.propagated))
-
-    @property
-    def simp_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(nc.id for nc in self.simplified))
-
-    def __post_init__(self):
-        if set(self.prop_ids) & set(self.simp_ids):
-            raise ValueError("propagated and simplified sets overlap")
-
-
-@dataclass(frozen=True)
-class TraceStep:
     seq: int
     kind: str
-    goal: Union[Constraint, NumberedConstraint]
-    delta: SideEffect = SideEffect()
+    goal: Constraint
+    goal_id: Optional[int] = None
     rule: Optional[str] = None
-    phi: Optional[Subst] = None
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    """A step committed by a worker, with its (start tick, commit tick)
-    interval for overlap analysis.  seq numbers are a total order consistent
-    with real-time commit order."""
-
-    step: TraceStep
-    worker: int
-    interval: tuple[int, int]
-
-    @property
-    def seq(self) -> int:
-        return self.step.seq
-
-
-def _goal_text(goal) -> str:
-    if isinstance(goal, NumberedConstraint):
-        return goal.render()
-    return render_constraint(goal)
+    phi: Subst = field(default_factory=dict)
+    prop_ids: tuple[int, ...] = ()
+    simp_ids: tuple[int, ...] = ()
+    worker: Optional[int] = None
+    interval: Optional[tuple[int, int]] = None
 
 
 def _ids_text(ids) -> str:
@@ -83,40 +54,28 @@ def _phi_text(phi: Subst) -> str:
     return "{" + inner + "}"
 
 
-def step_to_line(step: TraceStep, worker: Optional[int] = None,
-                 interval: Optional[tuple[int, int]] = None) -> str:
-    parts = [str(step.seq), step.kind, f"goal={_goal_text(step.goal)}"]
+def step_to_line(step: Step) -> str:
+    goal = render_constraint(step.goal)
+    if step.goal_id is not None:
+        goal += f"#{step.goal_id}"
+    parts = [str(step.seq), step.kind, f"goal={goal}"]
     if step.rule is not None:
         parts.append(f"rule={step.rule}")
-    if step.phi is not None:
+    if step.kind in FIRINGS:
         parts.append(f"phi={_phi_text(step.phi)}")
-    parts.append(f"P={_ids_text(step.delta.prop_ids)}")
-    parts.append(f"S={_ids_text(step.delta.simp_ids)}")
-    if worker is not None:
-        parts.append(f"worker={worker}")
-    if interval is not None:
-        parts.append(f"interval={interval[0]},{interval[1]}")
+    parts.append(f"P={_ids_text(step.prop_ids)}")
+    parts.append(f"S={_ids_text(step.simp_ids)}")
+    if step.worker is not None:
+        parts.append(f"worker={step.worker}")
+    if step.interval is not None:
+        parts.append(f"interval={step.interval[0]},{step.interval[1]}")
     return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class ParsedStep:
-    seq: int
-    kind: str
-    goal: Constraint
-    goal_id: Optional[int]  # set when the goal was a numbered constraint
-    rule: Optional[str]
-    phi: Subst
-    prop_ids: tuple[int, ...]
-    simp_ids: tuple[int, ...]
-    worker: Optional[int]
-    interval: Optional[tuple[int, int]]
 
 
 @dataclass
 class ParsedTrace:
     meta: dict[str, str] = field(default_factory=dict)
-    steps: list[ParsedStep] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
     final_dump: Optional[str] = None
     status: Optional[str] = None
 
@@ -139,7 +98,7 @@ def _int(name: str, text: str) -> int:
 
 def _ids(text: str) -> tuple[int, ...]:
     inner = text.strip("{}")
-    return tuple(int(x) for x in inner.split(",")) if inner else ()
+    return tuple(sorted(int(x) for x in inner.split(","))) if inner else ()
 
 
 def _phi(text: str) -> Subst:
@@ -160,7 +119,7 @@ def _goal(text: str) -> tuple[Constraint, Optional[int]]:
     return parse_constraint_text(text), None
 
 
-def parse_line(line: str) -> ParsedStep:
+def parse_line(line: str) -> Step:
     parts = line.split(" ")
     if len(parts) < 3:
         raise TraceFormatError(f"malformed trace line: {line!r}")
@@ -181,7 +140,7 @@ def parse_line(line: str) -> ParsedStep:
     if "interval" in fields:
         a, _, b = fields["interval"].partition(",")
         interval = (_int("interval", a), _int("interval", b))
-    return ParsedStep(
+    return Step(
         seq=seq,
         kind=kind,
         goal=goal,
@@ -198,15 +157,10 @@ def parse_line(line: str) -> ParsedStep:
 
 def serialize_trace(steps, meta: dict[str, str], status: str,
                     final_dump: str) -> str:
-    """Steps may be TraceStep or CommitRecord items."""
     lines = ["# chr-trace v1"]
     if meta:
         lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
-    for item in steps:
-        if isinstance(item, CommitRecord):
-            lines.append(step_to_line(item.step, item.worker, item.interval))
-        else:
-            lines.append(step_to_line(item))
+    lines.extend(step_to_line(step) for step in steps)
     lines.append(f"# status={status}")
     for dump_line in final_dump.splitlines():
         lines.append(f"# final: {dump_line}")

@@ -3,17 +3,20 @@
 The verifier re-executes trace text against its own minimal store replica;
 it deliberately does not reuse the engines' store, goal pool or matching
 machinery, so an engine bug cannot mask itself.  `verify_run` parses a trace
-once and replays it once.  That single pass checks, at every step:
+into `trace.Step`s once and replays them once.  That single pass checks, at
+every step:
 
   replay           the step's preconditions hold at its turn in seq order;
                    after the last step, the replayed store dump equals the
                    engine's
-  project_abstract the step's change to the projection NoIds(G) + DropIds(Sn)
-                   is empty (Solve/Activate/Drop), or it is one valid
-                   abstract rewrite (Simplify/Propagate): the simplified
-                   heads out, the instantiated body in.  Only that delta is
-                   compared, and the rewrite is validated on its heads alone,
-                   so a step costs O(heads + body), not O(store).
+  project_abstract the step leaves the projection NoIds(G) + DropIds(Sn)
+                   unchanged (Solve/Activate/Drop: the goal multiset checks
+                   move one goal between G and Sn) or changes it by one valid
+                   abstract rewrite (Simplify/Propagate: `validate_rewrite`
+                   on the recorded heads, rule and substitution, then the
+                   simplified heads out and the instantiated body in).  The
+                   rewrite is validated on its heads alone, so a step costs
+                   O(heads + body), not O(store).
 
 and then, over the replayed state and the trace's commit intervals:
 
@@ -36,7 +39,7 @@ from .syntax import Program
 from .terms import (Chr, Constraint, Eq, Subst, apply_subst, mgu,
                     normalize_constraint, render_constraint)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
-from .trace import ParsedStep, ParsedTrace, parse_trace
+from .trace import ParsedTrace, Step, parse_trace
 
 # (seq, (start, commit) interval, propagated ids, simplified ids)
 AuditRecord = tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]
@@ -70,8 +73,7 @@ class _Replica:
     wake-ups can change the rendered form while a stale goal copy is still
     queued.  Store entries stay raw (as activated), exactly like the engine
     store.  `theta` is the m.g.u. of the equations, kept from one Solve to
-    the next.  `delta` collects what the current step adds to and removes
-    from the projection NoIds(G) + DropIds(Sn)."""
+    the next."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals = Counter(render_constraint(normalize_constraint(g))
@@ -83,17 +85,11 @@ class _Replica:
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
         self.history: set[HistoryKey] = set()
-        self.delta: Counter = Counter()
 
     def goal_remove(self, key: str) -> None:
         self.goals[key] -= 1
         if self.goals[key] <= 0:
             del self.goals[key]
-        self.delta[key] -= 1
-
-    def goal_add(self, key: str) -> None:
-        self.goals[key] += 1
-        self.delta[key] += 1
 
     def numbered_remove(self, cid: int) -> None:
         self.numbered[cid] -= 1
@@ -133,7 +129,7 @@ class _Replica:
         return "\n".join(lines)
 
 
-def _steps_in_order(trace: ParsedTrace) -> Optional[list[ParsedStep]]:
+def _steps_in_order(trace: ParsedTrace) -> Optional[list[Step]]:
     steps = sorted(trace.steps, key=lambda s: s.seq)
     seqs = [s.seq for s in steps]
     if len(set(seqs)) != len(seqs):
@@ -141,84 +137,79 @@ def _steps_in_order(trace: ParsedTrace) -> Optional[list[ParsedStep]]:
     return steps
 
 
-def _replay_step(rep: _Replica, st: ParsedStep, program: Program
-                 ) -> tuple[Optional[str], Optional[Counter]]:
-    """Apply one step to the replica.  Returns (error, expected): error when
-    the step's preconditions do not hold at this turn (a firing must be one
-    valid abstract rewrite); otherwise the change to the projection the
-    abstract semantics expects of the step."""
+def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
+    """Apply one step to the replica, or say why its preconditions do not
+    hold at this turn (a firing must be one valid abstract rewrite)."""
     if st.kind == "Activate":
         if st.goal_id is None:
-            return "activation without an id", None
+            return "activation without an id"
         if st.goal_id in rep.entries:
-            return f"id {st.goal_id} is not fresh", None
+            return f"id {st.goal_id} is not fresh"
         if not isinstance(st.goal, Chr):
-            return "only CHR constraints can be activated", None
+            return "only CHR constraints can be activated"
         if st.prop_ids or st.simp_ids:
-            return "activation carries side effects", None
+            return "activation carries side effects"
         key = render_constraint(st.goal)
         if rep.goals[key] <= 0:
-            return f"activated goal {key} not in the goal multiset", None
+            return f"activated goal {key} not in the goal multiset"
         rep.goal_remove(key)
         rep.entries[st.goal_id] = st.goal
         rep.keys[st.goal_id] = key
         rep.alive.add(st.goal_id)
-        rep.delta[key] += 1  # the goal moved into the store
         rep.numbered[st.goal_id] += 1
-        return None, Counter()
+        return None
 
     if st.kind == "Solve":
         if not isinstance(st.goal, Eq):
-            return "solve goal is not an equation", None
+            return "solve goal is not an equation"
         key = render_constraint(st.goal)
         if rep.goals[key] <= 0:
-            return f"solved equation {key} not in the goal multiset", None
+            return f"solved equation {key} not in the goal multiset"
         if st.simp_ids:
-            return "solve must not simplify", None
+            return "solve must not simplify"
         theta = mgu(rep.eqs + [st.goal])
         woken = rep.wake_ids(theta)
-        if sorted(st.prop_ids) != woken:
-            return (f"wake-up mismatch: recorded {sorted(st.prop_ids)}, "
-                    f"expected {woken}"), None
+        if list(st.prop_ids) != woken:
+            return (f"wake-up mismatch: recorded {list(st.prop_ids)}, "
+                    f"expected {woken}")
         rep.goal_remove(key)
         rep.eqs.append(st.goal)
         rep.theta = theta
-        rep.delta[key] += 1  # the goal moved into the store
         for cid in woken:
             rep.numbered[cid] += 1
-        return None, Counter()
+        return None
 
     # numbered-goal steps
     if st.goal_id is None:
-        return f"{st.kind} goal carries no id", None
+        return f"{st.kind} goal carries no id"
     cid = st.goal_id
     if cid not in rep.alive:
-        return f"goal id {cid} is not alive", None
+        return f"goal id {cid} is not alive"
     if rep.numbered[cid] <= 0:
-        return f"goal #{cid} not in the goal multiset", None
+        return f"goal #{cid} not in the goal multiset"
 
     if st.kind == "Drop":
         if st.prop_ids or st.simp_ids:
-            return "drop carries side effects", None
+            return "drop carries side effects"
         rep.numbered_remove(cid)
-        return None, Counter()
+        return None
 
     # Simplify / Propagate
     if st.rule is None:
-        return "firing without a rule name", None
+        return "firing without a rule name"
     try:
         rule = program.rule(st.rule)
     except KeyError:
-        return f"unknown rule {st.rule!r}", None
+        return f"unknown rule {st.rule!r}"
     own = st.simp_ids if st.kind == "Simplify" else st.prop_ids
     if cid not in own:
-        return f"active goal id {cid} missing from its own side-effect set", None
+        return f"active goal id {cid} missing from its own side-effect set"
     all_ids = set(st.prop_ids) | set(st.simp_ids)
     if len(st.prop_ids) + len(st.simp_ids) != len(all_ids):
-        return "propagated and simplified sets overlap", None
+        return "propagated and simplified sets overlap"
     dead = [i for i in all_ids if i not in rep.alive]
     if dead:
-        return f"side-effect ids not alive: {sorted(dead)}", None
+        return f"side-effect ids not alive: {sorted(dead)}"
 
     heads_p = [rep.norm(rep.entries[i]) for i in st.prop_ids]
     heads_s = [rep.norm(rep.entries[i]) for i in st.simp_ids]
@@ -230,30 +221,24 @@ def _replay_step(rep: _Replica, st: ParsedStep, program: Program
                  if theta is not None else None)
     if theta_phi is None or validate_rewrite(
             heads_p + heads_s, rule, theta_phi, heads_p, heads_s) is None:
-        return _rewrite_mismatch(rep, st, rule, heads_p, heads_s), None
+        return _rewrite_mismatch(rep, st, rule, heads_p, heads_s)
     if st.kind == "Propagate":
         hkey = (rule.name, tuple(sorted(all_ids)))
         if hkey in rep.history:
-            return f"propagation instance fired twice: {hkey}", None
+            return f"propagation instance fired twice: {hkey}"
         rep.history.add(hkey)
-
-    body = [render_constraint(normalize_constraint(apply_subst(st.phi, b)))
-            for b in rule.body]
-    expected = Counter(body)
-    expected.subtract(rep.keys[i] for i in st.simp_ids)
 
     rep.numbered_remove(cid)
     for i in st.simp_ids:
         rep.alive.discard(i)
-        rep.delta[rep.keys[i]] -= 1
     if st.kind == "Propagate":
         rep.numbered[cid] += 1
-    for key in body:
-        rep.goal_add(key)
-    return None, expected
+    body = (normalize_constraint(apply_subst(st.phi, b)) for b in rule.body)
+    rep.goals.update(render_constraint(c) for c in body)
+    return None
 
 
-def _rewrite_mismatch(rep: _Replica, st: ParsedStep, rule, heads_p: list,
+def _rewrite_mismatch(rep: _Replica, st: Step, rule, heads_p: list,
                       heads_s: list) -> str:
     """Why a recorded firing is not a valid abstract rewrite."""
     for role, patterns, heads in (("propagated", rule.propagated, heads_p),
@@ -265,15 +250,13 @@ def _rewrite_mismatch(rep: _Replica, st: ParsedStep, rule, heads_p: list,
     return f"guard of rule {rule.name} not entailed"
 
 
-def _delta_text(delta: Counter) -> str:
-    return str({key: n for key, n in sorted(delta.items()) if n})
-
-
 def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
                 program: Program) -> tuple[Optional[_Replica], Verdict, Verdict]:
-    """The single pass: replays every step in seq order and checks its
-    projection delta.  Returns the replica with the replay and the
-    project-abstract verdicts.  A replay failure at a step fails both."""
+    """The single pass: replays every step in seq order.  Returns the
+    replica with the replay and the project-abstract verdicts.  A step that
+    does not replay fails both; the projection verdict rests on the per-step
+    checks, since a step that replays changes the projection by exactly what
+    the abstract semantics expects of it."""
     steps = _steps_in_order(trace)
     if steps is None:
         detail = "duplicate seq numbers"
@@ -282,17 +265,11 @@ def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
     rep = _Replica(goals0)
     projected = Verdict(True, "project-abstract")
     for st in steps:
-        rep.delta = Counter()
-        err, expected = _replay_step(rep, st, program)
+        err = _replay_step(rep, st, program)
         if err is not None:
             detail = f"step {st.seq}: {err}"
             return (None, Verdict(False, "replay", detail),
                     Verdict(False, "project-abstract", detail))
-        if projected.passed and rep.delta != expected:
-            projected = Verdict(
-                False, "project-abstract",
-                f"step {st.seq} ({st.kind}) changed the projection by "
-                f"{_delta_text(rep.delta)}, expected {_delta_text(expected)}")
     if trace.final_dump is not None and rep.dump() != trace.final_dump:
         return rep, Verdict(False, "replay",
                             f"final store mismatch:\nreplayed:\n{rep.dump()}\n"
@@ -312,8 +289,9 @@ def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
                      program: Program) -> Verdict:
     """Every step must leave the projection NoIds(G) + DropIds(Sn) unchanged
     (Solve/Activate/Drop) or change it by one valid abstract rewrite
-    (Simplify/Propagate), validated with the recorded rule, substitution and
-    head ids."""
+    (Simplify/Propagate).  The verdict comes from the single pass: the
+    goal-multiset checks of each step, and `validate_rewrite` on each
+    firing's recorded rule, substitution and heads."""
     return _run_replay(trace, goals0, program)[2]
 
 

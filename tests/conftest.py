@@ -45,7 +45,7 @@ def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
 def overlapping_firing_pairs(trace) -> int:
     """How many pairs of committed rule firings genuinely overlapped in time
     (shows the overlap audit is not vacuous)."""
-    firings = [r for r in trace if r.step.kind in ("Simplify", "Propagate")]
+    firings = [r for r in trace if r.kind in ("Simplify", "Propagate")]
     return sum(_overlaps(a.interval, b.interval)
                for i, a in enumerate(firings) for b in firings[i + 1:])
 
@@ -382,7 +382,7 @@ def run_pitfall_variant(goals_per_thread: list[list[Constraint]],
         mine = temp.insert(nc.constraint)
         remap[mine.id] = nc.id
         for m in iter_matches(temp, mine, program):
-            kill = [remap[x.id] for x in m.delta.simplified]
+            kill = [remap[i] for i in m.simp_ids]
             body = [normalize_constraint(apply_subst(m.phi, b))
                     for b in m.rule.body]
             return kill, body, m.kind

@@ -69,6 +69,28 @@ def test_bad_worker_count_exits_1(capsys, workers):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--repeat=0", "--repeat=-1",
+                                  "--max-steps=-3", "--max-steps=-1"])
+@pytest.mark.parametrize("engine", ["sequential", "concurrent", "abstract"])
+def test_bad_repeat_or_step_limit_exits_1(capsys, engine, flag):
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(4),Gcd(6)", "--engine", engine,
+                             flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["sequential", "concurrent", "abstract"])
+@pytest.mark.parametrize("limit,code", [("0", 1), ("1", 1), ("100", 0)])
+def test_max_steps_is_honoured_by_every_engine(capsys, engine, limit, code):
+    got, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                            "--goals", "Gcd(4),Gcd(6)", "--engine", engine,
+                            "--max-steps", limit)
+    assert got == code, (out, err)
+    if limit == "0":
+        assert out == ("Gcd(4)\nGcd(6)\n" if engine == "abstract" else "")
+
+
 def test_atom_with_trace_delimiter_exits_1(capsys):
     code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
                              "--goals", "P('a b'),Q(1)", "--verify")

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -34,7 +36,8 @@ def test_empty_goals_empty_trace():
 
 def _steps(trace):
     """Each step's trace line without its seq: kind, goal, rule, phi, P, S."""
-    return [step_to_line(getattr(r, "step", r)).split(" ", 1)[1] for r in trace]
+    return [step_to_line(replace(r, worker=None, interval=None))
+            .split(" ", 1)[1] for r in trace]
 
 
 def test_single_worker_matches_sequential_dump_on_corpus():
@@ -94,10 +97,10 @@ def test_commit_firing_loses_race_on_dead_id():
     g2 = eng.store.insert(Chr("Get", (Var("x2"),)))
     put = eng.store.insert(Chr("Put", (Const(1),)))
     start = eng._next_tick()
-    first = eng.commit_firing((g1, put), (), start)
+    first = eng.commit_firing((g1.id, put.id), (), start)
     assert first is not None
     # the same Put can only die once: the second firing must abort
-    second = eng.commit_firing((g2, put), (), eng._next_tick())
+    second = eng.commit_firing((g2.id, put.id), (), eng._next_tick())
     assert second is None
     assert eng.store.alive(g2.id)  # aborted commit mutated nothing
 
@@ -105,7 +108,7 @@ def test_commit_firing_loses_race_on_dead_id():
 def test_commit_firing_empty_simplified_set_commits():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
     nc = eng.store.insert(Chr("P"))
-    tick = eng.commit_firing((), (nc,), eng._next_tick())
+    tick = eng.commit_firing((), (nc.id,), eng._next_tick())
     assert tick is not None
     assert eng.store.alive(nc.id)
     assert eng.store.dump() == "P#1"
@@ -115,21 +118,21 @@ def test_commit_firing_rejects_simplify_after_overlapping_propagation():
     eng = ConcurrentEngine(load("gcd"), EngineConfig(workers=1))
     nc = eng.store.insert(Chr("Gcd", (Const(3),)))
     early_start = eng._next_tick()
-    assert eng.commit_firing((), (nc,), eng._next_tick()) is not None
+    assert eng.commit_firing((), (nc.id,), eng._next_tick()) is not None
     # a firing whose scan started before that propagation committed must
     # retry rather than kill the propagated head
     with pytest.raises(_TickConflict):
-        eng.commit_firing((nc,), (), early_start)
+        eng.commit_firing((nc.id,), (), early_start)
     # with a fresh scan it goes through
-    assert eng.commit_firing((nc,), (), eng._next_tick()) is not None
+    assert eng.commit_firing((nc.id,), (), eng._next_tick()) is not None
 
 
 def test_propagation_history_insert_if_absent_is_atomic():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
     nc = eng.store.insert(Chr("P"))
     key = ("r1", (nc.id,))
-    assert eng.commit_firing((), (nc,), eng._next_tick(), key) is not None
-    assert eng.commit_firing((), (nc,), eng._next_tick(), key) is None
+    assert eng.commit_firing((), (nc.id,), eng._next_tick(), key) is not None
+    assert eng.commit_firing((), (nc.id,), eng._next_tick(), key) is None
 
 
 def test_two_concurrent_solves_both_land():
@@ -158,6 +161,19 @@ def test_step_limit_concurrent():
     res = run_concurrent(parse_goals("A"), loop,
                          EngineConfig(workers=2, seed=0, max_steps=25))
     assert res.status == "step-limit"
+
+
+@pytest.mark.parametrize("limit", [0, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_limit_records_at_most_max_steps_on_both_engines(limit, workers):
+    p, goals = load("gcd"), parse_goals("Gcd(4),Gcd(6)")
+    seq = run_sequential(goals, p, max_steps=limit)
+    con = run_concurrent(goals, p, EngineConfig(workers=workers, seed=1,
+                                                max_steps=limit))
+    assert (len(seq.trace), seq.status) == (limit, "step-limit")
+    assert (len(con.trace), con.status) == (limit, "step-limit")
+    if limit == 0:  # a goal refused at the limit goes back to the pool
+        assert Counter(con.state.goals) == Counter(goals)
 
 
 # ------------------------------------------------------------ decompose
@@ -207,7 +223,7 @@ def test_engine_traces_never_violate_overlap_audit():
         for seed in range(10):
             res = run_concurrent(goals, p, EngineConfig(workers=4, seed=seed))
             _, violation = decompose_k(
-                (r.seq, r.interval, r.step.delta.prop_ids, r.step.delta.simp_ids)
+                (r.seq, r.interval, r.prop_ids, r.simp_ids)
                 for r in res.trace)
             assert violation is None, (name, seed, violation)
 
@@ -227,8 +243,7 @@ def test_scripted_schedule_commits_overlapping_pairs(name, monkeypatch):
     # and it is fixed: the same goal order gives the same trace again
     with monkeypatch.context() as mp:
         again = run_scripted_pair(p, order, mp)
-    assert [(r.step, r.worker, r.interval) for r in again.trace] == \
-        [(r.step, r.worker, r.interval) for r in res.trace]
+    assert again.trace == res.trace
 
 
 # ------------------------------------------------------- rejected variants

@@ -25,8 +25,8 @@ def test_channel_four_goals_ten_steps_fifo():
     # the first firing consumes the first receiver and the first sender
     fire = res.trace[5]
     assert fire.rule == "get"
-    assert fire.delta.simp_ids == (1, 3)
-    assert fire.delta.prop_ids == ()
+    assert fire.simp_ids == (1, 3)
+    assert fire.prop_ids == ()
 
 
 def test_channel_named_goals():
@@ -52,12 +52,12 @@ def test_activation_stores_immediately_and_ids_increase():
     eng.load_goals(parse_goals("Get(x1),Put(1)"))
     eng.state.goals.popleft()
     step = eng.step_activate(Chr("Get", (Var("x1"),)))
-    nc = step.goal
-    assert isinstance(nc, NumberedConstraint) and nc.id == 1
+    assert step.goal == Chr("Get", (Var("x1"),)) and step.goal_id == 1
     assert eng.state.store.alive(1)
-    assert eng.state.goals[0] == nc  # executes next
+    # executes next
+    assert eng.state.goals[0] == NumberedConstraint(step.goal, 1)
     eng.state.goals.popleft()
-    assert eng.step_activate(Chr("Put", (Const(1),))).goal.id == 2
+    assert eng.step_activate(Chr("Put", (Const(1),))).goal_id == 2
 
 
 def test_solve_moves_equation_and_wakes():
@@ -68,8 +68,8 @@ def test_solve_moves_equation_and_wakes():
     eng.state.goals.append(Eq(Var("a"), Const(2)))
     eng.state.goals.popleft()
     step = eng.step_solve(Eq(Var("a"), Const(2)))
-    assert step.delta.prop_ids == (a.id,)
-    assert step.delta.simp_ids == ()
+    assert step.prop_ids == (a.id,)
+    assert step.simp_ids == ()
     assert eng.state.goals[0].id == a.id
     assert eng.state.store.get(a.id).constraint == Chr("A", (Const(2),))
 
@@ -92,12 +92,10 @@ def test_two_solves_store_both_equations():
 
 def test_propagation_fires_once_per_instance():
     res = run_sequential(parse_goals("P,P"), load("prop_once"))
-    kinds = [(s.kind, s.goal.id if isinstance(s.goal, NumberedConstraint) else None)
-             for s in res.trace]
     # each P propagates exactly once; its second execution drops it
     fires = [s for s in res.trace if s.kind == "Propagate"]
     assert len(fires) == 2
-    assert {s.delta.prop_ids for s in fires} == {(1,), (3,)}
+    assert {s.prop_ids for s in fires} == {(1,), (3,)}
     assert sorted(canon_store(res.state)) == ["P", "P", "Q", "Q"]
     assert res.history == {("r1", (1,)), ("r1", (3,))}
 
@@ -127,7 +125,7 @@ def test_simplify_removes_goal_and_heads():
     assert simps
     s = simps[0]
     assert s.phi  # recorded substitution instantiates the rule
-    assert set(s.delta.simp_ids) and set(s.delta.prop_ids)
+    assert set(s.simp_ids) and set(s.prop_ids)
 
 
 def test_inconsistent_equations_fail_the_run():
@@ -149,7 +147,7 @@ def test_lifo_policy_processes_last_goal_first():
                          load("channel"), policy="lifo")
     assert res.status == "done"
     first_activated = next(s for s in res.trace if s.kind == "Activate")
-    assert first_activated.goal.constraint == Chr("Get", (Var("x2"),))
+    assert first_activated.goal == Chr("Get", (Var("x2"),))
 
 
 def test_fifo_deterministic_across_runs():
@@ -195,7 +193,7 @@ def test_simplified_ids_die_once_across_trace():
     res = run_sequential(goals_for("mergesort"), load("mergesort"))
     seen = set()
     for s in res.trace:
-        for i in s.delta.simp_ids:
+        for i in s.simp_ids:
             assert i not in seen
             seen.add(i)
 
@@ -214,15 +212,13 @@ def test_isolation_firings_ignore_unrelated_store_constraints():
         for step in res.trace:
             if step.kind not in ("Simplify", "Propagate"):
                 continue
-            keep = {nc.id: nc.constraint
-                    for nc in step.delta.propagated + step.delta.simplified}
-            goal = step.goal
-            keep[goal.id] = goal.constraint
+            keep = {i: res.state.store.get(i).constraint
+                    for i in step.prop_ids + step.simp_ids}
             small = Store()
             remap = {}
             for old_id in sorted(keep):
                 remap[old_id] = small.insert(keep[old_id]).id
-            g_small = small.get(remap[goal.id])
+            g_small = small.get(remap[step.goal_id])
             hits = [m for m in iter_matches(small, g_small, p)
                     if m.rule.name == step.rule]
             assert hits, f"{step.rule} lost in the isolated store"

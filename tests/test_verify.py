@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,9 +8,8 @@ from chrkit.sequential import run_sequential
 from chrkit.store import NumberedConstraint, State
 from chrkit.syntax import ParseError, load_program, parse_goals, parse_term_text
 from chrkit.terms import FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var
-from chrkit.trace import (CommitRecord, SideEffect, TraceFormatError,
-                          TraceStep, parse_line, parse_trace, serialize_trace,
-                          step_to_line)
+from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError, parse_line,
+                          parse_trace, serialize_trace, step_to_line)
 from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
                            decompose_k, no_ids, project_abstract, replay,
                            verify_run)
@@ -313,6 +313,9 @@ FORGERIES = [
     ("propagation fired twice", "prop_once", None,
      lambda t: _relines(t, _duplicate_propagation),
      "replay", "propagation instance fired twice"),
+    ("firings without phi", "gcd", None,
+     lambda t: re.sub(r" phi=\S*", "", t),
+     "replay", "step 3: propagated heads do not match rule gcd2"),
 ]
 
 
@@ -413,32 +416,21 @@ def _random_atom(rng):
 def test_trace_line_roundtrip_over_generated_steps():
     rng = random.Random(11)
     for _ in range(1500):
-        kind = rng.choice(["Activate", "Solve", "Simplify", "Propagate", "Drop"])
+        kind = rng.choice(KINDS)
         c = Chr(rng.choice(["P", "Get", "A_1"]),
                 tuple(_random_term(rng) for _ in range(rng.randrange(3))))
         cid = rng.randrange(1, 99)
-        goal = (Eq(_random_term(rng), _random_term(rng)) if kind == "Solve"
-                else NumberedConstraint(c, cid))
-        rule = phi = None
-        if kind in ("Simplify", "Propagate"):
+        goal, goal_id = ((Eq(_random_term(rng), _random_term(rng)), None)
+                         if kind == "Solve" else (c, cid))
+        rule, phi = None, {}
+        if kind in FIRINGS:
             rule = "r1"
             phi = {f"v{j}.0": _random_term(rng) for j in range(rng.randrange(3))}
         ids = rng.sample(range(1, 20), rng.randrange(4))
-        delta = SideEffect(
-            propagated=tuple(NumberedConstraint(c, i) for i in ids[:1]),
-            simplified=tuple(NumberedConstraint(c, i) for i in ids[1:]))
-        step = TraceStep(rng.randrange(10**6), kind, goal, delta, rule, phi)
         worker, interval = rng.choice([(None, None), (1, (3, 9))])
-        parsed = parse_line(step_to_line(step, worker, interval))
-        assert parsed.goal == (goal if kind == "Solve" else c)
-        assert parsed.goal_id == (None if kind == "Solve" else cid)
-        assert (parsed.seq, parsed.kind, parsed.rule, parsed.phi,
-                parsed.prop_ids, parsed.simp_ids, parsed.worker,
-                parsed.interval) == (step.seq, kind, rule, phi or {},
-                                     delta.prop_ids, delta.simp_ids, worker,
-                                     interval)
-        dump = goal.render() if kind != "Solve" else ""
-        record = CommitRecord(step, 0, (1, 2))
-        whole = parse_trace(serialize_trace([record], {}, "done", dump))
-        assert len(whole.steps) == 1 and whole.steps[0].goal == parsed.goal
-        assert whole.final_dump == dump
+        step = Step(rng.randrange(10**6), kind, goal, goal_id, rule, phi,
+                    tuple(ids[:1]), tuple(sorted(ids[1:])), worker, interval)
+        assert parse_line(step_to_line(step)) == step
+        dump = "" if kind == "Solve" else NumberedConstraint(c, cid).render()
+        whole = parse_trace(serialize_trace([step], {}, "done", dump))
+        assert whole.steps == [step] and whole.final_dump == dump
