@@ -21,7 +21,6 @@ included, before it looks up the successor's key.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -92,8 +91,9 @@ class RewriteStep:
         return tuple(sorted(t for _, t in self.propagated + self.simplified))
 
 
-def _theta_norm(theta: Subst, c: Constraint) -> Constraint:
-    return normalize_constraint(apply_subst(theta, c))
+def _theta_norm(theta: Optional[Subst], c: Constraint) -> Constraint:
+    """c under the solved equations, if there are any, normalized."""
+    return normalize_constraint(apply_subst(theta, c) if theta else c)
 
 
 def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
@@ -258,44 +258,35 @@ def final_stores(s: AbstractStore, p: Program,
 def run_abstract(s: AbstractStore, p: Program, seed: int = 0,
                  max_steps: int = 100_000) -> tuple[AbstractStore, str]:
     """One derivation to a final store, choosing among applicable rewrites
-    with a seeded RNG.  Status is 'done' or 'step-limit'."""
+    with a seeded RNG.  Status is 'done' once no rewrite applies, or
+    'step-limit' if one still does after max_steps rewrites."""
     rng = random.Random(seed)
     cur = s
-    for _ in range(max_steps):
-        steps = rewrite_steps(cur, p)
-        if not steps:
-            return cur, "done"
+    while steps := rewrite_steps(cur, p):
+        if max_steps == 0:
+            return cur, "step-limit"
+        max_steps -= 1
         cur = steps[rng.randrange(len(steps))].result
-    return cur, "step-limit"
+    return cur, "done"
 
 
-def validate_rewrite(constraints: list[Constraint], rule: Rule, phi: Subst,
-                     prop_cs: list[Chr], simp_cs: list[Chr]) -> Optional[list[Constraint]]:
-    """Check that firing `rule` at instance `phi` on the given head
-    constraints is a valid single rewrite of the store multiset; return the
-    successor multiset, or None.  Used to validate recorded engine steps
-    without searching all rewrites.
+def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],
+                     prop_cs: list[Chr], simp_cs: list[Chr]) -> Optional[str]:
+    """Why firing `rule` at instance `phi` on the given head constraints is
+    not a single rewrite of a store whose equations solve to `theta` (None:
+    inconsistent), or None when it is.  Each role's heads must be the rule's
+    heads under phi, compared as sorted rendered forms under theta, and the
+    guard must hold under theta.  Validates a recorded engine step without
+    searching all rewrites.
     """
-    pool = Counter(render_constraint(c) for c in constraints)
-    used = Counter(render_constraint(c) for c in prop_cs + simp_cs)
-    if any(used[k] > pool[k] for k in used):
-        return None
-    eqs = [c for c in constraints if isinstance(c, Eq)]
-    theta = mgu(eqs)
+    def form(c: Constraint) -> str:
+        return render_constraint(_theta_norm(theta, c))
+
+    for role, patterns, heads in (("propagated", rule.propagated, prop_cs),
+                                  ("simplified", rule.simplified, simp_cs)):
+        if (sorted(form(apply_subst(phi, h)) for h in patterns)
+                != sorted(map(form, heads))):
+            return f"{role} heads do not match rule {rule.name}"
     if theta is None or not holds(theta, phi, rule.guard):
-        return None
-
-    def forms(patterns, actual):
-        want = Counter(render_constraint(_theta_norm(theta, apply_subst(phi, h)))
-                       for h in patterns)
-        got = Counter(render_constraint(_theta_norm(theta, c)) for c in actual)
-        return want == got
-
-    if not forms(rule.propagated, prop_cs) or not forms(rule.simplified, simp_cs):
-        return None
-    out = list(constraints)
-    for c in simp_cs:
-        out.remove(c)  # one multiset copy each
-    for b in rule.body:
-        out.append(normalize_constraint(apply_subst(phi, b)))
-    return out
+        return f"guard of rule {rule.name} not entailed"
+    return None

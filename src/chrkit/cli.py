@@ -2,7 +2,7 @@
 
     chrkit PROGRAM.chr --goals "Gcd(3),Gcd(9)" [--engine sequential|concurrent|abstract]
            [--workers N] [--seed S] [--policy fifo|lifo] [--max-steps N]
-           [--trace PATH] [--verify] [--dump-store] [--oracle] [--repeat N]
+           [--trace PATH] [--verify] [--oracle] [--repeat N]
            [--check-invariants]
 
 Prints the final store in dump format.  Exit codes: 0 success, 1 parse or
@@ -44,8 +44,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="write the serialized trace here")
     ap.add_argument("--verify", action="store_true",
                     help="replay, project and audit the trace after the run")
-    ap.add_argument("--dump-store", action="store_true",
-                    help="print the final store dump (also the default)")
     ap.add_argument("--oracle", action="store_true",
                     help="enumerate all final stores of the abstract semantics")
     ap.add_argument("--repeat", type=int, default=None, metavar="N",

@@ -2,11 +2,12 @@
 
 `iter_matches` is the lazy partner search around one active goal:
 occurrences are tried top-to-bottom, partners are looked up via the store
-indexes in the compiled join order, and the guard is tested as soon as all
-of its variables are bound.  A `Match` carries the firing's side-effect
-ids and says what else the firing does (its kind, history key, trace step
-and the goals it pushes), worked out only when asked for.  The engines
-differ only in how a firing is made real.
+indexes in the compiled join order, and the guard is tested against the
+store's solved equations `Store.theta` as soon as all of its variables are
+bound.  A `Match` carries the firing's side-effect ids and says what else
+the firing does (its kind, history key, trace step and the goals it
+pushes), worked out only when asked for.  The engines differ only in how a
+firing is made real.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import Iterator, Optional
 from .abstract import HistoryKey
 from .store import GoalItem, NumberedConstraint, State, Store
 from .syntax import Occurrence, Program, Rule
-from .terms import Subst, apply_subst, entails, match, normalize_constraint
+from .terms import Subst, apply_subst, holds, match, normalize_constraint
+from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 from .trace import Step
 
 
@@ -74,26 +76,30 @@ def iter_matches(store: Store, goal: NumberedConstraint,
     order: occurrence-major, then candidate ids ascending per join position.
     Liveness is only a snapshot; committing a match revalidates it.
     """
-    eqs = store.eqs()
+    # add_equation assigns a fresh theta under the store lock and nothing
+    # mutates it afterwards, so this unlocked read is a consistent snapshot
+    theta = store.theta
+    if theta is None:
+        return  # an inconsistent store entails no guard
     for occ in program.occurrences.get(goal.constraint.pred, ()):
         rule = program.rules[occ.rule_index]
         phi0 = match(occ.pattern, goal.constraint, {})
         if phi0 is None:
             continue
         guard_done = occ.guard_at == 0
-        if guard_done and not entails(eqs, phi0, rule.guard):
+        if guard_done and not holds(theta, phi0, rule.guard):
             continue
         own = (goal.id,)
         props, simps = ((), own) if occ.role == "simplified" else (own, ())
-        yield from _search(store, goal, occ, rule, eqs, 0, phi0, props, simps,
-                           guard_done)
+        yield from _search(store, goal, occ, rule, theta, 0, phi0, props,
+                           simps, guard_done)
 
 
 def _search(store: Store, goal: NumberedConstraint, occ: Occurrence,
-            rule: Rule, eqs, k: int, phi: Subst, props: tuple[int, ...],
+            rule: Rule, theta: Subst, k: int, phi: Subst, props: tuple[int, ...],
             simps: tuple[int, ...], guard_done: bool) -> Iterator[Match]:
     if k == len(occ.partners):
-        if guard_done or entails(eqs, phi, rule.guard):
+        if guard_done or holds(theta, phi, rule.guard):
             yield Match(goal, occ, rule, phi, tuple(sorted(props)),
                         tuple(sorted(simps)))
         return
@@ -106,10 +112,10 @@ def _search(store: Store, goal: NumberedConstraint, occ: Occurrence,
             continue
         done2 = guard_done
         if not done2 and k + 1 >= occ.guard_at:
-            if not entails(eqs, phi2, rule.guard):
+            if not holds(theta, phi2, rule.guard):
                 continue  # early guard scheduling prunes this branch
             done2 = True
         next_props = props + (nc.id,) if entry.role == "propagated" else props
         next_simps = simps + (nc.id,) if entry.role == "simplified" else simps
-        yield from _search(store, goal, occ, rule, eqs, k + 1, phi2,
+        yield from _search(store, goal, occ, rule, theta, k + 1, phi2,
                            next_props, next_simps, done2)

@@ -2,10 +2,11 @@
 
 Every entry keeps two forms.  The raw form is the constraint exactly as it
 entered the store; it is what dumps, side-effect projections and traces
-show, and it never changes.  The normal form is the raw form under the
-m.g.u. of the equation substore (with ground arithmetic evaluated); it is
-what matching and the argument indexes use, and it is refreshed for the
-woken entries whenever an equation arrives.
+show, and it never changes.  The normal form is the raw form under `theta`
+(with ground arithmetic evaluated); it is what matching and the argument
+indexes use, and it is refreshed for the woken entries whenever an
+equation arrives.  `theta`, the m.g.u. of the equation substore, is solved
+in `add_equation` alone; guards, wake-ups and normal forms all read it.
 
 Dead entries are tombstoned, never physically removed, so a concurrent
 reader can never observe a dangling id; they do disappear from index
@@ -50,11 +51,14 @@ class Store:
         self._norm: dict[int, Chr] = {}  # equation-normal matching view
         self._alive: set[int] = set()
         self._eqs: list[Eq] = []
-        self._theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
+        self.theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
         self._pred_index: dict[str, dict[int, None]] = {}
         self._arg_index: dict[tuple[str, int, str], dict[int, None]] = {}
         self._next_id = 1
-        self.inconsistent = False
+
+    @property
+    def inconsistent(self) -> bool:
+        return self.theta is None
 
     # ----------------------------------------------------------- queries
 
@@ -80,8 +84,8 @@ class Store:
     # --------------------------------------------------------- mutation
 
     def _normalize(self, c: Chr) -> Chr:
-        if self._theta:
-            c = apply_subst(self._theta, c)
+        if self.theta:
+            c = apply_subst(self.theta, c)
         return normalize_constraint(c)
 
     def _index_add(self, cid: int, c: Chr) -> None:
@@ -125,39 +129,26 @@ class Store:
 
     # --------------------------------------------------------- equations
 
-    def wake_up(self, e: Eq) -> list[NumberedConstraint]:
-        """The alive constraints whose equation-normal form would change if e
-        were added: phi = mgu(eqs), theta = mgu(eqs + e), return every alive
-        c#i with phi(c) != theta(c).  Flags inconsistency (and returns no
-        constraints) when the extended equation set has no unifier.
-        """
-        with self.lock:
-            return self._woken(mgu(list(self._eqs) + [e]))
-
-    def _woken(self, theta: Optional[Subst]) -> list[NumberedConstraint]:
-        """Alive entries theta renormalizes; no unifier flags inconsistency."""
-        if theta is None:
-            self.inconsistent = True
-            return []
-        phi = self._theta or {}
-        return [NumberedConstraint(self._raw[cid], cid)
-                for cid in sorted(self._alive)
-                if apply_subst(phi, self._raw[cid])
-                != apply_subst(theta, self._raw[cid])]
-
     def add_equation(self, e: Eq) -> list[NumberedConstraint]:
         """Move e into the equation substore and return the woken
-        constraints (see wake_up), solving the extended equation set once.
-        One atomic step: no firing can interleave between the wake-up
-        computation and the insertion.
+        constraints: with phi the m.g.u. before and theta the one after, every
+        alive c#i with phi(c) != theta(c).  An extended equation set with no
+        unifier makes the store inconsistent and wakes nothing.  One atomic
+        step: no firing can interleave between the wake-up computation and
+        the insertion.
         """
         with self.lock:
             self._eqs.append(e)
             theta = mgu(self._eqs)
-            woken = self._woken(theta)
-            self._theta = theta
+            phi, self.theta = self.theta, theta
+            if theta is None:
+                return []
+            woken = [NumberedConstraint(self._raw[cid], cid)
+                     for cid in sorted(self._alive)
+                     if apply_subst(phi, self._raw[cid])
+                     != apply_subst(theta, self._raw[cid])]
             for nc in woken:
-                new = self._normalize(self._raw[nc.id])
+                new = self._normalize(nc.constraint)
                 self._index_remove(nc.id, self._norm[nc.id])
                 self._norm[nc.id] = new
                 self._index_add(nc.id, new)

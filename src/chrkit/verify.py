@@ -13,10 +13,11 @@ every step:
                    unchanged (Solve/Activate/Drop: the goal multiset checks
                    move one goal between G and Sn) or changes it by one valid
                    abstract rewrite (Simplify/Propagate: `validate_rewrite`
-                   on the recorded heads, rule and substitution, then the
-                   simplified heads out and the instantiated body in).  The
-                   rewrite is validated on its heads alone, so a step costs
-                   O(heads + body), not O(store).
+                   on the recorded heads, rule and substitution under the
+                   replica's solved equations, then the simplified heads out
+                   and the instantiated body in).  The rewrite is validated
+                   on its heads alone, so a step costs O(heads + body), not
+                   O(store).
 
 and then, over the replayed state and the trace's commit intervals:
 
@@ -24,6 +25,9 @@ and then, over the replayed state and the trace's commit intervals:
   audit_overlap    time-overlapping commits have non-overlapping side-effects;
                    a sweep over intervals sorted by start that keeps only the
                    still-open ones, costing n log n + (overlapping pairs)
+
+The replica solves its equations only at a Solve step; the wake-up and
+firing checks read the m.g.u. it keeps.
 """
 from __future__ import annotations
 
@@ -73,7 +77,7 @@ class _Replica:
     wake-ups can change the rendered form while a stale goal copy is still
     queued.  Store entries stay raw (as activated), exactly like the engine
     store.  `theta` is the m.g.u. of the equations, kept from one Solve to
-    the next."""
+    the next; it is their only solved form."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals = Counter(render_constraint(normalize_constraint(g))
@@ -95,11 +99,6 @@ class _Replica:
         self.numbered[cid] -= 1
         if self.numbered[cid] <= 0:
             del self.numbered[cid]
-
-    def norm(self, c: Constraint) -> Constraint:
-        if self.theta:
-            c = apply_subst(self.theta, c)
-        return normalize_constraint(c)
 
     def wake_ids(self, theta: Optional[Subst]) -> list[int]:
         """Alive ids whose equation-normal form changes from the current
@@ -211,17 +210,13 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     if dead:
         return f"side-effect ids not alive: {sorted(dead)}"
 
-    heads_p = [rep.norm(rep.entries[i]) for i in st.prop_ids]
-    heads_s = [rep.norm(rep.entries[i]) for i in st.simp_ids]
-    # the abstract semantics' own check, on the heads' equation-normal forms
-    # alone; theta is current, so phi is composed with it rather than the
-    # equations being solved again
-    theta = rep.theta
-    theta_phi = ({x: apply_subst(theta, t) for x, t in st.phi.items()}
-                 if theta is not None else None)
-    if theta_phi is None or validate_rewrite(
-            heads_p + heads_s, rule, theta_phi, heads_p, heads_s) is None:
-        return _rewrite_mismatch(rep, st, rule, heads_p, heads_s)
+    # the abstract semantics' own check, on the heads alone, under the
+    # replica's current solved equations
+    err = validate_rewrite(rule, st.phi, rep.theta,
+                           [rep.entries[i] for i in st.prop_ids],
+                           [rep.entries[i] for i in st.simp_ids])
+    if err is not None:
+        return err
     if st.kind == "Propagate":
         hkey = (rule.name, tuple(sorted(all_ids)))
         if hkey in rep.history:
@@ -236,18 +231,6 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     body = (normalize_constraint(apply_subst(st.phi, b)) for b in rule.body)
     rep.goals.update(render_constraint(c) for c in body)
     return None
-
-
-def _rewrite_mismatch(rep: _Replica, st: Step, rule, heads_p: list,
-                      heads_s: list) -> str:
-    """Why a recorded firing is not a valid abstract rewrite."""
-    for role, patterns, heads in (("propagated", rule.propagated, heads_p),
-                                  ("simplified", rule.simplified, heads_s)):
-        want = Counter(render_constraint(rep.norm(apply_subst(st.phi, h)))
-                       for h in patterns)
-        if want != Counter(render_constraint(c) for c in heads):
-            return f"{role} heads do not match rule {rule.name}"
-    return f"guard of rule {rule.name} not entailed"
 
 
 def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],

@@ -15,8 +15,9 @@ from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import RunResult, iter_matches
 from chrkit.store import NumberedConstraint, State, Store
 from chrkit.syntax import Program, Rule, load_program, parse_goals
-from chrkit.terms import (Chr, Constraint, Subst, apply_subst, entails, match,
-                          mgu, normalize_constraint, render_constraint)
+from chrkit.terms import (Chr, Constraint, Eq, Subst, Var, apply_subst,
+                          entails, match, mgu, normalize_constraint,
+                          render_constraint, render_term)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -127,6 +128,34 @@ def equation_fuzz_case(rng):
     if rng.random() < 0.3:
         goals.append(f"{rng.choice('uwz')}={rng.choice(args)}")
     return "\n".join(lines), ",".join(goals)
+
+
+def canonical_modulo_equations(cs: Iterable[Constraint]) -> tuple[str, ...]:
+    """A store as an answer modulo the equation theory, for stores whose
+    equations differ in form but not in meaning (`u=1` next to `u=w,w=1`
+    against a second `1=1`).  Inconsistent equations give one `false`
+    marker.  Otherwise the solved form of the m.g.u. names each class of
+    variables bound to each other by its smallest variable name; the result
+    is the CHR constraints under it, normalized and sorted, then its sorted
+    non-identity bindings."""
+    cs = list(cs)
+    theta = mgu([c for c in cs if isinstance(c, Eq)])
+    if theta is None:
+        return ("false",)
+    classes: dict[str, list[str]] = {}
+    for x, t in theta.items():
+        if isinstance(t, Var):
+            classes.setdefault(t.name, [t.name]).append(x)
+    rename = {v: Var(min(members))
+              for members in classes.values() for v in members}
+    solved = {x: apply_subst(rename, t) for x, t in theta.items()}
+    solved.update(rename)
+    chrs = sorted(
+        render_constraint(normalize_constraint(apply_subst(solved, c)))
+        for c in cs if isinstance(c, Chr))
+    bindings = sorted(f"{x}={render_term(t)}" for x, t in solved.items()
+                      if t != Var(x))
+    return tuple(chrs + bindings)
 
 
 def program_text(name: str) -> str:

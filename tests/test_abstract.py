@@ -6,7 +6,7 @@ from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
                              final_stores, is_final, rewrite_steps,
                              run_abstract, validate_rewrite)
 from chrkit.syntax import load_program, parse_goals
-from chrkit.terms import Chr, Const, Eq, Var
+from chrkit.terms import Chr, Const, Eq, Var, mgu
 
 from conftest import concurrent_compose_check, load
 
@@ -164,26 +164,38 @@ def test_monotonicity_recorded_steps_replay_in_larger_store():
 
 
 def test_validate_rewrite_accepts_recorded_instances():
-    gcd = load("gcd")
-    s = store_of("Gcd(3),Gcd(9)")
-    for st in rewrite_steps(s, gcd):
-        succ = validate_rewrite(s.constraints(), gcd.rules[1] if st.rule == "gcd2" else gcd.rules[0],
-                                st.phi,
-                                [c for c, _ in st.propagated],
-                                [c for c, _ in st.simplified])
-        assert succ is not None
-        assert canonical_multiset(succ) == canon(st.result)
+    cases = [(load("gcd"), "Gcd(3),Gcd(9)"),
+             # the heads equal the rule's only under the solved equations
+             (load_program("r1 @ A(x), B(x) <=> C(x)."), "A(a),B(2),a=2")]
+    for p, goals in cases:
+        s = store_of(goals)
+        raw = {t: c for c, t in s.items}
+        steps = rewrite_steps(s, p)
+        assert steps
+        for st in steps:
+            assert validate_rewrite(p.rule(st.rule), st.phi, mgu(s.eqs()),
+                                    [raw[t] for _, t in st.propagated],
+                                    [raw[t] for _, t in st.simplified]) is None
 
 
 def test_validate_rewrite_rejects_wrong_heads():
     gcd = load("gcd")
     s = store_of("Gcd(3),Gcd(9)")
     st = rewrite_steps(s, gcd)[0]
-    rule = next(r for r in gcd.rules if r.name == st.rule)
-    bogus = validate_rewrite(s.constraints(), rule, st.phi,
-                             [Chr("Gcd", (Const(77),))],
-                             [c for c, _ in st.simplified])
-    assert bogus is None
+    rule = gcd.rule(st.rule)
+    props = [c for c, _ in st.propagated]
+    simps = [c for c, _ in st.simplified]
+    assert validate_rewrite(rule, st.phi, {}, [Chr("Gcd", (Const(77),))],
+                            simps) == "propagated heads do not match rule gcd2"
+    assert validate_rewrite(rule, st.phi, {}, props, props) \
+        == "simplified heads do not match rule gcd2"
+    # roles and values swapped: the heads match, the guard m>=n fails
+    swapped = {"n.1": st.phi["m.1"], "m.1": st.phi["n.1"]}
+    assert validate_rewrite(rule, swapped, {}, simps, props) \
+        == "guard of rule gcd2 not entailed"
+    # an inconsistent store entails no guard
+    assert validate_rewrite(rule, st.phi, None, props, simps) \
+        == "guard of rule gcd2 not entailed"
 
 
 def test_inconsistent_equation_store_is_final():

@@ -20,9 +20,10 @@ from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const
 from chrkit.trace import parse_trace, serialize_trace
-from chrkit.verify import audit_overlap_trace, check_final, replay
+from chrkit.verify import audit_overlap_trace, check_final, replay, verify_run
 
-from conftest import (CORPUS, MULTI_FIRING, fuzz_case, goals_for, load,
+from conftest import (CORPUS, MULTI_FIRING, canonical_modulo_equations,
+                      equation_fuzz_case, fuzz_case, goals_for, load,
                       overlapping_firing_pairs, run_pitfall_variant,
                       scripted_overlap)
 
@@ -185,6 +186,46 @@ def test_criterion_4_oracle_equivalence_fuzzing(fuzz_runs):
           f"({skipped} skipped)")
 
 
+def test_canonical_modulo_equations():
+    canon = lambda text: canonical_modulo_equations(parse_goals(text))
+    # the same answer, written as different equation sets
+    assert canon("A(u),u=w,w=1,u=1") == canon("A(u),w=1,u=w,1=1") \
+        == ("A(1)", "u=1", "w=1")
+    # a class of variables is named by its smallest member, either way round
+    assert canon("A(w),B(u),w=u") == canon("B(w),A(u),u=w") \
+        == ("A(u)", "B(u)", "w=u")
+    assert canon("A(u),u=1,u=2") == ("false",)
+    assert canon("A(u),u=1") != canon("A(u),u=2")
+
+
+def test_criterion_4_equation_fuzzing():
+    """Criterion 4 with logic variables and equations: both goal engines
+    verify, and their answer is one of the oracle's modulo the equation
+    theory (a syntactic comparison would reject equivalent equation sets)."""
+    rng = random.Random(20240817)
+    statuses = {"done": 0, "failed": 0}
+    for case in range(150):
+        text, gtext = equation_fuzz_case(rng)
+        program, goals = load_program(text), parse_goals(gtext)
+        finals = final_stores(AbstractStore.from_constraints(goals), program)
+        answers = {canonical_modulo_equations(parse_goals(",".join(f)))
+                   for f in finals}
+        for art in (_seq_artifact(f"eqfuzz/{case}/seq", program, goals),
+                    _con_artifact(f"eqfuzz/{case}/w{2 + case % 3}", program,
+                                  goals, 2 + case % 3, case)):
+            verdicts = verify_run(art.trace_text, goals, program,
+                                  concurrent=art.concurrent)
+            assert all(v.passed for v in verdicts), (art.label, verdicts)
+            got = canonical_modulo_equations(art.state.store.drop_ids())
+            assert got in answers, (art.label, got, sorted(answers)[:3])
+            # a failed run is the oracle's inconsistent final, and only it
+            assert (art.status == "failed") == (got == ("false",)), art.label
+            statuses[art.status] += 1
+    assert min(statuses.values()) > 50  # both outcomes are common
+    print(f"\nCRITERION 4 PASS 150 equation fuzz cases on both goal engines "
+          f"inside the oracle set modulo equations ({statuses})")
+
+
 def test_criterion_5_replay_every_trace(all_artifacts):
     for art in all_artifacts:
         verdict = replay(parse_trace(art.trace_text), art.goals, art.program)
@@ -272,8 +313,9 @@ def test_criterion_10_single_worker_equals_sequential():
 def test_scalability_smoke_report():
     """Throughput smoke check, reported but not asserted: CPython's
     interpreter lock serializes rule matching, so thread count cannot buy
-    wall-clock speed here (no performance figure is claimed; correctness of
-    the 10k-goal run is still asserted)."""
+    wall-clock speed here (no performance figure is claimed).  The answer of
+    both 10k-goal runs is asserted, and the 8-worker trace must pass every
+    check of `verify_run`, the overlap audit included."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(0.005)
     try:
@@ -288,9 +330,17 @@ def test_scalability_smoke_report():
             times[workers] = time.perf_counter() - t0
             assert res.status == "done"
             assert canonical_multiset(res.state.store.drop_ids()) == ("Gcd(8)",)
+        # the 8-worker run is the largest contended trace in the suite
+        text = serialize_trace(res.trace, {"engine": "concurrent"},
+                               res.status, res.state.store.dump())
+        verdicts = verify_run(text, goals, program, concurrent=True)
+        assert [v.check for v in verdicts] == [
+            "replay", "project-abstract", "check-final", "audit-overlap"]
+        assert all(v.passed for v in verdicts), verdicts
         ratio = times[8] / times[1]
         print(f"\nSCALABILITY SMOKE (not a claim): 10k goals, "
               f"workers=1 {times[1]:.2f}s, workers=8 {times[8]:.2f}s, "
-              f"ratio {ratio:.2f}x")
+              f"ratio {ratio:.2f}x; 8-worker trace of {len(res.trace)} steps "
+              f"verified, {verdicts[-1].detail}")
     finally:
         sys.setswitchinterval(old)

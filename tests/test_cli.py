@@ -91,6 +91,23 @@ def test_max_steps_is_honoured_by_every_engine(capsys, engine, limit, code):
         assert out == ("Gcd(4)\nGcd(6)\n" if engine == "abstract" else "")
 
 
+@pytest.mark.parametrize("engine,goals,code", [
+    ("abstract", "Gcd(3)", 0),  # already final: no rewrite applies
+    ("abstract", "", 0),
+    ("abstract", "Gcd(3),Gcd(9)", 1),
+    ("sequential", "", 0),
+    ("concurrent", "", 0),
+    # a goal engine needs a step to activate Gcd(3), so the goal is pending
+    ("sequential", "Gcd(3)", 1),
+])
+def test_zero_step_limit_fails_only_if_work_is_left(capsys, engine, goals,
+                                                    code):
+    got, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                            "--goals", goals, "--engine", engine,
+                            "--max-steps", "0")
+    assert got == code, (out, err)
+
+
 def test_atom_with_trace_delimiter_exits_1(capsys):
     code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
                              "--goals", "P('a b'),Q(1)", "--verify")

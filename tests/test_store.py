@@ -127,27 +127,28 @@ def test_wake_up_returns_constraints_whose_normal_form_changes():
     st = Store()
     a = st.insert(Chr("A", (Var("a"),)))
     st.insert(chr1("B", 2))
-    woken = st.wake_up(Eq(Var("a"), Const(2)))
+    woken = st.add_equation(Eq(Var("a"), Const(2)))
     assert [nc.id for nc in woken] == [a.id]
 
 
 def test_wake_up_empty_store():
     st = Store()
-    assert st.wake_up(Eq(Var("x"), Const(1))) == []
+    assert st.add_equation(Eq(Var("x"), Const(1))) == []
 
 
 def test_wake_up_ground_constraints_unaffected():
     st = Store()
     st.insert(chr1("B", 2))
-    assert st.wake_up(Eq(Var("x"), Const(1))) == []
+    assert st.add_equation(Eq(Var("x"), Const(1))) == []
 
 
 def test_wake_up_inconsistency_flags_store():
     st = Store()
     st.add_equation(Eq(Var("x"), Const(1)))
     assert not st.inconsistent
-    got = st.wake_up(Eq(Var("x"), Const(2)))
-    assert got == [] and st.inconsistent
+    assert st.theta == {"x": Const(1)}
+    got = st.add_equation(Eq(Var("x"), Const(2)))
+    assert got == [] and st.inconsistent and st.theta is None
 
 
 def test_add_equation_renormalizes_matching_view():
@@ -242,7 +243,7 @@ def test_wake_up_conservative_covers_newly_enabled_instances():
 
         before = instances([])
         after = instances([e])
-        woken = {nc.id for nc in st.wake_up(e)}
+        woken = {nc.id for nc in st.add_equation(e)}
         if st.inconsistent:
             continue
         for inst in after - before:

@@ -295,27 +295,48 @@ FORGERIES = [
      "replay", "step 3: propagated heads do not match rule gcd1"),
     ("wrong wake-up set", None, None,
      lambda t: t.replace("Solve goal=a=2 P={1}", "Solve goal=a=2 P={}"),
-     "replay", "wake-up mismatch: recorded [], expected [1]"),
+     "replay", "step 4: wake-up mismatch: recorded [], expected [1]"),
     ("step deleted", "gcd", None,
      lambda t: _relines(t, lambda ls: [l for l in ls
                                        if "Activate goal=Gcd(0)#3" not in l]),
-     "replay", "goal id 3 is not alive"),
+     "replay", "step 4: goal id 3 is not alive"),
     ("duplicate seq", "gcd", None,
      lambda t: t.replace("\n5 Simplify", "\n4 Simplify"),
      "replay", "duplicate seq numbers"),
     ("altered final dump", "gcd", None,
      lambda t: t.replace("# final: Gcd(3)#6", "# final: Gcd(4)#6"),
-     "replay", "final store mismatch"),
+     "replay", "final store mismatch:\nreplayed:\nGcd(3)#6\nrecorded:\nGcd(4)#6"),
     ("simplified id not alive", "channel",
      "Get(x1),Get(x2),Put(1),Put(2)",
      lambda t: t.replace("S={2,4}", "S={1,4}"),
-     "replay", "side-effect ids not alive: [1]"),
+     "replay", "step 8: side-effect ids not alive: [1]"),
     ("propagation fired twice", "prop_once", None,
      lambda t: _relines(t, _duplicate_propagation),
-     "replay", "propagation instance fired twice"),
+     "replay", "step 2: propagation instance fired twice: ('r1', (1,))"),
     ("firings without phi", "gcd", None,
      lambda t: re.sub(r" phi=\S*", "", t),
      "replay", "step 3: propagated heads do not match rule gcd2"),
+    # Gcd(3)#2 \ Gcd(9)#4 turned round: the heads match, 3>=9 does not hold
+    ("simplification turned into a propagation", "gcd", None,
+     lambda t: t.replace("8 Simplify goal=Gcd(9)#4 rule=gcd2 "
+                         "phi={m.1->9;n.1->3} P={2} S={4}",
+                         "8 Propagate goal=Gcd(9)#4 rule=gcd2 "
+                         "phi={m.1->3;n.1->9} P={4} S={2}"),
+     "replay", "step 8: guard of rule gcd2 not entailed"),
+    ("wrong value in phi", "gcd", None,
+     lambda t: t.replace("phi={m.1->9;n.1->3}", "phi={m.1->8;n.1->3}"),
+     "replay", "step 8: simplified heads do not match rule gcd2"),
+    # A(a)#1 matches A(x) with x=2 only under a=2, which is not solved yet
+    ("firing before its equation", None, None,
+     lambda t: t.replace("3 Drop goal=B(2)#2 P={} S={}",
+                         "3 Simplify goal=B(2)#2 rule=r1 phi={x.0->2} "
+                         "P={} S={1,2}"),
+     "replay", "step 3: simplified heads do not match rule r1"),
+    # x=a matches the heads under a=2 as well as x=2 does, but the body
+    # C(a) is not the activated C(2)
+    ("phi equal only under the equations", None, None,
+     lambda t: t.replace("phi={x.0->2}", "phi={x.0->a}"),
+     "replay", "step 6: activated goal C(2) not in the goal multiset"),
 ]
 
 
@@ -333,7 +354,7 @@ def test_verify_run_rejects_forged_traces(name, prog, goals, forge, check,
     assert forged != text
     verdicts = verify_run(forged, goals, p)
     assert [v.check for v in verdicts] == [check]
-    assert not verdicts[0].passed and detail in verdicts[0].detail, verdicts
+    assert not verdicts[0].passed and verdicts[0].detail == detail, verdicts
 
 
 def test_verdict_requires_detail_on_failure():
