@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .abstract import HistoryKey
@@ -234,8 +234,7 @@ class ConcurrentEngine:
                 tick = self.commit_firing(m.simp_ids, m.prop_ids, start, key)
                 if tick is None:
                     continue  # aborted: resume the partner search
-                self.trace.append(replace(m.step(tick), worker=worker,
-                                          interval=(start, tick)))
+                self.trace.append(m.step(tick, worker, (start, tick)))
             local.extendleft(reversed(m.continuation()))
             return True
         return False

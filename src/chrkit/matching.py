@@ -45,9 +45,11 @@ class Match:
             return None
         return (self.rule.name, self.prop_ids)
 
-    def step(self, seq: int) -> Step:
+    def step(self, seq: int, worker: Optional[int] = None,
+             interval: Optional[tuple[int, int]] = None) -> Step:
         return Step(seq, self.kind, self.goal.constraint, self.goal.id,
-                    self.rule.name, self.phi, self.prop_ids, self.simp_ids)
+                    self.rule.name, self.phi, self.prop_ids, self.simp_ids,
+                    worker, interval)
 
     def continuation(self) -> list[GoalItem]:
         """The goals the firing pushes, front first: the body under phi, left

@@ -5,8 +5,11 @@ entered the store; it is what dumps, side-effect projections and traces
 show, and it never changes.  The normal form is the raw form under `theta`
 (with ground arithmetic evaluated); it is what matching and the argument
 indexes use, and it is refreshed for the woken entries whenever an
-equation arrives.  `theta`, the m.g.u. of the equation substore, is solved
-in `add_equation` alone; guards, wake-ups and normal forms all read it.
+equation arrives.  `theta`, the idempotent m.g.u. of the equation substore,
+is kept in `add_equation` alone, which extends it by one equation per call;
+guards, wake-ups and normal forms all read it.  A variable -> ids
+occurrence index over the normal forms says which entries a newly bound
+variable wakes, so a Solve never scans the whole store.
 
 Dead entries are tombstoned, never physically removed, so a concurrent
 reader can never observe a dangling id; they do disappear from index
@@ -23,9 +26,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .terms import (Chr, Constraint, Eq, Subst, apply_subst, is_ground, mgu,
-                    normalize_constraint, normalize_term, render_constraint,
-                    render_term)
+from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, is_ground,
+                    mgu, normalize_constraint, normalize_term,
+                    render_constraint, render_term, vars_of)
 
 
 class DeadIdError(Exception):
@@ -54,6 +57,7 @@ class Store:
         self.theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
         self._pred_index: dict[str, dict[int, None]] = {}
         self._arg_index: dict[tuple[str, int, str], dict[int, None]] = {}
+        self._occ: dict[str, dict[int, None]] = {}  # variable -> alive ids
         self._next_id = 1
 
     @property
@@ -94,6 +98,9 @@ class Store:
             if is_ground(arg):
                 key = (c.pred, pos, render_term(arg))
                 self._arg_index.setdefault(key, {})[cid] = None
+            else:
+                for v in vars_of(arg):
+                    self._occ.setdefault(v, {})[cid] = None
 
     def _index_remove(self, cid: int, c: Chr) -> None:
         self._pred_index.get(c.pred, {}).pop(cid, None)
@@ -102,6 +109,9 @@ class Store:
                 bucket = self._arg_index.get((c.pred, pos, render_term(arg)))
                 if bucket is not None:
                     bucket.pop(cid, None)
+            else:
+                for v in vars_of(arg):
+                    self._occ.get(v, {}).pop(cid, None)
 
     def insert(self, c: Chr) -> NumberedConstraint:
         """Store c under a fresh id; ids are never reused.  Returns the raw
@@ -132,21 +142,33 @@ class Store:
     def add_equation(self, e: Eq) -> list[NumberedConstraint]:
         """Move e into the equation substore and return the woken
         constraints: with phi the m.g.u. before and theta the one after, every
-        alive c#i with phi(c) != theta(c).  An extended equation set with no
-        unifier makes the store inconsistent and wakes nothing.  One atomic
-        step: no firing can interleave between the wake-up computation and
-        the insertion.
+        alive c#i with phi(c) != theta(c).  Only e is solved: sigma, the
+        m.g.u. of phi(e), is composed onto phi, so theta(c) = sigma(phi(c)),
+        and c is woken exactly when its normal form mentions a variable that
+        sigma binds.  A variable-to-variable equation binds its left side
+        (`terms.mgu`'s rule), after phi: `x=y` then `x=z` binds y to z.  An
+        extended equation set with no unifier makes the store inconsistent
+        and wakes nothing.  One atomic step: no firing can interleave
+        between the wake-up computation and the insertion.
         """
         with self.lock:
             self._eqs.append(e)
-            theta = mgu(self._eqs)
-            phi, self.theta = self.theta, theta
-            if theta is None:
+            phi = self.theta
+            if phi is None:
                 return []
+            sigma = mgu([Eq(apply_subst(phi, e.lhs), apply_subst(phi, e.rhs))])
+            if sigma is None:
+                self.theta = None
+                return []
+            theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
+                     for x, t in phi.items()}
+            theta.update(sigma)
+            self.theta = theta  # a fresh dict: matching reads it unlocked
+            ids: set[int] = set()
+            for v in sigma:
+                ids.update(self._occ.pop(v, ()))
             woken = [NumberedConstraint(self._raw[cid], cid)
-                     for cid in sorted(self._alive)
-                     if apply_subst(phi, self._raw[cid])
-                     != apply_subst(theta, self._raw[cid])]
+                     for cid in sorted(ids)]
             for nc in woken:
                 new = self._normalize(nc.constraint)
                 self._index_remove(nc.id, self._norm[nc.id])

@@ -26,8 +26,10 @@ and then, over the replayed state and the trace's commit intervals:
                    a sweep over intervals sorted by start that keeps only the
                    still-open ones, costing n log n + (overlapping pairs)
 
-The replica solves its equations only at a Solve step; the wake-up and
-firing checks read the m.g.u. it keeps.
+The replica solves each equation once, at its Solve step, extending the
+m.g.u. it keeps by that equation alone; the firing checks read that m.g.u.,
+and the wake-up check looks up the entries that mention a newly bound
+variable in the replica's own variable -> ids occurrence map.
 """
 from __future__ import annotations
 
@@ -40,8 +42,8 @@ from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
                        validate_rewrite)
 from .store import NumberedConstraint, State
 from .syntax import Program
-from .terms import (Chr, Constraint, Eq, Subst, apply_subst, mgu,
-                    normalize_constraint, render_constraint)
+from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, mgu,
+                    normalize_constraint, render_constraint, vars_of)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedTrace, Step, parse_trace
 
@@ -77,7 +79,9 @@ class _Replica:
     wake-ups can change the rendered form while a stale goal copy is still
     queued.  Store entries stay raw (as activated), exactly like the engine
     store.  `theta` is the m.g.u. of the equations, kept from one Solve to
-    the next; it is their only solved form."""
+    the next; it is their only solved form.  `occ` maps each variable not
+    bound by theta to the ids (dead ones too) whose form under theta
+    mentions it."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals = Counter(render_constraint(normalize_constraint(g))
@@ -88,6 +92,7 @@ class _Replica:
         self.alive: set[int] = set()
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
+        self.occ: dict[str, set[int]] = {}
         self.history: set[HistoryKey] = set()
 
     def goal_remove(self, key: str) -> None:
@@ -100,16 +105,44 @@ class _Replica:
         if self.numbered[cid] <= 0:
             del self.numbered[cid]
 
-    def wake_ids(self, theta: Optional[Subst]) -> list[int]:
-        """Alive ids whose equation-normal form changes from the current
-        theta to `theta`, the m.g.u. with the new equation added; none when
-        that is unsatisfiable."""
-        if theta is None:
+    def activate(self, cid: int, c: Chr, key: str) -> None:
+        self.entries[cid] = c
+        self.keys[cid] = key
+        self.alive.add(cid)
+        self.numbered[cid] += 1
+        self.note_vars(cid)
+
+    def note_vars(self, cid: int) -> None:
+        c = self.entries[cid]
+        if self.theta is not None and vars_of(c):  # ground entries never wake
+            for v in vars_of(apply_subst(self.theta, c)):
+                self.occ.setdefault(v, set()).add(cid)
+
+    def solve(self, e: Eq) -> list[int]:
+        """Add e to the equations and return the woken ids: the alive
+        entries whose form changes from the old theta to the new one, none
+        when the equations become unsatisfiable.  Only e is solved: sigma,
+        the m.g.u. of theta(e), is composed onto theta, and an entry's form
+        changes exactly when it mentions a variable sigma binds."""
+        self.eqs.append(e)
+        phi = self.theta
+        if phi is None:
             return []
-        phi = self.theta or {}
-        return [cid for cid in sorted(self.alive)
-                if apply_subst(phi, self.entries[cid])
-                != apply_subst(theta, self.entries[cid])]
+        sigma = mgu([Eq(apply_subst(phi, e.lhs), apply_subst(phi, e.rhs))])
+        if sigma is None:
+            self.theta = None
+            return []
+        theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
+                 for x, t in phi.items()}
+        theta.update(sigma)
+        self.theta = theta
+        ids: set[int] = set()
+        for v in sigma:
+            ids.update(self.occ.pop(v, ()))
+        woken = sorted(ids & self.alive)
+        for cid in woken:
+            self.note_vars(cid)
+        return woken
 
     def live_items(self) -> list[tuple[Chr, int]]:
         return [(self.entries[i], i) for i in sorted(self.alive)]
@@ -152,10 +185,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
         if rep.goals[key] <= 0:
             return f"activated goal {key} not in the goal multiset"
         rep.goal_remove(key)
-        rep.entries[st.goal_id] = st.goal
-        rep.keys[st.goal_id] = key
-        rep.alive.add(st.goal_id)
-        rep.numbered[st.goal_id] += 1
+        rep.activate(st.goal_id, st.goal, key)
         return None
 
     if st.kind == "Solve":
@@ -166,14 +196,11 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
             return f"solved equation {key} not in the goal multiset"
         if st.simp_ids:
             return "solve must not simplify"
-        theta = mgu(rep.eqs + [st.goal])
-        woken = rep.wake_ids(theta)
+        woken = rep.solve(st.goal)  # a failed step ends the replay
         if list(st.prop_ids) != woken:
             return (f"wake-up mismatch: recorded {list(st.prop_ids)}, "
                     f"expected {woken}")
         rep.goal_remove(key)
-        rep.eqs.append(st.goal)
-        rep.theta = theta
         for cid in woken:
             rep.numbered[cid] += 1
         return None

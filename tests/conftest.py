@@ -4,7 +4,7 @@ import itertools
 import sys
 from collections import Counter, deque
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 import pytest
 
@@ -156,6 +156,18 @@ def canonical_modulo_equations(cs: Iterable[Constraint]) -> tuple[str, ...]:
     bindings = sorted(f"{x}={render_term(t)}" for x, t in solved.items()
                       if t != Var(x))
     return tuple(chrs + bindings)
+
+
+def brute_force_woken(items: Iterable[NumberedConstraint], phi: Subst,
+                      theta: Optional[Subst]) -> list[int]:
+    """The wake-up rule by brute force, over the whole store: the ids of the
+    (raw, alive) items whose form under the old m.g.u. phi differs from
+    their form under the new one theta; none when theta is None (the
+    equations became unsatisfiable)."""
+    if theta is None:
+        return []
+    return [nc.id for nc in items
+            if apply_subst(phi, nc.constraint) != apply_subst(theta, nc.constraint)]
 
 
 def program_text(name: str) -> str:

@@ -1,9 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
+from chrkit.concurrent import EngineConfig, run_concurrent
+from chrkit.sequential import run_sequential
 from chrkit.store import DeadIdError, NumberedConstraint, Store
-from chrkit.terms import Chr, Const, Eq, Var, mgu
+from chrkit.syntax import load_program, parse_goals
+from chrkit.terms import (App, Chr, Const, Eq, Var, apply_subst, mgu,
+                          render_constraint)
+from chrkit.verify import _Replica
+
+from conftest import (brute_force_woken, canonical_modulo_equations,
+                      equation_fuzz_case)
 
 
 def chr1(pred, *vals):
@@ -165,19 +174,108 @@ def test_add_equation_renormalizes_matching_view():
 
 
 def test_add_equation_solves_the_equations_once(monkeypatch):
+    # each add_equation solves only its new equation, under the m.g.u. so far
     import chrkit.store
     calls = []
 
     def counted(eqs):
-        calls.append(len(eqs))
-        return mgu(eqs)
+        calls.append(list(eqs))
+        return mgu(calls[-1])
 
     monkeypatch.setattr(chrkit.store, "mgu", counted)
     st = Store()
     st.insert(Chr("A", (Var("a"),)))
     st.add_equation(Eq(Var("a"), Var("b")))
-    st.add_equation(Eq(Var("b"), Const(2)))
-    assert calls == [1, 2]
+    st.add_equation(Eq(Var("a"), Const(2)))
+    assert calls == [[Eq(Var("a"), Var("b"))], [Eq(Var("b"), Const(2))]]
+    assert st.theta == {"a": Const(2), "b": Const(2)}
+
+
+VARS = ("u", "v", "w", "x", "y", "z")
+
+
+def random_term(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.5:
+        return Var(rng.choice(VARS))
+    if roll < 0.8 or depth:
+        return Const(rng.randrange(3))
+    return App(rng.choice("+-*"), (random_term(rng, 1), random_term(rng, 1)))
+
+
+def random_equations(rng) -> list[Eq]:
+    """Random equation lists: terms over a few variables, small integers and
+    arithmetic applications, variable chains, and occurs-check failures."""
+    eqs = []
+    for _ in range(rng.randrange(1, 8)):
+        roll = rng.random()
+        if roll < 0.25:
+            chain = rng.sample(VARS, rng.randrange(2, 4))
+            eqs.extend(Eq(Var(a), Var(b)) for a, b in zip(chain, chain[1:]))
+        elif roll < 0.3:
+            x = Var(rng.choice(VARS))
+            eqs.append(Eq(x, App("+", (x, Const(1)))))
+        else:
+            eqs.append(Eq(random_term(rng), random_term(rng)))
+    return eqs
+
+
+def test_incremental_solve_agrees_with_whole_list_mgu():
+    """Folding add_equation over an equation list gives the same verdict as
+    mgu over the whole list and the same answer modulo the equation theory;
+    theta stays idempotent, and the verifier's replica, solving the same
+    equations its own way, binds exactly the same variables to the same
+    terms and wakes the same ids."""
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(1500):
+        eqs = random_equations(rng)
+        st, rep = Store(), _Replica(())
+        chrs = [Chr("A", (Var(a), Var(b))) for a, b in zip(VARS, VARS[1:])]
+        for cid, c in enumerate(chrs, 1):
+            st.insert(c)
+            rep.activate(cid, c, render_constraint(c))
+        for e in eqs:
+            woken = [nc.id for nc in st.add_equation(e)]
+            assert rep.solve(e) == woken
+            assert rep.theta == st.theta
+        whole = mgu(eqs)
+        assert st.inconsistent == (whole is None), eqs
+        outcomes[whole is None] += 1
+        if whole is None:
+            continue
+        theta = st.theta
+        for x, t in theta.items():
+            assert t != Var(x) and apply_subst(theta, t) == t, (eqs, theta)
+        solved = [Eq(Var(x), t) for x, t in theta.items()]
+        assert (canonical_modulo_equations(chrs + solved)
+                == canonical_modulo_equations(chrs + eqs)), eqs
+    assert min(outcomes.values()) > 300  # both verdicts are common
+
+
+def test_add_equation_wakes_by_the_brute_force_rule(monkeypatch):
+    """At every Solve of the equation fuzz cases, on both goal engines, the
+    woken list is the brute-force rule over the whole store."""
+    real = Store.add_equation
+    woke = Counter()
+
+    def checked(self, e):
+        items, phi = self.live_items(), self.theta
+        woken = real(self, e)
+        expected = [] if phi is None else brute_force_woken(items, phi,
+                                                            self.theta)
+        assert [nc.id for nc in woken] == expected, (e, items, phi)
+        woke[bool(woken)] += 1
+        return woken
+
+    monkeypatch.setattr(Store, "add_equation", checked)
+    rng = random.Random(20240817)
+    for _ in range(150):
+        text, gtext = equation_fuzz_case(rng)
+        program, goals = load_program(text), parse_goals(gtext)
+        run_sequential(goals, program)
+        run_concurrent(goals, program, EngineConfig(workers=1))
+    assert woke[True] >= 40 and woke[False] >= 40  # 50 of 424 Solves wake
 
 
 def test_drop_ids_multiset():

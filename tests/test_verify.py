@@ -127,6 +127,25 @@ def test_replay_same_id_woken_twice():
     assert verdict.passed, verdict.detail
 
 
+@pytest.mark.parametrize("text,goals", [
+    ("c @ C(a) <=> a==2 | true.", "C(x),C(y),C(z),x=y,x=z,z=2"),
+    ("r @ A(a), B(b) <=> a=b.\nq @ A(a) <=> a==1 | true.",
+     "A(x),B(y),A(z),B(w),x=z,C(x),C(y),C(z),y=1"),
+])
+def test_replay_agrees_on_variable_to_variable_bindings(text, goals):
+    # which variable of `y=z` (x=z under x=y) gets bound decides which
+    # entries wake; the engines and the replica must bind the same one
+    p, goals = load_program(text), parse_goals(goals)
+    runs = [(run_sequential(goals, p), False)]
+    runs += [(run_concurrent(goals, p, EngineConfig(workers=w, seed=seed)), True)
+             for w in (1, 2) for seed in range(5)]
+    for res, concurrent in runs:
+        text = serialize_trace(res.trace, {}, res.status,
+                               res.state.store.dump())
+        verdicts = verify_run(text, goals, p, concurrent=concurrent)
+        assert all(v.passed for v in verdicts), verdicts
+
+
 def test_replay_failed_concurrent_runs():
     # firings racing an inconsistency must linearize before it or not at all
     p = load_program("r1 @ A(x), B(x) <=> C(x).")
