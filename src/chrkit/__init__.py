@@ -15,7 +15,7 @@ from .syntax import (ParseError, Program, Rule, compile_occurrences,
 from .terms import (App, Chr, Const, Eq, EvalError, Term, Var, apply_subst,
                     entails, eval_ground, match, mgu)
 from .trace import Step, parse_trace, serialize_trace
-from .verify import (Verdict, audit_overlap, check_final, decompose_k, no_ids,
+from .verify import (Verdict, audit_overlap, check_final, decompose_k,
                      project_abstract, replay, verify_run)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

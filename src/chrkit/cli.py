@@ -6,8 +6,9 @@
            [--check-invariants]
 
 Prints the final store in dump format.  Exit codes: 0 success, 1 parse or
-validation error, verification failure or step limit, 2 internal invariant
-breach.
+validation error (a term nested too deeply for the interpreter included),
+unwritable trace file, verification failure or step limit, 2 internal
+invariant breach.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                            max_steps=args.max_steps)
         if args.repeat is not None and args.repeat < 1:
             raise ValueError("repeat must be >= 1")
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -150,8 +151,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"status: {status}", file=sys.stderr)
             return 1
         return 0
-    except (ParseError, TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, TraceFormatError, OSError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # OSError: writing --trace
         return 1
     except (InvariantViolation, DeadIdError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)

@@ -2,25 +2,26 @@
 
 Each worker repeatedly takes one goal and performs exactly one derivation
 step against the shared store (single-step execution; goals are stored at
-activation).  A firing found by scanning is only made real by an atomic
-commit: under the store lock, every involved id is revalidated alive, and
-the simplified ids must not have been propagated over by any firing that
-committed after this scan began (the last-propagation-tick check).  The
-second condition is what makes every pair of committed records whose
-(start, commit) intervals overlap non-overlapping in the side-effect sense:
-their simplified sets are disjoint from each other's propagated and
-simplified sets.  An aborted commit mutated nothing; the worker resumes its
-partner search, or rescans with a fresh start tick after a tick conflict.
+activation).  Every step commits in one store-lock section that checks the
+step limit, numbers the step by its position in the trace, applies it and
+appends it, so the trace is the engine's only clock: a step's seq is its
+commit tick, as in the sequential engine, and a scan's start is the last
+seq it can see.  A firing found by scanning is made real only by that
+commit: every involved id is revalidated alive, and the simplified ids must
+not have been propagated over by a step that committed after the scan's
+start (the last-propagation-tick check).  The second condition is what
+makes every pair of committed records whose (start, commit) intervals
+overlap non-overlapping in the side-effect sense: their simplified sets are
+disjoint from each other's propagated and simplified sets.  An aborted
+commit mutated nothing; the worker resumes its partner search, or rescans
+from a fresh start after a tick conflict.
 
 What a firing does (step kind, side effect, propagation-history key, kept
 only for pure propagation rules, and the goals it pushes) comes from the
-firing core in `matching` that the sequential engine uses too, so a
-concurrent goal step is a sequential one made real by the commit.
-
-Solve (equation insertion plus wake-up) runs in one store-lock critical
-section, serialized against all commits, and the woken ids are recorded as
-propagated at the solve's commit tick.  The step limit is checked under the
-store lock before a step commits, so a run records at most max_steps steps.
+firing core in `matching` that the sequential engine uses too.  Activated,
+pushed and woken goals go to the front of the worker's own goals, where the
+sequential engine puts them, so a one-worker run is the sequential
+derivation step for step.  A Solve's woken ids are its propagated set.
 """
 from __future__ import annotations
 
@@ -64,9 +65,11 @@ class _Pool:
         self.stopped = False
         self.rng = rng
 
-    def push_many(self, items: Iterable) -> None:
+    def push_front(self, items: deque) -> None:
+        """A stopping worker's own goals go back in front of the pool,
+        where the sequential engine would still hold them."""
         with self.cond:
-            self.items.extend(items)
+            self.items.extendleft(reversed(items))
             self.cond.notify_all()
 
     def pop(self):
@@ -107,20 +110,11 @@ class ConcurrentEngine:
         self.store = Store()
         rng = random.Random(cfg.seed) if cfg.workers > 1 else None
         self.pool = _Pool(cfg.workers, rng)
-        self.trace: list[Step] = []  # appended under the store lock: seq order
+        self.trace: list[Step] = []  # the commit clock: a step's seq is its index
         self.history: set[HistoryKey] = set()
         self.last_prop_tick: dict[int, int] = {}
-        self._tick = 0
-        self._tick_lock = threading.Lock()
         self.status = "done"
         self._crashed: Optional[BaseException] = None
-
-    # ------------------------------------------------------------- ticks
-
-    def _next_tick(self) -> int:
-        with self._tick_lock:
-            self._tick += 1
-            return self._tick
 
     def _stop(self, status: str) -> None:
         self.status = status
@@ -128,13 +122,37 @@ class ConcurrentEngine:
 
     # ----------------------------------------------------------- commits
 
+    def _commit(self, start: int, worker: int, effect) -> Optional[Step]:
+        """The commit section of every step.  Under the store lock: stop at
+        the step limit, number the step by its trace position, apply its
+        effect (`effect(seq, worker, interval)` mutates the store and returns
+        the step, or None having mutated nothing), mark the step as the last
+        propagation over its prop_ids, and append it."""
+        with self.store.lock:
+            limit = self.cfg.max_steps
+            if limit is not None and len(self.trace) >= limit:
+                if self.status == "done":
+                    self._stop("step-limit")
+                raise _StepLimit
+            seq = len(self.trace)
+            step = effect(seq, worker, (start, seq))
+            if step is not None:
+                for i in step.prop_ids:
+                    self.last_prop_tick[i] = seq
+                # The append is the last write of every commit: a scan reads
+                # its start, len(self.trace) - 1, without the lock, as the
+                # last seq whose effects it can see.
+                self.trace.append(step)
+            return step
+
     def commit_firing(self, simp_ids: tuple[int, ...],
                       prop_ids: tuple[int, ...], start_tick: int,
                       history_key: Optional[HistoryKey] = None) -> Optional[int]:
         """Atomically: revalidate every involved id alive, refuse simplified
-        ids propagated over since start_tick, then kill the simplified set.
-        Returns the commit tick, or None if nothing was mutated.  Raises
-        _TickConflict when the scan must restart with a fresh start tick.
+        ids propagated over after start_tick (the last seq the scan saw),
+        then kill the simplified set.  Returns the commit tick, or None if
+        nothing was mutated.  Raises _TickConflict when the scan must
+        restart from a fresh start.
         """
         store = self.store
         with store.lock:
@@ -143,61 +161,37 @@ class ConcurrentEngine:
             if not all(store.alive(i) for i in simp_ids + prop_ids):
                 return None  # lost race: some head died under us
             for i in simp_ids:
-                if self.last_prop_tick.get(i, 0) >= start_tick:
+                if self.last_prop_tick.get(i, -1) > start_tick:
                     raise _TickConflict
             if history_key is not None:
                 if history_key in self.history:
                     return None  # another worker fired this instance first
                 self.history.add(history_key)
-            tick = self._next_tick()
-            for i in prop_ids:
-                self.last_prop_tick[i] = tick
             if simp_ids:
                 store.kill(simp_ids)
-            return tick
-
-    def _at_limit(self, goal) -> bool:
-        """Called with the store lock held, before a step commits: once the
-        trace holds max_steps steps, put the goal back and stop the run."""
-        limit = self.cfg.max_steps
-        if limit is None or len(self.trace) < limit:
-            return False
-        if self.status == "done":
-            self._stop("step-limit")
-        self.pool.push_many([goal])
-        return True
+            return len(self.trace)
 
     # ------------------------------------------------------------- steps
 
     def _activate(self, c: Chr, local: deque, worker: int) -> None:
-        start = self._next_tick()
-        with self.store.lock:
-            if self._at_limit(c):
-                return
+        def activate(seq, worker, interval):
             nc = self.store.insert(c)
-            tick = self._next_tick()
-            self.trace.append(Step(tick, "Activate", c, nc.id, worker=worker,
-                                   interval=(start, tick)))
-        local.appendleft(nc)
+            local.appendleft(nc)  # executes next
+            return Step(seq, "Activate", c, nc.id, worker=worker,
+                        interval=interval)
+        self._commit(len(self.trace) - 1, worker, activate)
 
-    def solve_serialized(self, e: Eq, worker: int) -> None:
-        """Equation insertion plus wake-up as one critical section against
-        all commits; woken constraints are this step's propagated set."""
-        start = self._next_tick()
-        with self.store.lock:
-            if self._at_limit(e):
-                return
+    def _solve(self, e: Eq, local: deque, worker: int) -> None:
+        """Equation insertion plus wake-up as one commit; the woken
+        constraints are this step's propagated set and execute next."""
+        def solve(seq, worker, interval):
             woken = self.store.add_equation(e)
-            tick = self._next_tick()
-            woken_ids = tuple(nc.id for nc in woken)
-            for i in woken_ids:
-                self.last_prop_tick[i] = tick
-            self.trace.append(Step(tick, "Solve", e, prop_ids=woken_ids,
-                                   worker=worker, interval=(start, tick)))
+            local.extendleft(reversed(woken))  # ascending id order
             if self.store.inconsistent:
                 self._stop("failed")
-        if woken:
-            self.pool.push_many(woken)
+            return Step(seq, "Solve", e, prop_ids=tuple(nc.id for nc in woken),
+                        worker=worker, interval=interval)
+        self._commit(len(self.trace) - 1, worker, solve)
 
     def _execute_numbered(self, goal: NumberedConstraint, local: deque,
                           worker: int) -> None:
@@ -205,38 +199,35 @@ class ConcurrentEngine:
         while True:
             if not store.alive(goal.id):
                 return  # stale goal: discarded on dequeue, no trace step
+            start = len(self.trace) - 1
             goal = store.get(goal.id)
-            start = self._next_tick()
             try:
                 if self._try_fire(goal, local, worker, start):
                     return
             except _TickConflict:
                 continue  # a concurrent commit raced us; rescan afresh
-            # no occurrence fired: Drop (the goal stays in the store)
-            with store.lock:
-                if store.alive(goal.id) and not self._at_limit(goal):
-                    tick = self._next_tick()
-                    now = store.get(goal.id).constraint
-                    self.trace.append(Step(tick, "Drop", now, goal.id,
-                                           worker=worker,
-                                           interval=(start, tick)))
-            return
+            break
+
+        def drop(seq, worker, interval):  # the goal stays in the store
+            if not store.alive(goal.id):
+                return None
+            return Step(seq, "Drop", store.get(goal.id).constraint, goal.id,
+                        worker=worker, interval=interval)
+        self._commit(start, worker, drop)
 
     def _try_fire(self, goal: NumberedConstraint, local: deque, worker: int,
                   start: int) -> bool:
         for m in iter_matches(self.store, goal, self.program):
-            key = m.history_key
-            if key in self.history:
+            if m.history_key in self.history:
                 continue  # dirty check; the commit rechecks atomically
-            with self.store.lock:
-                if self._at_limit(goal):
-                    return True  # the goal went back to the pool
-                tick = self.commit_firing(m.simp_ids, m.prop_ids, start, key)
-                if tick is None:
-                    continue  # aborted: resume the partner search
-                self.trace.append(m.step(tick, worker, (start, tick)))
-            local.extendleft(reversed(m.continuation()))
-            return True
+
+            def fire(seq, worker, interval, m=m):
+                tick = self.commit_firing(m.simp_ids, m.prop_ids, start,
+                                          m.history_key)
+                return None if tick is None else m.step(seq, worker, interval)
+            if self._commit(start, worker, fire) is not None:
+                local.extendleft(reversed(m.continuation()))
+                return True
         return False
 
     # --------------------------------------------------------------- run
@@ -247,24 +238,25 @@ class ConcurrentEngine:
             while True:
                 if self.pool.stopped and self.status != "done":
                     break
-                if local:
-                    g = local.popleft()
-                else:
-                    g = self.pool.pop()
-                    if g is None:
-                        break
-                if isinstance(g, NumberedConstraint):
-                    self._execute_numbered(g, local, wid)
-                elif isinstance(g, Eq):
-                    self.solve_serialized(g, wid)
-                else:
-                    self._activate(g, local, wid)
+                g = local.popleft() if local else self.pool.pop()
+                if g is None:
+                    break
+                try:
+                    if isinstance(g, NumberedConstraint):
+                        self._execute_numbered(g, local, wid)
+                    elif isinstance(g, Eq):
+                        self._solve(g, local, wid)
+                    else:
+                        self._activate(g, local, wid)
+                except _StepLimit:
+                    local.appendleft(g)  # it did not step; back to the pool
+                    break
         except BaseException as exc:  # propagate to the main thread
             self._crashed = exc
             self._stop("failed")
         finally:
             if local:
-                self.pool.push_many(local)
+                self.pool.push_front(local)
 
     def run(self, goals: Iterable[Constraint]) -> RunResult:
         self.pool.items.extend(normalize_constraint(g) for g in goals)
@@ -278,6 +270,10 @@ class ConcurrentEngine:
             raise self._crashed
         state = State(goals=deque(self.pool.items), store=self.store)
         return RunResult(state, self.trace, self.history, self.status)
+
+
+class _StepLimit(Exception):
+    """The trace holds max_steps steps; the run stops."""
 
 
 class _TickConflict(Exception):

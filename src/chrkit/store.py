@@ -178,15 +178,15 @@ class Store:
 
     # ------------------------------------------------------------ search
 
-    def candidates(self, pred: str, partial: Subst, pattern: Chr) -> list[NumberedConstraint]:
-        """Alive constraints of the predicate that could match the pattern
+    def candidates(self, partial: Subst, pattern: Chr) -> list[NumberedConstraint]:
+        """Alive constraints of the pattern's predicate that could match it
         under the partial bindings, in their equation-normal form.  When
         some pattern argument is ground under `partial`, the per-argument
         hash index gives (expected) constant-time lookup; otherwise the
         predicate bucket is scanned.  Ascending id order; no constraint is
         yielded twice.
         """
-        key = None
+        pred, key = pattern.pred, None
         for pos, arg in enumerate(pattern.args):
             inst = normalize_term(apply_subst(partial, arg))
             if is_ground(inst):

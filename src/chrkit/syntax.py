@@ -24,7 +24,8 @@ from functools import cached_property
 from typing import Optional
 
 from .terms import (App, Chr, Const, Constraint, Eq, Term, Var,
-                    render_constraint, render_term, vars_of, INT64_MAX)
+                    render_constraint, render_term, vars_of, INT64_MAX,
+                    INT64_MIN)
 
 
 class ParseError(Exception):
@@ -186,16 +187,12 @@ class _Parser:
 
     def _primary(self) -> Term:
         t = self.peek()
-        if t.kind == "int":
-            self.take()
-            v = int(t.text)
-            if v > INT64_MAX:
+        if t.kind == "int" or (t.kind == "sym" and t.text == "-"):
+            self.take()  # a '-' here starts a negative literal, nothing else
+            v = int(t.text) if t.kind == "int" else -int(self.expect("int").text)
+            if not INT64_MIN <= v <= INT64_MAX:
                 raise ParseError("integer literal out of 64-bit range", t.line, t.col)
             return Const(v)
-        if t.kind == "sym" and t.text == "-":  # negative literal only
-            self.take()
-            lit = self.expect("int")
-            return Const(-int(lit.text))
         if t.kind == "atom":
             self.take()
             return Const(t.text)

@@ -29,9 +29,10 @@ FIRINGS = ("Simplify", "Propagate")
 class Step:
     """One derivation step.  `goal_id` is set when the goal is a numbered
     constraint; `prop_ids`/`simp_ids` are the side effect H_P \\ H_S, the
-    sorted ids the step propagated over and simplified away; a concurrent
-    commit also carries its worker and (start tick, commit tick) interval.
-    seq numbers are a total order consistent with real-time commit order."""
+    sorted ids the step propagated over and simplified away.  In both
+    engines seq is the step's position in its trace, which is commit order.
+    A concurrent commit also carries its worker and its (start, commit)
+    interval: commit is its seq, start the last seq its scan saw."""
 
     seq: int
     kind: str

@@ -67,12 +67,6 @@ class Verdict:
         return f"{self.check}: {mark}{tail}"
 
 
-def no_ids(goals: Iterable) -> list[Constraint]:
-    """Un-numbered CHR constraints and equations of a goal multiset; numbered
-    goals are dropped (their store copy carries them)."""
-    return [g for g in goals if not isinstance(g, NumberedConstraint)]
-
-
 class _Replica:
     """Fresh store + goal multiset driven purely by trace steps.  Un-numbered
     goals are counted by rendered constraint; numbered goals by id alone, as

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -306,7 +306,11 @@ def test_criterion_10_single_worker_equals_sequential():
         seq = run_sequential(goals, program, policy="fifo")
         con = run_concurrent(goals, program, EngineConfig(workers=1))
         assert con.state.store.dump() == seq.state.store.dump(), name
-    print(f"\nCRITERION 10 PASS byte-identical dumps on "
+        # the same steps under the same seq numbers; only a concurrent
+        # commit carries a worker and an interval
+        assert [replace(r, worker=None, interval=None) for r in con.trace] \
+            == seq.trace, name
+    print(f"\nCRITERION 10 PASS byte-identical dumps and traces on "
           f"{len(CORPUS)} corpus programs")
 
 

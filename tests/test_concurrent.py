@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -8,14 +8,15 @@ from chrkit.abstract import canonical_multiset
 from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                                _TickConflict)
 from chrkit.sequential import run_sequential
+from chrkit.store import NumberedConstraint
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Var
 from chrkit.trace import serialize_trace, step_to_line
 from chrkit.verify import check_final, decompose_k, verify_run
 
-from conftest import (CORPUS, MULTI_FIRING, fuzz_case, goals_for, load,
-                      overlapping_firing_pairs, run_pitfall_variant,
-                      run_scripted_pair, scripted_overlap)
+from conftest import (CORPUS, MULTI_FIRING, equation_fuzz_case, fuzz_case,
+                      goals_for, load, overlapping_firing_pairs,
+                      run_pitfall_variant, run_scripted_pair, scripted_overlap)
 
 
 def canon_store(state):
@@ -34,26 +35,42 @@ def test_empty_goals_empty_trace():
     assert res.state.store.dump() == ""
 
 
-def _steps(trace):
-    """Each step's trace line without its seq: kind, goal, rule, phi, P, S."""
-    return [step_to_line(replace(r, worker=None, interval=None))
-            .split(" ", 1)[1] for r in trace]
+def _lines(trace):
+    """Each step's trace line, seq included, without worker and interval."""
+    return [step_to_line(replace(r, worker=None, interval=None)) for r in trace]
 
 
 def test_single_worker_matches_sequential_dump_on_corpus():
-    # equation_fuzz_case is left out: sequential puts woken goals at the
-    # front of its goals, concurrent at the back of the shared pool
-    rng = random.Random(5)
+    """One worker is the sequential derivation: the same steps with the same
+    seq numbers, and the same final store."""
     cases = [(name, load(name), goals_for(name)) for name in CORPUS]
-    for k in range(150):
+    rng = random.Random(5)
+    for k in range(200):
         text, goals = fuzz_case(rng)
         cases.append((f"fuzz {k}", load_program(text), parse_goals(goals)))
+    rng = random.Random(20240817)
+    for k in range(150):
+        text, goals = equation_fuzz_case(rng)
+        cases.append((f"eqfuzz {k}", load_program(text), parse_goals(goals)))
     for name, p, goals in cases:
         seq = run_sequential(goals, p, policy="fifo")
         con = run_concurrent(goals, p, EngineConfig(workers=1))
-        assert con.status == seq.status == "done", name
+        assert con.status == seq.status, name
         assert con.state.store.dump() == seq.state.store.dump(), name
-        assert _steps(con.trace) == _steps(seq.trace), name
+        assert _lines(con.trace) == _lines(seq.trace), name
+
+
+def test_single_worker_step_limit_leaves_the_sequential_goals():
+    """At a step limit one worker leaves the goals the sequential engine
+    leaves, less the stale copies that engine has not discarded yet."""
+    p, goals = load("mergesort"), goals_for("mergesort")
+    for limit in range(60):
+        seq = run_sequential(goals, p, max_steps=limit)
+        con = run_concurrent(goals, p, EngineConfig(workers=1, max_steps=limit))
+        live = [g for g in seq.state.goals
+                if not isinstance(g, NumberedConstraint)
+                or seq.state.store.alive(g.id)]
+        assert list(con.state.goals) == live, limit
 
 
 def test_gcd_answer_stable_across_workers_and_seeds():
@@ -96,11 +113,11 @@ def test_commit_firing_loses_race_on_dead_id():
     g1 = eng.store.insert(Chr("Get", (Var("x1"),)))
     g2 = eng.store.insert(Chr("Get", (Var("x2"),)))
     put = eng.store.insert(Chr("Put", (Const(1),)))
-    start = eng._next_tick()
-    first = eng.commit_firing((g1.id, put.id), (), start)
+    first = eng.commit_firing((g1.id, put.id), (), len(eng.trace) - 1)
     assert first is not None
-    # the same Put can only die once: the second firing must abort
-    second = eng.commit_firing((g2.id, put.id), (), eng._next_tick())
+    # the same Put can only die once: the second firing must abort, even
+    # from a scan that saw the first commit
+    second = eng.commit_firing((g2.id, put.id), (), first)
     assert second is None
     assert eng.store.alive(g2.id)  # aborted commit mutated nothing
 
@@ -108,31 +125,34 @@ def test_commit_firing_loses_race_on_dead_id():
 def test_commit_firing_empty_simplified_set_commits():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
     nc = eng.store.insert(Chr("P"))
-    tick = eng.commit_firing((), (nc.id,), eng._next_tick())
+    tick = eng.commit_firing((), (nc.id,), len(eng.trace) - 1)
     assert tick is not None
     assert eng.store.alive(nc.id)
     assert eng.store.dump() == "P#1"
 
 
 def test_commit_firing_rejects_simplify_after_overlapping_propagation():
-    eng = ConcurrentEngine(load("gcd"), EngineConfig(workers=1))
-    nc = eng.store.insert(Chr("Gcd", (Const(3),)))
-    early_start = eng._next_tick()
-    assert eng.commit_firing((), (nc.id,), eng._next_tick()) is not None
+    eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
+    nc = eng.store.insert(Chr("P"))
+    early_start = len(eng.trace) - 1
+    eng._execute_numbered(nc, deque(), 0)  # commits r1, propagating over P
+    (prop,) = eng.trace
+    assert (prop.kind, prop.prop_ids) == ("Propagate", (nc.id,))
     # a firing whose scan started before that propagation committed must
     # retry rather than kill the propagated head
     with pytest.raises(_TickConflict):
         eng.commit_firing((nc.id,), (), early_start)
-    # with a fresh scan it goes through
-    assert eng.commit_firing((nc.id,), (), eng._next_tick()) is not None
+    # with a fresh scan, which saw the propagation, it goes through
+    assert eng.commit_firing((nc.id,), (), prop.seq) is not None
 
 
 def test_propagation_history_insert_if_absent_is_atomic():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
     nc = eng.store.insert(Chr("P"))
     key = ("r1", (nc.id,))
-    assert eng.commit_firing((), (nc.id,), eng._next_tick(), key) is not None
-    assert eng.commit_firing((), (nc.id,), eng._next_tick(), key) is None
+    tick = eng.commit_firing((), (nc.id,), len(eng.trace) - 1, key)
+    assert tick is not None
+    assert eng.commit_firing((), (nc.id,), tick, key) is None
 
 
 def test_two_concurrent_solves_both_land():

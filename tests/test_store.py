@@ -51,7 +51,7 @@ def test_kill_marks_dead_and_removes_from_lookups():
     assert not st.alive(a.id)
     assert st.alive(b.id)
     assert [nc.id for nc in st.live_items()] == [b.id]
-    assert st.candidates("A", {}, Chr("A", (Var("x"),))) == []
+    assert st.candidates({}, Chr("A", (Var("x"),))) == []
 
 
 def test_kill_empty_set_is_identity():
@@ -84,20 +84,20 @@ def test_candidates_uses_ground_argument_index():
     hits = [st.insert(chr1("B", 1)) for _ in range(3)]
     st.insert(chr1("B", 2))
     st.insert(chr1("B", 7))
-    got = st.candidates("B", {"x": Const(1)}, Chr("B", (Var("x"),)))
+    got = st.candidates({"x": Const(1)}, Chr("B", (Var("x"),)))
     assert [nc.id for nc in got] == [nc.id for nc in hits]
 
 
 def test_candidates_empty_store():
     st = Store()
-    assert st.candidates("A", {}, Chr("A", (Var("x"),))) == []
+    assert st.candidates({}, Chr("A", (Var("x"),))) == []
 
 
 def test_candidates_non_ground_key_scans_predicate():
     st = Store()
     inserted = [st.insert(chr1("A", k)) for k in range(5)]
     st.insert(chr1("B", 9))
-    got = st.candidates("A", {}, Chr("A", (Var("x"),)))
+    got = st.candidates({}, Chr("A", (Var("x"),)))
     # linear-scan oracle: every alive A in id order
     assert [nc.id for nc in got] == [nc.id for nc in inserted]
 
@@ -117,7 +117,7 @@ def test_candidates_index_agrees_with_linear_scan_randomized():
     for pred in "AB":
         for v in range(4):
             got = [nc.id for nc in
-                   st.candidates(pred, {"x": Const(v)}, Chr(pred, (Var("x"),)))]
+                   st.candidates({"x": Const(v)}, Chr(pred, (Var("x"),)))]
             want = [nc.id for nc in st.live_items()
                     if nc.constraint.pred == pred
                     and nc.constraint.args[0] == Const(v)]
@@ -128,7 +128,7 @@ def test_index_completeness():
     st = Store()
     ncs = [st.insert(chr1("A", k % 3)) for k in range(9)]
     st.kill({ncs[0].id, ncs[4].id})
-    listed = {nc.id for nc in st.candidates("A", {}, Chr("A", (Var("v"),)))}
+    listed = {nc.id for nc in st.candidates({}, Chr("A", (Var("v"),)))}
     assert listed == {nc.id for nc in st.live_items()}
 
 
@@ -168,7 +168,7 @@ def test_add_equation_renormalizes_matching_view():
     # the raw entry never changes; the matching view and index follow theta
     assert st.live_items() == [NumberedConstraint(Chr("A", (Var("a"),)), a.id)]
     assert st.get(a.id).constraint == chr1("A", 2)
-    got = st.candidates("A", {"x": Const(2)}, Chr("A", (Var("x"),)))
+    got = st.candidates({"x": Const(2)}, Chr("A", (Var("x"),)))
     assert [nc.id for nc in got] == [a.id]
     assert st.dump() == "A(a)#1\na=2"
 

@@ -82,6 +82,15 @@ def test_head_equation_rejected():
         parse_program("a @ x=1 <=> true.")
 
 
+def test_integer_literals_stay_in_64_bit_range():
+    assert parse_goals("A(-9223372036854775808),A(9223372036854775807)") == (
+        Chr("A", (Const(-(1 << 63)),)), Chr("A", (Const((1 << 63) - 1),)))
+    for text in ("A(-9223372036854775809)", "A(9223372036854775808)",
+                 "A(-99999999999999999999999)"):
+        with pytest.raises(ParseError, match="64-bit range"):
+            parse_goals(text)
+
+
 def test_comments_and_whitespace_are_insignificant():
     text = "% comment\n  a @ P <=>\n   true.  % trailing\n"
     assert len(parse_program(text).rules) == 1

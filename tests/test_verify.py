@@ -11,8 +11,7 @@ from chrkit.terms import FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var
 from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError, parse_line,
                           parse_trace, serialize_trace, step_to_line)
 from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
-                           decompose_k, no_ids, project_abstract, replay,
-                           verify_run)
+                           decompose_k, project_abstract, replay, verify_run)
 
 from conftest import CORPUS, all_pairs_audit, goals_for, load
 
@@ -35,19 +34,6 @@ def con_trace_text(name, workers=4, seed=0, goals=None):
         {"engine": "concurrent", "workers": str(workers), "seed": str(seed)},
         res.status, res.state.store.dump())
     return p, goals, res, text
-
-
-# ---------------------------------------------------------------- no_ids
-
-def test_no_ids_keeps_plain_constraints_and_equations():
-    goals = [NumberedConstraint(Chr("Get", (Var("x2"),)), 2),
-             Chr("Put", (Const(2),)),
-             Eq(Var("x1"), Const(1))]
-    assert no_ids(goals) == [Chr("Put", (Const(2),)), Eq(Var("x1"), Const(1))]
-
-
-def test_no_ids_empty():
-    assert no_ids([]) == []
 
 
 # ---------------------------------------------------------------- replay
