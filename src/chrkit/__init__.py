@@ -10,8 +10,8 @@ from .abstract import (AbstractStore, LimitExceeded, canonical_multiset,
 from .concurrent import ConcurrentEngine, EngineConfig, run_concurrent
 from .sequential import SequentialEngine, run_sequential
 from .store import NumberedConstraint, State, Store
-from .syntax import (ParseError, Program, Rule, compile_occurrences,
-                     load_program, parse_goals, parse_program, pretty_program)
+from .syntax import (ParseError, Program, Rule, load_program, parse_goals,
+                     parse_program, pretty_program)
 from .terms import (App, Chr, Const, Eq, EvalError, Term, Var, apply_subst,
                     entails, eval_ground, match, mgu)
 from .trace import Step, parse_trace, serialize_trace

@@ -103,8 +103,6 @@ class _Pool:
 
 class ConcurrentEngine:
     def __init__(self, program: Program, cfg: EngineConfig):
-        if not program.occurrences and program.rules:
-            raise ValueError("program was not compiled (no occurrence table)")
         self.program = program
         self.cfg = cfg
         self.store = Store()

@@ -35,8 +35,6 @@ class SequentialEngine:
                  check_invariants: bool = False):
         if policy not in ("fifo", "lifo"):
             raise ValueError(f"unknown goal policy {policy!r}")
-        if not program.occurrences and program.rules:
-            raise ValueError("program was not compiled (no occurrence table)")
         self.program = program
         self.policy = policy
         self.max_steps = max_steps

@@ -11,7 +11,13 @@ comment, newlines are insignificant:
 body.  Constraints are comma-separated; predicates begin uppercase,
 variables lowercase, `'quoted'` atoms (no whitespace or `;` inside, so
 every term survives the trace format), integer literals, and infix operators
-with conventional precedence (|| < && < comparisons < + - < *).
+with conventional precedence (|| < && < comparisons < + - < *).  The
+precedences, and the rule that comparisons do not chain, are one table in
+`terms`, which the printer and this parser both read.
+
+A term may nest a few hundred parentheses deep: each level costs three
+interpreter frames.  One nested deeper than the recursion limit allows is a
+ParseError "term nested too deeply" at the token the parser had reached.
 
 Rule variables are renamed apart on load (an internal `.N` suffix per rule),
 so no two rules in a loaded program share a variable name and rule variables
@@ -19,13 +25,14 @@ can never collide with goal variables, which cannot contain dots.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .terms import (App, Chr, Const, Constraint, Eq, Term, Var,
-                    render_constraint, render_term, vars_of, INT64_MAX,
-                    INT64_MIN)
+from .terms import (App, Chr, Const, Constraint, Eq, Term, Var, _LEFT_PREC,
+                    _PREC, apply_subst, render_constraint, render_term,
+                    vars_of, INT64_MAX, INT64_MIN)
 
 
 class ParseError(Exception):
@@ -49,83 +56,61 @@ _SYMBOLS = ["<=>", "==>", "==", "!=", ">=", "<=", "&&", "||",
             "@", "(", ")", ",", ".", "\\", "|", "=", "<", ">", "+", "-", "*"]
 
 
+def _token_re(dotted: bool) -> re.Pattern:
+    # \w is str.isalnum() or '_', \d is what int() accepts; a word must
+    # start with a letter or '_', which lex checks; dotted names (`x.0`)
+    # occur in trace text only
+    word = r"\w(?:\w|\.(?=\d))*" if dotted else r"\w+"
+    syms = "|".join(map(re.escape, _SYMBOLS))
+    return re.compile(rf"(?P<space>[ \t\r\n]+)|(?P<comment>%[^\n]*)"
+                      rf"|(?P<int>\d+)|(?P<atom>'[^']*')|(?P<word>{word})"
+                      rf"|(?P<sym>{syms})|(?P<bad>.)", re.DOTALL)
+
+
+_TOKEN_RE = {dotted: _token_re(dotted) for dotted in (False, True)}
+
+
 def lex(text: str, allow_dotted: bool = False) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        l0, c0 = line, col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], l0, c0))
-            advance(j - i)
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated atom", l0, c0)
-            atom = text[i + 1:j]
+    line, line_start = 1, 0
+    for m in _TOKEN_RE[allow_dotted].finditer(text):
+        kind, s, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "space":
+            if "\n" in s:
+                line += s.count("\n")
+                line_start = m.start() + s.rindex("\n") + 1
+        elif kind == "word" and (s[0].isalpha() or s[0] == "_"):
+            toks.append(Token("uident" if s[0].isupper() else "lident", s,
+                              line, col))
+        elif kind in ("sym", "int"):
+            toks.append(Token(kind, s, line, col))
+        elif kind == "atom":
             # trace lines separate fields by spaces and lines by line breaks,
             # and substitution bindings by ';': no atom may contain them
-            bad = next((c for c in atom if c.isspace() or c == ";"), None)
+            bad = next((c for c in s[1:-1] if c.isspace() or c == ";"), None)
             if bad is not None:
-                raise ParseError(f"atom may not contain {bad!r}", l0, c0)
-            toks.append(Token("atom", atom, l0, c0))
-            advance(j - i + 1)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"
-                             or (allow_dotted and text[j] == "." and j + 1 < n and text[j + 1].isdigit())):
-                j += 1
-            word = text[i:j]
-            kind = "uident" if word[0].isupper() else "lident"
-            toks.append(Token(kind, word, l0, c0))
-            advance(j - i)
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, l0, c0))
-                advance(len(sym))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", l0, c0)
-    toks.append(Token("eof", "", line, col))
+                raise ParseError(f"atom may not contain {bad!r}", line, col)
+            toks.append(Token("atom", s[1:-1], line, col))
+        elif s == "'":
+            raise ParseError("unterminated atom", line, col)
+        elif kind != "comment":
+            raise ParseError(f"unexpected character {s[0]!r}", line, col)
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
 # ---------------------------------------------------------------- parser
+
+_PRIMARY = max(_PREC.values()) + 1  # a primary binds tighter than any operator
+
 
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def take(self) -> Token:
         t = self.toks[self.pos]
@@ -144,46 +129,33 @@ class _Parser:
         t = self.peek()
         return t.kind == "sym" and t.text == text
 
-    # terms, precedence climbing
+    def whole(self, parse, what: str):
+        """parse(self), which must consume every token.  Running out of
+        stack while parsing is a ParseError at the token reached."""
+        try:
+            out = parse(self)
+        except RecursionError:
+            t = self.peek()
+            raise ParseError("term nested too deeply", t.line, t.col) from None
+        t = self.peek()
+        if t.kind != "eof":
+            raise ParseError(f"unexpected {t.text!r} after {what}", t.line, t.col)
+        return out
 
-    def term(self) -> Term:
-        return self._or()
+    # terms, precedence climbing over the printer's operator table
 
-    def _or(self) -> Term:
-        t = self._and()
-        while self.at_sym("||"):
+    def term(self, min_prec: int = 1) -> Term:
+        """The longest term here whose operators all have precedence
+        min_prec or more."""
+        t, top = self._primary(), _PRIMARY  # top: t's outermost precedence
+        while True:
+            tok = self.peek()
+            op = tok.text if tok.kind == "sym" else ""
+            prec = _PREC.get(op, 0)
+            if prec < min_prec or _LEFT_PREC[op] > top:
+                return t
             self.take()
-            t = App("||", (t, self._and()))
-        return t
-
-    def _and(self) -> Term:
-        t = self._cmp()
-        while self.at_sym("&&"):
-            self.take()
-            t = App("&&", (t, self._cmp()))
-        return t
-
-    def _cmp(self) -> Term:
-        t = self._add()
-        tk = self.peek()
-        if tk.kind == "sym" and tk.text in (">", ">=", "<", "<=", "==", "!="):
-            self.take()
-            return App(tk.text, (t, self._add()))
-        return t
-
-    def _add(self) -> Term:
-        t = self._mul()
-        while self.peek().kind == "sym" and self.peek().text in ("+", "-"):
-            op = self.take().text
-            t = App(op, (t, self._mul()))
-        return t
-
-    def _mul(self) -> Term:
-        t = self._primary()
-        while self.at_sym("*"):
-            self.take()
-            t = App("*", (t, self._primary()))
-        return t
+            t, top = App(op, (t, self.term(prec + 1))), prec
 
     def _primary(self) -> Term:
         t = self.peek()
@@ -241,9 +213,7 @@ class _Parser:
         # a single '|' at paren depth 0 before the closing '.' separates
         # guard from body ('||' is its own token, so no ambiguity)
         depth = 0
-        k = self.pos
-        while k < len(self.toks):
-            t = self.toks[k]
+        for t in self.toks[self.pos:]:
             if t.kind == "sym":
                 if t.text == "(":
                     depth += 1
@@ -253,13 +223,18 @@ class _Parser:
                     return True
                 elif t.text == ".":
                     return False
-            if t.kind == "eof":
-                return False
-            k += 1
         return False
 
 
 # ---------------------------------------------------------------- rules
+
+class Head(NamedTuple):
+    """One rule head: its role, its position within the role, its pattern."""
+
+    role: str  # propagated | simplified
+    pos: int
+    pattern: Chr
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -271,35 +246,21 @@ class Rule:
     index: int = 0
 
     @cached_property
-    def heads(self) -> tuple[tuple[str, int, Chr], ...]:
-        """All heads in textual order as (role, position-within-role, pattern)."""
-        out = [("propagated", i, h) for i, h in enumerate(self.propagated)]
-        out += [("simplified", i, h) for i, h in enumerate(self.simplified)]
+    def heads(self) -> tuple[Head, ...]:
+        """All heads in textual order."""
+        out = [Head("propagated", i, h) for i, h in enumerate(self.propagated)]
+        out += [Head("simplified", i, h) for i, h in enumerate(self.simplified)]
         return tuple(out)
 
     @cached_property
     def guard_at(self) -> int:
-        """How many heads, in textual order, bind every guard variable (the
-        number of heads when some guard variable is in no head)."""
-        need = vars_of(self.guard)
-        bound: set[str] = set()
-        for k, (_, _, h) in enumerate(self.heads):
-            if need <= bound:
-                return k
-            bound |= vars_of(h)
-        return len(self.heads)
+        """How many heads, in textual order, bind every guard variable."""
+        return _guard_at(self.guard, self.heads, set())
 
     @cached_property
     def body_vars(self) -> tuple[str, ...]:
         """The body's variables, sorted (range restriction: all in heads)."""
         return tuple(sorted(set().union(*(vars_of(b) for b in self.body))))
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    role: str
-    pos: int
-    pattern: Chr
 
 
 @dataclass(frozen=True)
@@ -316,14 +277,31 @@ class Occurrence:
     role: str
     pos: int
     pattern: Chr
-    partners: tuple[PlanEntry, ...]
+    partners: tuple[Head, ...]
     guard_at: int
 
 
 @dataclass(frozen=True)
 class Program:
+    """The rules, and built from them the occurrence table: per predicate,
+    its head occurrences in rule order (top to bottom), then head position
+    (left to right), each with its join plan."""
+
     rules: tuple[Rule, ...]
-    occurrences: dict[str, tuple[Occurrence, ...]] = field(default_factory=dict)
+    occurrences: dict[str, tuple[Occurrence, ...]] = field(init=False,
+                                                           compare=False)
+
+    def __post_init__(self):
+        occ: dict[str, list[Occurrence]] = {}
+        for r in self.rules:
+            for head in r.heads:
+                partners = _join_order(r, head)
+                guard_at = _guard_at(r.guard, partners, vars_of(head.pattern))
+                occ.setdefault(head.pattern.pred, []).append(Occurrence(
+                    r.index, head.role, head.pos, head.pattern, partners,
+                    guard_at))
+        object.__setattr__(self, "occurrences",
+                           {k: tuple(v) for k, v in occ.items()})
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -337,7 +315,6 @@ def _rename_rule(rule: Rule, idx: int) -> Rule:
                for v in vars_of(c)}
 
     def sub(x):
-        from .terms import apply_subst
         return apply_subst(mapping, x)
 
     return Rule(
@@ -350,8 +327,7 @@ def _rename_rule(rule: Rule, idx: int) -> Rule:
     )
 
 
-def parse_program(text: str) -> Program:
-    p = _Parser(lex(text))
+def _rules(p: _Parser) -> tuple[Rule, ...]:
     rules: list[Rule] = []
     names: set[str] = set()
     while p.peek().kind != "eof":
@@ -374,11 +350,11 @@ def parse_program(text: str) -> Program:
         else:
             t = p.peek()
             raise ParseError("expected '\\', '<=>' or '==>'", t.line, t.col)
-        for role in (propagated, simplified):
-            for c in role:
-                if not isinstance(c, Chr):
-                    raise ParseError(f"equation not allowed in rule head of {name_tok.text!r}",
-                                     name_tok.line, name_tok.col)
+        head_cs = propagated + simplified
+        for c in head_cs:
+            if not isinstance(c, Chr):
+                raise ParseError(f"equation not allowed in rule head of {name_tok.text!r}",
+                                 name_tok.line, name_tok.col)
         guard: Term = Const(True)
         if p.has_guard_bar():
             guard = p.term()
@@ -394,7 +370,6 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"duplicate rule name {name_tok.text!r}",
                              name_tok.line, name_tok.col)
         names.add(name_tok.text)
-        head_cs = propagated + simplified
         if not head_cs:
             raise ParseError(f"rule {name_tok.text!r} has an empty head",
                              name_tok.line, name_tok.col)
@@ -411,94 +386,75 @@ def parse_program(text: str) -> Program:
         rule = Rule(name_tok.text, tuple(propagated), tuple(simplified),
                     guard, tuple(body))
         rules.append(_rename_rule(rule, len(rules)))
-    return Program(tuple(rules))
+    return tuple(rules)
+
+
+def parse_program(text: str) -> Program:
+    p = _Parser(lex(text))
+    return Program(p.whole(_rules, "program"))
+
+
+# the name the command line and the benchmark load a program by
+load_program = parse_program
 
 
 def parse_goals(text: str) -> tuple[Constraint, ...]:
     p = _Parser(lex(text))
     if p.peek().kind == "eof":
         return ()
-    out = p.constraint_list()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {t.text!r} after goal list", t.line, t.col)
-    return tuple(out)
+    return tuple(p.whole(_Parser.constraint_list, "goal list"))
 
 
-def parse_constraint_text(text: str, allow_dotted: bool = True) -> Constraint:
+def parse_constraint_text(text: str) -> Constraint:
     """Parse a single constraint (used by the trace reader)."""
-    p = _Parser(lex(text, allow_dotted=allow_dotted))
-    c = p.constraint()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {t.text!r} after constraint", t.line, t.col)
-    return c
+    p = _Parser(lex(text, allow_dotted=True))
+    return p.whole(_Parser.constraint, "constraint")
 
 
-def parse_term_text(text: str, allow_dotted: bool = True) -> Term:
-    p = _Parser(lex(text, allow_dotted=allow_dotted))
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r} after term", tok.line, tok.col)
-    return t
+def parse_term_text(text: str) -> Term:
+    p = _Parser(lex(text, allow_dotted=True))
+    return p.whole(_Parser.term, "term")
 
 
 # ------------------------------------------------------ occurrence tables
 
-def _indexable(pattern: Chr, bound: set[str]) -> bool:
-    # some argument becomes ground once the already-scheduled heads are bound
-    return any(vars_of(a) <= bound for a in pattern.args)
-
-
-def _plan(rule: Rule, role: str, pos: int) -> tuple[tuple[PlanEntry, ...], int]:
-    active = (rule.propagated if role == "propagated" else rule.simplified)[pos]
-    remaining = [PlanEntry(r, i, h) for (r, i, h) in rule.heads
-                 if not (r == role and i == pos)]
-    bound = set(vars_of(active))
-    ordered: list[PlanEntry] = []
+def _join_order(rule: Rule, active: Head) -> tuple[Head, ...]:
+    """The other heads of rule in join order."""
+    remaining = [h for h in rule.heads if h != active]
+    bound = vars_of(active.pattern)
+    order: list[Head] = []
     while remaining:
-        pick = next((e for e in remaining if _indexable(e.pattern, bound)),
+        # some argument becomes ground once the heads before it are bound
+        pick = next((h for h in remaining
+                     if any(vars_of(a) <= bound for a in h.pattern.args)),
                     remaining[0])
         remaining.remove(pick)
-        ordered.append(pick)
+        order.append(pick)
         bound |= vars_of(pick.pattern)
-    guard_vars = vars_of(rule.guard)
-    bound = set(vars_of(active))
-    guard_at = 0
-    for k, e in enumerate(ordered):
-        if guard_vars <= bound:
-            break
-        bound |= vars_of(e.pattern)
-        guard_at = k + 1
-    return tuple(ordered), guard_at
+    return tuple(order)
 
 
-def compile_occurrences(p: Program) -> Program:
-    """Populate the per-predicate occurrence table: rule order first
-    (top-to-bottom), then head position left-to-right, with join plans."""
-    occ: dict[str, list[Occurrence]] = {}
-    for r in p.rules:
-        for role, pos, pattern in r.heads:
-            partners, guard_at = _plan(r, role, pos)
-            occ.setdefault(pattern.pred, []).append(
-                Occurrence(r.index, role, pos, pattern, partners, guard_at))
-    return Program(p.rules, {k: tuple(v) for k, v in occ.items()})
-
-
-def load_program(text: str) -> Program:
-    return compile_occurrences(parse_program(text))
+def _guard_at(guard: Term, heads: tuple[Head, ...], bound: set[str]) -> int:
+    """How many of heads, matched in order after the variables in bound,
+    bind every guard variable (all of them when some guard variable is in
+    no head)."""
+    need, bound = vars_of(guard), set(bound)
+    for k, h in enumerate(heads):
+        if need <= bound:
+            return k
+        bound |= vars_of(h.pattern)
+    return len(heads)
 
 
 # ---------------------------------------------------------- pretty print
 
-def _strip(name: str) -> str:
-    return name.rsplit(".", 1)[0] if "." in name else name
-
-
 def pretty_rule(r: Rule) -> str:
+    # rule variables print without their renaming suffix: v.N as v
+    plain = {v: Var(v.rsplit(".", 1)[0]) for h in r.heads
+             for v in vars_of(h.pattern)}
+
     def cs(items):
-        return ", ".join(render_constraint(c, rename=_strip) for c in items)
+        return ", ".join(render_constraint(apply_subst(plain, c)) for c in items)
 
     if r.propagated and r.simplified:
         head = f"{cs(r.propagated)} \\ {cs(r.simplified)} <=>"
@@ -508,7 +464,7 @@ def pretty_rule(r: Rule) -> str:
         head = f"{cs(r.propagated)} ==>"
     guard = ""
     if r.guard != Const(True):
-        guard = f" {render_term(r.guard, rename=_strip)} |"
+        guard = f" {render_term(apply_subst(plain, r.guard))} |"
     body = cs(r.body) if r.body else "true"
     return f"{r.name} @ {head}{guard} {body}."
 

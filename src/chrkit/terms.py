@@ -296,14 +296,22 @@ def normalize_constraint(c: Constraint) -> Constraint:
 
 # Rendering.  One deterministic printer used for dumps, traces and golden
 # tests; terms are printed compactly (no spaces) with minimal parentheses.
+#
+# The operator table, which the parser in syntax.py reads too: each
+# operator's precedence, and the least precedence its left operand may have
+# without parentheses (its right operand needs one more than the operator).
+# All operators associate to the left except comparisons, which do not
+# chain, so their left operand must bind tighter as well.
 
 _PREC = {"||": 1, "&&": 2, ">": 3, ">=": 3, "<": 3, "<=": 3, "==": 3, "!=": 3,
          "+": 4, "-": 4, "*": 5}
+_LEFT_PREC = {fn: p + 1 if fn in COMPARE_OPS or fn in EQUALITY_OPS else p
+              for fn, p in _PREC.items()}
 
 
-def render_term(t: Term, prec: int = 0, rename=None) -> str:
+def render_term(t: Term, prec: int = 0) -> str:
     if isinstance(t, Var):
-        return rename(t.name) if rename else t.name
+        return t.name
     if isinstance(t, Const):
         v = t.value
         if isinstance(v, bool):
@@ -312,17 +320,14 @@ def render_term(t: Term, prec: int = 0, rename=None) -> str:
             return str(v)
         return f"'{v}'"
     p = _PREC[t.fn]
-    # left-associative: the right operand needs strictly higher precedence;
-    # comparisons do not associate at all, so neither operand may be one
-    left = p + 1 if t.fn in COMPARE_OPS or t.fn in EQUALITY_OPS else p
-    s = f"{render_term(t.args[0], left, rename)}{t.fn}{render_term(t.args[1], p + 1, rename)}"
+    s = f"{render_term(t.args[0], _LEFT_PREC[t.fn])}{t.fn}{render_term(t.args[1], p + 1)}"
     return f"({s})" if p < prec else s
 
 
-def render_constraint(c: Constraint, rename=None) -> str:
+def render_constraint(c: Constraint) -> str:
     if isinstance(c, Chr):
         if not c.args:
             return c.pred
-        args = ",".join(render_term(a, 0, rename) for a in c.args)
+        args = ",".join(render_term(a) for a in c.args)
         return f"{c.pred}({args})"
-    return f"{render_term(c.lhs, 0, rename)}={render_term(c.rhs, 0, rename)}"
+    return f"{render_term(c.lhs)}={render_term(c.rhs)}"

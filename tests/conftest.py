@@ -14,7 +14,8 @@ from chrkit.abstract import (AbstractStore, LimitExceeded, RewriteStep,
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import RunResult, iter_matches
 from chrkit.store import NumberedConstraint, State, Store
-from chrkit.syntax import Program, Rule, load_program, parse_goals
+from chrkit.syntax import (ParseError, Program, Rule, Token, load_program,
+                           parse_goals)
 from chrkit.terms import (Chr, Constraint, Eq, Subst, Var, apply_subst,
                           entails, match, mgu, normalize_constraint,
                           render_constraint, render_term)
@@ -194,6 +195,82 @@ def _fast_thread_switching():
     sys.setswitchinterval(1e-5)
     yield
     sys.setswitchinterval(old)
+
+
+# ------------------------------------------------------ reference lexer
+#
+# The lexer as it was before it became one compiled regular expression,
+# scanning a character at a time.  The differential test in test_syntax.py
+# checks chrkit.syntax.lex against it.
+
+REFERENCE_SYMBOLS = ["<=>", "==>", "==", "!=", ">=", "<=", "&&", "||", "@",
+                     "(", ")", ",", ".", "\\", "|", "=", "<", ">", "+", "-", "*"]
+
+
+def reference_lex(text: str, allow_dotted: bool = False) -> list[Token]:
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def advance(k: int):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        l0, c0 = line, col
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(Token("int", text[i:j], l0, c0))
+            advance(j - i)
+            continue
+        if ch == "'":
+            j = i + 1
+            while j < n and text[j] != "'":
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated atom", l0, c0)
+            atom = text[i + 1:j]
+            bad = next((c for c in atom if c.isspace() or c == ";"), None)
+            if bad is not None:
+                raise ParseError(f"atom may not contain {bad!r}", l0, c0)
+            toks.append(Token("atom", atom, l0, c0))
+            advance(j - i + 1)
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"
+                             or (allow_dotted and text[j] == "." and j + 1 < n and text[j + 1].isdigit())):
+                j += 1
+            word = text[i:j]
+            kind = "uident" if word[0].isupper() else "lident"
+            toks.append(Token(kind, word, l0, c0))
+            advance(j - i)
+            continue
+        for sym in REFERENCE_SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Token("sym", sym, l0, c0))
+                advance(len(sym))
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", l0, c0)
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 # ------------------------------------------- brute-force oracle reference

@@ -116,16 +116,16 @@ def test_atom_with_trace_delimiter_exits_1(capsys):
 
 
 @pytest.mark.parametrize("engine", ["sequential", "concurrent"])
-@pytest.mark.parametrize("goals", [
-    "Gcd(" + "(" * 3000 + "1" + ")" * 3000 + ")",
-    "Gcd(" + "+".join(["1"] * 3000) + ")",
-    "Gcd(-99999999999999999999999)",
+@pytest.mark.parametrize("goals,prefix", [
+    ("Gcd(" + "(" * 3000 + "1" + ")" * 3000 + ")", "error: line 1, col "),
+    ("Gcd(" + "+".join(["1"] * 3000) + ")", "error: "),
+    ("Gcd(-99999999999999999999999)", "error: line 1, col "),
 ], ids=["3000-parentheses", "3000-term-chain", "below-int64"])
-def test_bad_goal_exits_1_with_one_error_line(capsys, engine, goals):
+def test_bad_goal_exits_1_with_one_error_line(capsys, engine, goals, prefix):
     code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
                              "--goals", goals, "--engine", engine)
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_unwritable_trace_path_exits_1(tmp_path, capsys):

@@ -1,10 +1,19 @@
+import random
+import string
+
 import pytest
 
+from chrkit.concurrent import EngineConfig, run_concurrent
+from chrkit.sequential import run_sequential
 from chrkit.syntax import (ParseError, lex, load_program, parse_goals,
-                           parse_program, pretty_program)
-from chrkit.terms import Chr, Const, Eq, Var, vars_of
+                           parse_program, parse_term_text, pretty_program)
+from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
+                          Const, Eq, Var, render_term, vars_of)
+from chrkit.trace import TraceFormatError, parse_trace, serialize_trace
+from chrkit.verify import verify_run
 
-from conftest import CORPUS, program_text
+from conftest import (CORPUS, REFERENCE_SYMBOLS, program_text,
+                      reference_lex)
 
 
 def test_parse_simpagation_rule():
@@ -180,3 +189,106 @@ def test_operator_precedence():
     assert left.fn == ">"
     assert left.args[0].fn == "+"
     assert left.args[0].args[1].fn == "*"
+
+
+def test_comparisons_do_not_chain():
+    for text in ("a<b<c", "a==b!=c", "a<b==c", "x&&a<b<c"):
+        with pytest.raises(ParseError):
+            parse_term_text(text)
+    a, b, c = Var("a"), Var("b"), Var("c")
+    assert parse_term_text("(a<b)<c") == App("<", (App("<", (a, b)), c))
+    assert parse_term_text("a<b&&b<c") == App(
+        "&&", (App("<", (a, b)), App("<", (b, c))))
+
+
+def _random_term(rng, depth):
+    if depth and rng.random() < 0.6:
+        return App(rng.choice(FUNCTION_SYMBOLS),
+                   (_random_term(rng, depth - 1), _random_term(rng, depth - 1)))
+    return rng.choice([
+        Const(rng.choice([rng.randrange(-99, 99), INT64_MIN, INT64_MAX])),
+        Const(rng.choice(["a", "Zb_1", "x.0", "-"])),
+        Const(rng.random() < 0.5),
+        Var(rng.choice(["x", "y", "v.3"]))])
+
+
+def test_render_then_parse_is_the_identity_on_terms():
+    rng = random.Random(3)
+    nested = 0
+    for _ in range(3000):
+        t = _random_term(rng, rng.randrange(7))
+        assert parse_term_text(render_term(t)) == t
+        nested += "(" in render_term(t)
+    assert nested > 500  # the printer's parentheses are exercised
+
+
+def test_non_decimal_digit_is_a_positioned_error():
+    # '²' passes str.isdigit() but int() refuses it
+    with pytest.raises(ParseError, match="^line 1, col 5: unexpected character '²'"):
+        parse_goals("Gcd(²)")
+    with pytest.raises(ParseError, match="^line 2, col 4: unexpected character"):
+        parse_goals("Gcd(1),\nA(1²)")
+    assert parse_goals("Gcd(٣)") == (Chr("Gcd", (Const(3),)),)
+
+
+# a character or symbol is drawn from a random group, so quotes are common
+LEX_GROUPS = (REFERENCE_SYMBOLS, string.ascii_letters, string.digits, "'",
+              "%\n\t .", "_é٣²½")
+
+
+def test_lexer_matches_the_character_scanner():
+    """lex gives reference_lex's tokens or error on random text, with one
+    intended difference: '²' passes str.isdigit() but int() refuses it, so
+    it is no longer a digit.  To the reference, '¾' is such a character
+    (alphanumeric, neither letter nor digit), so the expected result is the
+    reference's on the text with every '²' written as '¾'."""
+
+    def outcome(lexer, text, dotted):
+        try:
+            return [(t.kind, t.text, t.line, t.col) for t in lexer(text, dotted)]
+        except ParseError as exc:
+            return str(exc)
+
+    rng = random.Random(9)
+    fixed = ok = 0
+    for k in range(5000):
+        text = "".join(rng.choice(rng.choice(LEX_GROUPS))
+                       for _ in range(rng.randrange(12)))
+        dotted = k % 2 == 1
+        got = outcome(lex, text, dotted)
+        want = outcome(reference_lex, text.replace("²", "¾"), dotted)
+        if isinstance(want, str):
+            want = want.replace("¾", "²")
+        else:
+            want = [(kind, s.replace("¾", "²"), line, col)
+                    for kind, s, line, col in want]
+        assert got == want, text
+        fixed += want != outcome(reference_lex, text, dotted)
+        ok += isinstance(got, list)
+    assert fixed > 50 and ok > 1000  # both the fix and clean text occur
+
+
+def _nested_goal(depth):
+    return "Gcd(" + "x-(" * depth + "1" + ")" * depth + ")"
+
+
+def test_goal_nested_200_deep_runs_and_verifies_on_both_engines():
+    p, goals = load_program(program_text("gcd")), parse_goals(_nested_goal(200))
+    for conc, res in ((False, run_sequential(goals, p)),
+                      (True, run_concurrent(goals, p, EngineConfig(workers=2)))):
+        assert res.status == "done"
+        text = serialize_trace(res.trace, {}, res.status, res.state.store.dump())
+        verdicts = verify_run(text, goals, p, concurrent=conc)
+        assert verdicts and all(v.passed for v in verdicts), verdicts
+
+
+def test_term_nested_too_deeply_is_a_positioned_error():
+    deep = _nested_goal(3000)
+    for parse, text in ((parse_goals, deep), (parse_term_text, deep[4:-1]),
+                        (parse_program, f"r @ A(x) <=> {deep}.")):
+        with pytest.raises(ParseError,
+                           match=r"^line 1, col \d+: term nested too deeply"):
+            parse(text)
+    line = f"0 Activate goal={deep}#1 P={{}} S={{}}"
+    with pytest.raises(TraceFormatError, match="^line 2: goal is not a constraint"):
+        parse_trace("# chr-trace v1\n" + line + "\n")

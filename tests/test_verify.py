@@ -460,3 +460,40 @@ def test_trace_line_roundtrip_over_generated_steps():
         dump = "" if kind == "Solve" else NumberedConstraint(c, cid).render()
         whole = parse_trace(serialize_trace([step], {}, "done", dump))
         assert whole.steps == [step] and whole.final_dump == dump
+
+
+def _mutate(rng, text):
+    """One random one-line edit: delete, insert or replace a character, or
+    duplicate or delete a whole line."""
+    lines = text.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    edit = rng.randrange(5)
+    if edit == 3:
+        lines.insert(k, lines[k])
+    elif edit == 4:
+        del lines[k]
+    else:
+        line = lines[k]
+        i = rng.randrange(len(line))
+        ch = rng.choice(text + "'%²é\\")
+        lines[k] = (line[:i] + line[i + 1:], line[:i] + ch + line[i:],
+                    line[:i] + ch + line[i + 1:])[edit]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", ["gcd", "channel", "mergesort"])
+def test_mutated_traces_give_verdicts_or_a_format_error(name):
+    """The reader under verify_run turns any damage to a trace into
+    verdicts or a TraceFormatError, never another exception."""
+    p, goals, _, text = con_trace_text(name, workers=1)
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(500):
+        try:
+            verdicts = verify_run(_mutate(rng, text), goals, p, concurrent=True)
+        except TraceFormatError:
+            outcomes.add("format error")
+        else:
+            assert verdicts and all(isinstance(v, Verdict) for v in verdicts)
+            outcomes.add(all(v.passed for v in verdicts))
+    assert outcomes == {"format error", True, False}
