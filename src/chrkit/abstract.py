@@ -11,18 +11,29 @@ constraints), not a production engine; it is single-threaded.
 
 Cost model of the exhaustive search.  Every item is rendered once, when it
 enters a store, and successors inherit the rendered forms of the items they
-keep, so a state key is a sort of cached strings.  rewrite_steps solves the
-store's equations once (not at all when there are none), looks up head
-candidates by predicate, tests a rule's guard as soon as the heads assigned
-so far bind its variables, and instantiates each distinct body instance
-once per call.  The search still builds every successor, duplicates
-included, before it looks up the successor's key.
+keep, so a state key is a sort of cached strings.  A successor is described
+before it is built: its key comes from the parent's sorted renders, less the
+simplified heads' and plus the body's (a store with a propagation history is
+built for its key), and the search builds it only when that key is new.  A
+successor remembers the rewrite that built it, and expanding it keeps the
+parent's matches whose heads survive and searches only from its new items,
+through the program's join plans (Forgy's Rete, 1982, keeps complete
+matches across store changes in the same way).  A store reached any other
+way, or through a body that added an equation (which changes every match's
+equation-normal form), is enumerated in full: its equations solved once,
+head candidates looked up by predicate, a rule's guard tested as soon as the
+heads assigned so far bind its variables.  Each distinct body instance is
+built once per search.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from itertools import count
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import Program, Rule
 from .terms import (Chr, Constraint, Eq, Subst, apply_subst, holds, match,
@@ -47,6 +58,9 @@ class AbstractStore:
     next_tag: int = 0
     renders: Optional[tuple[str, ...]] = field(default=None, compare=False,
                                                repr=False)
+    # the rewrite that built this store, until rewrite_steps expands it
+    origin: Optional["RewriteStep"] = field(default=None, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         if self.renders is None:
@@ -78,17 +92,114 @@ class AbstractStore:
         return [c for c, _ in self.items if isinstance(c, Eq)]
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    rule: str
-    phi: "Subst"
+class _Match(NamedTuple):
+    """One applicable rule instance.  It stays valid in a successor that
+    keeps its heads and its equations, so successors inherit it."""
+
+    rule: Rule
+    phi: Subst
     propagated: tuple[tuple[Chr, int], ...]
     simplified: tuple[tuple[Chr, int], ...]
-    result: AbstractStore
+    used_tags: tuple[int, ...]  # sorted
+    order: tuple[int, ...]  # the rule's index, then head tags in textual order
+    body: tuple[tuple[Constraint, ...], tuple[str, ...]]  # normal, rendered
+
+
+class RewriteStep:
+    """One applicable rewrite of a store.  `key` (the successor's state key)
+    and `result` (the successor store) are computed on first use, so a
+    search builds a successor only when its key is new."""
+
+    __slots__ = ("_m", "_exp", "_key", "_result")
+
+    def __init__(self, m: _Match, exp: "_Expansion"):
+        self._m, self._exp, self._key, self._result = m, exp, None, None
+
+    @property
+    def rule(self) -> str:
+        return self._m.rule.name
+
+    @property
+    def phi(self) -> Subst:
+        return self._m.phi
+
+    @property
+    def propagated(self) -> tuple[tuple[Chr, int], ...]:
+        return self._m.propagated
+
+    @property
+    def simplified(self) -> tuple[tuple[Chr, int], ...]:
+        return self._m.simplified
 
     @property
     def used_tags(self) -> tuple[int, ...]:
-        return tuple(sorted(t for _, t in self.propagated + self.simplified))
+        return self._m.used_tags
+
+    @property
+    def key(self) -> tuple:
+        """_state_key of the successor.  Without a propagation history it
+        is the parent's sorted renders, less the simplified heads' and plus
+        the body's, and the successor is not built."""
+        if self._key is None:
+            s, m = self._exp.store, self._m
+            if s.history or not m.rule.simplified:
+                self._key = _state_key(self.result)
+            else:
+                renders = list(self._exp.sorted_renders)
+                render_of = self._exp.render_of
+                for _, t in m.simplified:
+                    del renders[bisect_left(renders, render_of[t])]
+                for r in m.body[1]:
+                    insort(renders, r)
+                self._key = (tuple(renders), ())
+        return self._key
+
+    @property
+    def result(self) -> AbstractStore:
+        if self._result is None:
+            self._result = self._build()
+        return self._result
+
+    def _build(self) -> AbstractStore:
+        s, m = self._exp.store, self._m
+        simp_tags = {t for _, t in m.simplified}
+        items = [it for it in s.items if it[1] not in simp_tags]
+        renders = [r for r, it in zip(s.renders, s.items)
+                   if it[1] not in simp_tags]
+        tag = s.next_tag
+        cs, rs = m.body
+        items += zip(cs, range(tag, tag + len(cs)))
+        renders += rs
+        history = s.history
+        if not m.rule.simplified:
+            history = history | {(m.rule.name, m.used_tags)}
+        return AbstractStore(tuple(items), history, tag + len(cs),
+                             tuple(renders), origin=self)
+
+
+@dataclass
+class _Expansion:
+    """One rewrite_steps call: the store, its solved equations (None:
+    inconsistent), its CHR items per predicate in equation-normal form, and
+    its matches in order.  A successor's own call starts from these."""
+
+    store: AbstractStore
+    program: Program
+    theta: Optional[Subst]
+    by_pred: dict[str, list[tuple[Chr, int]]]
+    memo: dict  # (rule index, body-variable values) -> body instance
+    matches: list[_Match]
+    # items in tag order, all below next_tag: sorting matches by their
+    # tags then gives the enumeration order, so successors may inherit
+    tag_ordered: bool
+
+    @cached_property
+    def sorted_renders(self) -> list[str]:
+        return sorted(self.store.renders)
+
+    @cached_property
+    def render_of(self) -> dict[int, str]:
+        return {t: r for (_, t), r in zip(self.store.items, self.store.renders)}
 
 
 def _theta_norm(theta: Optional[Subst], c: Constraint) -> Constraint:
@@ -100,19 +211,61 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
     """Every applicable single rewrite: every rule, every injective assignment
     of distinct store elements to head positions, every matching substitution
     with the guard entailed.  Deterministic enumeration order (rules top to
-    bottom, heads in textual order, elements in tag order).  Empty result
+    bottom, heads in textual order, elements in store order).  Empty result
     means the store is final.
 
-    The equations are solved once per store, and the guard is tested as soon
-    as the heads assigned so far bind all of its variables; that prunes only
-    assignments that would fail it anyway, so the order is unchanged.
+    A store built by a rewrite of p whose body added no equation inherits
+    its parent's matches that keep their heads (less a pure propagation the
+    rewrite put in the history) and searches only for matches with a head on
+    a new item.  Every other store is enumerated in full: its equations are
+    solved once, and the guard is tested as soon as the heads assigned so
+    far bind all of its variables.  Body instances are shared by every store
+    derived from the same one, per rule and body-variable values.
     """
+    origin, exp, memo = s.origin, None, {}
+    if origin is not None:
+        object.__setattr__(s, "origin", None)  # free the parent's matches
+        parent = origin._exp
+        if parent.program is p:
+            memo = parent.memo
+            if parent.tag_ordered and not any(
+                    isinstance(c, Eq) for c in origin._m.body[0]):
+                exp = _inherit(s, p, origin._m, parent)
+    if exp is None:
+        exp = _enumerate(s, p, memo)
+    return [RewriteStep(m, exp) for m in exp.matches]
+
+
+def _found(rule: Rule, phi: Subst, heads: list[tuple[str, Chr, int]],
+           history: frozenset[HistoryKey], memo: dict,
+           out: list[_Match]) -> None:
+    """Record the rule at phi on heads (role, constraint, tag) in textual
+    order, unless it is a pure propagation the history has seen."""
+    order = tuple(t for _, _, t in heads)
+    tags = tuple(sorted(order))
+    if not rule.simplified and (rule.name, tags) in history:
+        return
+    values = tuple(phi.get(v) for v in rule.body_vars)
+    body = memo.get((rule.index, values))
+    if body is None:
+        body = memo[rule.index, values] = _instantiate(rule, phi)
+    out.append(_Match(
+        rule, phi,
+        tuple((c, t) for role, c, t in heads if role == "propagated"),
+        tuple((c, t) for role, c, t in heads if role == "simplified"),
+        tags, (rule.index,) + order, body))
+
+
+def _enumerate(s: AbstractStore, p: Program, memo: dict) -> _Expansion:
+    """Every match of every rule, heads assigned in textual order."""
+    tags = [t for _, t in s.items]
+    tag_ordered = all(a < b for a, b in zip(tags, tags[1:] + [s.next_tag]))
     eqs = s.eqs()
     theta: Subst = {}
     if eqs:
         theta = mgu(eqs)
-        if theta is None:
-            return []  # inconsistent store entails nothing; final by convention
+        if theta is None:  # inconsistent store entails nothing: final
+            return _Expansion(s, p, None, {}, memo, [], False)
     # CHR items per predicate, in store order, in equation-normal form
     by_pred: dict[str, list[tuple[Chr, int]]] = {}
     for c, t in s.items:
@@ -120,27 +273,19 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
             if theta:
                 c = _theta_norm(theta, c)
             by_pred.setdefault(c.pred, []).append((c, t))
-    out: list[RewriteStep] = []
+    out: list[_Match] = []
 
     for rule in p.rules:
         heads = rule.heads
         n, guard_at = len(heads), rule.guard_at
         used: list[tuple[str, Chr, int]] = []
         used_tags: set[int] = set()
-        bodies: dict[tuple, tuple] = {}  # body-variable values -> instance
 
         def assign(k: int, phi: Subst):
             if k == guard_at and not holds(theta, phi, rule.guard):
                 return
             if k == n:
-                tags = tuple(sorted(used_tags))
-                if not rule.simplified and (rule.name, tags) in s.history:
-                    return
-                values = tuple(phi.get(v) for v in rule.body_vars)
-                body = bodies.get(values)
-                if body is None:
-                    body = bodies[values] = _instantiate(rule, phi)
-                out.append(_apply(s, rule, phi, used, tags, body))
+                _found(rule, phi, used, s.history, memo, out)
                 return
             role, _, pattern = heads[k]
             for c, t in by_pred.get(pattern.pred, ()):
@@ -156,7 +301,66 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
                 used_tags.discard(t)
 
         assign(0, {})
-    return out
+    return _Expansion(s, p, theta, by_pred, memo, out, tag_ordered)
+
+
+def _inherit(s: AbstractStore, p: Program, origin: _Match,
+             parent: _Expansion) -> _Expansion:
+    """The matches of s, built by origin from parent's store without a new
+    equation: the parent's matches that keep their heads, and the matches
+    with a head on a new item, found from the first such head in textual
+    order (every head before it is an old item), so each is found once."""
+    theta, history, memo = parent.theta, s.history, parent.memo
+    removed = {t for _, t in origin.simplified}
+    out = [m for m in parent.matches
+           if removed.isdisjoint(m.used_tags)
+           and (m.rule.simplified or (m.rule.name, m.used_tags) not in history)]
+    by_pred = dict(parent.by_pred)  # lists are shared, never changed
+    for c, _ in origin.simplified:
+        by_pred[c.pred] = [it for it in by_pred[c.pred] if it[1] not in removed]
+    first = parent.store.next_tag  # tags from here on are new items
+    new = [(_theta_norm(theta, c) if theta else c, t)
+           for c, t in zip(origin.body[0], count(first))]
+    for c, t in new:
+        by_pred[c.pred] = by_pred.get(c.pred, []) + [(c, t)]
+
+    found: list[_Match] = []
+    for c, t in new:
+        for occ in p.occurrences.get(c.pred, ()):
+            phi0 = match(occ.pattern, c, {})
+            if phi0 is None:
+                continue
+            rule = p.rules[occ.rule_index]
+            n_prop, partners, guard_at = (len(rule.propagated), occ.partners,
+                                          occ.guard_at)
+            active = occ.pos + (n_prop if occ.role == "simplified" else 0)
+            heads: list = [None] * len(rule.heads)
+            heads[active] = (occ.role, c, t)
+            used = {t}
+
+            def join(k: int, phi: Subst):
+                if k == guard_at and not holds(theta, phi, rule.guard):
+                    return
+                if k == len(partners):
+                    _found(rule, phi, heads, history, memo, found)
+                    return
+                role, pos, pattern = partners[k]
+                j = pos + (n_prop if role == "simplified" else 0)
+                for c2, t2 in by_pred.get(pattern.pred, ()):
+                    if t2 in used or (j < active and t2 >= first):
+                        continue
+                    phi2 = match(pattern, c2, phi)
+                    if phi2 is None:
+                        continue
+                    heads[j] = (role, c2, t2)
+                    used.add(t2)
+                    join(k + 1, phi2)
+                    used.discard(t2)
+
+            join(0, phi0)
+    if found:
+        out = sorted(out + found, key=attrgetter("order"))
+    return _Expansion(s, p, theta, by_pred, memo, out, True)
 
 
 def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],
@@ -164,30 +368,6 @@ def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],
     """The rule's body under phi, normalized, with its rendered forms."""
     body = tuple(normalize_constraint(apply_subst(phi, b)) for b in rule.body)
     return body, tuple(render_constraint(c) for c in body)
-
-
-def _apply(s: AbstractStore, rule: Rule, phi: Subst,
-           used: list[tuple[str, Chr, int]], tags: tuple[int, ...],
-           body: tuple[tuple[Constraint, ...], tuple[str, ...]]) -> RewriteStep:
-    simplified = tuple((c, t) for role, c, t in used if role == "simplified")
-    simp_tags = {t for _, t in simplified}
-    items = [it for it in s.items if it[1] not in simp_tags]
-    renders = [r for r, it in zip(s.renders, s.items) if it[1] not in simp_tags]
-    tag = s.next_tag
-    cs, rs = body
-    items += zip(cs, range(tag, tag + len(cs)))
-    renders += rs
-    tag += len(cs)
-    history = s.history
-    if not rule.simplified:
-        history = history | {(rule.name, tags)}
-    return RewriteStep(
-        rule=rule.name,
-        phi=phi,
-        propagated=tuple((c, t) for role, c, t in used if role == "propagated"),
-        simplified=simplified,
-        result=AbstractStore(tuple(items), history, tag, tuple(renders)),
-    )
 
 
 def is_final(s: AbstractStore, p: Program) -> bool:
@@ -245,7 +425,7 @@ def final_stores(s: AbstractStore, p: Program,
             finals.add(tuple(sorted(cur.renders)))
             continue
         for st in steps:
-            key = _state_key(st.result)
+            key = st.key
             if key in seen:
                 continue
             seen.add(key)

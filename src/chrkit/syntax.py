@@ -15,9 +15,11 @@ with conventional precedence (|| < && < comparisons < + - < *).  The
 precedences, and the rule that comparisons do not chain, are one table in
 `terms`, which the printer and this parser both read.
 
-A term may nest a few hundred parentheses deep: each level costs three
-interpreter frames.  One nested deeper than the recursion limit allows is a
-ParseError "term nested too deeply" at the token the parser had reached.
+A term may nest at most MAX_TERM_DEPTH (256) operators deep, by parentheses
+or by an operator chain such as `x+1+...+1`.  A deeper one is a ParseError
+"term nested too deeply" at the operator that went past the bound; so is a
+parenthesis nesting deeper than the recursion limit allows (a level costs
+three interpreter frames), at the token the parser had reached.
 
 Rule variables are renamed apart on load (an internal `.N` suffix per rule),
 so no two rules in a loaded program share a variable name and rule variables
@@ -38,6 +40,7 @@ from .terms import (App, Chr, Const, Constraint, Eq, Term, Var, _LEFT_PREC,
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {msg}")
+        self.reason = msg
         self.line = line
         self.col = col
 
@@ -103,6 +106,12 @@ def lex(text: str, allow_dotted: bool = False) -> list[Token]:
 
 _PRIMARY = max(_PREC.values()) + 1  # a primary binds tighter than any operator
 
+# The engines, the verifier and the printer walk a term recursively, about
+# three interpreter frames per level: from the command line, 330 levels run
+# and verify at the default recursion limit of 1000 and 331 do not.  The
+# bound leaves room for callers that start deeper in the stack.
+MAX_TERM_DEPTH = 256
+
 
 class _Parser:
     def __init__(self, toks: list[Token]):
@@ -145,39 +154,48 @@ class _Parser:
     # terms, precedence climbing over the printer's operator table
 
     def term(self, min_prec: int = 1) -> Term:
+        return self._term(min_prec)[0]
+
+    def _term(self, min_prec: int) -> tuple[Term, int]:
         """The longest term here whose operators all have precedence
-        min_prec or more."""
-        t, top = self._primary(), _PRIMARY  # top: t's outermost precedence
+        min_prec or more, and its depth."""
+        # top: t's outermost precedence
+        (t, depth), top = self._primary(), _PRIMARY
         while True:
             tok = self.peek()
             op = tok.text if tok.kind == "sym" else ""
             prec = _PREC.get(op, 0)
             if prec < min_prec or _LEFT_PREC[op] > top:
-                return t
+                return t, depth
             self.take()
-            t, top = App(op, (t, self.term(prec + 1))), prec
+            rhs, rhs_depth = self._term(prec + 1)
+            # an operator chain is read in this loop, not by recursion
+            depth = max(depth, rhs_depth) + 1
+            if depth > MAX_TERM_DEPTH:
+                raise ParseError("term nested too deeply", tok.line, tok.col)
+            t, top = App(op, (t, rhs)), prec
 
-    def _primary(self) -> Term:
+    def _primary(self) -> tuple[Term, int]:
         t = self.peek()
         if t.kind == "int" or (t.kind == "sym" and t.text == "-"):
             self.take()  # a '-' here starts a negative literal, nothing else
             v = int(t.text) if t.kind == "int" else -int(self.expect("int").text)
             if not INT64_MIN <= v <= INT64_MAX:
                 raise ParseError("integer literal out of 64-bit range", t.line, t.col)
-            return Const(v)
+            return Const(v), 0
         if t.kind == "atom":
             self.take()
-            return Const(t.text)
+            return Const(t.text), 0
         if t.kind == "lident":
             self.take()
             if t.text == "true":
-                return Const(True)
+                return Const(True), 0
             if t.text == "false":
-                return Const(False)
-            return Var(t.text)
+                return Const(False), 0
+            return Var(t.text), 0
         if t.kind == "sym" and t.text == "(":
             self.take()
-            inner = self.term()
+            inner = self._term(1)
             self.expect("sym", ")")
             return inner
         raise ParseError(f"expected a term, found {t.text or t.kind!r}", t.line, t.col)

@@ -85,12 +85,21 @@ class TraceFormatError(Exception):
     pass
 
 
+def _excerpt(text: str) -> str:
+    """text for an error message: quoted, and cut short if long."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 def _field(name: str, what: str, parse, text: str):
-    """parse(text), or a TraceFormatError naming the trace field."""
+    """parse(text), or a TraceFormatError naming the trace field, the
+    parser's reason and column if it gave them, and the field's start."""
     try:
         return parse(text)
-    except (ValueError, ParseError):
-        raise TraceFormatError(f"{name} is not {what}: {text!r}") from None
+    except (ValueError, ParseError) as exc:
+        why = (f" (col {exc.col}: {exc.reason})"
+               if isinstance(exc, ParseError) else "")
+        raise TraceFormatError(
+            f"{name} is not {what}{why}: {_excerpt(text)}") from None
 
 
 def _int(name: str, text: str) -> int:
@@ -123,16 +132,16 @@ def _goal(text: str) -> tuple[Constraint, Optional[int]]:
 def parse_line(line: str) -> Step:
     parts = line.split(" ")
     if len(parts) < 3:
-        raise TraceFormatError(f"malformed trace line: {line!r}")
+        raise TraceFormatError(f"malformed trace line: {_excerpt(line)}")
     seq = _int("seq", parts[0])
     kind = parts[1]
     if kind not in KINDS:
-        raise TraceFormatError(f"unknown step kind {kind!r}")
+        raise TraceFormatError(f"unknown step kind {_excerpt(kind)}")
     fields: dict[str, str] = {}
     for p in parts[2:]:
         key, eq, value = p.partition("=")
         if not eq:
-            raise TraceFormatError(f"malformed field {p!r}")
+            raise TraceFormatError(f"malformed field {_excerpt(p)}")
         fields[key] = value
     if "goal" not in fields:
         raise TraceFormatError("missing goal field")

@@ -4,13 +4,12 @@ import itertools
 import sys
 from collections import Counter, deque
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
 import chrkit.concurrent as concurrent
-from chrkit.abstract import (AbstractStore, LimitExceeded, RewriteStep,
-                             canonical_multiset)
+from chrkit.abstract import AbstractStore, LimitExceeded, canonical_multiset
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import RunResult, iter_matches
 from chrkit.store import NumberedConstraint, State, Store
@@ -279,11 +278,23 @@ def reference_lex(text: str, allow_dotted: bool = False) -> list[Token]:
 # equations solved once per state and its guards tested early.  The
 # differential tests check chrkit.abstract against it.
 
+class ReferenceStep(NamedTuple):
+    rule: str
+    phi: Subst
+    propagated: tuple[tuple[Chr, int], ...]
+    simplified: tuple[tuple[Chr, int], ...]
+    result: AbstractStore
+
+    @property
+    def used_tags(self) -> tuple[int, ...]:
+        return tuple(sorted(t for _, t in self.propagated + self.simplified))
+
+
 def _theta_norm(theta: Subst, c: Constraint) -> Constraint:
     return normalize_constraint(apply_subst(theta, c))
 
 
-def reference_rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
+def reference_rewrite_steps(s: AbstractStore, p: Program) -> list[ReferenceStep]:
     """Every applicable single rewrite: every rule, every injective assignment
     of distinct store elements to head positions, every matching substitution
     with the guard entailed.  Deterministic enumeration order (rules top to
@@ -295,7 +306,7 @@ def reference_rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
         return []  # inconsistent store entails nothing; final by convention
     chr_items = [(c, t) for c, t in s.items if isinstance(c, Chr)]
     norm: dict[int, Chr] = {t: _theta_norm(theta, c) for c, t in chr_items}
-    out: list[RewriteStep] = []
+    out: list[ReferenceStep] = []
 
     for rule in p.rules:
         heads = rule.heads  # textual order: propagated then simplified
@@ -326,7 +337,7 @@ def reference_rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
 
 
 def _apply(s: AbstractStore, rule: Rule, phi: Subst,
-           used: list[tuple[str, Chr, int]]) -> RewriteStep:
+           used: list[tuple[str, Chr, int]]) -> ReferenceStep:
     simp_tags = {t for role, _, t in used if role == "simplified"}
     items = [(c, t) for c, t in s.items if t not in simp_tags]
     tag = s.next_tag
@@ -337,7 +348,7 @@ def _apply(s: AbstractStore, rule: Rule, phi: Subst,
     if not rule.simplified:
         history = history | {(rule.name, tuple(sorted(t for _, _, t in used)))}
     result = AbstractStore(tuple(items), history, tag)
-    return RewriteStep(
+    return ReferenceStep(
         rule=rule.name,
         phi=phi,
         propagated=tuple((c, t) for role, c, t in used if role == "propagated"),

@@ -118,7 +118,7 @@ def test_atom_with_trace_delimiter_exits_1(capsys):
 @pytest.mark.parametrize("engine", ["sequential", "concurrent"])
 @pytest.mark.parametrize("goals,prefix", [
     ("Gcd(" + "(" * 3000 + "1" + ")" * 3000 + ")", "error: line 1, col "),
-    ("Gcd(" + "+".join(["1"] * 3000) + ")", "error: "),
+    ("Gcd(" + "+".join(["1"] * 3000) + ")", "error: line 1, col "),
     ("Gcd(-99999999999999999999999)", "error: line 1, col "),
 ], ids=["3000-parentheses", "3000-term-chain", "below-int64"])
 def test_bad_goal_exits_1_with_one_error_line(capsys, engine, goals, prefix):

@@ -2,15 +2,16 @@
 
 At every state final_stores expands, rewrite_steps must return the same
 rewrites as the reference, in the same order: same rule, substitution,
-head instances and successor store.  final_stores must return the same set
-of final stores, or hit the same bound.
+head instances, successor key and successor store.  final_stores must
+return the same set of final stores, or hit the same bound.
 """
 import random
 
 import pytest
 
 import chrkit.abstract as abstract
-from chrkit.abstract import AbstractStore, LimitExceeded, final_stores
+from chrkit.abstract import (AbstractStore, LimitExceeded, RewriteStep,
+                             final_stores)
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Eq, render_constraint
 
@@ -26,6 +27,8 @@ MAX_STATES = 400
 def _same_steps(got, want) -> None:
     assert len(got) == len(want)
     for g, w in zip(got, want):
+        # the key first: without a history it is computed unbuilt
+        assert g.key == reference_state_key(w.result)
         assert (g.rule, g.phi, g.propagated, g.simplified) == \
             (w.rule, w.phi, w.propagated, w.simplified)
         assert g.used_tags == w.used_tags
@@ -118,3 +121,58 @@ def test_propagation_history(text, goals, monkeypatch):
     history (and its entries about removed instances) is part of every
     state key."""
     assert check_search(_store(goals), load_program(text), monkeypatch) > 0
+
+
+def test_final_stores_builds_only_successors_with_a_new_key(monkeypatch):
+    """A fuzz program removes a head in every rule, so no state has a
+    history and every key is computed without building the successor."""
+    rng = random.Random(20240817)
+    cases = [fuzz_case(rng) for _ in range(40)]
+    builds = [0]
+    build = RewriteStep._build
+
+    def counted(step):
+        builds[0] += 1
+        return build(step)
+
+    steps: list = []
+    fast = abstract.rewrite_steps
+
+    def recorded(s, p):
+        out = fast(s, p)
+        steps.extend(out)
+        return out
+
+    duplicates = 0
+    for text, goals in cases:
+        start = _store(goals)
+        builds[0], steps[:] = 0, []
+        with monkeypatch.context() as mp:
+            mp.setattr(RewriteStep, "_build", counted)
+            mp.setattr(abstract, "rewrite_steps", recorded)
+            try:
+                final_stores(start, load_program(text), max_states=MAX_STATES)
+            except LimitExceeded:
+                continue
+        new_keys = {st.key for st in steps} - {abstract._state_key(start)}
+        assert builds[0] == len(new_keys)
+        duplicates += len(steps) - len(new_keys)
+    assert duplicates > 1000  # most successors are duplicates, never built
+
+
+def test_inherited_propagation_match_leaves_with_its_history_entry(monkeypatch):
+    """Both orders of `pair` match the same two instances, and the history
+    keys on the instances: once one order fires, the other, which the
+    successor inherits from its parent, must go."""
+    program = load_program("pair @ A(x), A(y) ==> P(x,y).\n"
+                           "cut @ P(x,y) \\ A(y) <=> x>y | true.")
+    start = _store("A(1),A(2),A(3)")
+    steps = abstract.rewrite_steps(start, program)
+    first = steps[0]
+    assert first.rule == "pair"
+    assert [st.used_tags for st in steps].count(first.used_tags) == 2
+    after = abstract.rewrite_steps(first.result, program)  # inherited
+    assert ("pair", first.used_tags) not in {
+        (st.rule, st.used_tags) for st in after}
+    _same_steps(after, reference_rewrite_steps(first.result, program))
+    assert check_search(start, program, monkeypatch) > 0

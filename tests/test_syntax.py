@@ -1,12 +1,14 @@
 import random
+import re
 import string
 
 import pytest
 
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
-from chrkit.syntax import (ParseError, lex, load_program, parse_goals,
-                           parse_program, parse_term_text, pretty_program)
+from chrkit.syntax import (MAX_TERM_DEPTH, ParseError, lex, load_program,
+                           parse_goals, parse_program, parse_term_text,
+                           pretty_program)
 from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
                           Const, Eq, Var, render_term, vars_of)
 from chrkit.trace import TraceFormatError, parse_trace, serialize_trace
@@ -290,5 +292,46 @@ def test_term_nested_too_deeply_is_a_positioned_error():
                            match=r"^line 1, col \d+: term nested too deeply"):
             parse(text)
     line = f"0 Activate goal={deep}#1 P={{}} S={{}}"
-    with pytest.raises(TraceFormatError, match="^line 2: goal is not a constraint"):
+    with pytest.raises(TraceFormatError, match="^line 2: goal is not a constraint") as exc:
         parse_trace("# chr-trace v1\n" + line + "\n")
+    # the parser's reason and column, and only the start of the field
+    assert re.search(r"col \d+: term nested too deeply", str(exc.value))
+    assert len(str(exc.value)) < 200
+
+
+def _chain_goal(depth):
+    return "Gcd(x" + "+1" * depth + ")"
+
+
+def test_operator_chain_past_the_depth_bound_is_a_positioned_error():
+    # a chain is read in a loop, so only the depth bound stops it; the
+    # error is at the operator that goes past it
+    col = len("Gcd(x") + 2 * MAX_TERM_DEPTH + 1
+    chain = _chain_goal(3000)
+    for parse, text, at in ((parse_goals, chain, col),
+                            (parse_term_text, chain[4:-1], col - 4),
+                            (parse_program, f"r @ A(x) <=> {chain}.", col + 13)):
+        with pytest.raises(ParseError,
+                           match=f"^line 1, col {at}: term nested too deeply"):
+            parse(text)
+    line = f"0 Activate goal={chain}#1 P={{}} S={{}}"
+    with pytest.raises(TraceFormatError,
+                       match=f"^line 2: goal is not a constraint \\(col {col}: "
+                             "term nested too deeply\\)"):
+        parse_trace("# chr-trace v1\n" + line + "\n")
+
+
+def test_terms_at_the_depth_bound_run_and_verify_on_both_engines():
+    p = load_program(program_text("gcd"))
+    for text in (_chain_goal(MAX_TERM_DEPTH), _nested_goal(MAX_TERM_DEPTH)):
+        goals = parse_goals(text)
+        for conc, res in ((False, run_sequential(goals, p)),
+                          (True, run_concurrent(goals, p, EngineConfig(workers=2)))):
+            assert res.status == "done"
+            dump = res.state.store.dump()
+            text = serialize_trace(res.trace, {}, res.status, dump)
+            verdicts = verify_run(text, goals, p, concurrent=conc)
+            assert verdicts and all(v.passed for v in verdicts), verdicts
+    for text in (_chain_goal(MAX_TERM_DEPTH + 1), _nested_goal(MAX_TERM_DEPTH + 1)):
+        with pytest.raises(ParseError, match="term nested too deeply"):
+            parse_goals(text)

@@ -411,6 +411,19 @@ def test_parse_line_names_the_non_integer_field(line, field):
         parse_trace("# chr-trace v1\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("0 Activate{long}", "malformed trace line"),
+    ("0 Bogus{long} goal=A#1", "unknown step kind"),
+    ("0 Activate goal=A#1 P={{}} S={{}} junk{long}", "malformed field"),
+    ("0 Activate goal=A(1+{long} P={{}} S={{}}", "goal is not a constraint"),
+])
+def test_trace_errors_quote_only_the_start_of_a_long_text(line, message):
+    line = line.format(long="x" * 5000)
+    with pytest.raises(TraceFormatError, match=f"^line 2: {message}") as exc:
+        parse_trace("# chr-trace v1\n" + line + "\n")
+    assert len(str(exc.value)) < 200
+
+
 def _random_term(rng, depth=0):
     k = rng.randrange(6 if depth < 2 else 4)
     if k == 0:
