@@ -14,16 +14,18 @@ enters a store, and successors inherit the rendered forms of the items they
 keep, so a state key is a sort of cached strings.  A successor is described
 before it is built: its key comes from the parent's sorted renders, less the
 simplified heads' and plus the body's (a store with a propagation history is
-built for its key), and the search builds it only when that key is new.  A
-successor remembers the rewrite that built it, and expanding it keeps the
-parent's matches whose heads survive and searches only from its new items,
-through the program's join plans (Forgy's Rete, 1982, keeps complete
-matches across store changes in the same way).  A store reached any other
-way, or through a body that added an equation (which changes every match's
-equation-normal form), is enumerated in full: its equations solved once,
-head candidates looked up by predicate, a rule's guard tested as soon as the
-heads assigned so far bind its variables.  Each distinct body instance is
-built once per search.
+built for its key), and the search builds it only when that key is new.
+Every match is found by one join from a store's new items, through the
+program's join plans: from the match's first head on a new item, in textual
+order, with every head before it on an old item.  A successor built by a
+rewrite whose body added no equation keeps its parent's matches whose heads
+survive, and its new items are the body's (Forgy's Rete, 1982, keeps
+complete matches across store changes in the same way).  Any other store (a
+root, or a successor whose body added an equation, which changes every
+match's equation-normal form) solves its equations once and keeps nothing:
+all its CHR items are new, so only a rule's first head starts a join.  A
+guard is tested as soon as the join has bound its variables.  Each distinct
+body instance is built once per search.
 """
 from __future__ import annotations
 
@@ -49,9 +51,11 @@ class LimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class AbstractStore:
-    """Items are in normal form (the constructors and rewrites normalize).
-    `renders` caches each item's rendered form, in item order: rewrites carry
-    it from parent to successor, so an item is rendered once."""
+    """Items are in normal form (the constructors and rewrites normalize),
+    their tags ascending and below next_tag, the tag the next body item
+    gets.  `renders` caches each item's rendered form, in item order:
+    rewrites carry it from parent to successor, so an item is rendered
+    once."""
 
     items: tuple[tuple[Constraint, int], ...]  # (constraint, instance tag)
     history: frozenset[HistoryKey] = frozenset()
@@ -63,7 +67,11 @@ class AbstractStore:
                                             repr=False)
 
     def __post_init__(self):
-        if self.renders is None:
+        if self.renders is None:  # not built by a rewrite: check the tags
+            tags = [t for _, t in self.items] + [self.next_tag]
+            if any(a >= b for a, b in zip(tags, tags[1:])):
+                raise ValueError(f"item tags {tags[:-1]} must ascend below "
+                                 f"next_tag {self.next_tag}")
             object.__setattr__(self, "renders", tuple(
                 render_constraint(c) for c, _ in self.items))
 
@@ -179,19 +187,16 @@ class RewriteStep:
 
 @dataclass
 class _Expansion:
-    """One rewrite_steps call: the store, its solved equations (None:
-    inconsistent), its CHR items per predicate in equation-normal form, and
-    its matches in order.  A successor's own call starts from these."""
+    """One rewrite_steps call: the store, its solved equations, its CHR
+    items per predicate in equation-normal form, and its matches in order.
+    A successor's own call starts from these."""
 
     store: AbstractStore
     program: Program
-    theta: Optional[Subst]
+    theta: Subst
     by_pred: dict[str, list[tuple[Chr, int]]]
     memo: dict  # (rule index, body-variable values) -> body instance
     matches: list[_Match]
-    # items in tag order, all below next_tag: sorting matches by their
-    # tags then gives the enumeration order, so successors may inherit
-    tag_ordered: bool
 
     @cached_property
     def sorted_renders(self) -> list[str]:
@@ -210,29 +215,49 @@ def _theta_norm(theta: Optional[Subst], c: Constraint) -> Constraint:
 def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
     """Every applicable single rewrite: every rule, every injective assignment
     of distinct store elements to head positions, every matching substitution
-    with the guard entailed.  Deterministic enumeration order (rules top to
-    bottom, heads in textual order, elements in store order).  Empty result
-    means the store is final.
+    with the guard entailed.  Deterministic order: rules top to bottom, then
+    the heads' tags in textual order (store order, as a store's tags
+    ascend).  Empty result means the store is final.
 
-    A store built by a rewrite of p whose body added no equation inherits
-    its parent's matches that keep their heads (less a pure propagation the
-    rewrite put in the history) and searches only for matches with a head on
-    a new item.  Every other store is enumerated in full: its equations are
-    solved once, and the guard is tested as soon as the heads assigned so
-    far bind all of its variables.  Body instances are shared by every store
-    derived from the same one, per rule and body-variable values.
+    Every match is found once, by one join from the store's new items.  A
+    store built by a rewrite of p whose body added no equation inherits its
+    parent's matches that keep their heads (less a pure propagation the
+    rewrite put in the history), and its new items are the body's.  Every
+    other store solves its equations once and inherits nothing: all its CHR
+    items are new.  Body instances are shared by every store derived from
+    the same one, per rule and body-variable values.
     """
-    origin, exp, memo = s.origin, None, {}
+    origin, parent, memo = s.origin, None, {}
     if origin is not None:
         object.__setattr__(s, "origin", None)  # free the parent's matches
-        parent = origin._exp
-        if parent.program is p:
-            memo = parent.memo
-            if parent.tag_ordered and not any(
-                    isinstance(c, Eq) for c in origin._m.body[0]):
-                exp = _inherit(s, p, origin._m, parent)
-    if exp is None:
-        exp = _enumerate(s, p, memo)
+        if origin._exp.program is p:
+            memo = origin._exp.memo
+            if not any(isinstance(c, Eq) for c in origin._m.body[0]):
+                parent = origin._exp
+    if parent is None:  # no matches to inherit: every CHR item is new
+        eqs = s.eqs()
+        theta = mgu(eqs) if eqs else {}
+        if theta is None:  # inconsistent store entails nothing: final
+            return []
+        by_pred, kept, first = {}, [], None
+        items = [it for it in s.items if isinstance(it[0], Chr)]
+    else:  # the parent's matches that keep their heads; the body is new
+        theta, first = parent.theta, parent.store.next_tag
+        removed = {t for _, t in origin.simplified}
+        kept = [m for m in parent.matches
+                if removed.isdisjoint(m.used_tags)
+                and (m.rule.simplified
+                     or (m.rule.name, m.used_tags) not in s.history)]
+        by_pred = dict(parent.by_pred)  # lists are shared, never changed
+        for c, _ in origin.simplified:
+            by_pred[c.pred] = [it for it in by_pred[c.pred]
+                               if it[1] not in removed]
+        items = zip(origin._m.body[0], count(first))
+    new = [(_theta_norm(theta, c) if theta else c, t) for c, t in items]
+    for c, t in new:
+        by_pred[c.pred] = by_pred.get(c.pred, []) + [(c, t)]
+    exp = _Expansion(s, p, theta, by_pred, memo, kept)
+    _join(exp, new, first)
     return [RewriteStep(m, exp) for m in exp.matches]
 
 
@@ -256,84 +281,27 @@ def _found(rule: Rule, phi: Subst, heads: list[tuple[str, Chr, int]],
         tags, (rule.index,) + order, body))
 
 
-def _enumerate(s: AbstractStore, p: Program, memo: dict) -> _Expansion:
-    """Every match of every rule, heads assigned in textual order."""
-    tags = [t for _, t in s.items]
-    tag_ordered = all(a < b for a, b in zip(tags, tags[1:] + [s.next_tag]))
-    eqs = s.eqs()
-    theta: Subst = {}
-    if eqs:
-        theta = mgu(eqs)
-        if theta is None:  # inconsistent store entails nothing: final
-            return _Expansion(s, p, None, {}, memo, [], False)
-    # CHR items per predicate, in store order, in equation-normal form
-    by_pred: dict[str, list[tuple[Chr, int]]] = {}
-    for c, t in s.items:
-        if isinstance(c, Chr):
-            if theta:
-                c = _theta_norm(theta, c)
-            by_pred.setdefault(c.pred, []).append((c, t))
-    out: list[_Match] = []
-
-    for rule in p.rules:
-        heads = rule.heads
-        n, guard_at = len(heads), rule.guard_at
-        used: list[tuple[str, Chr, int]] = []
-        used_tags: set[int] = set()
-
-        def assign(k: int, phi: Subst):
-            if k == guard_at and not holds(theta, phi, rule.guard):
-                return
-            if k == n:
-                _found(rule, phi, used, s.history, memo, out)
-                return
-            role, _, pattern = heads[k]
-            for c, t in by_pred.get(pattern.pred, ()):
-                if t in used_tags:
-                    continue
-                phi2 = match(pattern, c, phi)
-                if phi2 is None:
-                    continue
-                used.append((role, c, t))
-                used_tags.add(t)
-                assign(k + 1, phi2)
-                used.pop()
-                used_tags.discard(t)
-
-        assign(0, {})
-    return _Expansion(s, p, theta, by_pred, memo, out, tag_ordered)
-
-
-def _inherit(s: AbstractStore, p: Program, origin: _Match,
-             parent: _Expansion) -> _Expansion:
-    """The matches of s, built by origin from parent's store without a new
-    equation: the parent's matches that keep their heads, and the matches
-    with a head on a new item, found from the first such head in textual
-    order (every head before it is an old item), so each is found once."""
-    theta, history, memo = parent.theta, s.history, parent.memo
-    removed = {t for _, t in origin.simplified}
-    out = [m for m in parent.matches
-           if removed.isdisjoint(m.used_tags)
-           and (m.rule.simplified or (m.rule.name, m.used_tags) not in history)]
-    by_pred = dict(parent.by_pred)  # lists are shared, never changed
-    for c, _ in origin.simplified:
-        by_pred[c.pred] = [it for it in by_pred[c.pred] if it[1] not in removed]
-    first = parent.store.next_tag  # tags from here on are new items
-    new = [(_theta_norm(theta, c) if theta else c, t)
-           for c, t in zip(origin.body[0], count(first))]
-    for c, t in new:
-        by_pred[c.pred] = by_pred.get(c.pred, []) + [(c, t)]
-
+def _join(exp: _Expansion, new: list[tuple[Chr, int]],
+          first: Optional[int]) -> None:
+    """Add to exp.matches, in order, every match with a head on a new item
+    (tag first or above; every item when first is None).  A match is found
+    from the first such head in textual order, through that occurrence's
+    join plan, with every head before it on an old item, so it is found
+    once; when every item is new, only a rule's first head starts a join."""
+    p, theta, by_pred = exp.program, exp.theta, exp.by_pred
+    history, memo = exp.store.history, exp.memo
     found: list[_Match] = []
     for c, t in new:
         for occ in p.occurrences.get(c.pred, ()):
-            phi0 = match(occ.pattern, c, {})
-            if phi0 is None:
-                continue
             rule = p.rules[occ.rule_index]
             n_prop, partners, guard_at = (len(rule.propagated), occ.partners,
                                           occ.guard_at)
             active = occ.pos + (n_prop if occ.role == "simplified" else 0)
+            if active and first is None:
+                continue  # no old item can fill an earlier head
+            phi0 = match(occ.pattern, c, {})
+            if phi0 is None:
+                continue
             heads: list = [None] * len(rule.heads)
             heads[active] = (occ.role, c, t)
             used = {t}
@@ -359,8 +327,7 @@ def _inherit(s: AbstractStore, p: Program, origin: _Match,
 
             join(0, phi0)
     if found:
-        out = sorted(out + found, key=attrgetter("order"))
-    return _Expansion(s, p, theta, by_pred, memo, out, True)
+        exp.matches = sorted(exp.matches + found, key=attrgetter("order"))
 
 
 def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],

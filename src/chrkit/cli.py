@@ -37,8 +37,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--engine", choices=("sequential", "concurrent", "abstract"),
                     default="sequential")
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--seed", type=int,
-                    default=int(os.environ.get("CHR_SEED", "0")))
+    try:
+        seed = int(os.environ.get("CHR_SEED", "0"))
+    except ValueError:
+        seed = None  # main reports it, unless --seed is given
+    ap.add_argument("--seed", type=int, default=seed,
+                    help="default: $CHR_SEED, else 0")
     ap.add_argument("--policy", choices=("fifo", "lifo"), default="fifo")
     ap.add_argument("--max-steps", type=int, default=None)
     ap.add_argument("--trace", default=None, metavar="PATH",
@@ -86,6 +90,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 goals = parse_goals(fh.read())
         else:
             goals = parse_goals(args.goals or "")
+        if args.seed is None:
+            raise ValueError("CHR_SEED must be an integer, not "
+                             f"{os.environ['CHR_SEED']!r}")
         cfg = EngineConfig(workers=args.workers, seed=args.seed,
                            max_steps=args.max_steps)
         if args.repeat is not None and args.repeat < 1:

@@ -271,11 +271,6 @@ class Rule:
         return tuple(out)
 
     @cached_property
-    def guard_at(self) -> int:
-        """How many heads, in textual order, bind every guard variable."""
-        return _guard_at(self.guard, self.heads, set())
-
-    @cached_property
     def body_vars(self) -> tuple[str, ...]:
         """The body's variables, sorted (range restriction: all in heads)."""
         return tuple(sorted(set().union(*(vars_of(b) for b in self.body))))

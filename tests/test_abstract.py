@@ -203,3 +203,20 @@ def test_inconsistent_equation_store_is_final():
     s = AbstractStore.from_constraints(
         parse_goals("Get(m)") + (Eq(Var("x"), Const(1)), Eq(Var("x"), Const(2))))
     assert rewrite_steps(s, p) == []
+
+
+def test_hand_built_store_tags_must_ascend_below_next_tag():
+    """A body item takes next_tag: at or below a live tag, it would share
+    that item's tag (and its propagation history), which changes the
+    answer; matches are ordered by tag, so tags must ascend in the store."""
+    p = load_program("mk @ P ==> Q.\npair @ Q \\ P <=> R.")
+    P = Chr("P", ())
+    with pytest.raises(ValueError, match="next_tag"):
+        AbstractStore(((P, 0), (P, 1)), frozenset(), 1)
+    with pytest.raises(ValueError, match="ascend"):
+        AbstractStore(((P, 1), (P, 0)), frozenset(), 2)
+    with pytest.raises(ValueError):
+        AbstractStore(((P, 0), (P, 0)), frozenset(), 2)
+    s = AbstractStore(((P, 0), (P, 1)), frozenset(), 2)
+    assert final_stores(s, p) == {("Q", "Q", "R", "R"), ("Q", "R", "R")}
+    assert final_stores(store_of("P,P"), p) == final_stores(s, p)

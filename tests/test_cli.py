@@ -201,3 +201,16 @@ def test_seed_env_var_default(capsys, monkeypatch):
     from chrkit.cli import build_arg_parser
     args = build_arg_parser().parse_args([str(PROGRAMS / "gcd.chr")])
     assert args.seed == 11
+
+
+def test_non_integer_seed_env_var_exits_1_with_one_error_line(capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("CHR_SEED", "abc")
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(9)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "CHR_SEED" in err
+    assert len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(9)", "--seed", "3")
+    assert code == 0  # an explicit --seed does not read it

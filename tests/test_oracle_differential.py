@@ -12,6 +12,7 @@ import pytest
 import chrkit.abstract as abstract
 from chrkit.abstract import (AbstractStore, LimitExceeded, RewriteStep,
                              final_stores)
+from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Eq, render_constraint
 
@@ -74,6 +75,27 @@ def _store(goals: str) -> AbstractStore:
 def test_corpus_programs(name, monkeypatch):
     start = AbstractStore.from_constraints(goals_for(name))
     assert check_search(start, load(name), monkeypatch) > 0
+
+
+def test_engine_built_root_stores():
+    """Stores built from a sequential run stopped after k steps: sparse
+    engine ids as tags, equation tags after them, and a propagation history
+    the store starts with."""
+    stores = with_history = with_eqs = 0
+    for name in sorted(CORPUS):
+        program = load(name)
+        for k in (0, 1, 2, 3, 5, 8, 13, 21, 34):
+            res = run_sequential(goals_for(name), program, max_steps=k)
+            store = res.state.store
+            s = AbstractStore.from_identified(
+                [(nc.constraint, nc.id) for nc in store.live_items()],
+                store.eqs(), res.history)
+            _same_steps(abstract.rewrite_steps(s, program),
+                        reference_rewrite_steps(s, program))
+            stores += 1
+            with_history += bool(s.history)
+            with_eqs += bool(s.eqs())
+    assert (stores, with_history > 0, with_eqs > 0) == (81, True, True)
 
 
 def test_acceptance_fuzz_cases(monkeypatch):
