@@ -38,8 +38,8 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .syntax import Program, Rule
-from .terms import (Chr, Constraint, Eq, Subst, apply_subst, holds, match,
-                    mgu, normalize_constraint, render_constraint)
+from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, holds,
+                    match, mgu, normalize_constraint, render_constraint)
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 
 HistoryKey = tuple[str, tuple[int, ...]]
@@ -212,6 +212,11 @@ def _theta_norm(theta: Optional[Subst], c: Constraint) -> Constraint:
     return normalize_constraint(apply_subst(theta, c) if theta else c)
 
 
+def solved_form(theta: Optional[Subst], c: Constraint) -> str:
+    """The rendered form of c under theta that validate_rewrite compares."""
+    return render_constraint(_theta_norm(theta, c))
+
+
 def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
     """Every applicable single rewrite: every rule, every injective assignment
     of distinct store elements to head positions, every matching substitution
@@ -296,6 +301,8 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
             rule = p.rules[occ.rule_index]
             n_prop, partners, guard_at = (len(rule.propagated), occ.partners,
                                           occ.guard_at)
+            if isinstance(rule.guard, Const) and rule.guard.value is True:
+                guard_at = -1  # `true` holds in every store: never tested
             active = occ.pos + (n_prop if occ.role == "simplified" else 0)
             if active and first is None:
                 continue  # no old item can fill an earlier head
@@ -418,21 +425,19 @@ def run_abstract(s: AbstractStore, p: Program, seed: int = 0,
 
 
 def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],
-                     prop_cs: list[Chr], simp_cs: list[Chr]) -> Optional[str]:
-    """Why firing `rule` at instance `phi` on the given head constraints is
-    not a single rewrite of a store whose equations solve to `theta` (None:
-    inconsistent), or None when it is.  Each role's heads must be the rule's
-    heads under phi, compared as sorted rendered forms under theta, and the
-    guard must hold under theta.  Validates a recorded engine step without
-    searching all rewrites.
+                     prop_forms: list[str],
+                     simp_forms: list[str]) -> Optional[str]:
+    """Why firing `rule` at instance `phi` on head constraints with the given
+    `solved_form`s under theta is not a single rewrite of a store whose
+    equations solve to `theta` (None: inconsistent), or None when it is.
+    Each role's heads must be the rule's heads under phi, compared as sorted
+    forms, and the guard must hold under theta.  Validates a recorded engine
+    step without searching all rewrites.
     """
-    def form(c: Constraint) -> str:
-        return render_constraint(_theta_norm(theta, c))
-
-    for role, patterns, heads in (("propagated", rule.propagated, prop_cs),
-                                  ("simplified", rule.simplified, simp_cs)):
-        if (sorted(form(apply_subst(phi, h)) for h in patterns)
-                != sorted(map(form, heads))):
+    for role, patterns, forms in (("propagated", rule.propagated, prop_forms),
+                                  ("simplified", rule.simplified, simp_forms)):
+        if (sorted(solved_form(theta, apply_subst(phi, h)) for h in patterns)
+                != sorted(forms)):
             return f"{role} heads do not match rule {rule.name}"
     if theta is None or not holds(theta, phi, rule.guard):
         return f"guard of rule {rule.name} not entailed"

@@ -11,7 +11,8 @@ the same `Step`s back from text.  One line per step:
 start with `#` and carry the engine configuration; footer lines carry the
 run status and the final store dump so a trace file is self-contained
 evidence.  The verifier consumes this text format, never in-memory engine
-state.
+state.  `parse_trace` parses each distinct goal text and phi value once
+per call (a trace repeats few) and shares the frozen terms between steps.
 """
 from __future__ import annotations
 
@@ -90,11 +91,11 @@ def _excerpt(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:40] + "...")
 
 
-def _field(name: str, what: str, parse, text: str):
-    """parse(text), or a TraceFormatError naming the trace field, the
+def _field(name: str, what: str, parse, text: str, *args):
+    """parse(text, *args), or a TraceFormatError naming the trace field, the
     parser's reason and column if it gave them, and the field's start."""
     try:
-        return parse(text)
+        return parse(text, *args)
     except (ValueError, ParseError) as exc:
         why = (f" (col {exc.col}: {exc.reason})"
                if isinstance(exc, ParseError) else "")
@@ -111,25 +112,35 @@ def _ids(text: str) -> tuple[int, ...]:
     return tuple(sorted(int(x) for x in inner.split(","))) if inner else ()
 
 
-def _phi(text: str) -> Subst:
+def _parsed(cache: dict, parse, text: str):
+    """parse(text), once per parser and distinct text in cache."""
+    key = (parse, text)
+    if key not in cache:
+        cache[key] = parse(text)
+    return cache[key]
+
+
+def _phi(text: str, cache: dict) -> Subst:
     inner = text.strip("{}")
     phi: Subst = {}
     if not inner:
         return phi
     for binding in inner.split(";"):
         name, _, value = binding.partition("->")
-        phi[name] = parse_term_text(value)
+        phi[name] = _parsed(cache, parse_term_text, value)
     return phi
 
 
-def _goal(text: str) -> tuple[Constraint, Optional[int]]:
+def _goal(text: str, cache: dict) -> tuple[Constraint, Optional[int]]:
     base, hash_, idtext = text.rpartition("#")
     if hash_ and idtext.isdigit():
-        return parse_constraint_text(base), int(idtext)
-    return parse_constraint_text(text), None
+        return _parsed(cache, parse_constraint_text, base), int(idtext)
+    return _parsed(cache, parse_constraint_text, text), None
 
 
-def parse_line(line: str) -> Step:
+def parse_line(line: str, cache: Optional[dict] = None) -> Step:
+    """One step line; `cache` keeps parsed goal and phi texts for reuse."""
+    cache = {} if cache is None else cache
     parts = line.split(" ")
     if len(parts) < 3:
         raise TraceFormatError(f"malformed trace line: {_excerpt(line)}")
@@ -145,7 +156,7 @@ def parse_line(line: str) -> Step:
         fields[key] = value
     if "goal" not in fields:
         raise TraceFormatError("missing goal field")
-    goal, goal_id = _field("goal", "a constraint", _goal, fields["goal"])
+    goal, goal_id = _field("goal", "a constraint", _goal, fields["goal"], cache)
     interval = None
     if "interval" in fields:
         a, _, b = fields["interval"].partition(",")
@@ -156,7 +167,7 @@ def parse_line(line: str) -> Step:
         goal=goal,
         goal_id=goal_id,
         rule=fields.get("rule"),
-        phi=(_field("phi", "a substitution", _phi, fields["phi"])
+        phi=(_field("phi", "a substitution", _phi, fields["phi"], cache)
              if "phi" in fields else {}),
         prop_ids=_field("P", "a set of integers", _ids, fields.get("P", "{}")),
         simp_ids=_field("S", "a set of integers", _ids, fields.get("S", "{}")),
@@ -179,8 +190,9 @@ def serialize_trace(steps, meta: dict[str, str], status: str,
 
 def parse_trace(text: str) -> ParsedTrace:
     """Parse a serialized trace; a malformed step line raises
-    TraceFormatError prefixed with its 1-based line number."""
-    out = ParsedTrace()
+    TraceFormatError prefixed with its 1-based line number.  Each distinct
+    goal text and phi value is parsed once per call."""
+    out, cache = ParsedTrace(), {}
     dump_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -199,7 +211,7 @@ def parse_trace(text: str) -> ParsedTrace:
                         out.meta[k] = v
             continue
         try:
-            out.steps.append(parse_line(line))
+            out.steps.append(parse_line(line, cache))
         except TraceFormatError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
     out.final_dump = "\n".join(dump_lines)

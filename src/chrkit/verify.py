@@ -26,10 +26,13 @@ and then, over the replayed state and the trace's commit intervals:
                    a sweep over intervals sorted by start that keeps only the
                    still-open ones, costing n log n + (overlapping pairs)
 
+The reader parses each distinct goal text and phi value once per trace.
 The replica solves each equation once, at its Solve step, extending the
-m.g.u. it keeps by that equation alone; the firing checks read that m.g.u.,
-and the wake-up check looks up the entries that mention a newly bound
-variable in the replica's own variable -> ids occurrence map.
+m.g.u. it keeps by that equation alone; the wake-up check looks up the
+entries that mention a newly bound variable in the replica's own variable
+-> ids occurrence map.  Each entry's form under the m.g.u. is rendered at
+activation and again only when a Solve wakes it, so a firing check renders
+just the rule's heads under the recorded substitution.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
+from .abstract import (AbstractStore, HistoryKey, rewrite_steps, solved_form,
                        validate_rewrite)
 from .store import NumberedConstraint, State
 from .syntax import Program
@@ -73,9 +76,10 @@ class _Replica:
     wake-ups can change the rendered form while a stale goal copy is still
     queued.  Store entries stay raw (as activated), exactly like the engine
     store.  `theta` is the m.g.u. of the equations, kept from one Solve to
-    the next; it is their only solved form.  `occ` maps each variable not
-    bound by theta to the ids (dead ones too) whose form under theta
-    mentions it."""
+    the next; it is their only solved form.  `forms` holds each alive
+    entry's `solved_form` under theta, computed at activation and refreshed
+    for the entries a Solve wakes.  `occ` maps each variable not bound by
+    theta to the ids (dead ones too) whose form under theta mentions it."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals = Counter(render_constraint(normalize_constraint(g))
@@ -83,6 +87,7 @@ class _Replica:
         self.numbered: Counter = Counter()
         self.entries: dict[int, Chr] = {}
         self.keys: dict[int, str] = {}  # rendered raw entries
+        self.forms: dict[int, str] = {}  # solved forms of the alive entries
         self.alive: set[int] = set()
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
@@ -108,6 +113,7 @@ class _Replica:
 
     def note_vars(self, cid: int) -> None:
         c = self.entries[cid]
+        self.forms[cid] = solved_form(self.theta, c)
         if self.theta is not None and vars_of(c):  # ground entries never wake
             for v in vars_of(apply_subst(self.theta, c)):
                 self.occ.setdefault(v, set()).add(cid)
@@ -125,6 +131,8 @@ class _Replica:
         sigma = mgu([Eq(apply_subst(phi, e.lhs), apply_subst(phi, e.rhs))])
         if sigma is None:
             self.theta = None
+            for cid in self.alive:  # forms without equations from now on
+                self.note_vars(cid)
             return []
         theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
                  for x, t in phi.items()}
@@ -153,14 +161,6 @@ class _Replica:
         lines = [f"{self.keys[cid]}#{cid}" for cid in sorted(self.alive)]
         lines.extend(sorted(render_constraint(e) for e in self.eqs))
         return "\n".join(lines)
-
-
-def _steps_in_order(trace: ParsedTrace) -> Optional[list[Step]]:
-    steps = sorted(trace.steps, key=lambda s: s.seq)
-    seqs = [s.seq for s in steps]
-    if len(set(seqs)) != len(seqs):
-        return None
-    return steps
 
 
 def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
@@ -234,8 +234,8 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     # the abstract semantics' own check, on the heads alone, under the
     # replica's current solved equations
     err = validate_rewrite(rule, st.phi, rep.theta,
-                           [rep.entries[i] for i in st.prop_ids],
-                           [rep.entries[i] for i in st.simp_ids])
+                           [rep.forms[i] for i in st.prop_ids],
+                           [rep.forms[i] for i in st.simp_ids])
     if err is not None:
         return err
     if st.kind == "Propagate":
@@ -261,8 +261,8 @@ def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
     does not replay fails both; the projection verdict rests on the per-step
     checks, since a step that replays changes the projection by exactly what
     the abstract semantics expects of it."""
-    steps = _steps_in_order(trace)
-    if steps is None:
+    steps = sorted(trace.steps, key=lambda s: s.seq)
+    if len({s.seq for s in steps}) != len(steps):
         detail = "duplicate seq numbers"
         return (None, Verdict(False, "replay", detail),
                 Verdict(False, "project-abstract", detail))
@@ -380,10 +380,11 @@ def audit_overlap(records: Iterable[AuditRecord]) -> Verdict:
 
 
 def audit_overlap_trace(trace: ParsedTrace) -> Verdict:
-    """audit_overlap over a parsed (serialized) trace."""
+    """audit_overlap over a parsed (serialized) trace, in its own order:
+    decompose_k sorts the records it needs."""
     return audit_overlap(
         (st.seq, st.interval, st.prop_ids, st.simp_ids)
-        for st in _steps_in_order(trace) or [] if st.interval is not None)
+        for st in trace.steps if st.interval is not None)
 
 
 def verify_run(trace_text: str, goals0: Iterable[Constraint],

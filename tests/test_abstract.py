@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+import chrkit.abstract as abstract
 from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
                              final_stores, is_final, rewrite_steps,
-                             run_abstract, validate_rewrite)
+                             run_abstract, solved_form, validate_rewrite)
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var, mgu
 
@@ -62,6 +64,25 @@ def test_final_stores_gcd():
 def test_final_stores_channel_has_both_answers():
     finals = final_stores(store_of("Get(m),Put(1),Get(n),Put(8)"), load("channel"))
     assert finals == {("m=1", "n=8"), ("m=8", "n=1")}
+
+
+def test_final_stores_never_tests_the_guard_true(monkeypatch):
+    """channel's rule has the guard `true`, which holds in every store: the
+    search finds all 120 answers of k=5 without testing it; gcd's guards
+    are still tested."""
+    calls = []
+    real = abstract.holds
+    monkeypatch.setattr(abstract, "holds",
+                        lambda *a: calls.append(a) or real(*a))
+    goals = ",".join([f"Get(z{i})" for i in range(5)]
+                     + [f"Put({v})" for v in range(5)])
+    finals = final_stores(store_of(goals), load("channel"))
+    assert finals == {tuple(f"z{i}={v}" for i, v in enumerate(vs))
+                      for vs in itertools.permutations(range(5))}
+    assert not calls
+    assert final_stores(store_of("Gcd(6),Gcd(9)"), load("gcd")) \
+        == {("Gcd(3)",)}
+    assert calls
 
 
 def test_final_stores_empty():
@@ -169,13 +190,19 @@ def test_validate_rewrite_accepts_recorded_instances():
              (load_program("r1 @ A(x), B(x) <=> C(x)."), "A(a),B(2),a=2")]
     for p, goals in cases:
         s = store_of(goals)
-        raw = {t: c for c, t in s.items}
+        theta = mgu(s.eqs())
+        form = {t: solved_form(theta, c) for c, t in s.items}
         steps = rewrite_steps(s, p)
         assert steps
         for st in steps:
-            assert validate_rewrite(p.rule(st.rule), st.phi, mgu(s.eqs()),
-                                    [raw[t] for _, t in st.propagated],
-                                    [raw[t] for _, t in st.simplified]) is None
+            assert validate_rewrite(p.rule(st.rule), st.phi, theta,
+                                    [form[t] for _, t in st.propagated],
+                                    [form[t] for _, t in st.simplified]) is None
+    # the heads are compared by their forms under theta, not as written
+    assert (form[0], form[1]) == ("A(2)", "B(2)")
+    assert validate_rewrite(p.rule("r1"), {"x.0": Const(2)}, theta,
+                            [], ["A(a)", "B(2)"]) \
+        == "simplified heads do not match rule r1"
 
 
 def test_validate_rewrite_rejects_wrong_heads():
@@ -183,10 +210,11 @@ def test_validate_rewrite_rejects_wrong_heads():
     s = store_of("Gcd(3),Gcd(9)")
     st = rewrite_steps(s, gcd)[0]
     rule = gcd.rule(st.rule)
-    props = [c for c, _ in st.propagated]
-    simps = [c for c, _ in st.simplified]
-    assert validate_rewrite(rule, st.phi, {}, [Chr("Gcd", (Const(77),))],
-                            simps) == "propagated heads do not match rule gcd2"
+    props = [solved_form({}, c) for c, _ in st.propagated]
+    simps = [solved_form({}, c) for c, _ in st.simplified]
+    assert (props, simps) == (["Gcd(3)"], ["Gcd(9)"])
+    assert validate_rewrite(rule, st.phi, {}, ["Gcd(77)"], simps) \
+        == "propagated heads do not match rule gcd2"
     assert validate_rewrite(rule, st.phi, {}, props, props) \
         == "simplified heads do not match rule gcd2"
     # roles and values swapped: the heads match, the guard m>=n fails

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 import re
 
@@ -13,7 +15,8 @@ from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError, parse_line,
 from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
                            decompose_k, project_abstract, replay, verify_run)
 
-from conftest import CORPUS, all_pairs_audit, goals_for, load
+from conftest import (CORPUS, all_pairs_audit, equation_fuzz_case, fuzz_case,
+                      goals_for, load)
 
 
 def seq_trace_text(name, goals=None):
@@ -117,6 +120,11 @@ def test_replay_same_id_woken_twice():
     ("c @ C(a) <=> a==2 | true.", "C(x),C(y),C(z),x=y,x=z,z=2"),
     ("r @ A(a), B(b) <=> a=b.\nq @ A(a) <=> a==1 | true.",
      "A(x),B(y),A(z),B(w),x=z,C(x),C(y),C(z),y=1"),
+    # Get(a)#1 fires after the Solves that woke it: the firing is checked
+    # against its form after them
+    ("get @ Get(x), Put(y) <=> x=y.", "Get(a),Get(b),a=b,Put(1),Put(1)"),
+    ("get @ Get(x), Put(y) <=> x=y.",
+     "Get(a),Get(b),Get(c),a=b,b=c,Put(1),Put(1),Put(1)"),
 ])
 def test_replay_agrees_on_variable_to_variable_bindings(text, goals):
     # which variable of `y=z` (x=z under x=y) gets bound decides which
@@ -227,6 +235,27 @@ def test_audit_overlap_flags_synthetic_violation():
     ])
     verdict = audit_overlap_trace(parse_trace(text))
     assert not verdict.passed and "10" in verdict.detail
+
+
+def test_audit_overlap_audits_a_trace_with_duplicated_seqs():
+    # replay rejects such a trace, and the audit must still see its clashes
+    text = "\n".join([
+        "# chr-trace v1",
+        "10 Simplify goal=G(x1)#1 rule=r P={} S={1,3} worker=0 interval=1,10",
+        "10 Simplify goal=G(x1)#1 rule=r P={} S={1,4} worker=1 interval=2,11",
+        "# status=done",
+    ])
+    assert str(audit_overlap_trace(parse_trace(text))) \
+        == "audit-overlap: FAIL (steps 10 and 10: shared ids [1])"
+    p, goals, _, text = con_trace_text("gcd", workers=2)
+    lines = text.splitlines()
+    k = next(i for i, l in enumerate(lines) if " Simplify " in l)
+    copied = "\n".join(lines[:k + 1] + lines[k:])
+    seq, simplified = lines[k].split(" ")[0], parse_line(lines[k]).simp_ids
+    assert [str(v) for v in verify_run(copied, goals, p, concurrent=True)] == [
+        "replay: FAIL (duplicate seq numbers)",
+        f"audit-overlap: FAIL (steps {seq} and {seq}: shared ids "
+        f"{list(simplified)})"]
 
 
 def test_sweep_audit_matches_all_pairs_reference():
@@ -342,6 +371,13 @@ FORGERIES = [
     ("phi equal only under the equations", None, None,
      lambda t: t.replace("phi={x.0->2}", "phi={x.0->a}"),
      "replay", "step 6: activated goal C(2) not in the goal multiset"),
+    # Get(a)#1 is woken by a=b (form Get(b)), then by b=1 (form Get(1)); its
+    # firing recorded against the form before b=1 puts b=1 in the goals
+    ("firing against the form before a wake-up", "channel",
+     "Get(a),Get(b),a=b,Put(1),Put(1)",
+     lambda t: t.replace("phi={x.0->1;y.0->1} P={} S={1,4}",
+                         "phi={x.0->b;y.0->1} P={} S={1,4}"),
+     "replay", "step 12: solved equation 1=1 not in the goal multiset"),
 ]
 
 
@@ -360,6 +396,25 @@ def test_verify_run_rejects_forged_traces(name, prog, goals, forge, check,
     verdicts = verify_run(forged, goals, p)
     assert [v.check for v in verdicts] == [check]
     assert not verdicts[0].passed and verdicts[0].detail == detail, verdicts
+
+
+def test_firing_after_unsatisfiable_equations_sees_entries_as_written():
+    # u=1 makes the equations unsatisfiable; A(u)#1, woken to A(2) by u=2,
+    # is compared as A(u) again, as the abstract check does without theta
+    p = load_program("r1 @ A(x), B(x) <=> C(x).")
+    text = "\n".join([
+        "# chr-trace v1",
+        "0 Activate goal=A(u)#1 P={} S={}",
+        "1 Drop goal=A(u)#1 P={} S={}",
+        "2 Activate goal=B(2)#2 P={} S={}",
+        "3 Solve goal=u=2 P={1} S={}",
+        "4 Solve goal=u=1 P={} S={}",
+        "5 Simplify goal=A(2)#1 rule=r1 phi={x.0->2} P={} S={1,2}",
+        "# status=failed",
+    ])
+    verdicts = verify_run(text, parse_goals("A(u),B(2),u=2,u=1"), p)
+    assert [str(v) for v in verdicts] == [
+        "replay: FAIL (step 5: simplified heads do not match rule r1)"]
 
 
 def test_verdict_requires_detail_on_failure():
@@ -409,6 +464,16 @@ def test_parse_line_names_the_non_integer_field(line, field):
         parse_line(line)
     with pytest.raises(TraceFormatError, match=f"^line 2: {field} is not"):
         parse_trace("# chr-trace v1\n" + line + "\n")
+
+
+def test_goal_text_repeated_as_a_phi_value_is_parsed_as_a_term():
+    # the reader's cache is per parser: `A` is a goal, not a term
+    text = ("# chr-trace v1\n0 Activate goal=A#1 P={} S={}\n"
+            "1 Simplify goal=A#1 rule=r phi={x.0->A} P={} S={1}\n")
+    with pytest.raises(TraceFormatError, match=re.escape(
+            "line 3: phi is not a substitution (col 1: expected a term, "
+            "found 'A'): '{x.0->A}'")):
+        parse_trace(text)
 
 
 @pytest.mark.parametrize("line,message", [
@@ -494,19 +559,82 @@ def _mutate(rng, text):
     return "".join(lines)
 
 
+@functools.lru_cache(maxsize=None)
+def _mutation_outcomes(name):
+    """verify_run on 500 seeded one-line edits of a 1-worker concurrent trace
+    of `name`: each edit's verdict strings, or its TraceFormatError."""
+    p, goals, _, text = con_trace_text(name, workers=1)
+    rng = random.Random(name)
+    outcomes = []
+    for _ in range(500):
+        try:
+            verdicts = verify_run(_mutate(rng, text), goals, p, concurrent=True)
+        except TraceFormatError as exc:
+            outcomes.append(f"TraceFormatError: {exc}")
+        else:
+            assert verdicts and all(isinstance(v, Verdict) for v in verdicts)
+            outcomes.append(" | ".join(map(str, verdicts)))
+    return tuple(outcomes)
+
+
 @pytest.mark.parametrize("name", ["gcd", "channel", "mergesort"])
 def test_mutated_traces_give_verdicts_or_a_format_error(name):
     """The reader under verify_run turns any damage to a trace into
     verdicts or a TraceFormatError, never another exception."""
-    p, goals, _, text = con_trace_text(name, workers=1)
-    rng = random.Random(name)
-    outcomes = set()
-    for _ in range(500):
-        try:
-            verdicts = verify_run(_mutate(rng, text), goals, p, concurrent=True)
-        except TraceFormatError:
-            outcomes.add("format error")
-        else:
-            assert verdicts and all(isinstance(v, Verdict) for v in verdicts)
-            outcomes.add(all(v.passed for v in verdicts))
+    outcomes = {"format error" if o.startswith("TraceFormatError") else
+                "FAIL" not in o for o in _mutation_outcomes(name)}
     assert outcomes == {"format error", True, False}
+
+
+# sha256 of the outcomes of _mutation_outcomes, one per line
+MUTATION_DIGESTS = {
+    "gcd": "2b2857f8122faefe18edc2433b1e93c9579d670fdf7e707990dee822579481de",
+    "channel":
+        "17c5d5b36b78e83cad4f8941fc50a47d1fa689e88f71c245cc5a948cd3bac9bc",
+    "mergesort":
+        "0e2f56af8ef370e49c3ba124c81761242cf5936c0d33c27c2ba98a8c2c6ba0e6",
+}
+
+
+@pytest.mark.parametrize("name", ["gcd", "channel", "mergesort"])
+def test_mutated_trace_outcomes_are_pinned(name):
+    """Every verdict and error message on the mutated traces is pinned: the
+    reader's text cache and the replica's form cache change no outcome."""
+    outcomes = _mutation_outcomes(name)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_DIGESTS[name]
+    if name == "gcd":
+        assert [outcomes[k] for k in (55, 182, 104, 45)] == [
+            "TraceFormatError: line 15: phi is not a substitution "
+            "(col 1: expected a term, found 'eof'): '{m.1->3;n.1->}'",
+            "TraceFormatError: line 16: goal is not a constraint "
+            "(col 7: expected ')', found 'eof'): 'Gcd(02#7'",
+            "replay: FAIL (step 12: simplified heads do not match rule gcd2)"
+            " | audit-overlap: PASS (0 overlapping pair(s))",
+            "replay: FAIL (duplicate seq numbers)"
+            " | audit-overlap: FAIL (steps 10 and 10: shared ids [5])"]
+
+
+def test_parse_trace_reads_each_step_as_parse_line_does():
+    """parse_trace parses each distinct goal and phi text once per trace and
+    shares the terms across steps; its steps must still equal the ones
+    parse_line reads from each line alone."""
+    texts = [seq_trace_text(name)[3] for name in CORPUS]
+    rng = random.Random(20240817)
+    cases = [fuzz_case(rng) for _ in range(200)]
+    rng = random.Random(20240817)
+    cases += [equation_fuzz_case(rng) for _ in range(150)]
+    for prog, gtext in cases:
+        p, goals = load_program(prog), parse_goals(gtext)
+        for res in (run_sequential(goals, p),
+                    run_concurrent(goals, p, EngineConfig(workers=1))):
+            texts.append(serialize_trace(res.trace, {}, res.status,
+                                         res.state.store.dump()))
+    for text in texts:
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        assert parse_trace(text).steps == [parse_line(l) for l in lines]
+    steps = parse_trace(seq_trace_text("gcd")[3]).steps
+    assert steps[0].goal is steps[2].goal  # Gcd(3), read once
+    # each step has its own phi, with shared terms
+    assert steps[3].phi == steps[12].phi and steps[3].phi is not steps[12].phi
+    assert steps[3].phi["n.1"] is steps[12].phi["n.1"]
