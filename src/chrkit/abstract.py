@@ -18,28 +18,31 @@ built for its key), and the search builds it only when that key is new.
 Every match is found by one join from a store's new items, through the
 program's join plans: from the match's first head on a new item, in textual
 order, with every head before it on an old item.  A successor built by a
-rewrite whose body added no equation keeps its parent's matches whose heads
-survive, and its new items are the body's (Forgy's Rete, 1982, keeps
-complete matches across store changes in the same way).  Any other store (a
-root, or a successor whose body added an equation, which changes every
-match's equation-normal form) solves its equations once and keeps nothing:
-all its CHR items are new, so only a rule's first head starts a join.  A
-guard is tested as soon as the join has bound its variables.  Each distinct
-body instance is built once per search.
+rewrite keeps its parent's matches whose heads survive in the same
+equation-normal form, and its new items are the body's CHR items plus, when
+the body added an equation, the items that equation gives a new normal form
+(Forgy's Rete, 1982, keeps complete matches across store changes in the
+same way).  Such a successor still solves all its equations at once, as a
+root does, so variable-to-variable bindings are oriented alike.  A root
+solves its equations once and keeps nothing: all its CHR items are new, so
+only a rule's first head starts a join.  A guard is tested as soon as the
+join has bound its variables, and each guard instance (rule and
+guard-variable values) once per search.  Each distinct body instance is
+built once per search.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import count
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .syntax import Program, Rule
 from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, holds,
-                    match, mgu, normalize_constraint, render_constraint)
+                    match, mgu, normalize_constraint, render_constraint,
+                    vars_of)
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 
 HistoryKey = tuple[str, tuple[int, ...]]
@@ -102,15 +105,23 @@ class AbstractStore:
 
 class _Match(NamedTuple):
     """One applicable rule instance.  It stays valid in a successor that
-    keeps its heads and its equations, so successors inherit it."""
+    keeps its heads in the same equation-normal form, so successors inherit
+    it."""
 
     rule: Rule
     phi: Subst
-    propagated: tuple[tuple[Chr, int], ...]
-    simplified: tuple[tuple[Chr, int], ...]
+    heads: tuple[tuple[Chr, int], ...]  # textual order: propagated, simplified
     used_tags: tuple[int, ...]  # sorted
     order: tuple[int, ...]  # the rule's index, then head tags in textual order
     body: tuple[tuple[Constraint, ...], tuple[str, ...]]  # normal, rendered
+
+    @property
+    def propagated(self) -> tuple[tuple[Chr, int], ...]:
+        return self.heads[:len(self.rule.propagated)]
+
+    @property
+    def simplified(self) -> tuple[tuple[Chr, int], ...]:
+        return self.heads[len(self.rule.propagated):]
 
 
 class RewriteStep:
@@ -149,14 +160,18 @@ class RewriteStep:
         is the parent's sorted renders, less the simplified heads' and plus
         the body's, and the successor is not built."""
         if self._key is None:
-            s, m = self._exp.store, self._m
-            if s.history or not m.rule.simplified:
+            exp, m = self._exp, self._m
+            if exp.store.history or not m.rule.simplified:
                 self._key = _state_key(self.result)
             else:
-                renders = list(self._exp.sorted_renders)
-                render_of = self._exp.render_of
+                if exp.sorted_renders is None:
+                    s = exp.store
+                    exp.sorted_renders = sorted(s.renders)
+                    exp.render_of = dict(zip([t for _, t in s.items],
+                                             s.renders))
+                renders = list(exp.sorted_renders)
                 for _, t in m.simplified:
-                    del renders[bisect_left(renders, render_of[t])]
+                    del renders[bisect_left(renders, exp.render_of[t])]
                 for r in m.body[1]:
                     insort(renders, r)
                 self._key = (tuple(renders), ())
@@ -185,7 +200,22 @@ class RewriteStep:
                              tuple(renders), origin=self)
 
 
-@dataclass
+class _Memo:
+    """Shared by the stores of one search, per rule: body instances by
+    body-variable values, guard results by guard-variable values.  Items are
+    equation-normal, so a guard instance holds in all the stores or none."""
+
+    __slots__ = ("bodies", "guards", "guard_vars")
+
+    def __init__(self, p: Program):
+        self.bodies = [{} for _ in p.rules]
+        self.guards = [{} for _ in p.rules]
+        self.guard_vars = [  # None: the guard `true`, never tested
+            None if isinstance(r.guard, Const) and r.guard.value is True
+            else tuple(sorted(vars_of(r.guard))) for r in p.rules]
+
+
+@dataclass(slots=True)
 class _Expansion:
     """One rewrite_steps call: the store, its solved equations, its CHR
     items per predicate in equation-normal form, and its matches in order.
@@ -195,16 +225,11 @@ class _Expansion:
     program: Program
     theta: Subst
     by_pred: dict[str, list[tuple[Chr, int]]]
-    memo: dict  # (rule index, body-variable values) -> body instance
+    memo: _Memo
     matches: list[_Match]
-
-    @cached_property
-    def sorted_renders(self) -> list[str]:
-        return sorted(self.store.renders)
-
-    @cached_property
-    def render_of(self) -> dict[int, str]:
-        return {t: r for (_, t), r in zip(self.store.items, self.store.renders)}
+    # the store's renders sorted, and per tag, set by the first key computed
+    sorted_renders: Optional[list[str]] = None
+    render_of: Optional[dict[int, str]] = None
 
 
 def _theta_norm(theta: Optional[Subst], c: Constraint) -> Constraint:
@@ -225,71 +250,81 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
     ascend).  Empty result means the store is final.
 
     Every match is found once, by one join from the store's new items.  A
-    store built by a rewrite of p whose body added no equation inherits its
-    parent's matches that keep their heads (less a pure propagation the
-    rewrite put in the history), and its new items are the body's.  Every
-    other store solves its equations once and inherits nothing: all its CHR
-    items are new.  Body instances are shared by every store derived from
-    the same one, per rule and body-variable values.
+    store built by a rewrite of p inherits its parent's matches whose heads
+    it keeps in the same equation-normal form (less a pure propagation the
+    rewrite put in the history).  Its new items are the body's CHR items,
+    and, when the body added equations, the items those equations give a
+    new normal form.  Every other store solves its equations and inherits
+    nothing: all its CHR items are new.  Body instances and guard results
+    are shared by every store derived from the same one.
     """
-    origin, parent, memo = s.origin, None, {}
-    if origin is not None:
-        object.__setattr__(s, "origin", None)  # free the parent's matches
-        if origin._exp.program is p:
-            memo = origin._exp.memo
-            if not any(isinstance(c, Eq) for c in origin._m.body[0]):
-                parent = origin._exp
-    if parent is None:  # no matches to inherit: every CHR item is new
-        eqs = s.eqs()
+    origin = s.origin
+    object.__setattr__(s, "origin", None)  # free the parent's matches
+    parent = origin._exp if origin and origin._exp.program is p else None
+    body = origin._m.body[0] if parent else ()
+    if parent is None or any(isinstance(c, Eq) for c in body):
+        eqs = s.eqs()  # solved whole, as a root solves them
         theta = mgu(eqs) if eqs else {}
         if theta is None:  # inconsistent store entails nothing: final
             return []
-        by_pred, kept, first = {}, [], None
-        items = [it for it in s.items if isinstance(it[0], Chr)]
-    else:  # the parent's matches that keep their heads; the body is new
-        theta, first = parent.theta, parent.store.next_tag
-        removed = {t for _, t in origin.simplified}
-        kept = [m for m in parent.matches
-                if removed.isdisjoint(m.used_tags)
-                and (m.rule.simplified
-                     or (m.rule.name, m.used_tags) not in s.history)]
+    else:
+        theta = parent.theta
+    if parent is None:  # no matches to inherit: every CHR item is new
+        by_pred, kept, memo, new = {}, [], _Memo(p), []
+        added = [it for it in s.items if isinstance(it[0], Chr)]
+    else:  # the parent's matches whose heads stay as they were
+        memo, new = parent.memo, []
+        dropped = {t for _, t in origin.simplified}
         by_pred = dict(parent.by_pred)  # lists are shared, never changed
         for c, _ in origin.simplified:
             by_pred[c.pred] = [it for it in by_pred[c.pred]
-                               if it[1] not in removed]
-        items = zip(origin._m.body[0], count(first))
-    new = [(_theta_norm(theta, c) if theta else c, t) for c, t in items]
-    for c, t in new:
+                               if it[1] not in dropped]
+        if theta is not parent.theta:  # a parent form changes iff the new
+            # equations bind one of its variables (the old ones bind none)
+            for pred, its in list(by_pred.items()):
+                moved = {t: _theta_norm(theta, c) for c, t in its
+                         if not vars_of(c).isdisjoint(theta)}
+                if moved:
+                    by_pred[pred] = [(moved.get(t, c), t) for c, t in its]
+                    new += [(c, t) for t, c in moved.items()]
+                    dropped.update(moved)
+        kept = [m for m in parent.matches
+                if dropped.isdisjoint(m.used_tags)
+                and (m.rule.simplified
+                     or (m.rule.name, m.used_tags) not in s.history)]
+        added = [it for it in zip(body, count(parent.store.next_tag))
+                 if isinstance(it[0], Chr)]
+    for c, t in added:
+        c = _theta_norm(theta, c) if theta else c
         by_pred[c.pred] = by_pred.get(c.pred, []) + [(c, t)]
+        new.append((c, t))
+    new_tags = None if parent is None else {t for _, t in new}
     exp = _Expansion(s, p, theta, by_pred, memo, kept)
-    _join(exp, new, first)
+    _join(exp, new, new_tags)
     return [RewriteStep(m, exp) for m in exp.matches]
 
 
-def _found(rule: Rule, phi: Subst, heads: list[tuple[str, Chr, int]],
-           history: frozenset[HistoryKey], memo: dict,
+def _found(rule: Rule, phi: Subst, heads: tuple[tuple[Chr, int], ...],
+           history: frozenset[HistoryKey], memo: _Memo,
            out: list[_Match]) -> None:
-    """Record the rule at phi on heads (role, constraint, tag) in textual
-    order, unless it is a pure propagation the history has seen."""
-    order = tuple(t for _, _, t in heads)
+    """Record the rule at phi on heads (constraint, tag) in textual order,
+    unless it is a pure propagation the history has seen."""
+    order = [t for _, t in heads]
     tags = tuple(sorted(order))
     if not rule.simplified and (rule.name, tags) in history:
         return
-    values = tuple(phi.get(v) for v in rule.body_vars)
-    body = memo.get((rule.index, values))
+    values = tuple(map(phi.get, rule.body_vars))
+    bodies = memo.bodies[rule.index]
+    body = bodies.get(values)
     if body is None:
-        body = memo[rule.index, values] = _instantiate(rule, phi)
-    out.append(_Match(
-        rule, phi,
-        tuple((c, t) for role, c, t in heads if role == "propagated"),
-        tuple((c, t) for role, c, t in heads if role == "simplified"),
-        tags, (rule.index,) + order, body))
+        body = bodies[values] = _instantiate(rule, phi)
+    out.append(_Match(rule, phi, heads, tags, (rule.index, *order), body))
 
 
 def _join(exp: _Expansion, new: list[tuple[Chr, int]],
-          first: Optional[int]) -> None:
+          new_tags: Optional[set[int]]) -> None:
     """Add to exp.matches, in order, every match with a head on a new item
-    (tag first or above; every item when first is None).  A match is found
+    (a tag in new_tags; every item when it is None).  A match is found
     from the first such head in textual order, through that occurrence's
     join plan, with every head before it on an old item, so it is found
     once; when every item is new, only a rule's first head starts a join."""
@@ -299,35 +334,40 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
     for c, t in new:
         for occ in p.occurrences.get(c.pred, ()):
             rule = p.rules[occ.rule_index]
-            n_prop, partners, guard_at = (len(rule.propagated), occ.partners,
-                                          occ.guard_at)
-            if isinstance(rule.guard, Const) and rule.guard.value is True:
-                guard_at = -1  # `true` holds in every store: never tested
+            n_prop, partners = len(rule.propagated), occ.partners
+            guards, guard_vars = (memo.guards[rule.index],
+                                  memo.guard_vars[rule.index])
+            guard_at = -1 if guard_vars is None else occ.guard_at
             active = occ.pos + (n_prop if occ.role == "simplified" else 0)
-            if active and first is None:
+            if active and new_tags is None:
                 continue  # no old item can fill an earlier head
             phi0 = match(occ.pattern, c, {})
             if phi0 is None:
                 continue
             heads: list = [None] * len(rule.heads)
-            heads[active] = (occ.role, c, t)
+            heads[active] = (c, t)
             used = {t}
 
             def join(k: int, phi: Subst):
-                if k == guard_at and not holds(theta, phi, rule.guard):
-                    return
+                if k == guard_at:
+                    values = tuple(map(phi.get, guard_vars))
+                    ok = guards.get(values)
+                    if ok is None:
+                        ok = guards[values] = holds(theta, phi, rule.guard)
+                    if not ok:
+                        return
                 if k == len(partners):
-                    _found(rule, phi, heads, history, memo, found)
+                    _found(rule, phi, tuple(heads), history, memo, found)
                     return
                 role, pos, pattern = partners[k]
                 j = pos + (n_prop if role == "simplified" else 0)
                 for c2, t2 in by_pred.get(pattern.pred, ()):
-                    if t2 in used or (j < active and t2 >= first):
+                    if t2 in used or (j < active and t2 in new_tags):
                         continue
                     phi2 = match(pattern, c2, phi)
                     if phi2 is None:
                         continue
-                    heads[j] = (role, c2, t2)
+                    heads[j] = (c2, t2)
                     used.add(t2)
                     join(k + 1, phi2)
                     used.discard(t2)

@@ -370,10 +370,12 @@ def reference_state_key(s: AbstractStore) -> tuple:
 
 def reference_final_stores(s: AbstractStore, p: Program,
                  max_states: int = 200_000,
-                 max_depth: int = 200) -> set[tuple[str, ...]]:
+                 max_depth: int = 200,
+                 rewrite_steps=reference_rewrite_steps) -> set[tuple[str, ...]]:
     """All final stores reachable by exhaustive rule application, as canonical
     multisets.  Raises LimitExceeded when the bounds are hit: the caller must
-    treat the oracle as unavailable, never as empty.
+    treat the oracle as unavailable, never as empty.  `rewrite_steps` expands
+    a store (a caller may pass a memo of reference_rewrite_steps).
     """
     seen: set[tuple] = set()
     finals: set[tuple[str, ...]] = set()
@@ -383,7 +385,7 @@ def reference_final_stores(s: AbstractStore, p: Program,
         cur, depth = stack.pop()
         if depth > max_depth:
             raise LimitExceeded(f"depth bound {max_depth} exceeded")
-        steps = reference_rewrite_steps(cur, p)
+        steps = rewrite_steps(cur, p)
         if not steps:
             finals.add(canonical_multiset(cur.constraints()))
             continue

@@ -45,10 +45,16 @@ def check_search(start: AbstractStore, program, monkeypatch) -> int:
     the number of states compared."""
     fast = abstract.rewrite_steps
     states = [0]
+    reference: dict = {}  # store -> its reference steps, for both searches
+
+    def reference_steps(s, p):
+        if s not in reference:
+            reference[s] = reference_rewrite_steps(s, p)
+        return reference[s]
 
     def checked(s, p):
         got = fast(s, p)
-        _same_steps(got, reference_rewrite_steps(s, p))
+        _same_steps(got, reference_steps(s, p))
         states[0] += 1
         return got
 
@@ -60,7 +66,8 @@ def check_search(start: AbstractStore, program, monkeypatch) -> int:
         except LimitExceeded as exc:
             got = ("limit", str(exc))
     try:
-        want = reference_final_stores(start, program, max_states=MAX_STATES)
+        want = reference_final_stores(start, program, max_states=MAX_STATES,
+                                      rewrite_steps=reference_steps)
     except LimitExceeded as exc:
         want = ("limit", str(exc))
     assert got == want
@@ -117,6 +124,90 @@ def test_acceptance_fuzz_cases(monkeypatch):
 ])
 def test_channel_with_variable_goals(goals, monkeypatch):
     assert check_search(_store(goals), load("channel"), monkeypatch) > 0
+
+
+# channel goal sets whose equations bind a variable to a variable
+VAR_VAR_CHANNEL = ["Get(m),Put(k),Get(n),Put(8),Put(k)",
+                   "Get(m),Get(n),Put(1),m=n",
+                   "Get(a),Put(b),Get(b),Put(1),Get(c),Put(a)"]
+
+
+def test_successors_of_equations_inherit_matches(monkeypatch):
+    """Every `get` rewrite adds an equation.  At every state of a channel
+    search that such a rewrite built, rewrite_steps must return what it
+    returns for an origin-free copy of the store, which inherits nothing,
+    with no more `match` calls, and fewer where a kept item keeps its
+    form."""
+    program, fast, real_match = load("channel"), abstract.rewrite_steps, \
+        abstract.match
+    calls = [0]
+    counts: dict = {}  # goals -> states compared, match calls, copy's calls
+
+    def counted(*args):
+        calls[0] += 1
+        return real_match(*args)
+
+    def described(steps):
+        return [(st.rule, st.phi, st.propagated, st.simplified, st.key,
+                 st.result) for st in steps]
+
+    def both(s, p):
+        if s.origin is None or not any(isinstance(b, Eq)
+                                       for b in p.rule(s.origin.rule).body):
+            return fast(s, p)
+        copy = AbstractStore(s.items, s.history, s.next_tag)
+        calls[0] = 0
+        got = fast(s, p)
+        n_got, calls[0] = calls[0], 0
+        assert described(got) == described(fast(copy, p))
+        assert n_got <= calls[0]
+        counts[goals] = [a + b for a, b in zip(counts[goals],
+                                               (1, n_got, calls[0]))]
+        return got
+
+    k4 = "Get(z0),Get(z1),Get(z2),Get(z3),Put(5),Put(6),Put(7),Put(8)"
+    for goals in [k4] + VAR_VAR_CHANNEL:
+        counts[goals] = [0, 0, 0]
+        with monkeypatch.context() as mp:
+            mp.setattr(abstract, "match", counted)
+            mp.setattr(abstract, "rewrite_steps", both)
+            finals = final_stores(_store(goals), program)
+        assert finals == reference_final_stores(_store(goals), program)
+        assert counts[goals][0] > 0
+    # k=4 binds only variables no kept item holds; in the last goal set
+    # a=b moves Put(a) to Put(b), which is joined again (channel's body
+    # has no CHR item, so every match call there is for a moved item)
+    assert counts[k4][1:] == [0, 816]
+    _, inherited, full = counts[VAR_VAR_CHANNEL[-1]]
+    assert 0 < inherited < full
+
+
+def test_guard_false_until_a_later_equation_binds_its_variable(monkeypatch):
+    """pos's guard sees x=u, which is not ground, until bind adds u=1: the
+    guard result for A(u) must not stand for A(1)."""
+    program = load_program("bind @ C(v), D(w) <=> v=w.\n"
+                           "pos @ A(x) <=> x>0 | B.")
+    start = _store("A(u),C(u),D(1)")
+    assert not any(st.rule == "pos"
+                   for st in abstract.rewrite_steps(start, program))
+    assert check_search(start, program, monkeypatch) > 0
+    assert final_stores(start, program) == {("B", "u=1")}
+
+
+def test_guard_without_variables_is_tested_once_per_search(monkeypatch):
+    """r's guard has no variables.  Each A starts a join of r in the root,
+    and again in each successor whose equation gives it a new form."""
+    program = load_program("r @ A(x) <=> 1<2 | B(x).\n"
+                           "s @ C(x), D(y) <=> x=y.")
+    calls = []
+    real = abstract.holds
+    monkeypatch.setattr(abstract, "holds",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    start = _store("A(u),A(v),C(u),D(v),C(w),D(1)")
+    for n in (1, 2):
+        finals = final_stores(start, program)
+        assert calls.count(program.rule("r").guard) == n
+    assert len(finals) > 1
 
 
 def test_equation_fuzz_cases(monkeypatch):
