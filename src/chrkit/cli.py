@@ -6,9 +6,9 @@
            [--check-invariants]
 
 Prints the final store in dump format.  Exit codes: 0 success, 1 parse or
-validation error (a term nested too deeply for the interpreter included),
-unwritable trace file, verification failure or step limit, 2 internal
-invariant breach.
+validation error (a term nested too deeply for the interpreter, or a flag
+the mode would ignore, included), unwritable trace file, verification
+failure or step limit, 2 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -80,6 +80,22 @@ def _run_once(program, goals, args, cfg: EngineConfig):
     return dump, trace_text, res.status, verdicts
 
 
+def _refuse_ignored_flags(args) -> None:
+    """A ValueError for flags the mode would silently ignore: the oracle and
+    the abstract walk run no goal engine, and --repeat writes no trace."""
+    ignored = {"--verify": args.verify, "--trace": args.trace is not None,
+               "--repeat": args.repeat is not None}
+    if args.oracle or args.engine == "abstract":
+        mode = "--oracle" if args.oracle else "--engine abstract"
+    elif args.repeat is not None:
+        mode, ignored = "--repeat", {"--trace": ignored["--trace"]}
+    else:
+        return
+    flags = [flag for flag, given in ignored.items() if given]
+    if flags:
+        raise ValueError(f"{mode} does not take {' or '.join(flags)}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
@@ -97,6 +113,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                            max_steps=args.max_steps)
         if args.repeat is not None and args.repeat < 1:
             raise ValueError("repeat must be >= 1")
+        _refuse_ignored_flags(args)
     except (ParseError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -115,9 +115,10 @@ def _ids(text: str) -> tuple[int, ...]:
 def _parsed(cache: dict, parse, text: str):
     """parse(text), once per parser and distinct text in cache."""
     key = (parse, text)
-    if key not in cache:
-        cache[key] = parse(text)
-    return cache[key]
+    found = cache.get(key)
+    if found is None:
+        found = cache[key] = parse(text)
+    return found
 
 
 def _phi(text: str, cache: dict) -> Subst:
@@ -139,12 +140,17 @@ def _goal(text: str, cache: dict) -> tuple[Constraint, Optional[int]]:
 
 
 def parse_line(line: str, cache: Optional[dict] = None) -> Step:
-    """One step line; `cache` keeps parsed goal and phi texts for reuse."""
+    """One step line; `cache` keeps parsed goal and phi texts for reuse.
+    A field that does not read inline is read again by its helper, to raise
+    the `TraceFormatError` that names it."""
     cache = {} if cache is None else cache
     parts = line.split(" ")
     if len(parts) < 3:
         raise TraceFormatError(f"malformed trace line: {_excerpt(line)}")
-    seq = _int("seq", parts[0])
+    try:
+        seq = int(parts[0])
+    except ValueError:
+        seq = _int("seq", parts[0])  # raises
     kind = parts[1]
     if kind not in KINDS:
         raise TraceFormatError(f"unknown step kind {_excerpt(kind)}")
@@ -156,24 +162,36 @@ def parse_line(line: str, cache: Optional[dict] = None) -> Step:
         fields[key] = value
     if "goal" not in fields:
         raise TraceFormatError("missing goal field")
-    goal, goal_id = _field("goal", "a constraint", _goal, fields["goal"], cache)
-    interval = None
+    text = fields["goal"]
+    base, hash_, idtext = text.rpartition("#")
+    goal = (cache.get((parse_constraint_text, base))
+            if hash_ and idtext.isascii() and idtext.isdigit() else None)
+    if goal is None:
+        goal, goal_id = _field("goal", "a constraint", _goal, text, cache)
+    else:
+        goal_id = int(idtext)
+    interval = worker = None
     if "interval" in fields:
         a, _, b = fields["interval"].partition(",")
-        interval = (_int("interval", a), _int("interval", b))
-    return Step(
-        seq=seq,
-        kind=kind,
-        goal=goal,
-        goal_id=goal_id,
-        rule=fields.get("rule"),
-        phi=(_field("phi", "a substitution", _phi, fields["phi"], cache)
-             if "phi" in fields else {}),
-        prop_ids=_field("P", "a set of integers", _ids, fields.get("P", "{}")),
-        simp_ids=_field("S", "a set of integers", _ids, fields.get("S", "{}")),
-        worker=_int("worker", fields["worker"]) if "worker" in fields else None,
-        interval=interval,
-    )
+        try:
+            interval = (int(a), int(b))
+        except ValueError:
+            interval = (_int("interval", a), _int("interval", b))  # raises
+    phi = (_field("phi", "a substitution", _phi, fields["phi"], cache)
+           if "phi" in fields else {})
+    p, s = fields.get("P", "{}"), fields.get("S", "{}")
+    try:
+        prop_ids, simp_ids = _ids(p), _ids(s)
+    except ValueError:  # one of these raises
+        prop_ids = _field("P", "a set of integers", _ids, p)
+        simp_ids = _field("S", "a set of integers", _ids, s)
+    if "worker" in fields:
+        try:
+            worker = int(fields["worker"])
+        except ValueError:
+            worker = _int("worker", fields["worker"])  # raises
+    return Step(seq, kind, goal, goal_id, fields.get("rule"), phi, prop_ids,
+                simp_ids, worker, interval)
 
 
 def serialize_trace(steps, meta: dict[str, str], status: str,

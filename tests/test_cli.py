@@ -171,6 +171,31 @@ def test_repeat_reports_distinct_stores(capsys):
     assert "distinct final store(s) over 25 runs" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--engine", "abstract", "--verify"],
+     "--engine abstract does not take --verify"),
+    (["--engine", "abstract", "--trace", "TRACE"],
+     "--engine abstract does not take --trace"),
+    (["--engine", "abstract", "--repeat", "5"],
+     "--engine abstract does not take --repeat"),
+    (["--oracle", "--verify"], "--oracle does not take --verify"),
+    (["--oracle", "--engine", "concurrent", "--trace", "TRACE"],
+     "--oracle does not take --trace"),
+    (["--oracle", "--repeat", "2", "--verify"],
+     "--oracle does not take --verify or --repeat"),
+    (["--repeat", "2", "--trace", "TRACE"], "--repeat does not take --trace"),
+    (["--engine", "concurrent", "--repeat", "2", "--verify", "--trace",
+      "TRACE"], "--repeat does not take --trace"),
+])
+def test_flags_the_mode_would_ignore_exit_1(tmp_path, capsys, flags, message):
+    path = tmp_path / "run.trace"
+    flags = [str(path) if f == "TRACE" else f for f in flags]
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(4),Gcd(6)", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not path.exists()
+
+
 def test_goals_file(tmp_path, capsys):
     gf = tmp_path / "goals.txt"
     gf.write_text("Gcd(3),Gcd(9)\n")

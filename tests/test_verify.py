@@ -9,7 +9,8 @@ from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.store import NumberedConstraint, State
 from chrkit.syntax import ParseError, load_program, parse_goals, parse_term_text
-from chrkit.terms import FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var
+from chrkit.terms import (FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var,
+                          render_constraint)
 from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError, parse_line,
                           parse_trace, serialize_trace, step_to_line)
 from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
@@ -417,6 +418,94 @@ def test_firing_after_unsatisfiable_equations_sees_entries_as_written():
         "replay: FAIL (step 5: simplified heads do not match rule r1)"]
 
 
+# ------------------------------------------------------------ replay memo
+
+MEMO_FORGERIES = [
+    # (name, program, goals, step lines, detail)
+    # A(1)#1 fires r under satisfiable equations; after u=1, u=2 the same
+    # rule, phi and head form must fail the guard
+    ("guard after the equations became unsatisfiable",
+     "r @ A(x) <=> x>0 | B.", "A(1),A(1),u=1,u=2",
+     ["0 Activate goal=A(1)#1 P={} S={}",
+      "1 Simplify goal=A(1)#1 rule=r phi={x.0->1} P={} S={1}",
+      "2 Activate goal=B#2 P={} S={}",
+      "3 Drop goal=B#2 P={} S={}",
+      "4 Solve goal=u=1 P={} S={}",
+      "5 Solve goal=u=2 P={} S={}",
+      "6 Activate goal=A(1)#3 P={} S={}",
+      "7 Simplify goal=A(1)#3 rule=r phi={x.0->1} P={} S={3}"],
+     "step 7: guard of rule r not entailed"),
+    # a=1 wakes K(a)#1 to K(1), which r fires on; the same rule and phi on
+    # K(b)#2 must fail its head check
+    ("a validated firing repeated on a head of another form",
+     "r @ K(x) \\ A <=> true.", "K(a),K(b),A,A,a=1",
+     ["0 Activate goal=K(a)#1 P={} S={}",
+      "1 Activate goal=K(b)#2 P={} S={}",
+      "2 Activate goal=A#3 P={} S={}",
+      "3 Solve goal=a=1 P={1} S={}",
+      "4 Simplify goal=A#3 rule=r phi={x.0->1} P={1} S={3}",
+      "5 Activate goal=A#4 P={} S={}",
+      "6 Simplify goal=A#4 rule=r phi={x.0->1} P={2} S={4}"],
+     "step 6: propagated heads do not match rule r"),
+]
+
+
+@pytest.mark.parametrize("name,prog,goals,lines,detail", MEMO_FORGERIES,
+                         ids=[f[0] for f in MEMO_FORGERIES])
+def test_replay_memo_rejects_a_repeated_firing_that_no_longer_holds(
+        name, prog, goals, lines, detail):
+    text = "\n".join(["# chr-trace v1", *lines, "# status=done"]) + "\n"
+    verdicts = verify_run(text, parse_goals(goals), load_program(prog))
+    assert [str(v) for v in verdicts] == [f"replay: FAIL ({detail})"]
+
+
+def test_each_distinct_firing_is_validated_once(monkeypatch):
+    """Without equations theta never changes, so validate_rewrite runs once
+    per distinct (rule, phi, propagated forms, simplified forms)."""
+    import chrkit.verify
+    calls = []
+    real = chrkit.verify.validate_rewrite
+    monkeypatch.setattr(chrkit.verify, "validate_rewrite",
+                        lambda *a: calls.append(a) or real(*a))
+    goals = parse_goals(",".join(f"Gcd({6 * k})" for k in (1, 2, 3, 4) * 6))
+    p, _, res, text = seq_trace_text("gcd", goals)
+    assert all(v.passed for v in verify_run(text, goals, p))
+    forms, distinct, firings = {}, set(), 0
+    for st in res.trace:
+        if st.kind == "Activate":
+            forms[st.goal_id] = render_constraint(st.goal)
+        elif st.kind in FIRINGS:
+            firings += 1
+            distinct.add((st.rule, tuple(sorted(st.phi.items())),
+                          tuple(sorted(forms[i] for i in st.prop_ids)),
+                          tuple(sorted(forms[i] for i in st.simp_ids))))
+    assert len(calls) == len(distinct) < firings
+
+
+# ---------------------------------------------------------- status footer
+
+@pytest.mark.parametrize("footer,final", [
+    (None, "check-final: FAIL (no status footer)"),
+    ("done", "check-final: FAIL (2 goal(s) still pending: ['Gcd(6)', '#1'])"),
+    ("running", "check-final: FAIL (unknown status 'running')"),
+    ("x" * 50, "check-final: FAIL (unknown status "
+               f"'{'x' * 40}...')"),
+    ("step-limit", None),
+    ("failed", None),
+])
+def test_check_final_needs_a_known_status(footer, final):
+    """A one-step prefix of a gcd run: only the status line decides whether
+    finality is checked, and a missing or unknown one fails it."""
+    lines = ["# chr-trace v1", "0 Activate goal=Gcd(4)#1 P={} S={}"]
+    if footer is not None:
+        lines.append(f"# status={footer}")
+    lines.append("# final: Gcd(4)#1")
+    verdicts = verify_run("\n".join(lines) + "\n", parse_goals("Gcd(4),Gcd(6)"),
+                          load("gcd"))
+    assert [str(v) for v in verdicts] == (
+        ["replay: PASS", "project-abstract: PASS"] + ([final] if final else []))
+
+
 def test_verdict_requires_detail_on_failure():
     with pytest.raises(ValueError):
         Verdict(False, "replay")
@@ -588,18 +677,19 @@ def test_mutated_traces_give_verdicts_or_a_format_error(name):
 
 # sha256 of the outcomes of _mutation_outcomes, one per line
 MUTATION_DIGESTS = {
-    "gcd": "2b2857f8122faefe18edc2433b1e93c9579d670fdf7e707990dee822579481de",
+    "gcd": "887a43c919954a6176dfc02fb35dc648c85a1ca038ceb97e6c4c18add7738f86",
     "channel":
-        "17c5d5b36b78e83cad4f8941fc50a47d1fa689e88f71c245cc5a948cd3bac9bc",
+        "483b238c1b5bfd22c2e5dd8400f2b14f7d80e8001cbd189d90f59d3ade0abfeb",
     "mergesort":
-        "0e2f56af8ef370e49c3ba124c81761242cf5936c0d33c27c2ba98a8c2c6ba0e6",
+        "d40eaffc1d079a891f7a24d19f423c65a08dc632dd237e357f7fad01c71fc647",
 }
 
 
 @pytest.mark.parametrize("name", ["gcd", "channel", "mergesort"])
 def test_mutated_trace_outcomes_are_pinned(name):
     """Every verdict and error message on the mutated traces is pinned: the
-    reader's text cache and the replica's form cache change no outcome."""
+    reader's text cache, the replica's form cache and its firing memo change
+    no outcome."""
     outcomes = _mutation_outcomes(name)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == MUTATION_DIGESTS[name]
