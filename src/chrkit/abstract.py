@@ -41,8 +41,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .syntax import Program, Rule
 from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, holds,
-                    match, mgu, normalize_constraint, render_constraint,
-                    vars_of)
+                    instantiate, match, mgu, normalize_constraint,
+                    render_constraint, vars_of)
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 
 HistoryKey = tuple[str, tuple[int, ...]]
@@ -232,14 +232,9 @@ class _Expansion:
     render_of: Optional[dict[int, str]] = None
 
 
-def _theta_norm(theta: Optional[Subst], c: Constraint) -> Constraint:
-    """c under the solved equations, if there are any, normalized."""
-    return normalize_constraint(apply_subst(theta, c) if theta else c)
-
-
 def solved_form(theta: Optional[Subst], c: Constraint) -> str:
     """The rendered form of c under theta that validate_rewrite compares."""
-    return render_constraint(_theta_norm(theta, c))
+    return render_constraint(instantiate(theta or {}, c))
 
 
 def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
@@ -282,7 +277,7 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
         if theta is not parent.theta:  # a parent form changes iff the new
             # equations bind one of its variables (the old ones bind none)
             for pred, its in list(by_pred.items()):
-                moved = {t: _theta_norm(theta, c) for c, t in its
+                moved = {t: instantiate(theta, c) for c, t in its
                          if not vars_of(c).isdisjoint(theta)}
                 if moved:
                     by_pred[pred] = [(moved.get(t, c), t) for c, t in its]
@@ -295,7 +290,7 @@ def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
         added = [it for it in zip(body, count(parent.store.next_tag))
                  if isinstance(it[0], Chr)]
     for c, t in added:
-        c = _theta_norm(theta, c) if theta else c
+        c = instantiate(theta, c) if theta else c
         by_pred[c.pred] = by_pred.get(c.pred, []) + [(c, t)]
         new.append((c, t))
     new_tags = None if parent is None else {t for _, t in new}
@@ -380,7 +375,7 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
 def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],
                                                   tuple[str, ...]]:
     """The rule's body under phi, normalized, with its rendered forms."""
-    body = tuple(normalize_constraint(apply_subst(phi, b)) for b in rule.body)
+    body = tuple([instantiate(phi, b) for b in rule.body])
     return body, tuple(render_constraint(c) for c in body)
 
 

@@ -82,16 +82,25 @@ def _run_once(program, goals, args, cfg: EngineConfig):
 
 def _refuse_ignored_flags(args) -> None:
     """A ValueError for flags the mode would silently ignore: the oracle and
-    the abstract walk run no goal engine, and --repeat writes no trace."""
-    ignored = {"--verify": args.verify, "--trace": args.trace is not None,
-               "--repeat": args.repeat is not None}
-    if args.oracle or args.engine == "abstract":
-        mode = "--oracle" if args.oracle else "--engine abstract"
-    elif args.repeat is not None:
-        mode, ignored = "--repeat", {"--trace": ignored["--trace"]}
+    the abstract walk run no goal engine, --repeat writes no trace, only the
+    sequential engine checks invariants and the oracle takes no step
+    limit."""
+    given = {"--verify": args.verify, "--trace": args.trace is not None,
+             "--repeat": args.repeat is not None,
+             "--check-invariants": args.check_invariants,
+             "--max-steps": args.max_steps is not None}
+    walk = ("--verify", "--trace", "--repeat", "--check-invariants")
+    if args.oracle:
+        mode, ignored = "--oracle", walk + ("--max-steps",)
+    elif args.engine == "abstract":
+        mode, ignored = "--engine abstract", walk
+    elif given["--repeat"] and given["--trace"]:
+        mode, ignored = "--repeat", ("--trace",)
+    elif args.engine == "concurrent":
+        mode, ignored = "--engine concurrent", ("--check-invariants",)
     else:
         return
-    flags = [flag for flag, given in ignored.items() if given]
+    flags = [flag for flag in ignored if given[flag]]
     if flags:
         raise ValueError(f"{mode} does not take {' or '.join(flags)}")
 

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 from .abstract import HistoryKey
 from .store import GoalItem, NumberedConstraint, State, Store
 from .syntax import Occurrence, Program, Rule
-from .terms import Subst, apply_subst, holds, match, normalize_constraint
+from .terms import Subst, holds, instantiate, match
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 from .trace import Step
 
@@ -54,8 +54,7 @@ class Match:
     def continuation(self) -> list[GoalItem]:
         """The goals the firing pushes, front first: the body under phi, left
         to right (depth-first), then, after a Propagate, the goal itself."""
-        goals: list[GoalItem] = [normalize_constraint(apply_subst(self.phi, b))
-                                 for b in self.rule.body]
+        goals: list[GoalItem] = [instantiate(self.phi, b) for b in self.rule.body]
         if self.kind == "Propagate":
             goals.append(self.goal)
         return goals

@@ -5,11 +5,15 @@ entered the store; it is what dumps, side-effect projections and traces
 show, and it never changes.  The normal form is the raw form under `theta`
 (with ground arithmetic evaluated); it is what matching and the argument
 indexes use, and it is refreshed for the woken entries whenever an
-equation arrives.  `theta`, the idempotent m.g.u. of the equation substore,
-is kept in `add_equation` alone, which extends it by one equation per call;
-guards, wake-ups and normal forms all read it.  A variable -> ids
+equation arrives.  The argument index is keyed by (predicate, position,
+ground argument term), the term itself, never a rendering of it.
+`theta`, the idempotent m.g.u. of the equation substore, is kept in
+`add_equation` alone, which extends it by one equation per call; guards,
+wake-ups and normal forms all read it.  A variable -> ids
 occurrence index over the normal forms says which entries a newly bound
-variable wakes, so a Solve never scans the whole store.
+variable wakes, so a Solve never scans the whole store.  Each entry keeps
+the argument keys and variables it was indexed under, so a kill or a
+wake-up removes exactly those without re-deriving them.
 
 Dead entries are tombstoned, never physically removed, so a concurrent
 reader can never observe a dangling id; they do disappear from index
@@ -26,9 +30,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, is_ground,
-                    mgu, normalize_constraint, normalize_term,
-                    render_constraint, render_term, vars_of)
+from .terms import (Chr, Const, Constraint, Eq, Subst, Term, apply_subst,
+                    instantiate, is_ground, mgu, render_constraint, vars_of)
+from .terms import render_term  # noqa: F401  (bench/instrument.py wraps it here)
 
 
 class DeadIdError(Exception):
@@ -51,13 +55,15 @@ class Store:
     def __init__(self):
         self.lock = threading.RLock()
         self._raw: dict[int, Chr] = {}   # as inserted, never rewritten
-        self._norm: dict[int, Chr] = {}  # equation-normal matching view
+        self._view: dict[int, NumberedConstraint] = {}  # equation-normal
         self._alive: set[int] = set()
         self._eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
         self._pred_index: dict[str, dict[int, None]] = {}
-        self._arg_index: dict[tuple[str, int, str], dict[int, None]] = {}
+        self._arg_index: dict[tuple[str, int, Term], dict[int, None]] = {}
         self._occ: dict[str, dict[int, None]] = {}  # variable -> alive ids
+        # id -> the argument keys and the variables it is indexed under
+        self._indexed: dict[int, tuple[list, set[str]]] = {}
         self._next_id = 1
 
     @property
@@ -71,7 +77,7 @@ class Store:
 
     def get(self, cid: int) -> NumberedConstraint:
         """The matching view (equation-normal form) of an entry."""
-        return NumberedConstraint(self._norm[cid], cid)
+        return self._view[cid]
 
     def live_items(self) -> list[NumberedConstraint]:
         with self.lock:
@@ -87,31 +93,28 @@ class Store:
 
     # --------------------------------------------------------- mutation
 
-    def _normalize(self, c: Chr) -> Chr:
-        if self.theta:
-            c = apply_subst(self.theta, c)
-        return normalize_constraint(c)
-
     def _index_add(self, cid: int, c: Chr) -> None:
         self._pred_index.setdefault(c.pred, {})[cid] = None
+        keys, names = [], set()
         for pos, arg in enumerate(c.args):
-            if is_ground(arg):
-                key = (c.pred, pos, render_term(arg))
+            found = None if arg.__class__ is Const else vars_of(arg)
+            if found:
+                names |= found
+            else:
+                key = (c.pred, pos, arg)
+                keys.append(key)
                 self._arg_index.setdefault(key, {})[cid] = None
-            else:
-                for v in vars_of(arg):
-                    self._occ.setdefault(v, {})[cid] = None
+        for v in names:
+            self._occ.setdefault(v, {})[cid] = None
+        self._indexed[cid] = (keys, names)
 
-    def _index_remove(self, cid: int, c: Chr) -> None:
-        self._pred_index.get(c.pred, {}).pop(cid, None)
-        for pos, arg in enumerate(c.args):
-            if is_ground(arg):
-                bucket = self._arg_index.get((c.pred, pos, render_term(arg)))
-                if bucket is not None:
-                    bucket.pop(cid, None)
-            else:
-                for v in vars_of(arg):
-                    self._occ.get(v, {}).pop(cid, None)
+    def _index_remove(self, cid: int) -> None:
+        self._pred_index[self._view[cid].constraint.pred].pop(cid, None)
+        keys, names = self._indexed.pop(cid)
+        for key in keys:
+            self._arg_index[key].pop(cid, None)
+        for v in names:  # add_equation has dropped the buckets it wakes
+            self._occ.get(v, {}).pop(cid, None)
 
     def insert(self, c: Chr) -> NumberedConstraint:
         """Store c under a fresh id; ids are never reused.  Returns the raw
@@ -120,10 +123,10 @@ class Store:
             cid = self._next_id
             self._next_id += 1
             self._raw[cid] = c
-            norm = self._normalize(c)
-            self._norm[cid] = norm
+            view = NumberedConstraint(instantiate(self.theta or {}, c), cid)
+            self._view[cid] = view
             self._alive.add(cid)
-            self._index_add(cid, norm)
+            self._index_add(cid, view.constraint)
             return NumberedConstraint(c, cid)
 
     def kill(self, ids: Iterable[int]) -> None:
@@ -135,7 +138,7 @@ class Store:
                 raise DeadIdError(sorted(dead))
             for cid in ids:
                 self._alive.discard(cid)
-                self._index_remove(cid, self._norm[cid])
+                self._index_remove(cid)
 
     # --------------------------------------------------------- equations
 
@@ -170,9 +173,9 @@ class Store:
             woken = [NumberedConstraint(self._raw[cid], cid)
                      for cid in sorted(ids)]
             for nc in woken:
-                new = self._normalize(nc.constraint)
-                self._index_remove(nc.id, self._norm[nc.id])
-                self._norm[nc.id] = new
+                new = instantiate(theta, nc.constraint)
+                self._index_remove(nc.id)
+                self._view[nc.id] = NumberedConstraint(new, nc.id)
                 self._index_add(nc.id, new)
             return woken
 
@@ -182,23 +185,23 @@ class Store:
         """Alive constraints of the pattern's predicate that could match it
         under the partial bindings, in their equation-normal form.  When
         some pattern argument is ground under `partial`, the per-argument
-        hash index gives (expected) constant-time lookup; otherwise the
-        predicate bucket is scanned.  Ascending id order; no constraint is
-        yielded twice.
+        hash index, keyed by that ground term, gives (expected)
+        constant-time lookup; otherwise the predicate bucket is scanned.
+        Ascending id order; no constraint is yielded twice.
         """
         pred, key = pattern.pred, None
         for pos, arg in enumerate(pattern.args):
-            inst = normalize_term(apply_subst(partial, arg))
+            inst = instantiate(partial, arg)  # a variable's binding as is
             if is_ground(inst):
-                key = (pred, pos, render_term(inst))
+                key = (pred, pos, inst)
                 break
         with self.lock:
             if key is not None:
                 ids = sorted(self._arg_index.get(key, ()))
             else:
                 ids = list(self._pred_index.get(pred, ()))  # insertion = id order
-            return [NumberedConstraint(self._norm[i], i)
-                    for i in ids if i in self._alive]
+            view = self._view
+            return [view[i] for i in ids if i in self._alive]
 
     # ------------------------------------------------------------ output
 

@@ -3,6 +3,13 @@ and ground evaluation of guard terms.
 
 Everything here is a pure function over immutable values; all of it is safe
 to call from any thread.
+
+The firing path reads terms more than it builds them.  `holds` evaluates a
+guard in place, reading each variable from phi, then theta, without
+building the substituted guard; `instantiate` substitutes and normalizes a
+rule body in one pass.  Both evaluate operators through `_apply`, the one
+place the kind, 64-bit and bool/int rules live.  `Const` compares and hashes
+without building tuples, so ground terms serve as index keys.
 """
 from __future__ import annotations
 
@@ -37,19 +44,20 @@ class Const:
     """Integer, boolean or symbolic-atom literal.
 
     bool is kept distinct from int even though bool subclasses int in
-    Python: Const(True) != Const(1).
+    Python: Const(True) != Const(1).  Equal constants have values of the
+    same class; the hash is the value's, so True and 1 collide but stay
+    unequal.
     """
 
     value: Value
 
-    def _key(self):
-        return (self.value.__class__.__name__, self.value)
-
     def __eq__(self, other):
-        return isinstance(other, Const) and self._key() == other._key()
+        return (other.__class__ is Const
+                and self.value.__class__ is other.value.__class__
+                and self.value == other.value)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.value)
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ def _match_term(pattern: Term, cand: Term, subst: Subst) -> bool:
             return True
         return bound == cand
     if isinstance(pattern, Const):
-        return isinstance(cand, Const) and pattern == cand
+        return pattern == cand
     return (
         isinstance(cand, App)
         and cand.fn == pattern.fn
@@ -153,7 +161,13 @@ def match(pattern: Chr, candidate: Chr, seed: Subst) -> Optional[Subst]:
         return None
     subst = dict(seed)
     for p, c in zip(pattern.args, candidate.args):
-        if not _match_term(p, c, subst):
+        if p.__class__ is Var:  # the common case, bound inline
+            bound = subst.get(p.name)
+            if bound is None:
+                subst[p.name] = c
+            elif bound is not c and bound != c:
+                return None
+        elif not _match_term(p, c, subst):
             return None
     return subst
 
@@ -198,28 +212,19 @@ def mgu(eqs: Iterable[Eq]) -> Optional[Subst]:
     return out
 
 
-def _kind(v: Value) -> str:
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    return "atom"
+_KINDS = {bool: "bool", int: "int", str: "atom"}
+_NOTHING: Subst = {}  # the empty substitution; never written
 
 
-def eval_ground(t: Term) -> Value:
-    """Evaluate a ground term.  Arithmetic is 64-bit-checked integer
-    arithmetic; comparisons work on two integers or two atoms (lexicographic);
-    && and || are total boolean operators.  Raises EvalError on non-ground
-    input, type mismatch or overflow.
-    """
-    if isinstance(t, Var):
-        raise EvalError(f"non-ground term: variable {t.name}")
-    if isinstance(t, Const):
-        return t.value
-    a = eval_ground(t.args[0])
-    b = eval_ground(t.args[1])
-    ka, kb = _kind(a), _kind(b)
-    fn = t.fn
+def _kind(v: Value) -> str:  # for a value of a class _KINDS lacks
+    return "bool" if isinstance(v, bool) else "int" if isinstance(v, int) else "atom"
+
+
+def _apply(fn: str, a: Value, b: Value) -> Value:
+    """fn on two values, or EvalError: the kind, 64-bit and bool/int rules
+    that eval_ground documents."""
+    ka = _KINDS.get(a.__class__) or _kind(a)
+    kb = _KINDS.get(b.__class__) or _kind(b)
     if fn in ARITH_OPS:
         if ka != "int" or kb != "int":
             raise EvalError(f"{fn} expects integers, got {ka} and {kb}")
@@ -247,6 +252,35 @@ def eval_ground(t: Term) -> Value:
     return (a and b) if fn == "&&" else (a or b)
 
 
+def _value(t: Term, phi: Subst, theta: Subst) -> Value:
+    """eval_ground(apply_subst(theta, apply_subst(phi, t))), without
+    building either: a variable is read from phi, then theta."""
+    cls = t.__class__
+    if cls is Const:
+        return t.value
+    if cls is Var:
+        bound = phi.get(t.name)
+        if bound is None:
+            bound = theta.get(t.name)
+            if bound is None:
+                raise EvalError(f"non-ground term: variable {t.name}")
+            theta = _NOTHING  # theta's terms are read as they are
+        if bound.__class__ is Const:
+            return bound.value
+        return _value(bound, theta, _NOTHING)
+    return _apply(t.fn, _value(t.args[0], phi, theta),
+                  _value(t.args[1], phi, theta))
+
+
+def eval_ground(t: Term) -> Value:
+    """Evaluate a ground term.  Arithmetic is 64-bit-checked integer
+    arithmetic; comparisons work on two integers or two atoms (lexicographic);
+    && and || are total boolean operators.  Raises EvalError on non-ground
+    input, type mismatch or overflow.
+    """
+    return _value(t, _NOTHING, _NOTHING)
+
+
 def entails(eqs: Iterable[Eq], phi: Subst, guard: Term) -> bool:
     """True iff theta(phi(guard)) is ground and evaluates to true, where
     theta is the m.g.u. of the equations.
@@ -262,36 +296,53 @@ def entails(eqs: Iterable[Eq], phi: Subst, guard: Term) -> bool:
 
 def holds(theta: Subst, phi: Subst, guard: Term) -> bool:
     """entails() for equations already solved to theta: callers that test
-    many guards against one equation set solve it once.  A non-ground guard
-    needs no separate test: evaluation reaches every variable and fails."""
-    g = apply_subst(phi, guard)
-    if theta:
-        g = apply_subst(theta, g)
+    many guards against one equation set solve it once.  The guard is
+    evaluated in place, each variable read from phi and then theta, so
+    theta(phi(guard)) is never built.  A non-ground guard needs no separate
+    test: evaluation reaches every variable and fails."""
     try:
-        return eval_ground(g) is True
+        return _value(guard, phi, theta or _NOTHING) is True
     except EvalError:
         return False
+
+
+def instantiate(phi: Subst, x):
+    """normalize_constraint(apply_subst(phi, x)) for a constraint x, and
+    normalize_term(apply_subst(phi, x)) for a term, in one pass: ground,
+    well-typed applications are evaluated as they are rebuilt, ill-typed
+    or overflowing ones stay symbolic.  What comes out unchanged is x
+    itself, not a copy."""
+    cls = x.__class__
+    if cls is Var:
+        bound = phi.get(x.name)
+        if bound is None:
+            return x
+        return instantiate(_NOTHING, bound) if bound.__class__ is App else bound
+    if cls is Const:
+        return x
+    if cls is App:
+        args = x.args
+        a, b = instantiate(phi, args[0]), instantiate(phi, args[1])
+        if a.__class__ is Const and b.__class__ is Const:
+            try:
+                return Const(_apply(x.fn, a.value, b.value))
+            except EvalError:
+                pass
+        return x if a is args[0] and b is args[1] else App(x.fn, (a, b))
+    if cls is Chr:
+        args = tuple([instantiate(phi, a) for a in x.args])
+        return x if args == x.args else Chr(x.pred, args)
+    return Eq(instantiate(phi, x.lhs), instantiate(phi, x.rhs))
 
 
 def normalize_term(t: Term) -> Term:
     """Evaluate ground, well-typed applications bottom-up (9-3 becomes 6).
     Ill-typed ground applications are left symbolic."""
-    if not isinstance(t, App):
-        return t
-    args = tuple(normalize_term(a) for a in t.args)
-    t2 = App(t.fn, args)
-    if all(isinstance(a, Const) for a in args):
-        try:
-            return Const(eval_ground(t2))
-        except EvalError:
-            return t2
-    return t2
+    return instantiate(_NOTHING, t)
 
 
 def normalize_constraint(c: Constraint) -> Constraint:
-    if isinstance(c, Chr):
-        return Chr(c.pred, tuple(normalize_term(a) for a in c.args))
-    return Eq(normalize_term(c.lhs), normalize_term(c.rhs))
+    return instantiate(_NOTHING, c)
 
 
 # Rendering.  One deterministic printer used for dumps, traces and golden

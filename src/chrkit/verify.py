@@ -48,8 +48,9 @@ from .abstract import (AbstractStore, HistoryKey, rewrite_steps, solved_form,
                        validate_rewrite)
 from .store import NumberedConstraint, State
 from .syntax import Program
-from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, mgu,
-                    normalize_constraint, render_constraint, vars_of)
+from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst,
+                    instantiate, mgu, normalize_constraint, render_constraint,
+                    vars_of)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedTrace, Step, _excerpt, parse_trace
 
@@ -268,8 +269,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
         rep.numbered[cid] += 1
     if n == len(rep.bodies):
         rep.bodies.append(tuple(
-            render_constraint(normalize_constraint(apply_subst(st.phi, b)))
-            for b in rule.body))
+            render_constraint(instantiate(st.phi, b)) for b in rule.body))
     rep.goals.update(rep.bodies[n])
     return None
 

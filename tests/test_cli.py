@@ -186,6 +186,18 @@ def test_repeat_reports_distinct_stores(capsys):
     (["--repeat", "2", "--trace", "TRACE"], "--repeat does not take --trace"),
     (["--engine", "concurrent", "--repeat", "2", "--verify", "--trace",
       "TRACE"], "--repeat does not take --trace"),
+    (["--engine", "concurrent", "--check-invariants"],
+     "--engine concurrent does not take --check-invariants"),
+    (["--engine", "concurrent", "--repeat", "2", "--check-invariants"],
+     "--engine concurrent does not take --check-invariants"),
+    (["--engine", "abstract", "--check-invariants"],
+     "--engine abstract does not take --check-invariants"),
+    (["--oracle", "--check-invariants"],
+     "--oracle does not take --check-invariants"),
+    (["--oracle", "--max-steps", "0"], "--oracle does not take --max-steps"),
+    (["--oracle", "--engine", "concurrent", "--check-invariants",
+      "--max-steps", "5"],
+     "--oracle does not take --check-invariants or --max-steps"),
 ])
 def test_flags_the_mode_would_ignore_exit_1(tmp_path, capsys, flags, message):
     path = tmp_path / "run.trace"
@@ -219,6 +231,16 @@ def test_check_invariants_flag(capsys):
                              "--goals", "Merge(1,2),Merge(1,1)",
                              "--check-invariants")
     assert code == 0
+
+
+@pytest.mark.parametrize("flags", [["--repeat", "2"], ["--max-steps", "50"],
+                                   ["--verify", "--trace", "TRACE"]])
+def test_check_invariants_runs_with_sequential_flags(tmp_path, capsys, flags):
+    flags = [str(tmp_path / "run.trace") if f == "TRACE" else f for f in flags]
+    code, out, err = run_cli(capsys, str(PROGRAMS / "mergesort.chr"),
+                             "--goals", "Merge(1,2),Merge(1,1)",
+                             "--check-invariants", *flags)
+    assert code == 0, err
 
 
 def test_seed_env_var_default(capsys, monkeypatch):

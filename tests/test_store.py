@@ -124,6 +124,23 @@ def test_candidates_index_agrees_with_linear_scan_randomized():
             assert got == want
 
 
+def test_candidates_for_1_never_return_true():
+    st = Store()
+    p_true = st.insert(Chr("P", (Const(True),)))
+    p_one = st.insert(Chr("P", (Const(1),)))
+    p_sum = st.insert(Chr("P", (App("+", (Const(0), Const(1))),)))
+    got = st.candidates({}, Chr("P", (Const(1),)))
+    assert [nc.id for nc in got] == [p_one.id, p_sum.id]
+    got = st.candidates({"x": Const(True)}, Chr("P", (Var("x"),)))
+    assert [nc.id for nc in got] == [p_true.id]
+    pattern = Chr("P", (App("+", (Var("x"), Const(1))),))
+    got = st.candidates({"x": Const(0)}, pattern)
+    assert [nc.id for nc in got] == [p_one.id, p_sum.id]
+    st.kill({p_one.id})
+    got = st.candidates({"x": Const(1)}, Chr("P", (Var("x"),)))
+    assert [nc.id for nc in got] == [p_sum.id]
+
+
 def test_index_completeness():
     st = Store()
     ncs = [st.insert(chr1("A", k % 3)) for k in range(9)]
