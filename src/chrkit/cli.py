@@ -83,13 +83,15 @@ def _run_once(program, goals, args, cfg: EngineConfig):
 def _refuse_ignored_flags(args) -> None:
     """A ValueError for flags the mode would silently ignore: the oracle and
     the abstract walk run no goal engine, --repeat writes no trace, only the
-    sequential engine checks invariants and the oracle takes no step
-    limit."""
+    sequential engine checks invariants and has a goal policy, only the
+    concurrent one has workers, and the oracle takes no step limit."""
     given = {"--verify": args.verify, "--trace": args.trace is not None,
              "--repeat": args.repeat is not None,
              "--check-invariants": args.check_invariants,
-             "--max-steps": args.max_steps is not None}
-    walk = ("--verify", "--trace", "--repeat", "--check-invariants")
+             "--max-steps": args.max_steps is not None,
+             "--policy": args.policy != "fifo", "--workers": args.workers != 1}
+    walk = ("--verify", "--trace", "--repeat", "--check-invariants",
+            "--policy", "--workers")
     if args.oracle:
         mode, ignored = "--oracle", walk + ("--max-steps",)
     elif args.engine == "abstract":
@@ -97,9 +99,10 @@ def _refuse_ignored_flags(args) -> None:
     elif given["--repeat"] and given["--trace"]:
         mode, ignored = "--repeat", ("--trace",)
     elif args.engine == "concurrent":
-        mode, ignored = "--engine concurrent", ("--check-invariants",)
+        mode, ignored = "--engine concurrent", ("--check-invariants",
+                                                "--policy")
     else:
-        return
+        mode, ignored = "--engine sequential", ("--workers",)
     flags = [flag for flag in ignored if given[flag]]
     if flags:
         raise ValueError(f"{mode} does not take {' or '.join(flags)}")
@@ -122,6 +125,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                            max_steps=args.max_steps)
         if args.repeat is not None and args.repeat < 1:
             raise ValueError("repeat must be >= 1")
+        if args.max_steps is not None and args.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         _refuse_ignored_flags(args)
     except (ParseError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,27 +1,27 @@
-"""Multi-worker goal executor over one shared store.
+"""The concurrent engine: the sequential goal loop, run by several workers
+over one shared store.
 
-Each worker repeatedly takes one goal and performs exactly one derivation
-step against the shared store (single-step execution; goals are stored at
-activation).  Every step commits in one store-lock section that checks the
-step limit, numbers the step by its position in the trace, applies it and
-appends it, so the trace is the engine's only clock: a step's seq is its
-commit tick, as in the sequential engine, and a scan's start is the last
-seq it can see.  A firing found by scanning is made real only by that
-commit: every involved id is revalidated alive, and the simplified ids must
-not have been propagated over by a step that committed after the scan's
-start (the last-propagation-tick check).  The second condition is what
-makes every pair of committed records whose (start, commit) intervals
-overlap non-overlapping in the side-effect sense: their simplified sets are
+Each worker runs `SequentialEngine.run_goals` on goals of its own and takes
+further goals from a shared pool, so the goal step and the goal loop are
+the sequential ones: a concurrent step is the sequential step committed
+under the store lock.  This module defines only what is concurrent.  The
+commit checks the step limit, numbers the step by its position in the
+trace, applies it and appends it in one store-lock section, so the trace is
+the engine's only clock: a step's seq is its commit tick, as in the
+sequential engine, and a scan's start is the last seq it can see.  A firing
+found by scanning is made real only by that commit: every involved id is
+revalidated alive, and the simplified ids must not have been propagated
+over by a step that committed after the scan's start (the
+last-propagation-tick check).  The second condition is what makes every
+pair of committed records whose (start, commit) intervals overlap
+non-overlapping in the side-effect sense: their simplified sets are
 disjoint from each other's propagated and simplified sets.  An aborted
 commit mutated nothing; the worker resumes its partner search, or rescans
 from a fresh start after a tick conflict.
 
-What a firing does (step kind, side effect, propagation-history key, kept
-only for pure propagation rules, and the goals it pushes) comes from the
-firing core in `matching` that the sequential engine uses too.  Activated,
-pushed and woken goals go to the front of the worker's own goals, where the
-sequential engine puts them, so a one-worker run is the sequential
-derivation step for step.  A Solve's woken ids are its propagated set.
+Activated, pushed and woken goals go to the front of the worker's own
+goals, where the sequential engine puts them, so a one-worker run is the
+sequential derivation step for step.
 """
 from __future__ import annotations
 
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .abstract import HistoryKey
-from .matching import RunResult, iter_matches
-from .store import NumberedConstraint, State, Store
+from .matching import RunResult
+from .matching import iter_matches  # noqa: F401  (bench/instrument.py wraps it here)
+from .sequential import SequentialEngine, _StepLimit, _TickConflict
 from .syntax import Program
-from .terms import Chr, Constraint, Eq, normalize_constraint
-from .trace import Step
+from .terms import Constraint
 
 
 @dataclass
@@ -48,8 +48,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
 
 
 class _Pool:
@@ -57,9 +55,10 @@ class _Pool:
     quiescence barrier: the run is over when every worker is idle and the
     pool is empty, both checked in one critical section."""
 
-    def __init__(self, workers: int, rng: Optional[random.Random]):
+    def __init__(self, items: deque, workers: int,
+                 rng: Optional[random.Random]):
         self.cond = threading.Condition()
-        self.items: deque = deque()
+        self.items = items
         self.idle = 0
         self.workers = workers
         self.stopped = False
@@ -101,17 +100,14 @@ class _Pool:
             self.cond.notify_all()
 
 
-class ConcurrentEngine:
+class ConcurrentEngine(SequentialEngine):
     def __init__(self, program: Program, cfg: EngineConfig):
-        self.program = program
+        super().__init__(program, max_steps=cfg.max_steps)
         self.cfg = cfg
-        self.store = Store()
+        self.store = self.state.store
         rng = random.Random(cfg.seed) if cfg.workers > 1 else None
-        self.pool = _Pool(cfg.workers, rng)
-        self.trace: list[Step] = []  # the commit clock: a step's seq is its index
-        self.history: set[HistoryKey] = set()
+        self.pool = _Pool(self.state.goals, cfg.workers, rng)
         self.last_prop_tick: dict[int, int] = {}
-        self.status = "done"
         self._crashed: Optional[BaseException] = None
 
     def _stop(self, status: str) -> None:
@@ -120,20 +116,16 @@ class ConcurrentEngine:
 
     # ----------------------------------------------------------- commits
 
-    def _commit(self, start: int, worker: int, effect) -> Optional[Step]:
-        """The commit section of every step.  Under the store lock: stop at
-        the step limit, number the step by its trace position, apply its
-        effect (`effect(seq, worker, interval)` mutates the store and returns
-        the step, or None having mutated nothing), mark the step as the last
-        propagation over its prop_ids, and append it."""
+    def _commit(self, effect, start: int, worker: int, item, goals: deque):
+        """The sequential commit under the store lock, with the interval
+        (start, seq); the step is the last propagation over its prop_ids."""
         with self.store.lock:
-            limit = self.cfg.max_steps
-            if limit is not None and len(self.trace) >= limit:
+            seq = len(self.trace)
+            if self.max_steps is not None and seq >= self.max_steps:
                 if self.status == "done":
                     self._stop("step-limit")
                 raise _StepLimit
-            seq = len(self.trace)
-            step = effect(seq, worker, (start, seq))
+            step = effect(seq, worker, (start, seq), item, goals)
             if step is not None:
                 for i in step.prop_ids:
                     self.last_prop_tick[i] = seq
@@ -161,94 +153,16 @@ class ConcurrentEngine:
             for i in simp_ids:
                 if self.last_prop_tick.get(i, -1) > start_tick:
                     raise _TickConflict
-            if history_key is not None:
-                if history_key in self.history:
-                    return None  # another worker fired this instance first
-                self.history.add(history_key)
-            if simp_ids:
-                store.kill(simp_ids)
-            return len(self.trace)
-
-    # ------------------------------------------------------------- steps
-
-    def _activate(self, c: Chr, local: deque, worker: int) -> None:
-        def activate(seq, worker, interval):
-            nc = self.store.insert(c)
-            local.appendleft(nc)  # executes next
-            return Step(seq, "Activate", c, nc.id, worker=worker,
-                        interval=interval)
-        self._commit(len(self.trace) - 1, worker, activate)
-
-    def _solve(self, e: Eq, local: deque, worker: int) -> None:
-        """Equation insertion plus wake-up as one commit; the woken
-        constraints are this step's propagated set and execute next."""
-        def solve(seq, worker, interval):
-            woken = self.store.add_equation(e)
-            local.extendleft(reversed(woken))  # ascending id order
-            if self.store.inconsistent:
-                self._stop("failed")
-            return Step(seq, "Solve", e, prop_ids=tuple(nc.id for nc in woken),
-                        worker=worker, interval=interval)
-        self._commit(len(self.trace) - 1, worker, solve)
-
-    def _execute_numbered(self, goal: NumberedConstraint, local: deque,
-                          worker: int) -> None:
-        store = self.store
-        while True:
-            if not store.alive(goal.id):
-                return  # stale goal: discarded on dequeue, no trace step
-            start = len(self.trace) - 1
-            goal = store.get(goal.id)
-            try:
-                if self._try_fire(goal, local, worker, start):
-                    return
-            except _TickConflict:
-                continue  # a concurrent commit raced us; rescan afresh
-            break
-
-        def drop(seq, worker, interval):  # the goal stays in the store
-            if not store.alive(goal.id):
-                return None
-            return Step(seq, "Drop", store.get(goal.id).constraint, goal.id,
-                        worker=worker, interval=interval)
-        self._commit(start, worker, drop)
-
-    def _try_fire(self, goal: NumberedConstraint, local: deque, worker: int,
-                  start: int) -> bool:
-        for m in iter_matches(self.store, goal, self.program):
-            if m.history_key in self.history:
-                continue  # dirty check; the commit rechecks atomically
-
-            def fire(seq, worker, interval, m=m):
-                tick = self.commit_firing(m.simp_ids, m.prop_ids, start,
-                                          m.history_key)
-                return None if tick is None else m.step(seq, worker, interval)
-            if self._commit(start, worker, fire) is not None:
-                local.extendleft(reversed(m.continuation()))
-                return True
-        return False
+            if history_key in self.history:
+                return None  # another worker fired this instance first
+            return super().commit_firing(simp_ids, prop_ids, start_tick, history_key)
 
     # --------------------------------------------------------------- run
 
     def _worker(self, wid: int) -> None:
         local: deque = deque()
         try:
-            while True:
-                if self.pool.stopped and self.status != "done":
-                    break
-                g = local.popleft() if local else self.pool.pop()
-                if g is None:
-                    break
-                try:
-                    if isinstance(g, NumberedConstraint):
-                        self._execute_numbered(g, local, wid)
-                    elif isinstance(g, Eq):
-                        self._solve(g, local, wid)
-                    else:
-                        self._activate(g, local, wid)
-                except _StepLimit:
-                    local.appendleft(g)  # it did not step; back to the pool
-                    break
+            self.run_goals(local, wid, self.pool.pop)
         except BaseException as exc:  # propagate to the main thread
             self._crashed = exc
             self._stop("failed")
@@ -257,7 +171,7 @@ class ConcurrentEngine:
                 self.pool.push_front(local)
 
     def run(self, goals: Iterable[Constraint]) -> RunResult:
-        self.pool.items.extend(normalize_constraint(g) for g in goals)
+        self.load_goals(goals)
         threads = [threading.Thread(target=self._worker, args=(w,), daemon=True)
                    for w in range(self.cfg.workers)]
         for t in threads:
@@ -266,16 +180,7 @@ class ConcurrentEngine:
             t.join()
         if self._crashed is not None:
             raise self._crashed
-        state = State(goals=deque(self.pool.items), store=self.store)
-        return RunResult(state, self.trace, self.history, self.status)
-
-
-class _StepLimit(Exception):
-    """The trace holds max_steps steps; the run stops."""
-
-
-class _TickConflict(Exception):
-    """A simplified id was propagated over after the scan started."""
+        return RunResult(self.state, self.trace, self.history, self.status)
 
 
 def run_concurrent(goals: Iterable[Constraint], program: Program,

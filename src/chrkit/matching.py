@@ -1,4 +1,4 @@
-"""The firing core shared by both goal engines.
+"""The firing core of the goal loop that both goal engines run.
 
 `iter_matches` is the lazy partner search around one active goal:
 occurrences are tried top-to-bottom, partners are looked up via the store
@@ -6,8 +6,9 @@ indexes in the compiled join order, and the guard is tested against the
 store's solved equations `Store.theta` as soon as all of its variables are
 bound.  A `Match` carries the firing's side-effect ids and says what else
 the firing does (its kind, history key, trace step and the goals it
-pushes), worked out only when asked for.  The engines differ only in how a
-firing is made real.
+pushes), worked out only when asked for.  There is one goal loop, in
+`sequential`; the engines differ only in how a step is committed, and a
+concurrent step is the sequential step committed under the store lock.
 """
 from __future__ import annotations
 
@@ -74,8 +75,10 @@ class RunResult:
 def iter_matches(store: Store, goal: NumberedConstraint,
                  program: Program) -> Iterator[Match]:
     """Complete rule-head matches containing the goal, in deterministic
-    order: occurrence-major, then candidate ids ascending per join position.
-    Liveness is only a snapshot; committing a match revalidates it.
+    order: occurrence-major, then per join position in `Store.candidates`
+    order (ascending ids, except that a bucket scan lists an entry woken by
+    an equation after the entries indexed before that wake-up).  Liveness
+    is only a snapshot; committing a match revalidates it.
     """
     # add_equation assigns a fresh theta under the store lock and nothing
     # mutates it afterwards, so this unlocked read is a consistent snapshot

@@ -186,8 +186,11 @@ class Store:
         under the partial bindings, in their equation-normal form.  When
         some pattern argument is ground under `partial`, the per-argument
         hash index, keyed by that ground term, gives (expected)
-        constant-time lookup; otherwise the predicate bucket is scanned.
-        Ascending id order; no constraint is yielded twice.
+        constant-time lookup, in ascending id order; otherwise the
+        predicate bucket is scanned, in the order its entries were last
+        indexed: a wake-up re-indexes the woken entry after every entry
+        indexed before it (`A(x)#1`, `A(1)#2`, then `x=5`: ids 2, 1).  No
+        constraint is yielded twice.
         """
         pred, key = pattern.pred, None
         for pos, arg in enumerate(pattern.args):
@@ -199,7 +202,7 @@ class Store:
             if key is not None:
                 ids = sorted(self._arg_index.get(key, ()))
             else:
-                ids = list(self._pred_index.get(pred, ()))  # insertion = id order
+                ids = list(self._pred_index.get(pred, ()))  # indexing order
             view = self._view
             return [view[i] for i in ids if i in self._alive]
 

@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
-import chrkit.concurrent as concurrent
+import chrkit.sequential as sequential
 from chrkit.abstract import AbstractStore, LimitExceeded, canonical_multiset
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import RunResult, iter_matches
@@ -428,7 +428,7 @@ def run_scripted_pair(program: Program, goals: Iterable[Constraint],
     thread schedule: the same inputs always give the same trace.
     """
     engine = ConcurrentEngine(program, EngineConfig(workers=1))
-    real_matches = concurrent.iter_matches
+    real_matches = sequential.iter_matches
     pool = engine.pool.items
     nested = []
 
@@ -443,12 +443,12 @@ def run_scripted_pair(program: Program, goals: Iterable[Constraint],
             pool.remove(g)
             local: deque = deque()
             if isinstance(g, Chr):
-                engine._activate(g, local, 1)
+                engine.step_activate(g, local, 1)
                 g = local.popleft()
             if not fires(g):
                 pool.appendleft(g)
                 continue
-            engine._execute_numbered(g, local, 1)
+            engine.execute_goal(g, local, 1)
             pool.extendleft(reversed(local))
             return
 
@@ -462,7 +462,7 @@ def run_scripted_pair(program: Program, goals: Iterable[Constraint],
                     nested.pop()
             yield m
 
-    monkeypatch.setattr(concurrent, "iter_matches", matches)
+    monkeypatch.setattr(sequential, "iter_matches", matches)
     return engine.run(goals)
 
 

@@ -198,6 +198,20 @@ def test_repeat_reports_distinct_stores(capsys):
     (["--oracle", "--engine", "concurrent", "--check-invariants",
       "--max-steps", "5"],
      "--oracle does not take --check-invariants or --max-steps"),
+    (["--engine", "concurrent", "--policy", "lifo"],
+     "--engine concurrent does not take --policy"),
+    (["--engine", "abstract", "--policy", "lifo"],
+     "--engine abstract does not take --policy"),
+    (["--oracle", "--policy", "lifo"], "--oracle does not take --policy"),
+    (["--workers", "4"], "--engine sequential does not take --workers"),
+    (["--engine", "sequential", "--workers", "2", "--verify"],
+     "--engine sequential does not take --workers"),
+    (["--engine", "abstract", "--workers", "4"],
+     "--engine abstract does not take --workers"),
+    (["--oracle", "--engine", "concurrent", "--workers", "2"],
+     "--oracle does not take --workers"),
+    (["--oracle", "--policy", "lifo", "--workers", "3", "--max-steps", "9"],
+     "--oracle does not take --policy or --workers or --max-steps"),
 ])
 def test_flags_the_mode_would_ignore_exit_1(tmp_path, capsys, flags, message):
     path = tmp_path / "run.trace"

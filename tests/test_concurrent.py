@@ -8,7 +8,6 @@ from chrkit.abstract import canonical_multiset
 from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                                _TickConflict)
 from chrkit.sequential import run_sequential
-from chrkit.store import NumberedConstraint
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Var
 from chrkit.trace import serialize_trace, step_to_line
@@ -62,15 +61,12 @@ def test_single_worker_matches_sequential_dump_on_corpus():
 
 def test_single_worker_step_limit_leaves_the_sequential_goals():
     """At a step limit one worker leaves the goals the sequential engine
-    leaves, less the stale copies that engine has not discarded yet."""
+    leaves: both run the same goal loop."""
     p, goals = load("mergesort"), goals_for("mergesort")
     for limit in range(60):
         seq = run_sequential(goals, p, max_steps=limit)
         con = run_concurrent(goals, p, EngineConfig(workers=1, max_steps=limit))
-        live = [g for g in seq.state.goals
-                if not isinstance(g, NumberedConstraint)
-                or seq.state.store.alive(g.id)]
-        assert list(con.state.goals) == live, limit
+        assert list(con.state.goals) == list(seq.state.goals), limit
 
 
 def test_gcd_answer_stable_across_workers_and_seeds():
@@ -135,7 +131,7 @@ def test_commit_firing_rejects_simplify_after_overlapping_propagation():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
     nc = eng.store.insert(Chr("P"))
     early_start = len(eng.trace) - 1
-    eng._execute_numbered(nc, deque(), 0)  # commits r1, propagating over P
+    eng.execute_goal(nc, deque(), 0)  # commits r1, propagating over P
     (prop,) = eng.trace
     assert (prop.kind, prop.prop_ids) == ("Propagate", (nc.id,))
     # a firing whose scan started before that propagation committed must

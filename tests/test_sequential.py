@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from chrkit.abstract import canonical_multiset
+from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import (SequentialEngine, active_instance_violations,
                                run_sequential)
 from chrkit.store import NumberedConstraint
@@ -51,13 +54,14 @@ def test_activation_stores_immediately_and_ids_increase():
     eng = SequentialEngine(load("channel"))
     eng.load_goals(parse_goals("Get(x1),Put(1)"))
     eng.state.goals.popleft()
-    step = eng.step_activate(Chr("Get", (Var("x1"),)))
+    step = eng.step_activate(Chr("Get", (Var("x1"),)), eng.state.goals)
     assert step.goal == Chr("Get", (Var("x1"),)) and step.goal_id == 1
     assert eng.state.store.alive(1)
     # executes next
     assert eng.state.goals[0] == NumberedConstraint(step.goal, 1)
     eng.state.goals.popleft()
-    assert eng.step_activate(Chr("Put", (Const(1),))).goal_id == 2
+    assert eng.step_activate(Chr("Put", (Const(1),)),
+                             eng.state.goals).goal_id == 2
 
 
 def test_solve_moves_equation_and_wakes():
@@ -67,7 +71,7 @@ def test_solve_moves_equation_and_wakes():
     eng.state.store.insert(Chr("B", (Const(2),)))
     eng.state.goals.append(Eq(Var("a"), Const(2)))
     eng.state.goals.popleft()
-    step = eng.step_solve(Eq(Var("a"), Const(2)))
+    step = eng.step_solve(Eq(Var("a"), Const(2)), eng.state.goals)
     assert step.prop_ids == (a.id,)
     assert step.simp_ids == ()
     assert eng.state.goals[0].id == a.id
@@ -112,9 +116,9 @@ def test_propagation_keeps_goal_after_body():
     eng = SequentialEngine(load("prop_once"))
     eng.load_goals(parse_goals("P"))
     eng.state.goals.popleft()
-    eng.step_activate(Chr("P"))
+    eng.step_activate(Chr("P"), eng.state.goals)
     g = eng.state.goals.popleft()
-    eng.execute_goal(g)
+    eng.execute_goal(g, eng.state.goals)
     # body goal first, then the still-active goal
     assert [type(x).__name__ for x in eng.state.goals] == ["Chr", "NumberedConstraint"]
 
@@ -140,6 +144,30 @@ def test_step_limit():
     res = run_sequential(parse_goals("A"), loop, max_steps=30)
     assert res.status == "step-limit"
     assert len(res.trace) == 30
+
+
+@pytest.mark.parametrize("limit", [-1, -3])
+def test_negative_step_limit_is_refused_by_both_engines(limit):
+    with pytest.raises(ValueError):
+        run_sequential(parse_goals("Gcd(4)"), load("gcd"), max_steps=limit)
+    with pytest.raises(ValueError):
+        run_concurrent(parse_goals("Gcd(4)"), load("gcd"),
+                       EngineConfig(max_steps=limit))
+
+
+def test_limit_reached_with_only_stale_goals_left_is_done():
+    """x=1 wakes A#1 and B#2; A#1 fires and simplifies B#2, whose goal is
+    then stale.  A limit at the run's last step refuses no step, so the run
+    is done on both engines, and no stale goal is left."""
+    p = load_program("r @ A(y), B(y) <=> y > 0 | true.")
+    goals = parse_goals("A(x),B(x),x=1")
+    assert len(run_sequential(goals, p).trace) == 6
+    seq = run_sequential(goals, p, max_steps=6)
+    con = run_concurrent(goals, p, EngineConfig(workers=1, max_steps=6))
+    for res in (seq, con):
+        assert (res.status, len(res.trace), list(res.state.goals)) == (
+            "done", 6, [])
+    assert run_sequential(goals, p, max_steps=5).status == "step-limit"
 
 
 def test_lifo_policy_processes_last_goal_first():

@@ -102,6 +102,22 @@ def test_candidates_non_ground_key_scans_predicate():
     assert [nc.id for nc in got] == [nc.id for nc in inserted]
 
 
+def test_bucket_scan_lists_a_woken_entry_after_those_indexed_before():
+    """A bucket scan gives entries in the order they were last indexed, and
+    a wake-up re-indexes the woken entry, so after `x=5` the woken A(x)#1
+    comes after A(1)#2.  An argument-index lookup stays in ascending id
+    order."""
+    st = Store()
+    st.insert(Chr("A", (Var("x"),)))
+    st.insert(chr1("A", 1))
+    assert [nc.id for nc in st.add_equation(Eq(Var("x"), Const(5)))] == [1]
+    st.insert(chr1("A", 5))
+    scan = st.candidates({}, Chr("A", (Var("y"),)))
+    assert [nc.id for nc in scan] == [2, 1, 3]
+    hits = st.candidates({"y": Const(5)}, Chr("A", (Var("y"),)))
+    assert [nc.id for nc in hits] == [1, 3]
+
+
 def test_candidates_index_agrees_with_linear_scan_randomized():
     rng = random.Random(3)
     st = Store()
