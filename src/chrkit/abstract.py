@@ -449,14 +449,14 @@ def run_abstract(s: AbstractStore, p: Program, seed: int = 0,
     """One derivation to a final store, choosing among applicable rewrites
     with a seeded RNG.  Status is 'done' once no rewrite applies, or
     'step-limit' if one still does after max_steps rewrites."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
-    cur = s
-    while steps := rewrite_steps(cur, p):
-        if max_steps == 0:
-            return cur, "step-limit"
-        max_steps -= 1
-        cur = steps[rng.randrange(len(steps))].result
-    return cur, "done"
+    for _ in range(max_steps):
+        if not (steps := rewrite_steps(s, p)):
+            return s, "done"
+        s = steps[rng.randrange(len(steps))].result
+    return s, "step-limit" if rewrite_steps(s, p) else "done"
 
 
 def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],

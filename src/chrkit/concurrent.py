@@ -140,10 +140,8 @@ class ConcurrentEngine(SequentialEngine):
                       history_key: Optional[HistoryKey] = None) -> Optional[int]:
         """Atomically: revalidate every involved id alive, refuse simplified
         ids propagated over after start_tick (the last seq the scan saw),
-        then kill the simplified set.  Returns the commit tick, or None if
-        nothing was mutated.  Raises _TickConflict when the scan must
-        restart from a fresh start.
-        """
+        then kill the simplified set and drop its ticks.  Returns the commit
+        tick, or None if nothing was mutated; _TickConflict means rescan."""
         store = self.store
         with store.lock:
             if store.inconsistent:
@@ -155,6 +153,8 @@ class ConcurrentEngine(SequentialEngine):
                     raise _TickConflict
             if history_key in self.history:
                 return None  # another worker fired this instance first
+            for i in simp_ids:  # a dead id is never checked again
+                self.last_prop_tick.pop(i, None)
             return super().commit_firing(simp_ids, prop_ids, start_tick, history_key)
 
     # --------------------------------------------------------------- run

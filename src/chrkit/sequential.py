@@ -109,10 +109,10 @@ class SequentialEngine:
         return m.step(seq, worker, interval)
 
     def _drop(self, seq, worker, interval, goal_id: int, goals: deque):
-        store = self.state.store  # the goal stays in the store
-        if not store.alive(goal_id):
+        goal = self.state.store.get(goal_id)  # the goal stays in the store
+        if goal is None:
             return None  # simplified since the scan
-        return Step(seq, "Drop", store.get(goal_id).constraint, goal_id, None,
+        return Step(seq, "Drop", goal.constraint, goal_id, None,
                     {}, (), (), worker, interval)
 
     def step_activate(self, c: Chr, goals: deque, worker=None) -> Optional[Step]:
@@ -126,12 +126,14 @@ class SequentialEngine:
     def execute_goal(self, goal: NumberedConstraint, goals: deque,
                      worker=None) -> Optional[Step]:
         """Fire the goal's first match whose instance is not in the
-        propagation history, else drop it (it stays in the store).  A stale
-        goal takes no step; a concurrent tick conflict restarts the scan."""
-        store = self.state.store
-        while store.alive(goal.id):
+        propagation history, else drop it (it stays in the store).  A scan
+        reads the goal's form once, after its start: None (stale) is no step."""
+        store, cid = self.state.store, goal.id
+        while True:
             start = len(self.trace) - 1  # the last seq the scan can see
-            goal = store.get(goal.id)  # refresh to the current normal form
+            goal = store.get(cid)  # the current normal form, or None
+            if goal is None:
+                return None  # simplified while it waited
             try:
                 for m in iter_matches(store, goal, self.program):
                     if m.history_key in self.history:
@@ -141,8 +143,7 @@ class SequentialEngine:
                         return step
             except _TickConflict:
                 continue  # a concurrent commit raced the scan
-            return self._commit(self._drop, start, worker, goal.id, goals)
-        return None
+            return self._commit(self._drop, start, worker, cid, goals)
 
     # --------------------------------------------------------------- run
 

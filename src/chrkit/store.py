@@ -11,13 +11,14 @@ ground argument term), the term itself, never a rendering of it.
 `add_equation` alone, which extends it by one equation per call; guards,
 wake-ups and normal forms all read it.  A variable -> ids
 occurrence index over the normal forms says which entries a newly bound
-variable wakes, so a Solve never scans the whole store.  Each entry keeps
-the argument keys and variables it was indexed under, so a kill or a
-wake-up removes exactly those without re-deriving them.
+variable wakes, so a Solve never scans the whole store.
 
-Dead entries are tombstoned, never physically removed, so a concurrent
-reader can never observe a dangling id; they do disappear from index
-lookups.  Equations only grow within a run.
+The store holds live entries only, as Sn does.  A kill deletes both forms
+and unlists the entry from the buckets of its current normal form, the
+form it was indexed under (a wake-up unlists an entry before it replaces
+that form); an emptied argument bucket goes too.  `get` reads liveness and
+the current form at once: None once the entry is dead.  Ids are never
+reused; equations only grow within a run.
 
 All mutating operations take the store lock; `kill` of a set of ids is one
 atomic transition, and `candidates` snapshots under the lock, so readers
@@ -54,16 +55,14 @@ GoalItem = Union[Constraint, NumberedConstraint]
 class Store:
     def __init__(self):
         self.lock = threading.RLock()
+        # live entries only, in id order (ids ascend and are never reused)
         self._raw: dict[int, Chr] = {}   # as inserted, never rewritten
         self._view: dict[int, NumberedConstraint] = {}  # equation-normal
-        self._alive: set[int] = set()
         self._eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
         self._pred_index: dict[str, dict[int, None]] = {}
         self._arg_index: dict[tuple[str, int, Term], dict[int, None]] = {}
         self._occ: dict[str, dict[int, None]] = {}  # variable -> alive ids
-        # id -> the argument keys and the variables it is indexed under
-        self._indexed: dict[int, tuple[list, set[str]]] = {}
         self._next_id = 1
 
     @property
@@ -73,48 +72,50 @@ class Store:
     # ----------------------------------------------------------- queries
 
     def alive(self, cid: int) -> bool:
-        return cid in self._alive
+        return cid in self._view
 
-    def get(self, cid: int) -> NumberedConstraint:
-        """The matching view (equation-normal form) of an entry."""
-        return self._view[cid]
+    def get(self, cid: int) -> Optional[NumberedConstraint]:
+        """The matching view (equation-normal form) of an entry; None once
+        it is dead, so one read says whether and as what it lives."""
+        return self._view.get(cid)
 
     def live_items(self) -> list[NumberedConstraint]:
         with self.lock:
-            return [NumberedConstraint(self._raw[i], i)
-                    for i in sorted(self._alive)]
+            return [NumberedConstraint(c, i) for i, c in self._raw.items()]
 
     def eqs(self) -> tuple[Eq, ...]:
         with self.lock:
             return tuple(self._eqs)
 
     def size(self) -> int:
-        return len(self._alive)
+        return len(self._raw)
 
     # --------------------------------------------------------- mutation
 
     def _index_add(self, cid: int, c: Chr) -> None:
         self._pred_index.setdefault(c.pred, {})[cid] = None
-        keys, names = [], set()
         for pos, arg in enumerate(c.args):
             found = None if arg.__class__ is Const else vars_of(arg)
             if found:
-                names |= found
+                for v in found:
+                    self._occ.setdefault(v, {})[cid] = None
             else:
-                key = (c.pred, pos, arg)
-                keys.append(key)
-                self._arg_index.setdefault(key, {})[cid] = None
-        for v in names:
-            self._occ.setdefault(v, {})[cid] = None
-        self._indexed[cid] = (keys, names)
+                self._arg_index.setdefault((c.pred, pos, arg), {})[cid] = None
 
     def _index_remove(self, cid: int) -> None:
-        self._pred_index[self._view[cid].constraint.pred].pop(cid, None)
-        keys, names = self._indexed.pop(cid)
-        for key in keys:
-            self._arg_index[key].pop(cid, None)
-        for v in names:  # add_equation has dropped the buckets it wakes
-            self._occ.get(v, {}).pop(cid, None)
+        c = self._view[cid].constraint
+        del self._pred_index[c.pred][cid]
+        for pos, arg in enumerate(c.args):
+            found = None if arg.__class__ is Const else vars_of(arg)
+            if found:
+                for v in found:  # add_equation has dropped those it wakes
+                    self._occ.get(v, {}).pop(cid, None)
+            else:
+                key = (c.pred, pos, arg)
+                bucket = self._arg_index[key]
+                del bucket[cid]
+                if not bucket:  # ground keys come and go with the store
+                    del self._arg_index[key]
 
     def insert(self, c: Chr) -> NumberedConstraint:
         """Store c under a fresh id; ids are never reused.  Returns the raw
@@ -125,20 +126,19 @@ class Store:
             self._raw[cid] = c
             view = NumberedConstraint(instantiate(self.theta or {}, c), cid)
             self._view[cid] = view
-            self._alive.add(cid)
             self._index_add(cid, view.constraint)
             return NumberedConstraint(c, cid)
 
     def kill(self, ids: Iterable[int]) -> None:
-        """Mark all ids dead as one atomic transition."""
+        """Free all ids as one atomic transition, or none if one is dead."""
         ids = set(ids)
         with self.lock:
-            dead = ids - self._alive
+            dead = ids.difference(self._view)
             if dead:
                 raise DeadIdError(sorted(dead))
             for cid in ids:
-                self._alive.discard(cid)
                 self._index_remove(cid)
+                del self._raw[cid], self._view[cid]
 
     # --------------------------------------------------------- equations
 
@@ -203,15 +203,14 @@ class Store:
                 ids = sorted(self._arg_index.get(key, ()))
             else:
                 ids = list(self._pred_index.get(pred, ()))  # indexing order
-            view = self._view
-            return [view[i] for i in ids if i in self._alive]
+            return list(map(self._view.__getitem__, ids))  # live ids only
 
     # ------------------------------------------------------------ output
 
     def drop_ids(self) -> list[Constraint]:
         """The visible multiset: alive constraints without ids, plus eqs."""
         with self.lock:
-            out: list[Constraint] = [self._raw[i] for i in sorted(self._alive)]
+            out: list[Constraint] = list(self._raw.values())
             out.extend(self._eqs)
             return out
 
@@ -219,8 +218,8 @@ class Store:
         """One constraint per line: `pred(args)#id` sorted by id, then
         equations sorted lexicographically.  Bit-exact for golden tests."""
         with self.lock:
-            lines = [NumberedConstraint(self._raw[i], i).render()
-                     for i in sorted(self._alive)]
+            lines = [NumberedConstraint(c, i).render()
+                     for i, c in self._raw.items()]
             lines.extend(sorted(render_constraint(e) for e in self._eqs))
         return "\n".join(lines)
 

@@ -119,6 +119,19 @@ def test_run_abstract_step_limit():
     assert status == "step-limit"
 
 
+def test_run_abstract_refuses_a_negative_step_limit():
+    countdown = load_program("r @ A(x) <=> x > 0 | A(x-1).")
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        run_abstract(store_of("A(50)"), countdown, max_steps=-1)
+    start = store_of("A(50)")
+    final, status = run_abstract(start, countdown, max_steps=0)
+    assert status == "step-limit" and final is start
+    final, status = run_abstract(store_of("A(0)"), countdown, max_steps=0)
+    assert status == "done" and canon(final) == ("A(0)",)
+    _, status = run_abstract(store_of("A(50)"), countdown, max_steps=50)
+    assert status == "done"
+
+
 def test_compose_check_disjoint_simplified_parts():
     gcd = load("gcd")
     s = store_of("Gcd(3),Gcd(3),Gcd(9)")

@@ -34,6 +34,17 @@ def test_empty_goals_empty_trace():
     assert res.state.store.dump() == ""
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_propagation_ticks_are_kept_for_live_ids_only(workers):
+    rng = random.Random(3)
+    goals = [Chr("Gcd", (Const(6 * rng.randint(1, 59)),)) for _ in range(100)]
+    eng = ConcurrentEngine(load("gcd"), EngineConfig(workers=workers, seed=1))
+    res = eng.run(goals)
+    assert res.status == "done" and eng.store.size() == 1
+    assert any(s.prop_ids for s in res.trace if s.kind == "Simplify")
+    assert all(eng.store.alive(i) for i in eng.last_prop_tick)
+
+
 def _lines(trace):
     """Each step's trace line, seq included, without worker and interval."""
     return [step_to_line(replace(r, worker=None, interval=None)) for r in trace]

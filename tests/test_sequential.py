@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -237,11 +238,13 @@ def test_isolation_firings_ignore_unrelated_store_constraints():
     for _ in range(15):
         values = [rng.randrange(1, 20) for _ in range(rng.randrange(3, 6))]
         res = run_sequential([Chr("Gcd", (Const(v),)) for v in values], p)
+        # each head as its Activate step stored it: gcd has no equations, so
+        # that is its matching view (dead entries are gone from the store)
+        activated = {s.goal_id: s.goal for s in res.trace if s.kind == "Activate"}
         for step in res.trace:
             if step.kind not in ("Simplify", "Propagate"):
                 continue
-            keep = {i: res.state.store.get(i).constraint
-                    for i in step.prop_ids + step.simp_ids}
+            keep = {i: activated[i] for i in step.prop_ids + step.simp_ids}
             small = Store()
             remap = {}
             for old_id in sorted(keep):
@@ -250,6 +253,18 @@ def test_isolation_firings_ignore_unrelated_store_constraints():
             hits = [m for m in iter_matches(small, g_small, p)
                     if m.rule.name == step.rule]
             assert hits, f"{step.rule} lost in the isolated store"
+
+
+def test_a_run_keeps_only_live_store_entries():
+    # every Simplify frees its heads: 500 gcd goals leave one entry, not one
+    # per constraint ever stored
+    rng = random.Random(1)
+    values = [6 * rng.randint(1, 59) for _ in range(500)]
+    res = run_sequential([Chr("Gcd", (Const(v),)) for v in values], load("gcd"))
+    store = res.state.store
+    assert len(store._raw) == len(store._view) == store.size() == 1
+    assert store.drop_ids() == [Chr("Gcd", (Const(math.gcd(*values)),))]
+    assert sum(s.kind == "Activate" for s in res.trace) > 10_000
 
 
 def test_stale_woken_goal_is_discarded():

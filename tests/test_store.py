@@ -70,6 +70,46 @@ def test_kill_dead_id_raises():
         st.kill({a.id})
 
 
+def _listing(st, cid):
+    """Every (index name, key) whose bucket lists cid."""
+    return [(name, key) for name in ("_pred_index", "_arg_index", "_occ")
+            for key, bucket in getattr(st, name).items() if cid in bucket]
+
+
+def test_a_killed_entry_is_freed_everywhere():
+    st = Store()
+    keep = st.insert(Chr("B", (Var("y"), Const(1))))
+    dead = st.insert(Chr("B", (Var("y"), Const(1))))
+    assert _listing(st, dead.id)  # listed while alive
+    st.kill({dead.id})
+    assert st.get(dead.id) is None and not st.alive(dead.id)
+    assert dead.id not in st._raw and dead.id not in st._view
+    assert st.size() == 1 and st.live_items() == [keep]
+    assert st.dump() == "B(y,1)#1"
+    assert st.drop_ids() == [keep.constraint]
+    by_index = st.candidates({"x": Const(1)}, Chr("B", (Var("w"), Var("x"))))
+    by_scan = st.candidates({}, Chr("B", (Var("w"), Var("x"))))
+    assert [nc.id for nc in by_index] == [nc.id for nc in by_scan] == [keep.id]
+    assert _listing(st, dead.id) == []
+    with pytest.raises(DeadIdError):
+        st.kill({dead.id})
+    st.kill({keep.id})
+    assert _listing(st, keep.id) == [] and st._arg_index == {}
+
+
+def test_a_woken_entry_leaves_the_buckets_of_its_current_form():
+    st = Store()
+    a = st.insert(Chr("A", (Var("x"),)))
+    assert _listing(st, a.id) == [("_pred_index", "A"), ("_occ", "x")]
+    st.add_equation(Eq(Var("x"), Const(3)))
+    assert _listing(st, a.id) == [("_pred_index", "A"),
+                                  ("_arg_index", ("A", 0, Const(3)))]
+    st.kill({a.id})
+    assert _listing(st, a.id) == []
+    assert ("A", 0, Const(3)) not in st._arg_index and "x" not in st._occ
+    assert st.get(a.id) is None and st.dump() == "x=3"
+
+
 def test_kill_pair_after_firing():
     st = Store()
     g1 = st.insert(Chr("Get", (Var("x1"),)))
