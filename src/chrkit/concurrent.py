@@ -138,24 +138,25 @@ class ConcurrentEngine(SequentialEngine):
     def commit_firing(self, simp_ids: tuple[int, ...],
                       prop_ids: tuple[int, ...], start_tick: int,
                       history_key: Optional[HistoryKey] = None) -> Optional[int]:
-        """Atomically: revalidate every involved id alive, refuse simplified
-        ids propagated over after start_tick (the last seq the scan saw),
-        then kill the simplified set and drop its ticks.  Returns the commit
-        tick, or None if nothing was mutated; _TickConflict means rescan."""
+        """Revalidate every involved id alive, refuse simplified ids
+        propagated over after start_tick (the last seq the scan saw), then
+        kill the simplified set and drop its ticks.  Returns the commit
+        tick, or None if nothing was mutated; _TickConflict means rescan.
+        Atomic inside `_commit`, whose lock is not re-entrant: nothing in a
+        commit may take it again, as `Store.candidates` does."""
         store = self.store
-        with store.lock:
-            if store.inconsistent:
-                return None  # the run is failing; nothing may fire after that
-            if not all(store.alive(i) for i in simp_ids + prop_ids):
-                return None  # lost race: some head died under us
-            for i in simp_ids:
-                if self.last_prop_tick.get(i, -1) > start_tick:
-                    raise _TickConflict
-            if history_key in self.history:
-                return None  # another worker fired this instance first
-            for i in simp_ids:  # a dead id is never checked again
-                self.last_prop_tick.pop(i, None)
-            return super().commit_firing(simp_ids, prop_ids, start_tick, history_key)
+        if store.inconsistent:
+            return None  # the run is failing; nothing may fire after that
+        if not all(store.alive(i) for i in simp_ids + prop_ids):
+            return None  # lost race: some head died under us
+        for i in simp_ids:
+            if self.last_prop_tick.get(i, -1) > start_tick:
+                raise _TickConflict
+        if history_key in self.history:
+            return None  # another worker fired this instance first
+        for i in simp_ids:  # a dead id is never checked again
+            self.last_prop_tick.pop(i, None)
+        return super().commit_firing(simp_ids, prop_ids, start_tick, history_key)
 
     # --------------------------------------------------------------- run
 

@@ -80,8 +80,9 @@ def iter_matches(store: Store, goal: NumberedConstraint,
     an equation after the entries indexed before that wake-up).  Liveness
     is only a snapshot; committing a match revalidates it.
     """
-    # add_equation assigns a fresh theta under the store lock and nothing
-    # mutates it afterwards, so this unlocked read is a consistent snapshot
+    # add_equation assigns a fresh theta, inside a locked commit on the
+    # concurrent engine, and nothing mutates it afterwards, so this read
+    # without the lock is a consistent snapshot
     theta = store.theta
     if theta is None:
         return  # an inconsistent store entails no guard

@@ -20,12 +20,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .abstract import AbstractStore, HistoryKey, rewrite_steps
+from .abstract import HistoryKey
 from .matching import Match, RunResult, iter_matches
 from .store import NumberedConstraint, State
 from .syntax import Program
 from .terms import Chr, Constraint, Eq, normalize_constraint
 from .trace import Step
+from .verify import unwatched_instances
 
 
 class InvariantViolation(Exception):
@@ -185,30 +186,15 @@ class SequentialEngine:
         """Every rule-head instance in the store must contain at least one
         numbered constraint still in the goals (so it will eventually fire);
         instances recorded in the propagation history are already handled."""
-        violations = active_instance_violations(
-            self.state, self.program, self.history)
+        store = self.state.store
+        items = [(nc.constraint, nc.id) for nc in store.live_items()]
+        pending = {g.id for g in self.state.goals
+                   if isinstance(g, NumberedConstraint)}
+        violations = unwatched_instances(items, store.eqs(), self.history,
+                                         pending, self.program)
         if violations:
             raise InvariantViolation(
                 f"rule-head instance(s) with no active goal: {violations}")
-
-
-def active_instance_violations(state: State, program: Program,
-                               history: set[HistoryKey]) -> list[tuple[str, tuple[int, ...]]]:
-    """Brute-force enumeration of rule-head instances (Simplify/Propagate
-    premises) over the live store; returns those with no member in goals."""
-    store = state.store
-    if store.inconsistent:
-        return []
-    items = [(nc.constraint, nc.id) for nc in store.live_items()]
-    s = AbstractStore.from_identified(items, store.eqs(), history)
-    pending = {g.id for g in state.goals
-               if isinstance(g, NumberedConstraint) and store.alive(g.id)}
-    bad = []
-    for step in rewrite_steps(s, program):
-        tags = set(step.used_tags)  # head instances are CHR constraints: tags are ids
-        if tags and not (tags & pending):
-            bad.append((step.rule, tuple(sorted(tags))))
-    return bad
 
 
 def run_sequential(goals: Iterable[Constraint], program: Program,

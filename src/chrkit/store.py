@@ -20,9 +20,11 @@ that form); an emptied argument bucket goes too.  `get` reads liveness and
 the current form at once: None once the entry is dead.  Ids are never
 reused; equations only grow within a run.
 
-All mutating operations take the store lock; `kill` of a set of ids is one
-atomic transition, and `candidates` snapshots under the lock, so readers
-see a linearization-consistent view.
+A concurrent run mutates the store only inside `ConcurrentEngine._commit`,
+which holds `lock` for the whole commit, so `insert`, `kill` and
+`add_equation` take no lock and are each one atomic transition there.
+`candidates`, the one read made while others commit, snapshots a bucket
+under that plain lock, which is not re-entrant.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ GoalItem = Union[Constraint, NumberedConstraint]
 
 class Store:
     def __init__(self):
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()  # held by commits and `candidates`
         # live entries only, in id order (ids ascend and are never reused)
         self._raw: dict[int, Chr] = {}   # as inserted, never rewritten
         self._view: dict[int, NumberedConstraint] = {}  # equation-normal
@@ -80,12 +82,10 @@ class Store:
         return self._view.get(cid)
 
     def live_items(self) -> list[NumberedConstraint]:
-        with self.lock:
-            return [NumberedConstraint(c, i) for i, c in self._raw.items()]
+        return [NumberedConstraint(c, i) for i, c in self._raw.items()]
 
     def eqs(self) -> tuple[Eq, ...]:
-        with self.lock:
-            return tuple(self._eqs)
+        return tuple(self._eqs)
 
     def size(self) -> int:
         return len(self._raw)
@@ -120,25 +120,24 @@ class Store:
     def insert(self, c: Chr) -> NumberedConstraint:
         """Store c under a fresh id; ids are never reused.  Returns the raw
         form, which is also what trace lines show."""
-        with self.lock:
-            cid = self._next_id
-            self._next_id += 1
-            self._raw[cid] = c
-            view = NumberedConstraint(instantiate(self.theta or {}, c), cid)
-            self._view[cid] = view
-            self._index_add(cid, view.constraint)
-            return NumberedConstraint(c, cid)
+        cid = self._next_id
+        self._next_id += 1
+        self._raw[cid] = c
+        view = NumberedConstraint(instantiate(self.theta or {}, c), cid)
+        self._view[cid] = view
+        self._index_add(cid, view.constraint)
+        return NumberedConstraint(c, cid)
 
     def kill(self, ids: Iterable[int]) -> None:
-        """Free all ids as one atomic transition, or none if one is dead."""
+        """Free all ids, or none if one is dead.  One atomic transition under
+        the caller's commit, which holds the lock."""
         ids = set(ids)
-        with self.lock:
-            dead = ids.difference(self._view)
-            if dead:
-                raise DeadIdError(sorted(dead))
-            for cid in ids:
-                self._index_remove(cid)
-                del self._raw[cid], self._view[cid]
+        dead = ids.difference(self._view)
+        if dead:
+            raise DeadIdError(sorted(dead))
+        for cid in ids:
+            self._index_remove(cid)
+            del self._raw[cid], self._view[cid]
 
     # --------------------------------------------------------- equations
 
@@ -151,33 +150,33 @@ class Store:
         sigma binds.  A variable-to-variable equation binds its left side
         (`terms.mgu`'s rule), after phi: `x=y` then `x=z` binds y to z.  An
         extended equation set with no unifier makes the store inconsistent
-        and wakes nothing.  One atomic step: no firing can interleave
-        between the wake-up computation and the insertion.
+        and wakes nothing.  One atomic step under the caller's commit, which
+        holds the lock: no firing can interleave between the wake-up
+        computation and the insertion.
         """
-        with self.lock:
-            self._eqs.append(e)
-            phi = self.theta
-            if phi is None:
-                return []
-            sigma = mgu([Eq(apply_subst(phi, e.lhs), apply_subst(phi, e.rhs))])
-            if sigma is None:
-                self.theta = None
-                return []
-            theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
-                     for x, t in phi.items()}
-            theta.update(sigma)
-            self.theta = theta  # a fresh dict: matching reads it unlocked
-            ids: set[int] = set()
-            for v in sigma:
-                ids.update(self._occ.pop(v, ()))
-            woken = [NumberedConstraint(self._raw[cid], cid)
-                     for cid in sorted(ids)]
-            for nc in woken:
-                new = instantiate(theta, nc.constraint)
-                self._index_remove(nc.id)
-                self._view[nc.id] = NumberedConstraint(new, nc.id)
-                self._index_add(nc.id, new)
-            return woken
+        self._eqs.append(e)
+        phi = self.theta
+        if phi is None:
+            return []
+        sigma = mgu([Eq(apply_subst(phi, e.lhs), apply_subst(phi, e.rhs))])
+        if sigma is None:
+            self.theta = None
+            return []
+        theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
+                 for x, t in phi.items()}
+        theta.update(sigma)
+        self.theta = theta  # a fresh dict: matching reads it unlocked
+        ids: set[int] = set()
+        for v in sigma:
+            ids.update(self._occ.pop(v, ()))
+        woken = [NumberedConstraint(self._raw[cid], cid)
+                 for cid in sorted(ids)]
+        for nc in woken:
+            new = instantiate(theta, nc.constraint)
+            self._index_remove(nc.id)
+            self._view[nc.id] = NumberedConstraint(new, nc.id)
+            self._index_add(nc.id, new)
+        return woken
 
     # ------------------------------------------------------------ search
 
@@ -209,18 +208,16 @@ class Store:
 
     def drop_ids(self) -> list[Constraint]:
         """The visible multiset: alive constraints without ids, plus eqs."""
-        with self.lock:
-            out: list[Constraint] = list(self._raw.values())
-            out.extend(self._eqs)
-            return out
+        out: list[Constraint] = list(self._raw.values())
+        out.extend(self._eqs)
+        return out
 
     def dump(self) -> str:
         """One constraint per line: `pred(args)#id` sorted by id, then
         equations sorted lexicographically.  Bit-exact for golden tests."""
-        with self.lock:
-            lines = [NumberedConstraint(c, i).render()
-                     for i, c in self._raw.items()]
-            lines.extend(sorted(render_constraint(e) for e in self._eqs))
+        lines = [NumberedConstraint(c, i).render()
+                 for i, c in self._raw.items()]
+        lines.extend(sorted(render_constraint(e) for e in self._eqs))
         return "\n".join(lines)
 
 

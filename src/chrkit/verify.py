@@ -42,17 +42,19 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
 
 from .abstract import (AbstractStore, HistoryKey, rewrite_steps, solved_form,
                        validate_rewrite)
-from .store import NumberedConstraint, State
 from .syntax import Program
 from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst,
                     instantiate, mgu, normalize_constraint, render_constraint,
                     vars_of)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedTrace, Step, _excerpt, parse_trace
+
+if TYPE_CHECKING:
+    from .store import State  # annotations only, no engine code at runtime
 
 # (seq, (start, commit) interval, propagated ids, simplified ids)
 AuditRecord = tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]
@@ -319,6 +321,19 @@ def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
     return _run_replay(trace, goals0, program)[2]
 
 
+def unwatched_instances(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
+                        history: Iterable[HistoryKey],
+                        pending_ids: AbstractSet[int],
+                        program: Program) -> list[tuple[str, tuple[int, ...]]]:
+    """The abstract rewrites of the visible store, beyond the propagation
+    instances already fired, with no head among `pending_ids`, as (rule,
+    sorted head ids).  A goal-based state has none: every rule instance
+    has a pending goal among its heads, so a finished state is final."""
+    s = AbstractStore.from_identified(items, eqs, history)
+    return [(step.rule, step.used_tags) for step in rewrite_steps(s, program)
+            if pending_ids.isdisjoint(step.used_tags)]
+
+
 def _finality(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
               history: Iterable[HistoryKey], pending: list[str],
               program: Program) -> Verdict:
@@ -327,13 +342,11 @@ def _finality(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
     if pending:
         return Verdict(False, "check-final",
                        f"{len(pending)} goal(s) still pending: {pending[:5]}")
-    s = AbstractStore.from_identified(items, eqs, history)
-    steps = rewrite_steps(s, program)
-    if not steps:
+    left = unwatched_instances(items, eqs, history, frozenset(), program)
+    if not left:
         return Verdict(True, "check-final")
     return Verdict(False, "check-final",
-                   f"rule {steps[0].rule} still applies to ids "
-                   f"{steps[0].used_tags}")
+                   f"rule {left[0][0]} still applies to ids {left[0][1]}")
 
 
 def check_final(state: State, program: Program,
@@ -342,8 +355,8 @@ def check_final(state: State, program: Program,
     (beyond propagation instances already fired)."""
     store = state.store
     items = [(nc.constraint, nc.id) for nc in store.live_items()]
-    pending = [g.render() if isinstance(g, NumberedConstraint)
-               else render_constraint(g) for g in state.goals]
+    pending = [render_constraint(g) if isinstance(g, (Chr, Eq)) else g.render()
+               for g in state.goals]
     return _finality(items, store.eqs(), history, pending, program)
 
 

@@ -247,6 +247,44 @@ def test_check_invariants_flag(capsys):
     assert code == 0
 
 
+def test_check_invariants_reports_a_breach_with_exit_2(capsys, monkeypatch):
+    # a matcher that finds nothing leaves the merge2 instance unwatched
+    # once the goal #2 is dropped
+    monkeypatch.setattr("chrkit.sequential.iter_matches",
+                        lambda store, goal, program: iter(()))
+    code, out, err = run_cli(capsys, str(PROGRAMS / "mergesort.chr"),
+                             "--goals", "Merge(1,2),Merge(1,1)",
+                             "--check-invariants")
+    assert code == 2 and out == ""
+    assert err == ("internal invariant breach: rule-head instance(s) with no "
+                   "active goal: [('merge2', (1, 2))]\n")
+
+
+@pytest.mark.parametrize("engine", [["--engine", "sequential"],
+                                    ["--engine", "concurrent", "--workers", "2"]])
+def test_unification_is_syntactic_but_guards_evaluate(tmp_path, capsys, engine):
+    # x is bound to the term 2+1 (or y+1), which does not unify with 3; two
+    # workers may fail the run before y=2 is solved
+    clash = "y=2,x=y+1,x=3"
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", clash, *engine, "--verify")
+    assert code == 1
+    assert {"x=3", "x=y+1"} <= set(out.split()) <= {"x=3", "x=y+1", "y=2"}
+    assert err.splitlines()[-1] == "status: failed"
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", clash, "--oracle")
+    assert code == 0
+    assert out.splitlines() == ["final store 1:", "  x=3", "  x=y+1", "  y=2",
+                                "1 final store(s)"]
+    # the guard x == 3 evaluates x's binding y+1 under y=2
+    prog = tmp_path / "guard.chr"
+    prog.write_text("r @ A(x) <=> x == 3 | B(x).\n")
+    code, out, err = run_cli(capsys, str(prog), "--goals", "x=y+1,y=2,A(x)",
+                             *engine, "--verify")
+    assert code == 0, err
+    assert out.split() == ["B(3)#2", "x=y+1", "y=2"]
+
+
 @pytest.mark.parametrize("flags", [["--repeat", "2"], ["--max-steps", "50"],
                                    ["--verify", "--trace", "TRACE"]])
 def test_check_invariants_runs_with_sequential_flags(tmp_path, capsys, flags):

@@ -5,11 +5,11 @@ import pytest
 
 from chrkit.abstract import canonical_multiset
 from chrkit.concurrent import EngineConfig, run_concurrent
-from chrkit.sequential import (SequentialEngine, active_instance_violations,
-                               run_sequential)
+from chrkit.sequential import SequentialEngine, run_sequential
 from chrkit.store import NumberedConstraint
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var
+from chrkit.verify import unwatched_instances
 
 from conftest import CORPUS, goals_for, load
 
@@ -209,13 +209,30 @@ def test_active_instance_invariant_on_corpus():
         assert res.status == "done", name
 
 
-def test_active_instance_checker_flags_stuck_state():
+AB = [(Chr("A"), 1), (Chr("B"), 2)]
+
+
+def test_unwatched_instances_flags_stuck_state():
     p = load_program("r1 @ A, B <=> C.")
-    from chrkit.store import State
-    st = State()
-    st.store.insert(Chr("A"))
-    st.store.insert(Chr("B"))
-    assert active_instance_violations(st, p, set()) == [("r1", (1, 2))]
+    assert unwatched_instances(AB, (), (), set(), p) == [("r1", (1, 2))]
+
+
+def test_unwatched_instances_skip_those_with_a_pending_member():
+    p = load_program("r1 @ A, B <=> C.")
+    assert unwatched_instances(AB, (), (), {2}, p) == []
+    assert unwatched_instances(AB, (), (), {3}, p) == [("r1", (1, 2))]
+
+
+def test_unwatched_instances_skip_fired_propagation_instances():
+    p = load_program("r1 @ A, B ==> C.")
+    assert unwatched_instances(AB, (), (), set(), p) == [("r1", (1, 2))]
+    assert unwatched_instances(AB, (), {("r1", (1, 2))}, set(), p) == []
+
+
+def test_unwatched_instances_none_in_an_inconsistent_store():
+    p = load_program("r1 @ A, B <=> C.")
+    clash = [Eq(Const(1), Const(2))]
+    assert unwatched_instances(AB, clash, (), set(), p) == []
 
 
 def test_simplified_ids_die_once_across_trace():

@@ -60,8 +60,9 @@ def dump_partition(dump: str) -> set[frozenset[int]]:
     return _classes(parent)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 2],
-                         ids=["sequential", "1 worker", "2 workers"])
+@pytest.mark.parametrize("workers", [None, 1, 2, 4],
+                         ids=["sequential", "1 worker", "2 workers",
+                              "4 workers"])
 def test_union_find_partition_and_wake_ups(workers):
     p, n, woken = load("union_find"), 24, 0
     for seed in range(6):

@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import random
@@ -201,6 +202,22 @@ def test_check_final_rejects_stuck_pair():
     st.store.insert(Chr("B"))
     verdict = check_final(st, p)
     assert not verdict.passed and "r1" in verdict.detail
+
+
+def test_the_verifier_imports_no_engine_module():
+    import chrkit.verify
+    with open(chrkit.verify.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in tree.body:  # top level only: not the type-checking imports
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+    assert "abstract" in imported  # the oracle is the verifier's reference
+    engine = {"store", "sequential", "concurrent", "matching"}
+    assert imported.isdisjoint(engine), imported & engine
 
 
 def test_check_final_empty_state_passes():
