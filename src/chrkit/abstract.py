@@ -17,13 +17,19 @@ simplified heads' and plus the body's (a store with a propagation history is
 built for its key), and the search builds it only when that key is new.
 Every match is found by one join from a store's new items, through the
 program's join plans: from the match's first head on a new item, in textual
-order, with every head before it on an old item.  A successor built by a
-rewrite keeps its parent's matches whose heads survive in the same
-equation-normal form, and its new items are the body's CHR items plus, when
-the body added an equation, the items that equation gives a new normal form
-(Forgy's Rete, 1982, keeps complete matches across store changes in the
-same way).  Such a successor still solves all its equations at once, as a
-root does, so variable-to-variable bindings are oriented alike.  A root
+order, with every head before it on an old item.  A partner whose argument
+is bound is looked up, not scanned: where the join plan gives a partner a
+head constant or a variable an earlier head bound (`Occurrence.keys`), and
+its bucket holds more than a few items, the first lookup indexes the
+predicate's items by that argument, once per `rewrite_steps` call, so the
+join matches only the items with that argument, not the whole bucket
+(Holzbaur & Fruehwirth's CHR runtime, 2000, finds partners the same way).  A successor built by a rewrite keeps its
+parent's matches whose heads survive in the same equation-normal form, and
+its new items are the body's CHR items plus, when the body added an
+equation, the items that equation gives a new normal form (Forgy's Rete,
+1982, keeps complete matches across store changes in the same way).
+Such a successor still solves all its equations at once, as a root does,
+so variable-to-variable bindings are oriented alike.  A root
 solves its equations once and keeps nothing: all its CHR items are new, so
 only a rule's first head starts a join.  A guard is tested as soon as the
 join has bound its variables, and each guard instance (rule and
@@ -40,8 +46,8 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .syntax import Program, Rule
-from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst, holds,
-                    instantiate, match, mgu, normalize_constraint,
+from .terms import (Chr, Const, Constraint, Eq, Subst, Term, apply_subst,
+                    holds, instantiate, match, mgu, normalize_constraint,
                     render_constraint, vars_of)
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 
@@ -230,6 +236,22 @@ class _Expansion:
     # the store's renders sorted, and per tag, set by the first key computed
     sorted_renders: Optional[list[str]] = None
     render_of: Optional[dict[int, str]] = None
+    # per (predicate, argument position) the join looked a partner up by:
+    # the predicate's items by that argument, in bucket order
+    index: dict[tuple[str, int], dict[Term, list[tuple[Chr, int]]]] = field(
+        default_factory=dict)
+
+    def lookup(self, pred: str, pos: int, arg: Term) -> list[tuple[Chr, int]]:
+        """The items of pred whose argument at pos is arg, in bucket order;
+        the index of (pred, pos) is built on first use."""
+        index = self.index.get((pred, pos))
+        if index is None:
+            index = self.index[pred, pos] = {}
+            for it in self.by_pred.get(pred, ()):
+                args = it[0].args
+                if len(args) > pos:
+                    index.setdefault(args[pos], []).append(it)
+        return index.get(arg, ())
 
 
 def solved_form(theta: Optional[Subst], c: Constraint) -> str:
@@ -316,6 +338,13 @@ def _found(rule: Rule, phi: Subst, heads: tuple[tuple[Chr, int], ...],
     out.append(_Match(rule, phi, heads, tags, (rule.index, *order), body))
 
 
+# A bucket of up to this many items is scanned even when the partner has a
+# key: matching a few items costs less than indexing them (the oracle
+# search over 6 mergesort values, whose buckets hold at most 6 items, ran
+# 1-2% slower with every keyed bucket indexed).
+_SCAN_MAX = 8
+
+
 def _join(exp: _Expansion, new: list[tuple[Chr, int]],
           new_tags: Optional[set[int]]) -> None:
     """Add to exp.matches, in order, every match with a head on a new item
@@ -329,7 +358,8 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
     for c, t in new:
         for occ in p.occurrences.get(c.pred, ()):
             rule = p.rules[occ.rule_index]
-            n_prop, partners = len(rule.propagated), occ.partners
+            n_prop, partners, keys = (len(rule.propagated), occ.partners,
+                                      occ.keys)
             guards, guard_vars = (memo.guards[rule.index],
                                   memo.guard_vars[rule.index])
             guard_at = -1 if guard_vars is None else occ.guard_at
@@ -356,7 +386,14 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
                     return
                 role, pos, pattern = partners[k]
                 j = pos + (n_prop if role == "simplified" else 0)
-                for c2, t2 in by_pred.get(pattern.pred, ()):
+                cands = by_pred.get(pattern.pred, ())
+                key = keys[k]
+                if key is not None and len(cands) > _SCAN_MAX:
+                    arg = pattern.args[key]
+                    cands = exp.lookup(pattern.pred, key, arg
+                                       if arg.__class__ is Const
+                                       else phi[arg.name])
+                for c2, t2 in cands:
                     if t2 in used or (j < active and t2 in new_tags):
                         continue
                     phi2 = match(pattern, c2, phi)
@@ -368,6 +405,10 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
                     used.discard(t2)
 
             join(0, phi0)
+    # join refers to itself through its closure: break that cycle, so this
+    # call's cells (the expansion among them) are freed by reference
+    # counting instead of surviving until a garbage collection
+    join = None
     if found:
         exp.matches = sorted(exp.matches + found, key=attrgetter("order"))
 

@@ -283,7 +283,10 @@ class Occurrence:
     `partners` is the join order for the remaining heads: heads that have an
     argument computable from already-bound variables (an index key) are
     scheduled first, ties in textual order.  `guard_at` is the earliest point
-    in the plan at which all guard variables are bound.
+    in the plan at which all guard variables are bound.  `keys[k]` is the
+    position of partner k's first argument that is a constant or a variable
+    bound before it in the plan, or None: there, matching the argument is
+    term equality, so the partner can be looked up by it.
     """
 
     rule_index: int
@@ -292,6 +295,7 @@ class Occurrence:
     pattern: Chr
     partners: tuple[Head, ...]
     guard_at: int
+    keys: tuple[Optional[int], ...]
 
 
 @dataclass(frozen=True)
@@ -309,10 +313,11 @@ class Program:
         for r in self.rules:
             for head in r.heads:
                 partners = _join_order(r, head)
-                guard_at = _guard_at(r.guard, partners, vars_of(head.pattern))
+                bound = vars_of(head.pattern)
                 occ.setdefault(head.pattern.pred, []).append(Occurrence(
                     r.index, head.role, head.pos, head.pattern, partners,
-                    guard_at))
+                    _guard_at(r.guard, partners, bound),
+                    _keys(partners, bound)))
         object.__setattr__(self, "occurrences",
                            {k: tuple(v) for k, v in occ.items()})
 
@@ -445,6 +450,20 @@ def _join_order(rule: Rule, active: Head) -> tuple[Head, ...]:
         order.append(pick)
         bound |= vars_of(pick.pattern)
     return tuple(order)
+
+
+def _keys(heads: tuple[Head, ...],
+          bound: set[str]) -> tuple[Optional[int], ...]:
+    """Per head, matched in order after the variables in bound, the position
+    of its first argument that is a constant or an already bound variable,
+    or None."""
+    out, bound = [], set(bound)
+    for h in heads:
+        out.append(next((i for i, a in enumerate(h.pattern.args)
+                         if isinstance(a, Const)
+                         or isinstance(a, Var) and a.name in bound), None))
+        bound |= vars_of(h.pattern)
+    return tuple(out)
 
 
 def _guard_at(guard: Term, heads: tuple[Head, ...], bound: set[str]) -> int:

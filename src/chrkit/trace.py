@@ -11,29 +11,40 @@ the same `Step`s back from text.  One line per step:
 start with `#` and carry the engine configuration; footer lines carry the
 run status and the final store dump so a trace file is self-contained
 evidence.  The verifier consumes this text format, never in-memory engine
-state.  `parse_trace` parses each distinct goal text and phi value once
-per call (a trace repeats few) and shares the frozen terms between steps.
+state.  `parse_trace` reads each distinct goal text and phi value once per
+call and shares the frozen terms between steps.  A text that is exactly
+what the printer writes for flat arguments (integers, `true`/`false` and
+variables) is read without the grammar, by `read_constraint` and
+`read_term`; any other text, malformed ones included, goes to the grammar
+and raises what it raises.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import ParseError, parse_constraint_text, parse_term_text
-from .terms import Constraint, Subst, render_constraint, render_term
+from .terms import (INT64_MAX, INT64_MIN, Chr, Const, Constraint, Eq, Subst,
+                    Term, Var, render_constraint, render_term)
 
 KINDS = ("Solve", "Activate", "Simplify", "Propagate", "Drop")
 FIRINGS = ("Simplify", "Propagate")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Step:
     """One derivation step.  `goal_id` is set when the goal is a numbered
     constraint; `prop_ids`/`simp_ids` are the side effect H_P \\ H_S, the
     sorted ids the step propagated over and simplified away.  In both
     engines seq is the step's position in its trace, which is commit order.
     A concurrent commit also carries its worker and its (start, commit)
-    interval: commit is its seq, start the last seq its scan saw."""
+    interval: commit is its seq, start the last seq its scan saw.
+
+    Not frozen, because a frozen dataclass pays a call per field to build
+    and both engines build one per step: a `Step` is a value, so no code
+    assigns to its fields (derive a changed copy with
+    `dataclasses.replace`)."""
 
     seq: int
     kind: str
@@ -121,6 +132,59 @@ def _parsed(cache: dict, parse, text: str):
     return found
 
 
+# A flat argument as render_term prints it: an integer, or a name that lex
+# reads as one lowercase word (`true`, `false`, a variable, dotted `x.0` in
+# trace text).  ASCII only; the grammar reads everything else.  The
+# patterns are compiled on first use, through the `re` module's cache, so
+# importing chrkit does not pay for them.
+_FLAT = r"-?[0-9]+|[a-z_][A-Za-z0-9_]*(?:\.[0-9][A-Za-z0-9_]*)*"
+_CHR = rf"([A-Z][A-Za-z0-9_]*)(?:\(((?:{_FLAT})(?:,(?:{_FLAT}))*)\))?"
+_EQ = rf"({_FLAT})=({_FLAT})"
+
+
+def _flat(text: str) -> Optional[Term]:
+    """The term a flat argument (a text _FLAT matches) stands for, or None
+    for an integer out of 64-bit range, which the grammar refuses."""
+    if text[0] == "-" or text[0].isdigit():
+        v = int(text)
+        return Const(v) if INT64_MIN <= v <= INT64_MAX else None
+    if text == "true" or text == "false":
+        return Const(text == "true")
+    return Var(text)
+
+
+def read_term(text: str) -> Term:
+    """parse_term_text(text); a flat argument is read without the grammar."""
+    if re.fullmatch(_FLAT, text):
+        t = _flat(text)
+        if t is not None:
+            return t
+    return parse_term_text(text)
+
+
+def read_constraint(text: str) -> Constraint:
+    """parse_constraint_text(text); a CHR constraint or an equation over
+    flat arguments is read without the grammar."""
+    m = re.fullmatch(_CHR, text)
+    if m is not None:
+        pred, inner = m.groups()
+        if inner is None:
+            return Chr(pred)
+        args = []
+        for a in inner.split(","):
+            t = _flat(a)
+            if t is None:
+                return parse_constraint_text(text)  # raises
+            args.append(t)
+        return Chr(pred, tuple(args))
+    m = re.fullmatch(_EQ, text)
+    if m is not None:
+        lhs, rhs = _flat(m[1]), _flat(m[2])
+        if lhs is not None and rhs is not None:
+            return Eq(lhs, rhs)
+    return parse_constraint_text(text)
+
+
 def _phi(text: str, cache: dict) -> Subst:
     inner = text.strip("{}")
     phi: Subst = {}
@@ -128,15 +192,15 @@ def _phi(text: str, cache: dict) -> Subst:
         return phi
     for binding in inner.split(";"):
         name, _, value = binding.partition("->")
-        phi[name] = _parsed(cache, parse_term_text, value)
+        phi[name] = _parsed(cache, read_term, value)
     return phi
 
 
 def _goal(text: str, cache: dict) -> tuple[Constraint, Optional[int]]:
     base, hash_, idtext = text.rpartition("#")
     if hash_ and idtext.isdigit():
-        return _parsed(cache, parse_constraint_text, base), int(idtext)
-    return _parsed(cache, parse_constraint_text, text), None
+        return _parsed(cache, read_constraint, base), int(idtext)
+    return _parsed(cache, read_constraint, text), None
 
 
 def parse_line(line: str, cache: Optional[dict] = None) -> Step:
@@ -164,7 +228,7 @@ def parse_line(line: str, cache: Optional[dict] = None) -> Step:
         raise TraceFormatError("missing goal field")
     text = fields["goal"]
     base, hash_, idtext = text.rpartition("#")
-    goal = (cache.get((parse_constraint_text, base))
+    goal = (cache.get((read_constraint, base))
             if hash_ and idtext.isascii() and idtext.isdigit() else None)
     if goal is None:
         goal, goal_id = _field("goal", "a constraint", _goal, text, cache)

@@ -26,16 +26,22 @@ and then, over the replayed state and the trace's commit intervals:
                    a sweep over intervals sorted by start that keeps only the
                    still-open ones, costing n log n + (overlapping pairs)
 
-The reader parses each distinct goal text and phi value once per trace.
+The reader parses each distinct goal text and phi value once per trace,
+and reads what the printer writes for flat arguments without the grammar.
 The replica solves each equation once, at its Solve step, extending the
 m.g.u. it keeps by that equation alone; the wake-up check looks up the
 entries that mention a newly bound variable in the replica's own variable
--> ids occurrence map.  Each entry's form under the m.g.u. is rendered at
-activation and again only when a Solve wakes it, so a firing check renders
+-> ids occurrence map.  An activated goal is rendered once per distinct
+goal term, and that text is its form under the m.g.u. when the m.g.u.
+leaves it as it is; otherwise the form is rendered at activation, and
+again only when a Solve wakes the entry.  So a firing check renders
 just the rule's heads under the recorded substitution, once per distinct
 (rule, phi, head forms) and m.g.u.; a body is rendered once per distinct
 (rule, phi).  A 5,500-step gcd trace checks about 30 firings; a trace whose
 firings are all distinct pays a few microseconds per firing for the keys.
+check-final asks the oracle's `rewrite_steps` about the replayed store,
+which looks a partner up by its bound argument rather than scanning its
+bucket: about one `match` per store entry on a mergesort chain.
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
 
-from .abstract import (AbstractStore, HistoryKey, rewrite_steps, solved_form,
+from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
                        validate_rewrite)
 from .syntax import Program
 from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst,
@@ -105,6 +111,16 @@ class _Replica:
         self.fired: dict[tuple, int] = {}
         self.bodies: list[tuple[str, ...]] = []
         self.valid: set[tuple] = set()
+        self.rendered: dict[Constraint, str] = {}
+
+    def render(self, goal: Constraint) -> str:
+        """The goal's rendered form, once per distinct goal term (the reader
+        shares the terms of repeated texts, so most lookups hit by
+        identity)."""
+        key = self.rendered.get(goal)
+        if key is None:
+            key = self.rendered[goal] = render_constraint(goal)
+        return key
 
     def goal_remove(self, key: str) -> None:
         self.goals[key] -= 1
@@ -124,8 +140,13 @@ class _Replica:
         self.note_vars(cid)
 
     def note_vars(self, cid: int) -> None:
+        """Record the entry's solved form and the variables it mentions; the
+        rendered raw entry is its solved form when theta leaves it as it
+        is."""
         c = self.entries[cid]
-        self.forms[cid] = solved_form(self.theta, c)
+        solved = instantiate(self.theta or {}, c)
+        self.forms[cid] = (self.keys[cid] if solved is c
+                           else render_constraint(solved))
         if self.theta is not None and vars_of(c):  # ground entries never wake
             for v in vars_of(apply_subst(self.theta, c)):
                 self.occ.setdefault(v, set()).add(cid)
@@ -189,7 +210,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
             return "only CHR constraints can be activated"
         if st.prop_ids or st.simp_ids:
             return "activation carries side effects"
-        key = render_constraint(st.goal)
+        key = rep.render(st.goal)
         if rep.goals[key] <= 0:
             return f"activated goal {key} not in the goal multiset"
         rep.goal_remove(key)

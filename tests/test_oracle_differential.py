@@ -14,7 +14,7 @@ from chrkit.abstract import (AbstractStore, LimitExceeded, RewriteStep,
                              final_stores)
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
-from chrkit.terms import Eq, render_constraint
+from chrkit.terms import Chr, Const, Eq, Var, render_constraint
 
 from conftest import (CORPUS, equation_fuzz_case, fuzz_case, goals_for, load,
                       reference_final_stores, reference_rewrite_steps,
@@ -289,3 +289,119 @@ def test_inherited_propagation_match_leaves_with_its_history_entry(monkeypatch):
         (st.rule, st.used_tags) for st in after}
     _same_steps(after, reference_rewrite_steps(first.result, program))
     assert check_search(start, program, monkeypatch) > 0
+
+
+# ------------------------------------------------ partners looked up by key
+
+def _engine_store(program, goals, max_steps=None) -> AbstractStore:
+    res = run_sequential(goals, program, max_steps=max_steps)
+    store = res.state.store
+    return AbstractStore.from_identified(
+        [(nc.constraint, nc.id) for nc in store.live_items()], store.eqs(),
+        res.history)
+
+
+def _lookups(monkeypatch) -> list:
+    """Records the argument of every partner lookup the join makes."""
+    seen = []
+    lookup = abstract._Expansion.lookup
+
+    def recorded(self, pred, pos, arg):
+        seen.append(arg)
+        return lookup(self, pred, pos, arg)
+
+    monkeypatch.setattr(abstract._Expansion, "lookup", recorded)
+    return seen
+
+
+def test_large_buckets_looked_up_by_a_shared_variable(monkeypatch):
+    """Mergesort stores with 128 values: the final one, the final one with
+    more links from its least value, and 60 links and 30 merges on one
+    level.  Both heads of merge1 share x and both of merge2 share n, so
+    each partner is looked up by it."""
+    program = load("mergesort")
+    rng = random.Random(3)
+    values = rng.sample(range(-500, 500), 128)
+    final = _engine_store(
+        program, parse_goals(",".join(f"Merge(1,{v})" for v in values)))
+    least = Const(min(values))
+    more = [Chr("Leq", (least, Const(v))) for v in rng.sample(values, 20)]
+    level = [Chr("Leq", (Const(1), Const(v))) for v in values[:60]]
+    level += [Chr("Merge", (Const(1), Const(v))) for v in values[60:90]]
+    seen, rewrites = _lookups(monkeypatch), 0
+    for s in (final, AbstractStore.from_constraints(final.constraints() + more),
+              AbstractStore.from_constraints(level)):
+        got = abstract.rewrite_steps(s, program)
+        _same_steps(got, reference_rewrite_steps(s, program))
+        rewrites += len(got)
+    assert rewrites > 1000 and len(seen) > 300
+    # a whole search: each successor's new link is joined through its own
+    # store's index
+    chain = sorted(values[:12])
+    links = [Chr("Leq", (Const(a), Const(b))) for a, b in zip(chain, chain[1:])]
+    links += [Chr("Leq", (Const(chain[0]), Const(v))) for v in values[12:14]]
+    seen.clear()
+    assert check_search(AbstractStore.from_constraints(links), program,
+                        monkeypatch) > 10
+    assert len(seen) > 20
+
+
+def test_unsolved_variables_as_keys(monkeypatch):
+    """Union-find stores with equations and unsolved variables, stopped
+    along the run: some partners are looked up by a store variable."""
+    from test_union_find import union_find_goals
+    program = load("union_find")
+    goals = union_find_goals(30, 2)[1]
+    seen = _lookups(monkeypatch)
+    for k in range(0, 400, 20):
+        s = _engine_store(program, goals, k)
+        _same_steps(abstract.rewrite_steps(s, program),
+                    reference_rewrite_steps(s, program))
+    assert any(isinstance(a, Var) for a in seen)
+    goals = parse_goals("Leq(u,1),Leq(u,2),Leq(v,3),Leq(u,v),Leq(v,u),u=w")
+    start = AbstractStore.from_constraints(goals)
+    assert check_search(start, load("mergesort"), monkeypatch) > 1
+
+
+@pytest.mark.parametrize("goals", [
+    "A(true),A(1),B(1,true),B(1,1),B(true,1),B(true,true),B(1),A",
+    "D(1,1),D(true,1),D(1,true),D(true,true),E(1),E(true),D(2,1),E(2)",
+    "A(1),A(1),B(2,1),B(2,1),D(1,1),E(1),E(1),A(x),B(1,x),D(1,x),E(x)",
+])
+def test_constant_keys_tell_true_from_1(goals, monkeypatch):
+    """A bound variable and a head constant as keys: Const(True) and
+    Const(1) hash alike, and must not match.  Items that match nothing
+    fill each bucket past the size below which it is scanned."""
+    program = load_program("r @ A(x) \\ B(y,x) <=> C(y).\n"
+                           "s @ E(y), D(1,z) <=> F(y,z).")
+    assert [occ.keys for pred in "ABDE"
+            for occ in program.occurrences[pred]] == [(1,), (0,), (None,),
+                                                      (0,)]
+    filler = ",".join(f"{p}({k},{k})" for p in "BD"
+                      for k in range(10, 11 + abstract._SCAN_MAX))
+    seen = _lookups(monkeypatch)
+    assert check_search(_store(f"{goals},{filler}"), program,
+                        monkeypatch) > 1
+    assert seen
+
+
+def test_check_final_looks_partners_up(monkeypatch):
+    """check-final on a 128-value mergesort final store matches each item
+    against its occurrences and looks its partners up: under 2 match calls
+    per item, where a bucket scan makes one per pair of Leq items."""
+    from chrkit.verify import check_final
+    program = load("mergesort")
+    values = random.Random(1).sample(range(1, 1000), 128)
+    res = run_sequential(
+        parse_goals(",".join(f"Merge(1,{v})" for v in values)), program)
+    calls = [0]
+    match = abstract.match
+
+    def counted(*args):
+        calls[0] += 1
+        return match(*args)
+
+    monkeypatch.setattr(abstract, "match", counted)
+    assert check_final(res.state, program, res.history).passed
+    size = res.state.store.size()
+    assert size == 128 and 0 < calls[0] <= 2 * size

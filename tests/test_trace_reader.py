@@ -1,0 +1,145 @@
+"""The trace reader's flat path against the grammar.
+
+`trace.read_constraint` and `trace.read_term` read a text that is exactly
+what the printer writes for flat arguments without the grammar, and hand
+every other text to `parse_constraint_text`/`parse_term_text`.  Both must
+give what the grammar gives: the same term, compared as a tree that spells
+out each constant's value class, or the same error.
+"""
+import random
+
+import chrkit.syntax as syntax
+import chrkit.trace as trace
+from chrkit.syntax import ParseError
+from chrkit.terms import (INT64_MAX, INT64_MIN, Var, apply_subst,
+                          render_constraint, render_term)
+from chrkit.trace import (TraceFormatError, parse_line, read_constraint,
+                          read_term)
+
+from test_kernel_differential import (GUARD_VARS, rand_constraint, rand_term,
+                                      tree)
+
+# rule variables in a trace are dotted
+DOTTED = {"x": Var("x.0"), "u": Var("u.12")}
+
+EDGE_CASES = [
+    "P", "P()", "P(-0)", "P(007)", "P(-007)", "P(00)",
+    f"P({INT64_MAX})", f"P({INT64_MIN})", f"P({INT64_MAX + 1})",
+    f"P({INT64_MIN - 1})", f"P({INT64_MAX},{INT64_MIN})",
+    "P(true,false)", "P(true,1)", "P(false,0)", "P(True)", "P(TRUE)",
+    "P(x.0,y.12,_z,_,x_1,x.0a,x.0.1)", "P(x.)", "P(x..0)", "P(x.a)", "P(.0)",
+    "P('a,b')", "P('a(b')", "P('a,b',1)", "P(1,'(')", "P(')')",
+    "P(x)(y)", "P(x", "P(x,)", "P(,x)", "P(x,,y)", "P(1x)", "P(x-1)",
+    "P(-x)", "P(--1)", "P(- 1)", "P(\t1)", "Pé(1)", "P(é)", "P(١)",
+    "x.0=5", "x=-0", "-0=007", "true=false", "x=y=z", "x==1", "x=", "=x",
+    "X=1", "A=1", "x=P(1)", "true", "x", "1", "", "p(1)", "P 1", "P(1) ",
+]
+TERM_EDGE_CASES = [
+    "-0", "007", str(INT64_MAX), str(INT64_MIN), str(INT64_MAX + 1),
+    str(INT64_MIN - 1), "true", "false", "True", "x.0", "x.", "_", "'a,b'",
+    "x+1", "-x", "", "1 ", "P", "x.0.1", "١",
+]
+
+
+def outcome(read, text):
+    try:
+        return ("ok", tree(read(text)))
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+def rendered_cases():
+    """Texts the printer writes for the kernel generators' constraints and
+    terms, some with dotted variables."""
+    rng = random.Random(20241019)
+    constraints, terms = [], []
+    for _ in range(3000):
+        c = rand_constraint(rng)
+        if rng.random() < 0.3:
+            c = apply_subst(DOTTED, c)
+        constraints.append(render_constraint(c))
+        t = rand_term(rng, rng.randrange(0, 3), GUARD_VARS)
+        terms.append(render_term(apply_subst(DOTTED, t)))
+    for k in range(4):  # zero arity, and only flat arguments
+        args = ",".join(rng.choice(["-0", "007", "true", "x.0", "y", "3"])
+                        for _ in range(k))
+        constraints.append(f"P({args})" if k else "P")
+    return constraints, terms
+
+
+def test_flat_texts_read_as_the_grammar_reads_them(monkeypatch):
+    constraints, terms = rendered_cases()
+    grammar = {"constraint": 0, "term": 0}
+
+    def counted(kind, parse):
+        def wrapper(text):
+            grammar[kind] += 1
+            return parse(text)
+        return wrapper
+
+    monkeypatch.setattr(trace, "parse_constraint_text",
+                        counted("constraint", syntax.parse_constraint_text))
+    monkeypatch.setattr(trace, "parse_term_text",
+                        counted("term", syntax.parse_term_text))
+    for text in constraints + EDGE_CASES:
+        assert outcome(read_constraint, text) == \
+            outcome(syntax.parse_constraint_text, text), text
+    for text in terms + TERM_EDGE_CASES:
+        assert outcome(read_term, text) == \
+            outcome(syntax.parse_term_text, text), text
+    # both paths are exercised
+    flat = len(constraints) + len(EDGE_CASES) - grammar["constraint"]
+    assert 1000 < flat and grammar["constraint"] > 1000, grammar
+    flat = len(terms) + len(TERM_EDGE_CASES) - grammar["term"]
+    assert 1000 < flat and grammar["term"] > 200, grammar
+
+
+EDIT_CHARS = "P(),-.=#'0123456789xyt_e;>{} \tAé"
+
+
+def mutations(rng, text):
+    """Every prefix of text, and random one-character edits."""
+    out = [text[:i] for i in range(len(text))]
+    for _ in range(12):
+        i = rng.randrange(len(text) + 1)
+        ch = rng.choice(EDIT_CHARS)
+        out += [text[:i] + ch + text[i:], text[:i] + text[i + 1:],
+                text[:i] + ch + text[i + 1:]]
+    return out
+
+
+def line_outcome(line):
+    try:
+        return ("ok", parse_line(line))
+    except TraceFormatError as exc:
+        return ("error", str(exc))
+
+
+def test_damaged_texts_give_the_grammars_errors(monkeypatch):
+    """Truncated and edited goal and phi texts: the same term or error from
+    the reader, and the same TraceFormatError text from parse_line as when
+    every text goes to the grammar."""
+    rng = random.Random(7)
+    constraints, terms = rendered_cases()
+    goals = [t for t in constraints if t.startswith("P(")][:150]
+    goals += ["Leq(17,42)", "Merge(1,-5)", "x.0=5", "Gcd(x.0)"]
+    lines = []
+    for text in goals:
+        for bad in mutations(rng, text):
+            assert outcome(read_constraint, bad) == \
+                outcome(syntax.parse_constraint_text, bad), bad
+            lines.append(f"3 Activate goal={bad}#4 P={{}} S={{}}")
+    for text in terms[:150] + ["42", "x.0", "true"]:
+        for bad in mutations(rng, text):
+            assert outcome(read_term, bad) == \
+                outcome(syntax.parse_term_text, bad), bad
+            lines.append(f"5 Simplify goal=P(1)#4 rule=r phi={{x.0->{bad}}} "
+                         "P={} S={4}")
+    got = [line_outcome(line) for line in lines]
+    monkeypatch.setattr(trace, "read_constraint", syntax.parse_constraint_text)
+    monkeypatch.setattr(trace, "read_term", syntax.parse_term_text)
+    want = [line_outcome(line) for line in lines]
+    assert got == want
+    errors = sum(kind == "error" for kind, _ in got)
+    assert 1000 < errors < len(got) - 1000, (errors, len(got))
+
