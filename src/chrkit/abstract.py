@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from itertools import count
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
+from .record import Frozen, Record, setfield
 from .syntax import Program, Rule
 from .terms import (Chr, Const, Constraint, Eq, Subst, Term, apply_subst,
                     holds, instantiate, match, mgu, normalize_constraint,
@@ -58,31 +58,32 @@ class LimitExceeded(Exception):
     """Search bounds hit; the oracle result is unavailable, not empty."""
 
 
-@dataclass(frozen=True)
-class AbstractStore:
+class AbstractStore(Frozen, compared=("items", "history", "next_tag")):
     """Items are in normal form (the constructors and rewrites normalize),
     their tags ascending and below next_tag, the tag the next body item
     gets.  `renders` caches each item's rendered form, in item order:
     rewrites carry it from parent to successor, so an item is rendered
-    once."""
+    once.  `origin` is the rewrite that built the store, until
+    rewrite_steps expands it."""
 
-    items: tuple[tuple[Constraint, int], ...]  # (constraint, instance tag)
-    history: frozenset[HistoryKey] = frozenset()
-    next_tag: int = 0
-    renders: Optional[tuple[str, ...]] = field(default=None, compare=False,
-                                               repr=False)
-    # the rewrite that built this store, until rewrite_steps expands it
-    origin: Optional["RewriteStep"] = field(default=None, compare=False,
-                                            repr=False)
+    __slots__ = ("items", "history", "next_tag", "renders", "origin")
 
-    def __post_init__(self):
-        if self.renders is None:  # not built by a rewrite: check the tags
-            tags = [t for _, t in self.items] + [self.next_tag]
+    def __init__(self, items: tuple[tuple[Constraint, int], ...],
+                 history: frozenset[HistoryKey] = frozenset(),
+                 next_tag: int = 0,
+                 renders: Optional[tuple[str, ...]] = None,
+                 origin: Optional["RewriteStep"] = None):
+        if renders is None:  # not built by a rewrite: check the tags
+            tags = [t for _, t in items] + [next_tag]
             if any(a >= b for a, b in zip(tags, tags[1:])):
                 raise ValueError(f"item tags {tags[:-1]} must ascend below "
-                                 f"next_tag {self.next_tag}")
-            object.__setattr__(self, "renders", tuple(
-                render_constraint(c) for c, _ in self.items))
+                                 f"next_tag {next_tag}")
+            renders = tuple(render_constraint(c) for c, _ in items)
+        setfield(self, "items", items)  # (constraint, instance tag)
+        setfield(self, "history", history)
+        setfield(self, "next_tag", next_tag)
+        setfield(self, "renders", renders)
+        setfield(self, "origin", origin)
 
     @staticmethod
     def from_constraints(cs: Iterable[Constraint]) -> "AbstractStore":
@@ -221,25 +222,31 @@ class _Memo:
             else tuple(sorted(vars_of(r.guard))) for r in p.rules]
 
 
-@dataclass(slots=True)
-class _Expansion:
+class _Expansion(Record):
     """One rewrite_steps call: the store, its solved equations, its CHR
     items per predicate in equation-normal form, and its matches in order.
     A successor's own call starts from these."""
 
-    store: AbstractStore
-    program: Program
-    theta: Subst
-    by_pred: dict[str, list[tuple[Chr, int]]]
-    memo: _Memo
-    matches: list[_Match]
-    # the store's renders sorted, and per tag, set by the first key computed
-    sorted_renders: Optional[list[str]] = None
-    render_of: Optional[dict[int, str]] = None
-    # per (predicate, argument position) the join looked a partner up by:
-    # the predicate's items by that argument, in bucket order
-    index: dict[tuple[str, int], dict[Term, list[tuple[Chr, int]]]] = field(
-        default_factory=dict)
+    __slots__ = ("store", "program", "theta", "by_pred", "memo", "matches",
+                 "sorted_renders", "render_of", "index")
+
+    def __init__(self, store: AbstractStore, program: Program, theta: Subst,
+                 by_pred: dict[str, list[tuple[Chr, int]]], memo: _Memo,
+                 matches: list[_Match]):
+        self.store = store
+        self.program = program
+        self.theta = theta
+        self.by_pred = by_pred
+        self.memo = memo
+        self.matches = matches
+        # the store's renders sorted, and per tag, set by the first key
+        # computed
+        self.sorted_renders: Optional[list[str]] = None
+        self.render_of: Optional[dict[int, str]] = None
+        # per (predicate, argument position) the join looked a partner up
+        # by: the predicate's items by that argument, in bucket order
+        self.index: dict[tuple[str, int],
+                         dict[Term, list[tuple[Chr, int]]]] = {}
 
     def lookup(self, pred: str, pos: int, arg: Term) -> list[tuple[Chr, int]]:
         """The items of pred whose argument at pos is arg, in bucket order;

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .abstract import AbstractStore, LimitExceeded, final_stores, run_abstract
@@ -158,8 +157,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             seen: dict[str, int] = {}
             status_all = "done"
             for k in range(args.repeat):
-                dump, _, status, verdicts = _run_once(
-                    program, goals, args, replace(cfg, seed=args.seed + k))
+                cfg_k = EngineConfig(cfg.workers, args.seed + k, cfg.max_steps)
+                dump, _, status, verdicts = _run_once(program, goals, args, cfg_k)
                 seen[dump] = seen.get(dump, 0) + 1
                 if verdicts and not all(v.passed for v in verdicts):
                     for v in verdicts:

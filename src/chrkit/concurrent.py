@@ -28,26 +28,27 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .abstract import HistoryKey
 from .matching import RunResult
 from .matching import iter_matches  # noqa: F401  (bench/instrument.py wraps it here)
+from .record import Record
 from .sequential import SequentialEngine, _StepLimit, _TickConflict
 from .syntax import Program
 from .terms import Constraint
 
 
-@dataclass
-class EngineConfig:
-    workers: int = 1
-    seed: int = 0
-    max_steps: Optional[int] = None
+class EngineConfig(Record):
+    __slots__ = ("workers", "seed", "max_steps")
 
-    def __post_init__(self):
-        if self.workers < 1:
+    def __init__(self, workers: int = 1, seed: int = 0,
+                 max_steps: Optional[int] = None):
+        if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.workers = workers
+        self.seed = seed
+        self.max_steps = max_steps
 
 
 class _Pool:

@@ -12,10 +12,10 @@ concurrent step is the sequential step committed under the store lock.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .abstract import HistoryKey
+from .record import Frozen, Record, setfield
 from .store import GoalItem, NumberedConstraint, State, Store
 from .syntax import Occurrence, Program, Rule
 from .terms import Subst, holds, instantiate, match
@@ -23,14 +23,20 @@ from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 from .trace import Step
 
 
-@dataclass(frozen=True)
-class Match:
-    goal: NumberedConstraint  # the active goal, in its matching view
-    occurrence: Occurrence
-    rule: Rule
-    phi: Subst
-    prop_ids: tuple[int, ...]  # the side effect, sorted: kept heads' ids
-    simp_ids: tuple[int, ...]  # and removed heads' ids, the goal's among them
+class Match(Frozen):
+    __slots__ = ("goal", "occurrence", "rule", "phi", "prop_ids", "simp_ids")
+
+    def __init__(self, goal: NumberedConstraint, occurrence: Occurrence,
+                 rule: Rule, phi: Subst, prop_ids: tuple[int, ...],
+                 simp_ids: tuple[int, ...]):
+        setfield(self, "goal", goal)  # the active goal, in its matching view
+        setfield(self, "occurrence", occurrence)
+        setfield(self, "rule", rule)
+        setfield(self, "phi", phi)
+        # the side effect, sorted: kept heads' ids and removed heads' ids,
+        # the goal's among them
+        setfield(self, "prop_ids", prop_ids)
+        setfield(self, "simp_ids", simp_ids)
 
     @property
     def kind(self) -> str:
@@ -61,15 +67,18 @@ class Match:
         return goals
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """A goal-engine run; the trace is the committed steps in seq order, with
     worker and interval set on the concurrent engine's."""
 
-    state: State
-    trace: list[Step]
-    history: set[HistoryKey]
-    status: str  # done | failed | step-limit
+    __slots__ = ("state", "trace", "history", "status")
+
+    def __init__(self, state: State, trace: list[Step],
+                 history: set[HistoryKey], status: str):
+        self.state = state
+        self.trace = trace
+        self.history = history
+        self.status = status  # done | failed | step-limit
 
 
 def iter_matches(store: Store, goal: NumberedConstraint,

@@ -18,7 +18,9 @@ and unlists the entry from the buckets of its current normal form, the
 form it was indexed under (a wake-up unlists an entry before it replaces
 that form); an emptied argument bucket goes too.  `get` reads liveness and
 the current form at once: None once the entry is dead.  Ids are never
-reused; equations only grow within a run.
+reused; equations only grow within a run.  A view is a
+`NumberedConstraint`, an immutable slotted value (`record.Frozen`), so
+`get` and `candidates` hand out the stored views themselves, never copies.
 
 A concurrent run mutates the store only inside `ConcurrentEngine._commit`,
 which holds `lock` for the whole commit, so `insert`, `kill` and
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
+from .record import Frozen, Record, setfield
 from .terms import (Chr, Const, Constraint, Eq, Subst, Term, apply_subst,
                     instantiate, is_ground, mgu, render_constraint, vars_of)
 from .terms import render_term  # noqa: F401  (bench/instrument.py wraps it here)
@@ -42,10 +44,19 @@ class DeadIdError(Exception):
     """A kill targeted an id that is not alive (a lost race, or a bug)."""
 
 
-@dataclass(frozen=True)
-class NumberedConstraint:
-    constraint: Chr
-    id: int
+class NumberedConstraint(Frozen):
+    __slots__ = ("constraint", "id")
+
+    def __init__(self, constraint: Chr, id: int):
+        setfield(self, "constraint", constraint)
+        setfield(self, "id", id)
+
+    def __eq__(self, other):
+        return (other.__class__ is NumberedConstraint and self.id == other.id
+                and self.constraint == other.constraint)
+
+    def __hash__(self):
+        return hash((self.constraint, self.id))
 
     def render(self) -> str:
         return f"{render_constraint(self.constraint)}#{self.id}"
@@ -221,8 +232,7 @@ class Store:
         return "\n".join(lines)
 
 
-@dataclass
-class State:
+class State(Record):
     """A goal-based execution state: the goal multiset plus the store.
 
     Every numbered goal either has an alive same-id entry in the store or is
@@ -230,5 +240,9 @@ class State:
     dequeued.
     """
 
-    goals: deque = field(default_factory=deque)
-    store: Store = field(default_factory=Store)
+    __slots__ = ("goals", "store")
+
+    def __init__(self, goals: Optional[deque] = None,
+                 store: Optional[Store] = None):
+        self.goals = deque() if goals is None else goals
+        self.store = Store() if store is None else store

@@ -28,10 +28,9 @@ can never collide with goal variables, which cannot contain dots.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
+from .record import Frozen, setfield
 from .terms import (App, Chr, Const, Constraint, Eq, Term, Var, _LEFT_PREC,
                     _PREC, apply_subst, render_constraint, render_term,
                     vars_of, INT64_MAX, INT64_MIN)
@@ -47,12 +46,14 @@ class ParseError(Exception):
 
 # ---------------------------------------------------------------- lexer
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # uident | lident | int | atom | sym | eof
-    text: str
-    line: int
-    col: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        setfield(self, "kind", kind)  # uident | lident | int | atom | sym | eof
+        setfield(self, "text", text)
+        setfield(self, "line", line)
+        setfield(self, "col", col)
 
 
 _SYMBOLS = ["<=>", "==>", "==", "!=", ">=", "<=", "&&", "||",
@@ -254,30 +255,31 @@ class Head(NamedTuple):
     pattern: Chr
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    propagated: tuple[Chr, ...]   # kept heads (H_P)
-    simplified: tuple[Chr, ...]   # removed heads (H_S)
-    guard: Term
-    body: tuple[Constraint, ...]
-    index: int = 0
+class Rule(Frozen, compared=("name", "propagated", "simplified", "guard",
+                            "body", "index")):
+    """A rule.  `heads` is all its heads in textual order; `body_vars` is
+    the body's variables, sorted (range restriction: all in heads)."""
 
-    @cached_property
-    def heads(self) -> tuple[Head, ...]:
-        """All heads in textual order."""
-        out = [Head("propagated", i, h) for i, h in enumerate(self.propagated)]
-        out += [Head("simplified", i, h) for i, h in enumerate(self.simplified)]
-        return tuple(out)
+    __slots__ = ("name", "propagated", "simplified", "guard", "body", "index",
+                 "heads", "body_vars")
 
-    @cached_property
-    def body_vars(self) -> tuple[str, ...]:
-        """The body's variables, sorted (range restriction: all in heads)."""
-        return tuple(sorted(set().union(*(vars_of(b) for b in self.body))))
+    def __init__(self, name: str, propagated: tuple[Chr, ...],
+                 simplified: tuple[Chr, ...], guard: Term,
+                 body: tuple[Constraint, ...], index: int = 0):
+        setfield(self, "name", name)
+        setfield(self, "propagated", propagated)  # kept heads (H_P)
+        setfield(self, "simplified", simplified)  # removed heads (H_S)
+        setfield(self, "guard", guard)
+        setfield(self, "body", body)
+        setfield(self, "index", index)
+        setfield(self, "heads", tuple(
+            [Head("propagated", i, h) for i, h in enumerate(propagated)]
+            + [Head("simplified", i, h) for i, h in enumerate(simplified)]))
+        setfield(self, "body_vars", tuple(sorted(
+            set().union(*(vars_of(b) for b in body)))))
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(Frozen):
     """One head position of one rule, from the active goal's point of view.
 
     `partners` is the join order for the remaining heads: heads that have an
@@ -289,28 +291,32 @@ class Occurrence:
     term equality, so the partner can be looked up by it.
     """
 
-    rule_index: int
-    role: str
-    pos: int
-    pattern: Chr
-    partners: tuple[Head, ...]
-    guard_at: int
-    keys: tuple[Optional[int], ...]
+    __slots__ = ("rule_index", "role", "pos", "pattern", "partners",
+                 "guard_at", "keys")
+
+    def __init__(self, rule_index: int, role: str, pos: int, pattern: Chr,
+                 partners: tuple[Head, ...], guard_at: int,
+                 keys: tuple[Optional[int], ...]):
+        setfield(self, "rule_index", rule_index)
+        setfield(self, "role", role)
+        setfield(self, "pos", pos)
+        setfield(self, "pattern", pattern)
+        setfield(self, "partners", partners)
+        setfield(self, "guard_at", guard_at)
+        setfield(self, "keys", keys)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen, compared=("rules",)):
     """The rules, and built from them the occurrence table: per predicate,
     its head occurrences in rule order (top to bottom), then head position
     (left to right), each with its join plan."""
 
-    rules: tuple[Rule, ...]
-    occurrences: dict[str, tuple[Occurrence, ...]] = field(init=False,
-                                                           compare=False)
+    __slots__ = ("rules", "occurrences")
 
-    def __post_init__(self):
+    def __init__(self, rules: tuple[Rule, ...]):
+        setfield(self, "rules", rules)
         occ: dict[str, list[Occurrence]] = {}
-        for r in self.rules:
+        for r in rules:
             for head in r.heads:
                 partners = _join_order(r, head)
                 bound = vars_of(head.pattern)
@@ -318,8 +324,7 @@ class Program:
                     r.index, head.role, head.pos, head.pattern, partners,
                     _guard_at(r.guard, partners, bound),
                     _keys(partners, bound)))
-        object.__setattr__(self, "occurrences",
-                           {k: tuple(v) for k, v in occ.items()})
+        setfield(self, "occurrences", {k: tuple(v) for k, v in occ.items()})
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:

@@ -2,7 +2,10 @@
 and ground evaluation of guard terms.
 
 Everything here is a pure function over immutable values; all of it is safe
-to call from any thread.
+to call from any thread.  The terms and constraints are slotted classes on
+`record.Frozen`: assigning a field raises AttributeError.  Each writes its
+own `==` (the exact class and the fields) and hash, the hash of its fields'
+tuple as a frozen dataclass had it, so set and dict orders are unchanged.
 
 The firing path reads terms more than it builds them.  `holds` evaluates a
 guard in place, reading each variable from phi, then theta, without
@@ -13,8 +16,9 @@ without building tuples, so ground terms serve as index keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+
+from .record import Frozen, setfield
 
 Value = Union[int, bool, str]  # str values are symbolic atoms
 
@@ -34,13 +38,20 @@ class EvalError(Exception):
     """A guard term could not be evaluated to a value."""
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+    def __eq__(self, other):
+        return other.__class__ is Var and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, eq=False)
-class Const:
+class Const(Frozen):
     """Integer, boolean or symbolic-atom literal.
 
     bool is kept distinct from int even though bool subclasses int in
@@ -49,7 +60,10 @@ class Const:
     unequal.
     """
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        setfield(self, "value", value)
 
     def __eq__(self, other):
         return (other.__class__ is Const
@@ -60,35 +74,60 @@ class Const:
         return hash(self.value)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: str
-    args: tuple["Term", ...]
+class App(Frozen):
+    __slots__ = ("fn", "args")
 
-    def __post_init__(self):
-        if self.fn not in FUNCTION_SYMBOLS:
-            raise ValueError(f"unknown function symbol {self.fn!r}")
-        if len(self.args) != 2:
-            raise ValueError(f"{self.fn!r} expects 2 arguments, got {len(self.args)}")
+    def __init__(self, fn: str, args: tuple["Term", ...]):
+        if fn not in FUNCTION_SYMBOLS:
+            raise ValueError(f"unknown function symbol {fn!r}")
+        if len(args) != 2:
+            raise ValueError(f"{fn!r} expects 2 arguments, got {len(args)}")
+        setfield(self, "fn", fn)
+        setfield(self, "args", args)
+
+    def __eq__(self, other):
+        return (other.__class__ is App and self.fn == other.fn
+                and self.args == other.args)
+
+    def __hash__(self):
+        return hash((self.fn, self.args))
 
 
 Term = Union[Var, Const, App]
 
 
-@dataclass(frozen=True)
-class Chr:
+class Chr(Frozen):
     """A CHR constraint p(t1,...,tn)."""
 
-    pred: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()):
+        setfield(self, "pred", pred)
+        setfield(self, "args", args)
+
+    def __eq__(self, other):
+        return (other.__class__ is Chr and self.pred == other.pred
+                and self.args == other.args)
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Frozen):
     """An equation t1 = t2."""
 
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        return (other.__class__ is Eq and self.lhs == other.lhs
+                and self.rhs == other.rhs)
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
 
 Constraint = Union[Chr, Eq]

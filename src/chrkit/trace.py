@@ -21,9 +21,9 @@ and raises what it raises.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .record import Record
 from .syntax import ParseError, parse_constraint_text, parse_term_text
 from .terms import (INT64_MAX, INT64_MIN, Chr, Const, Constraint, Eq, Subst,
                     Term, Var, render_constraint, render_term)
@@ -32,8 +32,7 @@ KINDS = ("Solve", "Activate", "Simplify", "Propagate", "Drop")
 FIRINGS = ("Simplify", "Propagate")
 
 
-@dataclass(slots=True)
-class Step:
+class Step(Record):
     """One derivation step.  `goal_id` is set when the goal is a numbered
     constraint; `prop_ids`/`simp_ids` are the side effect H_P \\ H_S, the
     sorted ids the step propagated over and simplified away.  In both
@@ -41,21 +40,39 @@ class Step:
     A concurrent commit also carries its worker and its (start, commit)
     interval: commit is its seq, start the last seq its scan saw.
 
-    Not frozen, because a frozen dataclass pays a call per field to build
-    and both engines build one per step: a `Step` is a value, so no code
-    assigns to its fields (derive a changed copy with
-    `dataclasses.replace`)."""
+    Not `Frozen`, because an immutable record pays a call per field to
+    build and both engines build one per step: a `Step` is a value, so no
+    code assigns to its fields (build a changed copy with the
+    constructor)."""
 
-    seq: int
-    kind: str
-    goal: Constraint
-    goal_id: Optional[int] = None
-    rule: Optional[str] = None
-    phi: Subst = field(default_factory=dict)
-    prop_ids: tuple[int, ...] = ()
-    simp_ids: tuple[int, ...] = ()
-    worker: Optional[int] = None
-    interval: Optional[tuple[int, int]] = None
+    __slots__ = ("seq", "kind", "goal", "goal_id", "rule", "phi", "prop_ids",
+                 "simp_ids", "worker", "interval")
+
+    def __init__(self, seq: int, kind: str, goal: Constraint,
+                 goal_id: Optional[int] = None, rule: Optional[str] = None,
+                 phi: Optional[Subst] = None, prop_ids: tuple[int, ...] = (),
+                 simp_ids: tuple[int, ...] = (), worker: Optional[int] = None,
+                 interval: Optional[tuple[int, int]] = None):
+        self.seq = seq
+        self.kind = kind
+        self.goal = goal
+        self.goal_id = goal_id
+        self.rule = rule
+        self.phi = {} if phi is None else phi
+        self.prop_ids = prop_ids
+        self.simp_ids = simp_ids
+        self.worker = worker
+        self.interval = interval
+
+    def __eq__(self, other):
+        if other.__class__ is not Step:
+            return NotImplemented
+        return ((self.seq, self.kind, self.goal, self.goal_id, self.rule,
+                 self.phi, self.prop_ids, self.simp_ids, self.worker,
+                 self.interval)
+                == (other.seq, other.kind, other.goal, other.goal_id,
+                    other.rule, other.phi, other.prop_ids, other.simp_ids,
+                    other.worker, other.interval))
 
 
 def _ids_text(ids) -> str:
@@ -85,12 +102,17 @@ def step_to_line(step: Step) -> str:
     return " ".join(parts)
 
 
-@dataclass
-class ParsedTrace:
-    meta: dict[str, str] = field(default_factory=dict)
-    steps: list[Step] = field(default_factory=list)
-    final_dump: Optional[str] = None
-    status: Optional[str] = None
+class ParsedTrace(Record):
+    __slots__ = ("meta", "steps", "final_dump", "status")
+
+    def __init__(self, meta: Optional[dict[str, str]] = None,
+                 steps: Optional[list[Step]] = None,
+                 final_dump: Optional[str] = None,
+                 status: Optional[str] = None):
+        self.meta = {} if meta is None else meta
+        self.steps = [] if steps is None else steps
+        self.final_dump = final_dump
+        self.status = status
 
 
 class TraceFormatError(Exception):
@@ -124,11 +146,11 @@ def _ids(text: str) -> tuple[int, ...]:
 
 
 def _parsed(cache: dict, parse, text: str):
-    """parse(text), once per parser and distinct text in cache."""
+    """parse(text, cache), once per parser and distinct text in cache."""
     key = (parse, text)
     found = cache.get(key)
     if found is None:
-        found = cache[key] = parse(text)
+        found = cache[key] = parse(text, cache)
     return found
 
 
@@ -142,29 +164,41 @@ _CHR = rf"([A-Z][A-Za-z0-9_]*)(?:\(((?:{_FLAT})(?:,(?:{_FLAT}))*)\))?"
 _EQ = rf"({_FLAT})=({_FLAT})"
 
 
-def _flat(text: str) -> Optional[Term]:
+def _flat(text: str, cache: dict) -> Optional[Term]:
     """The term a flat argument (a text _FLAT matches) stands for, or None
-    for an integer out of 64-bit range, which the grammar refuses."""
-    if text[0] == "-" or text[0].isdigit():
-        v = int(text)
-        return Const(v) if INT64_MIN <= v <= INT64_MAX else None
-    if text == "true" or text == "false":
-        return Const(text == "true")
-    return Var(text)
+    for an integer out of 64-bit range, which the grammar refuses.  The
+    term is kept in cache under the text itself, so every goal and phi
+    value of a trace that has the argument shares one term."""
+    t = cache.get(text)
+    if t is None:
+        if text[0] == "-" or text[0].isdigit():
+            v = int(text)
+            if not INT64_MIN <= v <= INT64_MAX:
+                return None
+            t = Const(v)
+        elif text == "true" or text == "false":
+            t = Const(text == "true")
+        else:
+            t = Var(text)
+        cache[text] = t
+    return t
 
 
-def read_term(text: str) -> Term:
-    """parse_term_text(text); a flat argument is read without the grammar."""
+def read_term(text: str, cache: Optional[dict] = None) -> Term:
+    """parse_term_text(text); a flat argument is read without the grammar,
+    through cache as `_flat` keeps it."""
     if re.fullmatch(_FLAT, text):
-        t = _flat(text)
+        t = _flat(text, {} if cache is None else cache)
         if t is not None:
             return t
     return parse_term_text(text)
 
 
-def read_constraint(text: str) -> Constraint:
+def read_constraint(text: str, cache: Optional[dict] = None) -> Constraint:
     """parse_constraint_text(text); a CHR constraint or an equation over
-    flat arguments is read without the grammar."""
+    flat arguments is read without the grammar, its arguments through
+    cache as `_flat` keeps them."""
+    cache = {} if cache is None else cache
     m = re.fullmatch(_CHR, text)
     if m is not None:
         pred, inner = m.groups()
@@ -172,14 +206,14 @@ def read_constraint(text: str) -> Constraint:
             return Chr(pred)
         args = []
         for a in inner.split(","):
-            t = _flat(a)
+            t = _flat(a, cache)
             if t is None:
                 return parse_constraint_text(text)  # raises
             args.append(t)
         return Chr(pred, tuple(args))
     m = re.fullmatch(_EQ, text)
     if m is not None:
-        lhs, rhs = _flat(m[1]), _flat(m[2])
+        lhs, rhs = _flat(m[1], cache), _flat(m[2], cache)
         if lhs is not None and rhs is not None:
             return Eq(lhs, rhs)
     return parse_constraint_text(text)
@@ -204,7 +238,8 @@ def _goal(text: str, cache: dict) -> tuple[Constraint, Optional[int]]:
 
 
 def parse_line(line: str, cache: Optional[dict] = None) -> Step:
-    """One step line; `cache` keeps parsed goal and phi texts for reuse.
+    """One step line; `cache` keeps parsed goal and phi texts, and flat
+    arguments, for reuse.
     A field that does not read inline is read again by its helper, to raise
     the `TraceFormatError` that names it."""
     cache = {} if cache is None else cache
@@ -273,7 +308,7 @@ def serialize_trace(steps, meta: dict[str, str], status: str,
 def parse_trace(text: str) -> ParsedTrace:
     """Parse a serialized trace; a malformed step line raises
     TraceFormatError prefixed with its 1-based line number.  Each distinct
-    goal text and phi value is parsed once per call."""
+    goal text, phi value and flat argument is read once per call."""
     out, cache = ParsedTrace(), {}
     dump_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):

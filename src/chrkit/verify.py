@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
 
 from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
                        validate_rewrite)
+from .record import Frozen, setfield
 from .syntax import Program
 from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst,
                     instantiate, mgu, normalize_constraint, render_constraint,
@@ -66,15 +66,15 @@ if TYPE_CHECKING:
 AuditRecord = tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    check: str
-    detail: str = ""
+class Verdict(Frozen):
+    __slots__ = ("passed", "check", "detail")
 
-    def __post_init__(self):
-        if not self.passed and not self.detail:
+    def __init__(self, passed: bool, check: str, detail: str = ""):
+        if not passed and not detail:
             raise ValueError("a failing verdict needs a counterexample detail")
+        setfield(self, "passed", passed)
+        setfield(self, "check", check)
+        setfield(self, "detail", detail)
 
     def __str__(self):
         mark = "PASS" if self.passed else "FAIL"

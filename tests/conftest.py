@@ -18,6 +18,7 @@ from chrkit.syntax import (ParseError, Program, Rule, Token, load_program,
 from chrkit.terms import (Chr, Constraint, Eq, Subst, Var, apply_subst,
                           entails, match, mgu, normalize_constraint,
                           render_constraint, render_term)
+from chrkit.trace import Step
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -41,6 +42,13 @@ MULTI_FIRING = ("gcd", "channel", "mergesort", "prop_once", "opt_join",
 
 def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
+
+
+def unstamped(step: Step) -> Step:
+    """A copy of the step without the worker and interval that a concurrent
+    commit carries."""
+    return Step(step.seq, step.kind, step.goal, step.goal_id, step.rule,
+                step.phi, step.prop_ids, step.simp_ids)
 
 
 def overlapping_firing_pairs(trace) -> int:

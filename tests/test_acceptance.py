@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -25,7 +25,7 @@ from chrkit.verify import audit_overlap_trace, check_final, replay, verify_run
 from conftest import (CORPUS, MULTI_FIRING, canonical_modulo_equations,
                       equation_fuzz_case, fuzz_case, goals_for, load,
                       overlapping_firing_pairs, run_pitfall_variant,
-                      scripted_overlap)
+                      scripted_overlap, unstamped)
 
 GCD_ANSWER = ("Gcd(3)",)
 CHANNEL_ANSWERS = {("m=1", "n=8"), ("m=8", "n=1")}
@@ -308,8 +308,7 @@ def test_criterion_10_single_worker_equals_sequential():
         assert con.state.store.dump() == seq.state.store.dump(), name
         # the same steps under the same seq numbers; only a concurrent
         # commit carries a worker and an interval
-        assert [replace(r, worker=None, interval=None) for r in con.trace] \
-            == seq.trace, name
+        assert [unstamped(r) for r in con.trace] == seq.trace, name
     print(f"\nCRITERION 10 PASS byte-identical dumps and traces on "
           f"{len(CORPUS)} corpus programs")
 

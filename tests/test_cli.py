@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chrkit
 from chrkit.cli import main
 
 from conftest import PROGRAMS
@@ -313,3 +318,17 @@ def test_non_integer_seed_env_var_exits_1_with_one_error_line(capsys,
     code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
                              "--goals", "Gcd(9)", "--seed", "3")
     assert code == 0  # an explicit --seed does not read it
+
+
+def test_import_loads_no_dataclass_machinery():
+    # every checked run starts a fresh interpreter, which pays for what
+    # importing chrkit imports: `dataclasses` would add `inspect`, `ast`
+    # and `dis`, and an exec per decorated class
+    src = str(Path(chrkit.__file__).resolve().parent.parent)
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import chrkit, chrkit.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == []

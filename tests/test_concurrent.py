@@ -1,6 +1,5 @@
 import random
 from collections import Counter, deque
-from dataclasses import replace
 
 import pytest
 
@@ -15,7 +14,8 @@ from chrkit.verify import check_final, decompose_k, verify_run
 
 from conftest import (CORPUS, MULTI_FIRING, equation_fuzz_case, fuzz_case,
                       goals_for, load, overlapping_firing_pairs,
-                      run_pitfall_variant, run_scripted_pair, scripted_overlap)
+                      run_pitfall_variant, run_scripted_pair, scripted_overlap,
+                      unstamped)
 
 
 def canon_store(state):
@@ -47,7 +47,7 @@ def test_propagation_ticks_are_kept_for_live_ids_only(workers):
 
 def _lines(trace):
     """Each step's trace line, seq included, without worker and interval."""
-    return [step_to_line(replace(r, worker=None, interval=None)) for r in trace]
+    return [step_to_line(unstamped(r)) for r in trace]
 
 
 def test_single_worker_matches_sequential_dump_on_corpus():

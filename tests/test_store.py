@@ -21,6 +21,16 @@ def chr1(pred, *vals):
     return Chr(pred, args)
 
 
+def test_numbered_constraints_are_immutable_values():
+    nc = NumberedConstraint(Chr("A", (Const(1),)), 3)
+    for field in ("constraint", "id"):
+        with pytest.raises(AttributeError):
+            setattr(nc, field, None)
+    assert nc == NumberedConstraint(Chr("A", (Const(1),)), 3)
+    assert nc != NumberedConstraint(Chr("A", (Const(1),)), 4)
+    assert hash(nc) == hash((Chr("A", (Const(1),)), 3))
+
+
 def test_insert_assigns_fresh_ids():
     st = Store()
     nc = st.insert(Chr("Get", (Var("x1"),)))

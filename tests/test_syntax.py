@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import string
@@ -48,6 +49,28 @@ def test_parse_body_equation():
     p = parse_program("get @ Get(x), Put(y) <=> x=y.")
     r = p.rules[0]
     assert isinstance(r.body[0], Eq)
+
+
+def test_rules_and_programs_are_immutable_values():
+    p = load_program(program_text("gcd"))
+    r = p.rules[1]
+    for value, field in ((r, "name"), (r, "heads"), (p, "rules"),
+                         (p, "occurrences")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    # heads and body variables are worked out once, when the rule is built
+    assert [(h.role, h.pos, h.pattern) for h in r.heads] == [
+        ("propagated", 0, Chr("Gcd", (Var("n.1"),))),
+        ("simplified", 0, Chr("Gcd", (Var("m.1"),)))]
+    assert r.body_vars == ("m.1", "n.1")
+    # equal and hashed by their fields; the occurrence table is derived
+    again = load_program(program_text("gcd"))
+    assert again == p and again.rules[1] is not r
+    assert hash(again) == hash(p) == hash((p.rules,))
+    assert hash(r) == hash((r.name, r.propagated, r.simplified, r.guard,
+                            r.body, r.index))
+    copied = pickle.loads(pickle.dumps(p))
+    assert copied == p and copied.occurrences == p.occurrences
 
 
 def test_parse_goals_multiset():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -191,6 +193,9 @@ def test_eval_atoms_compare_lexicographically():
 def test_bool_and_int_constants_are_distinct():
     assert Const(True) != Const(1)
     assert Const(False) != Const(0)
+    # the hash is the value's: True and 1 collide but stay unequal
+    assert hash(Const(True)) == hash(Const(1))
+    assert len({Const(True), Const(1)}) == 2
 
 
 def test_eval_totality_on_well_typed_ground_terms():
@@ -258,3 +263,55 @@ def test_render_constraints():
     assert render_constraint(Chr("P")) == "P"
     assert render_constraint(Eq(Var("x1"), Const(1))) == "x1=1"
     assert render_constraint(Chr("L", (Const("a"), Const("b")))) == "L('a','b')"
+
+
+# ------------------------------------------------------- value contract
+
+@pytest.mark.parametrize("value,field", [
+    (Var("x"), "name"), (Const(1), "value"),
+    (App("+", (Var("x"), Const(1))), "fn"), (Chr("A", (Const(1),)), "args"),
+    (Eq(Var("x"), Const(1)), "lhs"),
+])
+def test_terms_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, Const(2))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1  # no other attribute either
+
+
+def test_terms_equal_by_exact_class_and_fields():
+    assert Var("x") != Const("x") and Const("x") != Var("x")
+    # a Chr and an Eq over the same field values
+    assert Chr("A", ()) != Eq("A", ()) and Eq("A", ()) != Chr("A", ())
+    assert App("+", (Var("x"), Const(1))) == App("+", (Var("x"), Const(1)))
+    assert App("+", (Var("x"), Const(1))) != App("-", (Var("x"), Const(1)))
+    assert Chr("A", (Var("x"),)) != Chr("B", (Var("x"),))
+    assert Eq(Var("x"), Const(1)) != Eq(Const(1), Var("x"))
+
+
+def test_term_hashes_are_the_hashes_of_their_field_tuples():
+    # the values frozen dataclasses hashed to, which set and dict orders,
+    # and so traces, depend on
+    args = (Const(1), Var("x"))
+    assert hash(Chr("A", args)) == hash(("A", args))
+    assert hash(Var("x")) == hash(("x",))
+    assert hash(App("+", args)) == hash(("+", args))
+    assert hash(Eq(Var("x"), Const(1))) == hash((Var("x"), Const(1)))
+    assert hash(Const(7)) == hash(7)
+
+
+def test_app_validates_symbol_and_arity():
+    with pytest.raises(ValueError, match="unknown function symbol"):
+        App("^", (Const(1), Const(2)))
+    with pytest.raises(ValueError, match="expects 2 arguments, got 3"):
+        App("+", (Const(1), Const(2), Const(3)))
+
+
+def test_terms_repr_copy_and_pickle():
+    t = Chr("A", (App("+", (Var("x"), Const(1))), Const(True)))
+    assert repr(t) == ("Chr(pred='A', args=(App(fn='+', args=(Var(name='x'), "
+                       "Const(value=1))), Const(value=True)))")
+    for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and hash(other) == hash(t)

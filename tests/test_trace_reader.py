@@ -11,10 +11,10 @@ import random
 import chrkit.syntax as syntax
 import chrkit.trace as trace
 from chrkit.syntax import ParseError
-from chrkit.terms import (INT64_MAX, INT64_MIN, Var, apply_subst,
+from chrkit.terms import (INT64_MAX, INT64_MIN, Const, Var, apply_subst,
                           render_constraint, render_term)
-from chrkit.trace import (TraceFormatError, parse_line, read_constraint,
-                          read_term)
+from chrkit.trace import (TraceFormatError, parse_line, parse_trace,
+                          read_constraint, read_term)
 
 from test_kernel_differential import (GUARD_VARS, rand_constraint, rand_term,
                                       tree)
@@ -136,10 +136,28 @@ def test_damaged_texts_give_the_grammars_errors(monkeypatch):
             lines.append(f"5 Simplify goal=P(1)#4 rule=r phi={{x.0->{bad}}} "
                          "P={} S={4}")
     got = [line_outcome(line) for line in lines]
-    monkeypatch.setattr(trace, "read_constraint", syntax.parse_constraint_text)
-    monkeypatch.setattr(trace, "read_term", syntax.parse_term_text)
+    monkeypatch.setattr(trace, "read_constraint",
+                        lambda text, cache: syntax.parse_constraint_text(text))
+    monkeypatch.setattr(trace, "read_term",
+                        lambda text, cache: syntax.parse_term_text(text))
     want = [line_outcome(line) for line in lines]
     assert got == want
     errors = sum(kind == "error" for kind, _ in got)
     assert 1000 < errors < len(got) - 1000, (errors, len(got))
 
+
+
+def test_a_trace_reads_each_flat_argument_once():
+    # goals, equations and phi values share one term per argument text
+    steps = parse_trace(
+        "# chr-trace v1\n"
+        "1 Activate goal=Leq(17,42)#1 P={} S={}\n"
+        "2 Activate goal=Leq(42,99)#2 P={} S={}\n"
+        "3 Simplify goal=Leq(42,99)#2 rule=r phi={x.0->42;y.0->m} P={} S={2}\n"
+        "4 Solve goal=m=42 P={} S={}\n"
+        "5 Activate goal=P(1,true,m)#3 P={} S={}\n").steps
+    first, second, solve, p = (steps[0].goal, steps[1].goal, steps[3].goal,
+                               steps[4].goal)
+    assert first.args[1] is second.args[0] is steps[2].phi["x.0"] is solve.rhs
+    assert steps[2].phi["y.0"] is solve.lhs is p.args[2]
+    assert p.args[:2] == (Const(1), Const(True))  # distinct texts

@@ -528,6 +528,34 @@ def test_verdict_requires_detail_on_failure():
         Verdict(False, "replay")
 
 
+def test_verdicts_are_immutable_values():
+    v = Verdict(False, "replay", "step 3")
+    for field in ("passed", "check", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(v, field, True)
+    assert v == Verdict(False, "replay", "step 3") != Verdict(True, "replay")
+    assert hash(v) == hash((False, "replay", "step 3"))
+    assert str(v) == "replay: FAIL (step 3)"
+
+
+def test_step_equality_covers_every_field():
+    fields = dict(seq=5, kind="Simplify", goal=Chr("A", (Const(1),)),
+                  goal_id=2, rule="r", phi={"x.0": Const(1)}, prop_ids=(1,),
+                  simp_ids=(2,), worker=0, interval=(3, 5))
+    other = dict(seq=6, kind="Propagate", goal=Chr("B"), goal_id=3,
+                 rule="s", phi={}, prop_ids=(), simp_ids=(2, 4), worker=1,
+                 interval=(4, 5))
+    assert list(fields) == list(Step.__slots__)  # all ten, in order
+    step = Step(**fields)
+    assert step == Step(*fields.values())
+    for name in fields:
+        assert step != Step(**{**fields, name: other[name]}), name
+    with pytest.raises(TypeError):
+        hash(step)  # mutable, so unhashable
+    step.worker = None  # and assignable
+    assert step.worker is None
+
+
 # ------------------------------------------------------------- round trip
 
 def test_trace_serialization_roundtrip():
