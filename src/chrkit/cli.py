@@ -7,8 +7,9 @@
 
 Prints the final store in dump format.  Exit codes: 0 success, 1 parse or
 validation error (a term nested too deeply for the interpreter, or a flag
-the mode would ignore, included), unwritable trace file, verification
-failure or step limit, 2 internal invariant breach.
+the mode would ignore, included), unwritable trace file, a concurrent
+worker thread that could not be started (the run is stopped first),
+verification failure or step limit, 2 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import sys
 from typing import Optional
 
 from .abstract import AbstractStore, LimitExceeded, final_stores, run_abstract
-from .concurrent import EngineConfig, run_concurrent
+from .concurrent import EngineConfig, WorkerStartError, run_concurrent
 from .sequential import InvariantViolation, run_sequential
 from .store import DeadIdError
 from .syntax import ParseError, load_program, parse_goals
@@ -188,7 +189,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"status: {status}", file=sys.stderr)
             return 1
         return 0
-    except (ParseError, TraceFormatError, OSError, RecursionError) as exc:
+    except (ParseError, TraceFormatError, OSError, RecursionError,
+            WorkerStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # OSError: writing --trace
         return 1
     except (InvariantViolation, DeadIdError) as exc:

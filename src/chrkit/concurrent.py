@@ -22,6 +22,11 @@ from a fresh start after a tick conflict.
 Activated, pushed and woken goals go to the front of the worker's own
 goals, where the sequential engine puts them, so a one-worker run is the
 sequential derivation step for step.
+
+The calling thread is worker 0: an n-worker run starts threads for workers
+1..n-1 only, runs worker 0 itself and then joins them, so a one-worker run
+starts no thread.  Worker 0 is an ordinary worker: it may go idle first and
+wait in the pool for the others, like any of them.
 """
 from __future__ import annotations
 
@@ -49,6 +54,10 @@ class EngineConfig(Record):
         self.workers = workers
         self.seed = seed
         self.max_steps = max_steps
+
+
+class WorkerStartError(RuntimeError):
+    """A worker thread could not be started; the run was stopped."""
 
 
 class _Pool:
@@ -165,7 +174,7 @@ class ConcurrentEngine(SequentialEngine):
         local: deque = deque()
         try:
             self.run_goals(local, wid, self.pool.pop)
-        except BaseException as exc:  # propagate to the main thread
+        except BaseException as exc:  # `run` re-raises it after the joins
             self._crashed = exc
             self._stop("failed")
         finally:
@@ -173,11 +182,26 @@ class ConcurrentEngine(SequentialEngine):
                 self.pool.push_front(local)
 
     def run(self, goals: Iterable[Constraint]) -> RunResult:
+        """Run workers 1..n-1 on threads of their own and worker 0 on the
+        calling thread; return once every worker has stopped.  A worker's
+        exception is re-raised here, after the joins.  If a thread cannot be
+        started, the run is stopped, the started threads are joined and
+        `WorkerStartError` is raised."""
         self.load_goals(goals)
-        threads = [threading.Thread(target=self._worker, args=(w,), daemon=True)
-                   for w in range(self.cfg.workers)]
-        for t in threads:
-            t.start()
+        threads = []
+        for w in range(1, self.cfg.workers):
+            t = threading.Thread(target=self._worker, args=(w,), daemon=True)
+            try:
+                t.start()
+            except RuntimeError as exc:  # "can't start new thread"
+                self._stop("failed")
+                for started in threads:
+                    started.join()
+                raise WorkerStartError(
+                    f"could not start a thread for worker {w} of "
+                    f"{self.cfg.workers}: {exc}") from exc
+            threads.append(t)
+        self._worker(0)
         for t in threads:
             t.join()
         if self._crashed is not None:

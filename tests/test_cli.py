@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,29 @@ def test_trace_format_error_exits_1(capsys, monkeypatch):
                              "--goals", "Gcd(3)", "--verify")
     assert code == 1
     assert err == "error: malformed field 'x'\n"
+
+
+def test_worker_thread_that_cannot_start_exits_1(capsys, monkeypatch):
+    """The second thread start fails: the run stops, the thread that did
+    start is joined, and the failure is one error line with exit 1."""
+    start, calls = threading.Thread.start, []
+
+    def failing_start(self):
+        calls.append(self)
+        if len(calls) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    code, out, err = run_cli(capsys, str(PROGRAMS / "gcd.chr"),
+                             "--goals", "Gcd(9),Gcd(6),Gcd(4)",
+                             "--engine", "concurrent", "--workers", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: could not start a thread for worker 2 of 3: "
+                   "can't start new thread\n")
+    assert len(calls) == 2 and not calls[0].is_alive()
+    assert threading.active_count() == before
 
 
 def test_trace_file_written(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
+import threading
 from collections import Counter, deque
 
 import pytest
 
+import chrkit.concurrent
+import chrkit.sequential
 from chrkit.abstract import canonical_multiset
 from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                                _TickConflict)
@@ -201,6 +204,103 @@ def test_step_limit_records_at_most_max_steps_on_both_engines(limit, workers):
     assert (len(con.trace), con.status) == (limit, "step-limit")
     if limit == 0:  # a goal refused at the limit goes back to the pool
         assert Counter(con.state.goals) == Counter(goals)
+
+
+# ------------------------------------------------------- worker threads
+
+def _count_thread_starts(monkeypatch) -> list:
+    """Every thread the engine starts, through a counting `Thread`."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(chrkit.concurrent.threading, "Thread", CountingThread)
+    return started
+
+
+class _StepThreads(ConcurrentEngine):
+    """Records the worker and the thread of each committed step."""
+
+    def __init__(self, program, cfg):
+        super().__init__(program, cfg)
+        self.step_threads = []
+
+    def _commit(self, effect, start, worker, item, goals):
+        step = super()._commit(effect, start, worker, item, goals)
+        if step is not None:
+            self.step_threads.append((worker, threading.get_ident()))
+        return step
+
+
+def test_one_worker_starts_no_thread_and_steps_on_the_caller(monkeypatch):
+    started = _count_thread_starts(monkeypatch)
+    before = threading.active_count()
+    eng = _StepThreads(load("gcd"), EngineConfig(workers=1))
+    res = eng.run(goals_for("gcd"))
+    assert res.status == "done" and res.trace
+    assert started == []
+    assert set(eng.step_threads) == {(0, threading.get_ident())}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_n_workers_start_n_minus_1_threads(workers, monkeypatch):
+    """The caller is worker 0; the other workers get a thread each, and every
+    one of them has ended when `run` returns."""
+    started = _count_thread_starts(monkeypatch)
+    before = threading.active_count()
+    eng = _StepThreads(load("gcd"), EngineConfig(workers=workers, seed=1))
+    res = eng.run(goals_for("gcd"))
+    assert res.status == "done"
+    assert len(started) == workers - 1
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    caller = threading.get_ident()
+    assert all((ident == caller) == (w == 0) for w, ident in eng.step_threads)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("crashing", [0, 1])
+def test_a_worker_crash_is_reraised_after_every_worker_stops(crashing,
+                                                            monkeypatch):
+    """Worker `crashing` raises in its first partner search after every
+    worker has begun one.  Each worker loops on a goal of its own (A <=> A),
+    so all are busy when it happens; `run` re-raises the exception only once
+    all of them have stopped."""
+    started = _count_thread_starts(monkeypatch)
+    wid, searching = threading.local(), set()
+    iter_matches = chrkit.sequential.iter_matches
+
+    def crashing_iter_matches(store, goal, program):
+        searching.add(wid.value)
+        if wid.value == crashing and len(searching) == 3:
+            raise _Boom(crashing)
+        return iter_matches(store, goal, program)
+
+    class Tagged(ConcurrentEngine):
+        def _worker(self, w):
+            wid.value = w
+            super()._worker(w)
+
+    monkeypatch.setattr(chrkit.sequential, "iter_matches", crashing_iter_matches)
+    before = threading.active_count()
+    # the step limit only bounds the test should the crash never come
+    eng = Tagged(load_program("r @ A <=> A."),
+                 EngineConfig(workers=3, seed=0, max_steps=100_000))
+    with pytest.raises(_Boom) as info:
+        eng.run(parse_goals("A,A,A,A,A,A"))
+    assert info.value.args == (crashing,)
+    assert len(started) == 2
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    assert eng.status == "failed"
+    assert {s.worker for s in eng.trace} == {0, 1, 2}
 
 
 # ------------------------------------------------------------ decompose
