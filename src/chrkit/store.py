@@ -9,7 +9,10 @@ equation arrives.  The argument index is keyed by (predicate, position,
 ground argument term), the term itself, never a rendering of it.
 `theta`, the idempotent m.g.u. of the equation substore, is kept in
 `add_equation` alone, which extends it by one equation per call; guards,
-wake-ups and normal forms all read it.  A variable -> ids
+wake-ups and normal forms all read it.  A variable -> bindings reverse
+index says which bindings of theta mention a newly bound variable, so a
+Solve rewrites those alone and costs, beyond one copy of the dict, what its
+new bindings touch, not the number of equations.  A variable -> ids
 occurrence index over the normal forms says which entries a newly bound
 variable wakes, so a Solve never scans the whole store.
 
@@ -73,6 +76,8 @@ class Store:
         self._view: dict[int, NumberedConstraint] = {}  # equation-normal
         self._eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
+        # variable -> the variables whose binding in theta mentions it
+        self._users: dict[str, set[str]] = {}
         self._pred_index: dict[str, dict[int, None]] = {}
         self._arg_index: dict[tuple[str, int, Term], dict[int, None]] = {}
         self._occ: dict[str, dict[int, None]] = {}  # variable -> alive ids
@@ -164,6 +169,14 @@ class Store:
         and wakes nothing.  One atomic step under the caller's commit, which
         holds the lock: no firing can interleave between the wake-up
         computation and the insertion.
+
+        The compose touches only what sigma changes.  `_users` maps each
+        variable to the bindings of theta whose term mentions it; sigma is
+        applied to those bindings alone, the others cannot change, and
+        sigma's own bindings are added after them, so theta keeps its key
+        order.  theta is still a fresh dict, a C-speed copy of phi
+        rewritten in place: matching reads `store.theta` without the lock
+        and must never see it half composed.
         """
         self._eqs.append(e)
         phi = self.theta
@@ -173,10 +186,19 @@ class Store:
         if sigma is None:
             self.theta = None
             return []
-        theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
-                 for x, t in phi.items()}
+        theta = phi.copy()  # a fresh dict: matching reads it unlocked
+        touched: set[str] = set()
+        for v in sigma:
+            touched.update(self._users.pop(v, ()))
+        for x in touched:
+            theta[x] = apply_subst(sigma, theta[x])
         theta.update(sigma)
-        self.theta = theta  # a fresh dict: matching reads it unlocked
+        for x in (*touched, *sigma):
+            t = theta[x]
+            if t.__class__ is not Const:
+                for v in vars_of(t):
+                    self._users.setdefault(v, set()).add(x)
+        self.theta = theta
         ids: set[int] = set()
         for v in sigma:
             ids.update(self._occ.pop(v, ()))

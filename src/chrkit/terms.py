@@ -211,44 +211,112 @@ def match(pattern: Chr, candidate: Chr, seed: Subst) -> Optional[Subst]:
     return subst
 
 
-def _bind(x: str, t: Term, out: Subst) -> bool:
-    if isinstance(t, Var) and t.name == x:
-        return True
-    if x in vars_of(t):  # occurs check
-        return False
-    one = {x: t}
-    for k in list(out):
-        out[k] = apply_subst(one, out[k])
-    out[x] = t
-    return True
+def _walk(t: Term, tri: Subst) -> Term:
+    """t's top level under the triangular substitution tri: an unbound
+    variable or a non-variable term.  A variable chain it walks is cut to
+    point at the end of the chain, which changes no resolved binding."""
+    end = t
+    while end.__class__ is Var:
+        bound = tri.get(end.name)
+        if bound is None:
+            break
+        end = bound
+    while t is not end:
+        bound = tri[t.name]
+        tri[t.name] = end
+        t = bound
+    return end
+
+
+def _occurs(x: str, t: Term, tri: Subst) -> bool:
+    """Whether the unbound variable x occurs in t resolved under tri; an
+    explicit stack, each bound variable followed once."""
+    stack, seen = [t], set()
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Var:
+            name = t.name
+            if name == x:
+                return True
+            if name not in seen:
+                seen.add(name)
+                bound = tri.get(name)
+                if bound is not None:
+                    stack.append(bound)
+        elif cls is App:
+            stack.extend(t.args)
+    return False
 
 
 def mgu(eqs: Iterable[Eq]) -> Optional[Subst]:
     """Most general unifier of the equations over the Herbrand universe,
     or None when they are unsatisfiable.  The result is idempotent and never
     maps a variable to itself.
+
+    The unifier is built triangular, as Martelli and Montanari's is: an
+    equation binds its sides' top levels, dereferenced through the bindings
+    so far, so a binding's term may mention bound variables.  A
+    variable-to-variable equation binds its left side, after dereferencing.
+    The bindings are resolved once, at the end, each after the ones its
+    term mentions, so no binding is rewritten twice: the cost is linear in
+    the equations' size plus the occurs checks, each of which follows the
+    bindings its application mentions.  Walks, occurs checks and the
+    resolution run over explicit stacks, never recursing along a binding
+    chain.  The keys come in the order the variables are bound.
     """
     work = [(e.lhs, e.rhs) for e in eqs]
-    out: Subst = {}
+    tri: Subst = {}
     while work:
         l, r = work.pop()
-        l = apply_subst(out, l)
-        r = apply_subst(out, r)
-        if l == r:
-            continue
-        if isinstance(l, Var):
-            if not _bind(l.name, r, out):
+        l, r = _walk(l, tri), _walk(r, tri)
+        if l.__class__ is Var:
+            if r.__class__ is Var:
+                if r.name != l.name:
+                    tri[l.name] = r
+            elif r.__class__ is Const or not _occurs(l.name, r, tri):
+                tri[l.name] = r
+            else:
                 return None
-        elif isinstance(r, Var):
-            if not _bind(r.name, l, out):
+        elif r.__class__ is Var:
+            if l.__class__ is Const or not _occurs(r.name, l, tri):
+                tri[r.name] = l
+            else:
                 return None
-        elif isinstance(l, App) and isinstance(r, App):
+        elif l.__class__ is App and r.__class__ is App:
             if l.fn != r.fn or len(l.args) != len(r.args):
                 return None
             work.extend(zip(l.args, r.args))
-        else:
+        elif l != r:
             return None  # clash: unequal constants, or constant vs application
-    return out
+    return _resolve(tri)
+
+
+def _resolve(tri: Subst) -> Subst:
+    """The idempotent form of the triangular substitution tri, in its key
+    order.  Each binding is resolved once, after the bindings its term
+    mentions, found depth-first over an explicit stack; the occurs check
+    keeps tri acyclic."""
+    if len(tri) < 2:  # a lone binding cannot mention its own variable
+        return tri
+    out: Subst = {}
+    for root in tri:
+        stack = [root]
+        while stack:
+            x = stack[-1]
+            if x in out:
+                stack.pop()
+                continue
+            t = tri[x]
+            if t.__class__ is not Const:
+                pending = [v for v in vars_of(t) if v in tri and v not in out]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                t = apply_subst(out, t)
+            out[x] = t
+            stack.pop()
+    return {x: out[x] for x in tri}
 
 
 _KINDS = {bool: "bool", int: "int", str: "atom"}

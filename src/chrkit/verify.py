@@ -29,9 +29,11 @@ and then, over the replayed state and the trace's commit intervals:
 The reader parses each distinct goal text and phi value once per trace,
 and reads what the printer writes for flat arguments without the grammar.
 The replica solves each equation once, at its Solve step, extending the
-m.g.u. it keeps by that equation alone; the wake-up check looks up the
-entries that mention a newly bound variable in the replica's own variable
--> ids occurrence map.  An activated goal is rendered once per distinct
+m.g.u. it keeps by that equation alone and rewriting, in place, only the
+bindings its own variable -> bindings map says mention a newly bound
+variable, so a Solve costs what it touches, not the number of equations;
+the wake-up check looks up the entries that mention a newly bound variable
+in the replica's own variable -> ids occurrence map.  An activated goal is rendered once per distinct
 goal term, and that text is its form under the m.g.u. when the m.g.u.
 leaves it as it is; otherwise the form is rendered at activation, and
 again only when a Solve wakes the entry.  So a firing check renders
@@ -88,7 +90,8 @@ class _Replica:
     wake-ups can change the rendered form while a stale goal copy is still
     queued.  Store entries stay raw (as activated), exactly like the engine
     store.  `theta` is the m.g.u. of the equations, kept from one Solve to
-    the next; it is their only solved form.  `forms` holds each alive
+    the next; it is their only solved form, and `users` maps each variable
+    to the keys of theta whose binding mentions it.  `forms` holds each alive
     entry's `solved_form` under theta, computed at activation and refreshed
     for the entries a Solve wakes.  `occ` maps each variable not bound by
     theta to the ids (dead ones too) whose form under theta mentions it.
@@ -107,6 +110,7 @@ class _Replica:
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
         self.occ: dict[str, set[int]] = {}
+        self.users: dict[str, set[str]] = {}  # variable -> keys of theta
         self.history: set[HistoryKey] = set()
         self.fired: dict[tuple, int] = {}
         self.bodies: list[tuple[str, ...]] = []
@@ -156,12 +160,16 @@ class _Replica:
         entries whose form changes from the old theta to the new one, none
         when the equations become unsatisfiable.  Only e is solved: sigma,
         the m.g.u. of theta(e), is composed onto theta, and an entry's form
-        changes exactly when it mentions a variable sigma binds."""
+        changes exactly when it mentions a variable sigma binds.  The
+        compose rewrites only the bindings `users` lists under the
+        variables sigma binds, in place (the replica is single-threaded):
+        the touched keys keep their places and sigma's come after them."""
         self.eqs.append(e)
-        phi = self.theta
-        if phi is None:
+        theta = self.theta
+        if theta is None:
             return []
-        sigma = mgu([Eq(apply_subst(phi, e.lhs), apply_subst(phi, e.rhs))])
+        sigma = mgu([Eq(apply_subst(theta, e.lhs),
+                        apply_subst(theta, e.rhs))])
         if sigma != {}:  # theta changes: it binds a variable, or fails
             self.valid.clear()
         if sigma is None:
@@ -169,10 +177,16 @@ class _Replica:
             for cid in self.alive:  # forms without equations from now on
                 self.note_vars(cid)
             return []
-        theta = {x: t if isinstance(t, Const) else apply_subst(sigma, t)
-                 for x, t in phi.items()}
-        theta.update(sigma)
-        self.theta = theta
+        touched: set[str] = set()
+        for v in sigma:
+            touched.update(self.users.pop(v, ()))
+        changed = {x: apply_subst(sigma, theta[x]) for x in touched}
+        changed.update(sigma)
+        theta.update(changed)
+        for x, t in changed.items():
+            if not isinstance(t, Const):
+                for v in vars_of(t):
+                    self.users.setdefault(v, set()).add(x)
         ids: set[int] = set()
         for v in sigma:
             ids.update(self.occ.pop(v, ()))

@@ -260,6 +260,19 @@ def test_goals_file(tmp_path, capsys):
     assert out.strip().startswith("Gcd(3)#")
 
 
+def test_a_3000_link_equation_chain_verifies(tmp_path, capsys):
+    """x1=x0, ..., x3000=x2999 solves without recursing along the chain, in
+    the run and in the verifier's replica."""
+    gf = tmp_path / "chain.txt"
+    gf.write_text(",".join(f"x{i}=x{i - 1}" for i in range(1, 3001)) + "\n")
+    code, out, err = run_cli(capsys, str(PROGRAMS / "channel.chr"),
+                             "--goals-file", str(gf), "--verify")
+    assert code == 0, err
+    verdicts = [line for line in err.splitlines() if ": " in line]
+    assert verdicts and all(v.endswith(": PASS") for v in verdicts), err
+    assert len(out.splitlines()) == 3000
+
+
 def test_step_limit_exit_code(tmp_path, capsys):
     prog = tmp_path / "loop.chr"
     prog.write_text("r @ A <=> A.\n")

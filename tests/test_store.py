@@ -9,7 +9,8 @@ from chrkit.store import DeadIdError, NumberedConstraint, Store
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import (App, Chr, Const, Eq, Var, apply_subst, mgu,
                           render_constraint)
-from chrkit.verify import _Replica
+from chrkit.trace import serialize_trace
+from chrkit.verify import _Replica, verify_run
 
 from conftest import (brute_force_woken, canonical_modulo_equations,
                       equation_fuzz_case)
@@ -19,6 +20,10 @@ def chr1(pred, *vals):
     args = tuple(Const(v) if not isinstance(v, str) or not v.islower()
                  else Var(v) for v in vals)
     return Chr(pred, args)
+
+
+def ordered(theta):
+    return None if theta is None else list(theta.items())
 
 
 def test_numbered_constraints_are_immutable_values():
@@ -308,7 +313,10 @@ def test_incremental_solve_agrees_with_whole_list_mgu():
     mgu over the whole list and the same answer modulo the equation theory;
     theta stays idempotent, and the verifier's replica, solving the same
     equations its own way, binds exactly the same variables to the same
-    terms and wakes the same ids."""
+    terms, in the same key order, and wakes the same ids.  After each Solve
+    the earlier bindings keep their places and are the earlier theta under
+    the new one: rewriting only the bindings a Solve touches gives what
+    rewriting all of them gave."""
     rng = random.Random(5)
     outcomes = Counter()
     for _ in range(1500):
@@ -319,9 +327,14 @@ def test_incremental_solve_agrees_with_whole_list_mgu():
             st.insert(c)
             rep.activate(cid, c, render_constraint(c))
         for e in eqs:
+            phi = st.theta and dict(st.theta)
             woken = [nc.id for nc in st.add_equation(e)]
             assert rep.solve(e) == woken
-            assert rep.theta == st.theta
+            assert ordered(rep.theta) == ordered(st.theta)
+            if phi and st.theta is not None:  # sigma composed onto phi
+                assert list(st.theta)[:len(phi)] == list(phi)
+                assert all(st.theta[x] == apply_subst(st.theta, t)
+                           for x, t in phi.items()), (eqs, phi, st.theta)
         whole = mgu(eqs)
         assert st.inconsistent == (whole is None), eqs
         outcomes[whole is None] += 1
@@ -334,6 +347,70 @@ def test_incremental_solve_agrees_with_whole_list_mgu():
         assert (canonical_modulo_equations(chrs + solved)
                 == canonical_modulo_equations(chrs + eqs)), eqs
     assert min(outcomes.values()) > 300  # both verdicts are common
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_a_solve_rewrites_only_the_bindings_it_touches(monkeypatch, n):
+    """After n Solves x_i=y_i+1, a Solve y0=5 rewrites x0's binding alone:
+    the store and the replica each call apply_subst on the new equation's
+    two sides and on that one binding, however large theta is."""
+    import chrkit.store
+    import chrkit.verify
+    st, rep = Store(), _Replica(())
+    for i in range(n):
+        e = Eq(Var(f"x{i}"), App("+", (Var(f"y{i}"), Const(1))))
+        st.add_equation(e)
+        rep.solve(e)
+    calls = Counter()
+    for module in (chrkit.store, chrkit.verify):
+        def counted(s, x, name=module.__name__):
+            calls[name] += 1
+            return apply_subst(s, x)
+        monkeypatch.setattr(module, "apply_subst", counted)
+    e = Eq(Var("y0"), Const(5))
+    st.add_equation(e)
+    rep.solve(e)
+    assert calls == {"chrkit.store": 3, "chrkit.verify": 3}
+    assert st.theta["x0"] == App("+", (Const(5), Const(1)))
+    assert st.theta["y0"] == Const(5) and list(st.theta)[-1] == "y0"
+    assert ordered(rep.theta) == ordered(st.theta)
+
+
+def test_replica_theta_follows_the_store_at_every_solve():
+    """On the equation fuzz cases, the replica verifying a sequential run's
+    trace holds, after each Solve, the theta the store held after the same
+    Solve, key order included."""
+    real_add, real_solve = Store.add_equation, _Replica.solve
+    stored, replayed = [], []
+
+    def add(self, e):
+        woken = real_add(self, e)
+        stored.append(ordered(self.theta))
+        return woken
+
+    def solve(self, e):
+        woken = real_solve(self, e)
+        replayed.append(ordered(self.theta))
+        return woken
+
+    rng = random.Random(20240817)
+    solves = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Store, "add_equation", add)
+        mp.setattr(_Replica, "solve", solve)
+        for _ in range(150):
+            text, gtext = equation_fuzz_case(rng)
+            program, goals = load_program(text), parse_goals(gtext)
+            stored.clear()
+            replayed.clear()
+            res = run_sequential(goals, program)
+            trace = serialize_trace(res.trace, {}, res.status,
+                                    res.state.store.dump())
+            verdicts = verify_run(trace, goals, program)
+            assert all(v.passed for v in verdicts), verdicts
+            assert replayed == stored, gtext
+            solves += len(stored)
+    assert solves >= 200  # 212 Solves
 
 
 def test_add_equation_wakes_by_the_brute_force_rule(monkeypatch):

@@ -1,12 +1,15 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
 from chrkit.terms import (App, Chr, Const, Eq, EvalError, Var, apply_subst,
                           entails, eval_ground, match, mgu,
                           normalize_term, render_constraint, render_term)
+
+from reference_mgu import reference_mgu
 
 
 def gcd_pat(v):
@@ -151,6 +154,72 @@ def test_mgu_idempotent_randomized():
         once = apply_subst(theta, probe)
         assert apply_subst(theta, once) == once
         assert all(theta[k] != Var(k) for k in theta)
+
+
+def _differential_term(rng, depth):
+    roll = rng.random()
+    if roll < 0.5:
+        return Var(rng.choice("abcdef"))
+    if roll < 0.75 or depth == 0:
+        return rng.choice((Const(0), Const(1), Const(True), Const("k")))
+    return App(rng.choice("+*"), (_differential_term(rng, depth - 1),
+                                  _differential_term(rng, depth - 1)))
+
+
+def _differential_equations(rng):
+    """Equation lists over six variables: variable chains, occurs-check
+    failures, clashes of constants of one or two kinds and of constants
+    with applications, and applications to decompose."""
+    eqs = []
+    for _ in range(rng.randrange(1, 6)):
+        roll = rng.random()
+        if roll < 0.2:
+            chain = rng.sample("abcdef", rng.randrange(2, 5))
+            eqs.extend(Eq(Var(a), Var(b)) for a, b in zip(chain, chain[1:]))
+        elif roll < 0.27:
+            x = Var(rng.choice("abcdef"))
+            eqs.append(Eq(x, App("+", (_differential_term(rng, 1), x))))
+        else:
+            eqs.append(Eq(_differential_term(rng, 2),
+                          _differential_term(rng, 2)))
+    return eqs
+
+
+def test_mgu_matches_the_rewrite_every_binding_reference():
+    """The triangular mgu returns the reference's dict, bindings and key
+    order alike, and None exactly when it does."""
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(100_000):
+        eqs = _differential_equations(rng)
+        got, want = mgu(eqs), reference_mgu(eqs)
+        if want is None:
+            assert got is None, eqs
+        else:
+            assert got is not None and list(got.items()) == list(want.items()), eqs
+            seen["applications"] += any(t.__class__ is App
+                                        for t in want.values())
+        seen[want is None] += 1
+    assert min(seen.values()) > 5000, seen
+
+
+CHAIN = [Eq(Var(f"x{i}"), Var(f"x{i - 1}")) for i in range(1, 3001)]
+
+
+def test_mgu_of_a_3000_link_chain_in_either_order():
+    """No walk, occurs check or resolution recurses along a chain.  The
+    equations are taken from the end of the list, so a chain given forwards
+    binds x3000 first."""
+    backwards = [f"x{i}" for i in range(3000, 0, -1)]
+    for eqs, order in ((CHAIN, backwards), (CHAIN[::-1], backwards[::-1])):
+        got = mgu(eqs)
+        assert list(got) == order
+        assert set(got.values()) == {Var("x0")}
+        ground = mgu(eqs + [Eq(Var("x0"), Const(7))])
+        assert len(ground) == 3001 and set(ground.values()) == {Const(7)}
+        loop = Eq(App("+", (Var("x3000"), Const(1))), Var("x0"))
+        assert mgu([loop] + eqs) is None
+        assert mgu(eqs + [loop]) is None
 
 
 # ----------------------------------------------------------- eval_ground
