@@ -118,7 +118,7 @@ def _search(store: Store, goal: NumberedConstraint, occ: Occurrence,
                         tuple(sorted(simps)))
         return
     entry = occ.partners[k]
-    for nc in store.candidates(phi, entry.pattern):
+    for nc in store.candidates(entry.pattern, occ.keys[k], phi):
         if nc.id in props or nc.id in simps:
             continue  # injective: distinct store elements per head position
         phi2 = match(entry.pattern, nc.constraint, phi)

@@ -6,7 +6,9 @@ show, and it never changes.  The normal form is the raw form under `theta`
 (with ground arithmetic evaluated); it is what matching and the argument
 indexes use, and it is refreshed for the woken entries whenever an
 equation arrives.  The argument index is keyed by (predicate, position,
-ground argument term), the term itself, never a rendering of it.
+argument term) for every argument, ground or not, the term itself, never a
+rendering of it, so a partner whose key argument is bound to an unsolved
+variable is looked up by that variable.
 `theta`, the idempotent m.g.u. of the equation substore, is kept in
 `add_equation` alone, which extends it by one equation per call; guards,
 wake-ups and normal forms all read it.  A variable -> bindings reverse
@@ -38,8 +40,8 @@ from collections import deque
 from typing import Iterable, Optional, Union
 
 from .record import Frozen, Record, setfield
-from .terms import (Chr, Const, Constraint, Eq, Subst, Term, apply_subst,
-                    instantiate, is_ground, mgu, render_constraint, vars_of)
+from .terms import (Chr, Const, Constraint, Eq, Subst, Term, Var, apply_subst,
+                    instantiate, mgu, render_constraint, vars_of)
 from .terms import render_term  # noqa: F401  (bench/instrument.py wraps it here)
 
 
@@ -111,27 +113,23 @@ class Store:
     def _index_add(self, cid: int, c: Chr) -> None:
         self._pred_index.setdefault(c.pred, {})[cid] = None
         for pos, arg in enumerate(c.args):
-            found = None if arg.__class__ is Const else vars_of(arg)
-            if found:
-                for v in found:
+            self._arg_index.setdefault((c.pred, pos, arg), {})[cid] = None
+            if arg.__class__ is not Const:
+                for v in vars_of(arg):
                     self._occ.setdefault(v, {})[cid] = None
-            else:
-                self._arg_index.setdefault((c.pred, pos, arg), {})[cid] = None
 
     def _index_remove(self, cid: int) -> None:
         c = self._view[cid].constraint
         del self._pred_index[c.pred][cid]
         for pos, arg in enumerate(c.args):
-            found = None if arg.__class__ is Const else vars_of(arg)
-            if found:
-                for v in found:  # add_equation has dropped those it wakes
+            key = (c.pred, pos, arg)
+            bucket = self._arg_index[key]
+            del bucket[cid]
+            if not bucket:  # keys come and go with the store
+                del self._arg_index[key]
+            if arg.__class__ is not Const:
+                for v in vars_of(arg):  # add_equation has dropped those it wakes
                     self._occ.get(v, {}).pop(cid, None)
-            else:
-                key = (c.pred, pos, arg)
-                bucket = self._arg_index[key]
-                del bucket[cid]
-                if not bucket:  # ground keys come and go with the store
-                    del self._arg_index[key]
 
     def insert(self, c: Chr) -> NumberedConstraint:
         """Store c under a fresh id; ids are never reused.  Returns the raw
@@ -213,26 +211,27 @@ class Store:
 
     # ------------------------------------------------------------ search
 
-    def candidates(self, partial: Subst, pattern: Chr) -> list[NumberedConstraint]:
+    def candidates(self, pattern: Chr, key: Optional[int],
+                   phi: Subst) -> list[NumberedConstraint]:
         """Alive constraints of the pattern's predicate that could match it
-        under the partial bindings, in their equation-normal form.  When
-        some pattern argument is ground under `partial`, the per-argument
-        hash index, keyed by that ground term, gives (expected)
-        constant-time lookup, in ascending id order; otherwise the
-        predicate bucket is scanned, in the order its entries were last
-        indexed: a wake-up re-indexes the woken entry after every entry
-        indexed before it (`A(x)#1`, `A(1)#2`, then `x=5`: ids 2, 1).  No
-        constraint is yielded twice.
+        under the bindings phi, in their equation-normal form.  `key` is the
+        pattern's key position from the join plan (`Occurrence.keys`), whose
+        argument is a constant or a variable phi binds: the argument index,
+        keyed by that term, ground or not, gives (expected) constant-time
+        lookup of exactly the entries with that argument, in ascending id
+        order.  With no key the predicate bucket is scanned, in the order
+        its entries were last indexed: a wake-up re-indexes the woken entry
+        after every entry indexed before it (`A(x)#1`, `A(1)#2`, then
+        `x=5`: ids 2, 1).  No constraint is yielded twice.
         """
-        pred, key = pattern.pred, None
-        for pos, arg in enumerate(pattern.args):
-            inst = instantiate(partial, arg)  # a variable's binding as is
-            if is_ground(inst):
-                key = (pred, pos, inst)
-                break
+        pred = pattern.pred
+        if key is not None:
+            arg = pattern.args[key]
+            if arg.__class__ is Var:
+                arg = phi[arg.name]
         with self.lock:
             if key is not None:
-                ids = sorted(self._arg_index.get(key, ()))
+                ids = sorted(self._arg_index.get((pred, key, arg), ()))
             else:
                 ids = list(self._pred_index.get(pred, ()))  # indexing order
             return list(map(self._view.__getitem__, ids))  # live ids only

@@ -282,13 +282,13 @@ class Rule(Frozen, compared=("name", "propagated", "simplified", "guard",
 class Occurrence(Frozen):
     """One head position of one rule, from the active goal's point of view.
 
-    `partners` is the join order for the remaining heads: heads that have an
-    argument computable from already-bound variables (an index key) are
-    scheduled first, ties in textual order.  `guard_at` is the earliest point
-    in the plan at which all guard variables are bound.  `keys[k]` is the
-    position of partner k's first argument that is a constant or a variable
-    bound before it in the plan, or None: there, matching the argument is
-    term equality, so the partner can be looked up by it.
+    `partners` is the join order for the remaining heads and `keys[k]` the
+    position of partner k's key: its first argument that is a constant or a
+    variable bound before it in the plan, or None.  There matching the
+    argument is term equality, so the engine's store and the oracle both
+    look the partner up by that argument.  A partner with a key is
+    scheduled first, ties in textual order.  `guard_at` is the earliest
+    point in the plan at which all guard variables are bound.
     """
 
     __slots__ = ("rule_index", "role", "pos", "pattern", "partners",
@@ -318,12 +318,11 @@ class Program(Frozen, compared=("rules",)):
         occ: dict[str, list[Occurrence]] = {}
         for r in rules:
             for head in r.heads:
-                partners = _join_order(r, head)
-                bound = vars_of(head.pattern)
+                partners, keys = _join_plan(r, head)
                 occ.setdefault(head.pattern.pred, []).append(Occurrence(
                     r.index, head.role, head.pos, head.pattern, partners,
-                    _guard_at(r.guard, partners, bound),
-                    _keys(partners, bound)))
+                    _guard_at(r.guard, partners, vars_of(head.pattern)),
+                    keys))
         setfield(self, "occurrences", {k: tuple(v) for k, v in occ.items()})
 
     def rule(self, name: str) -> Rule:
@@ -441,34 +440,30 @@ def parse_term_text(text: str) -> Term:
 
 # ------------------------------------------------------ occurrence tables
 
-def _join_order(rule: Rule, active: Head) -> tuple[Head, ...]:
-    """The other heads of rule in join order."""
+def _join_plan(rule: Rule, active: Head) -> tuple[tuple[Head, ...],
+                                                 tuple[Optional[int], ...]]:
+    """The other heads of rule in join order, and per head the position of
+    its key: its first argument that is a constant or a variable bound by
+    the active head or a head before it, or None.  A head with a key comes
+    first, ties in textual order."""
     remaining = [h for h in rule.heads if h != active]
     bound = vars_of(active.pattern)
     order: list[Head] = []
+    keys: list[Optional[int]] = []
     while remaining:
-        # some argument becomes ground once the heads before it are bound
-        pick = next((h for h in remaining
-                     if any(vars_of(a) <= bound for a in h.pattern.args)),
-                    remaining[0])
+        pick, key = remaining[0], None
+        for h in remaining:
+            key = next((i for i, a in enumerate(h.pattern.args)
+                        if a.__class__ is Const
+                        or a.__class__ is Var and a.name in bound), None)
+            if key is not None:
+                pick = h
+                break
         remaining.remove(pick)
         order.append(pick)
+        keys.append(key)
         bound |= vars_of(pick.pattern)
-    return tuple(order)
-
-
-def _keys(heads: tuple[Head, ...],
-          bound: set[str]) -> tuple[Optional[int], ...]:
-    """Per head, matched in order after the variables in bound, the position
-    of its first argument that is a constant or an already bound variable,
-    or None."""
-    out, bound = [], set(bound)
-    for h in heads:
-        out.append(next((i for i, a in enumerate(h.pattern.args)
-                         if isinstance(a, Const)
-                         or isinstance(a, Var) and a.name in bound), None))
-        bound |= vars_of(h.pattern)
-    return tuple(out)
+    return tuple(order), tuple(keys)
 
 
 def _guard_at(guard: Term, heads: tuple[Head, ...], bound: set[str]) -> int:

@@ -74,8 +74,8 @@ class Const(Frozen):
         return hash(self.value)
 
 
-class App(Frozen):
-    __slots__ = ("fn", "args")
+class App(Frozen, compared=("fn", "args")):
+    __slots__ = ("fn", "args", "_hash")
 
     def __init__(self, fn: str, args: tuple["Term", ...]):
         if fn not in FUNCTION_SYMBOLS:
@@ -84,13 +84,16 @@ class App(Frozen):
             raise ValueError(f"{fn!r} expects 2 arguments, got {len(args)}")
         setfield(self, "fn", fn)
         setfield(self, "args", args)
+        # computed once, from the arguments' own kept hashes: hashing a term
+        # (the store indexes every argument) never recurses on its depth
+        setfield(self, "_hash", hash((fn, args)))
 
     def __eq__(self, other):
         return (other.__class__ is App and self.fn == other.fn
                 and self.args == other.args)
 
     def __hash__(self):
-        return hash((self.fn, self.args))
+        return self._hash
 
 
 Term = Union[Var, Const, App]
@@ -132,14 +135,6 @@ class Eq(Frozen):
 
 Constraint = Union[Chr, Eq]
 Subst = dict[str, Term]
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Const):
-        return True
-    return all(is_ground(a) for a in t.args)
 
 
 def vars_of(x: Union[Term, Constraint]) -> set[str]:

@@ -7,7 +7,7 @@ from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.store import DeadIdError, NumberedConstraint, Store
 from chrkit.syntax import load_program, parse_goals
-from chrkit.terms import (App, Chr, Const, Eq, Var, apply_subst, mgu,
+from chrkit.terms import (App, Chr, Const, Eq, Var, apply_subst, match, mgu,
                           render_constraint)
 from chrkit.trace import serialize_trace
 from chrkit.verify import _Replica, verify_run
@@ -66,7 +66,7 @@ def test_kill_marks_dead_and_removes_from_lookups():
     assert not st.alive(a.id)
     assert st.alive(b.id)
     assert [nc.id for nc in st.live_items()] == [b.id]
-    assert st.candidates({}, Chr("A", (Var("x"),))) == []
+    assert st.candidates(Chr("A", (Var("x"),)), None, {}) == []
 
 
 def test_kill_empty_set_is_identity():
@@ -102,8 +102,9 @@ def test_a_killed_entry_is_freed_everywhere():
     assert st.size() == 1 and st.live_items() == [keep]
     assert st.dump() == "B(y,1)#1"
     assert st.drop_ids() == [keep.constraint]
-    by_index = st.candidates({"x": Const(1)}, Chr("B", (Var("w"), Var("x"))))
-    by_scan = st.candidates({}, Chr("B", (Var("w"), Var("x"))))
+    pattern = Chr("B", (Var("w"), Var("x")))
+    by_index = st.candidates(pattern, 1, {"x": Const(1)})
+    by_scan = st.candidates(pattern, None, {})
     assert [nc.id for nc in by_index] == [nc.id for nc in by_scan] == [keep.id]
     assert _listing(st, dead.id) == []
     with pytest.raises(DeadIdError):
@@ -115,10 +116,13 @@ def test_a_killed_entry_is_freed_everywhere():
 def test_a_woken_entry_leaves_the_buckets_of_its_current_form():
     st = Store()
     a = st.insert(Chr("A", (Var("x"),)))
-    assert _listing(st, a.id) == [("_pred_index", "A"), ("_occ", "x")]
+    assert _listing(st, a.id) == [("_pred_index", "A"),
+                                  ("_arg_index", ("A", 0, Var("x"))),
+                                  ("_occ", "x")]
     st.add_equation(Eq(Var("x"), Const(3)))
     assert _listing(st, a.id) == [("_pred_index", "A"),
                                   ("_arg_index", ("A", 0, Const(3)))]
+    assert ("A", 0, Var("x")) not in st._arg_index
     st.kill({a.id})
     assert _listing(st, a.id) == []
     assert ("A", 0, Const(3)) not in st._arg_index and "x" not in st._occ
@@ -139,20 +143,21 @@ def test_candidates_uses_ground_argument_index():
     hits = [st.insert(chr1("B", 1)) for _ in range(3)]
     st.insert(chr1("B", 2))
     st.insert(chr1("B", 7))
-    got = st.candidates({"x": Const(1)}, Chr("B", (Var("x"),)))
+    got = st.candidates(Chr("B", (Var("x"),)), 0, {"x": Const(1)})
     assert [nc.id for nc in got] == [nc.id for nc in hits]
 
 
 def test_candidates_empty_store():
     st = Store()
-    assert st.candidates({}, Chr("A", (Var("x"),))) == []
+    assert st.candidates(Chr("A", (Var("x"),)), None, {}) == []
+    assert st.candidates(Chr("A", (Var("x"),)), 0, {"x": Const(1)}) == []
 
 
 def test_candidates_non_ground_key_scans_predicate():
     st = Store()
     inserted = [st.insert(chr1("A", k)) for k in range(5)]
     st.insert(chr1("B", 9))
-    got = st.candidates({}, Chr("A", (Var("x"),)))
+    got = st.candidates(Chr("A", (Var("x"),)), None, {})
     # linear-scan oracle: every alive A in id order
     assert [nc.id for nc in got] == [nc.id for nc in inserted]
 
@@ -167,9 +172,9 @@ def test_bucket_scan_lists_a_woken_entry_after_those_indexed_before():
     st.insert(chr1("A", 1))
     assert [nc.id for nc in st.add_equation(Eq(Var("x"), Const(5)))] == [1]
     st.insert(chr1("A", 5))
-    scan = st.candidates({}, Chr("A", (Var("y"),)))
+    scan = st.candidates(Chr("A", (Var("y"),)), None, {})
     assert [nc.id for nc in scan] == [2, 1, 3]
-    hits = st.candidates({"y": Const(5)}, Chr("A", (Var("y"),)))
+    hits = st.candidates(Chr("A", (Var("y"),)), 0, {"y": Const(5)})
     assert [nc.id for nc in hits] == [1, 3]
 
 
@@ -188,7 +193,7 @@ def test_candidates_index_agrees_with_linear_scan_randomized():
     for pred in "AB":
         for v in range(4):
             got = [nc.id for nc in
-                   st.candidates({"x": Const(v)}, Chr(pred, (Var("x"),)))]
+                   st.candidates(Chr(pred, (Var("x"),)), 0, {"x": Const(v)})]
             want = [nc.id for nc in st.live_items()
                     if nc.constraint.pred == pred
                     and nc.constraint.args[0] == Const(v)]
@@ -200,23 +205,115 @@ def test_candidates_for_1_never_return_true():
     p_true = st.insert(Chr("P", (Const(True),)))
     p_one = st.insert(Chr("P", (Const(1),)))
     p_sum = st.insert(Chr("P", (App("+", (Const(0), Const(1))),)))
-    got = st.candidates({}, Chr("P", (Const(1),)))
+    got = st.candidates(Chr("P", (Const(1),)), 0, {})
     assert [nc.id for nc in got] == [p_one.id, p_sum.id]
-    got = st.candidates({"x": Const(True)}, Chr("P", (Var("x"),)))
+    pattern = Chr("P", (Var("x"),))
+    got = st.candidates(pattern, 0, {"x": Const(True)})
     assert [nc.id for nc in got] == [p_true.id]
-    pattern = Chr("P", (App("+", (Var("x"), Const(1))),))
-    got = st.candidates({"x": Const(0)}, pattern)
+    got = st.candidates(pattern, 0, {"x": Const(1)})
     assert [nc.id for nc in got] == [p_one.id, p_sum.id]
     st.kill({p_one.id})
-    got = st.candidates({"x": Const(1)}, Chr("P", (Var("x"),)))
+    got = st.candidates(pattern, 0, {"x": Const(1)})
     assert [nc.id for nc in got] == [p_sum.id]
+
+
+def test_candidates_by_an_unsolved_variable():
+    """Root(a) with a bound to the unsolved x finds the entries whose
+    argument is x and no other; once x=5 wakes them, a lookup by x finds
+    none of them and one by 5 finds them with Root(5), in ascending id
+    order."""
+    st = Store()
+    for arg in (Var("x"), Var("y"), Const(5), Var("x"),
+                App("+", (Var("x"), Const(1)))):
+        st.insert(Chr("Root", (arg,)))
+    pattern = Chr("Root", (Var("a"),))
+    got = st.candidates(pattern, 0, {"a": Var("x")})
+    assert [nc.id for nc in got] == [1, 4]
+    assert [nc.id for nc in st.add_equation(Eq(Var("x"), Const(5)))] == [1, 4, 5]
+    assert st.candidates(pattern, 0, {"a": Var("x")}) == []
+    got = st.candidates(pattern, 0, {"a": Const(5)})
+    assert [nc.id for nc in got] == [1, 3, 4]
+    got = st.candidates(pattern, 0, {"a": Const(6)})
+    assert [nc.id for nc in got] == [5]
+    got = st.candidates(pattern, None, {})
+    assert [nc.id for nc in got] == [2, 3, 1, 4, 5]
+
+
+def test_a_deep_argument_is_indexed_and_looked_up():
+    """Every argument is a key, however deep: `App` keeps its hash, so
+    listing A(t) for t = x+1+...+1, 600 levels deep, and looking it up by
+    t hash it without recursing on its depth, which would pass the
+    interpreter's recursion limit."""
+    t = Var("x")
+    for _ in range(600):
+        t = App("+", (t, Const(1)))
+    st = Store()
+    st.insert(Chr("A", (t,)))
+    st.insert(Chr("A", (App("+", (t, Const(1))),)))
+    got = st.candidates(Chr("A", (Var("a"),)), 0, {"a": t})
+    assert [nc.id for nc in got] == [1]
+
+
+def random_argument(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.4:
+        return Var(rng.choice(VARS))
+    if roll < 0.7 or depth == 3:
+        return Const(rng.choice((0, 1, 2, True)))
+    return App(rng.choice("+-*"), (random_argument(rng, depth + 1),
+                                   random_argument(rng, depth + 1)))
+
+
+def test_keyed_candidates_agree_with_a_filtered_bucket_scan():
+    """On random stores with variables and nested arguments, through kills
+    and Solves that wake entries, a lookup by a key argument (a head
+    constant, or a variable bound to a store argument or to a random term)
+    gives exactly the entries of the bucket scan that match the pattern,
+    in ascending id order."""
+    rng = random.Random(24)
+    woken = hits = 0
+    for _ in range(150):
+        st = Store()
+        for _ in range(rng.randrange(5, 30)):
+            alive = [nc.id for nc in st.live_items()]
+            roll = rng.random()
+            if roll < 0.6 or not alive:
+                st.insert(Chr(rng.choice("AB"), (random_argument(rng),
+                                                 random_argument(rng))))
+            elif roll < 0.8:
+                st.kill({rng.choice(alive)})
+            elif not st.inconsistent:
+                woken += len(st.add_equation(
+                    Eq(Var(rng.choice(VARS)), random_argument(rng, 2))))
+            values = [a for i in alive if st.get(i)
+                      for a in st.get(i).constraint.args]
+            values += [random_argument(rng) for _ in range(3)]
+            for _ in range(6):
+                pred, key = rng.choice("AB"), rng.randrange(2)
+                value = rng.choice(values)
+                args, phi = [Var("p"), Var("q")], {}
+                if value.__class__ is Const and rng.random() < 0.5:
+                    args[key] = value  # a head constant
+                else:
+                    phi[args[key].name] = value
+                pattern = Chr(pred, tuple(args))
+                keyed = [nc.id for nc in st.candidates(pattern, key, phi)]
+                scan = st.candidates(pattern, None, {})
+                assert sorted(nc.id for nc in scan) == [
+                    nc.id for nc in st.live_items()
+                    if nc.constraint.pred == pred]
+                matched = [nc.id for nc in scan
+                           if match(pattern, nc.constraint, phi) is not None]
+                assert keyed == sorted(matched), (pattern, phi, st.dump())
+                hits += bool(keyed)
+    assert woken > 300 and hits > 3000
 
 
 def test_index_completeness():
     st = Store()
     ncs = [st.insert(chr1("A", k % 3)) for k in range(9)]
     st.kill({ncs[0].id, ncs[4].id})
-    listed = {nc.id for nc in st.candidates({}, Chr("A", (Var("v"),)))}
+    listed = {nc.id for nc in st.candidates(Chr("A", (Var("v"),)), None, {})}
     assert listed == {nc.id for nc in st.live_items()}
 
 
@@ -256,7 +353,7 @@ def test_add_equation_renormalizes_matching_view():
     # the raw entry never changes; the matching view and index follow theta
     assert st.live_items() == [NumberedConstraint(Chr("A", (Var("a"),)), a.id)]
     assert st.get(a.id).constraint == chr1("A", 2)
-    got = st.candidates({"x": Const(2)}, Chr("A", (Var("x"),)))
+    got = st.candidates(Chr("A", (Var("x"),)), 0, {"x": Const(2)})
     assert [nc.id for nc in got] == [a.id]
     assert st.dump() == "A(a)#1\na=2"
 

@@ -169,6 +169,15 @@ def test_join_plan_prefers_indexed_lookup_then_schedules_guard():
     assert occ.guard_at == 1
 
 
+def test_join_plan_schedules_a_keyed_partner_before_a_compound_argument():
+    """B(x+1) has no key, as x+1 is neither a constant nor a bound variable;
+    C(x) has one, so C is looked up first and B after it."""
+    p = load_program("r @ A(x), B(x+1), C(x) <=> true.")
+    occ = next(o for o in p.occurrences["A"])
+    assert [e.pattern.pred for e in occ.partners] == ["C", "B"]
+    assert occ.keys == (0, None)
+
+
 def test_join_plan_guard_first_when_active_head_binds_all():
     p = load_program("r @ A(x,y) \\ B(x), C(y) <=> x>y | D.")
     occ = next(o for o in p.occurrences["A"])

@@ -10,6 +10,7 @@ import pytest
 
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
+from chrkit.store import Store
 from chrkit.syntax import parse_goals
 from chrkit.trace import serialize_trace
 from chrkit.verify import verify_run
@@ -78,3 +79,26 @@ def test_union_find_partition_and_wake_ups(workers):
         assert all(v.passed for v in verdicts), (seed, verdicts)
         woken += sum(1 for st in res.trace if st.kind == "Solve" and st.prop_ids)
     assert woken > 0
+
+
+def test_partners_bound_to_unsolved_variables_are_looked_up(monkeypatch):
+    """Sequential union-find at n = 400: Root(a) in link and Edge(a,c) in
+    linkup1 are looked up by a, bound to an unsolved variable, so
+    `Store.candidates` returns at most 2 entries per call on average, not
+    the whole bucket (41.8 when only ground arguments were keys)."""
+    calls = returned = 0
+    candidates = Store.candidates
+
+    def counted(self, *args):
+        nonlocal calls, returned
+        found = candidates(self, *args)
+        calls += 1
+        returned += len(found)
+        return found
+
+    monkeypatch.setattr(Store, "candidates", counted)
+    pairs, goals = union_find_goals(400, 1)
+    res = run_sequential(goals, load("union_find"))
+    assert res.status == "done"
+    assert dump_partition(res.state.store.dump()) == reference_partition(400, pairs)
+    assert returned / calls <= 2, (returned, calls)
