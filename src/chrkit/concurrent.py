@@ -5,14 +5,16 @@ Each worker runs `SequentialEngine.run_goals` on goals of its own and takes
 further goals from a shared pool, so the goal step and the goal loop are
 the sequential ones: a concurrent step is the sequential step committed
 under the store lock.  This module defines only what is concurrent.  The
-commit checks the step limit, numbers the step by its position in the
-trace, applies it and appends it in one store-lock section, so the trace is
-the engine's only clock: a step's seq is its commit tick, as in the
-sequential engine, and a scan's start is the last seq it can see.  A firing
-found by scanning is made real only by that commit: every involved id is
-revalidated alive, and the simplified ids must not have been propagated
-over by a step that committed after the scan's start (the
-last-propagation-tick check).  The second condition is what makes every
+commit is the sequential one, held in one store-lock section.  It checks
+the step limit, numbers the step by its position in the trace, applies it
+and appends it, so the trace is the engine's only clock: a step's seq is its
+commit tick, as in the sequential engine, and a scan's start is the last
+seq it can see.  A firing found by scanning is made real only by that
+commit: every involved id is revalidated alive, and no step committed after
+the scan's start may have propagated over a simplified id.  That check
+reads the P sets of those steps in the trace; no other record of
+propagations is kept (the backward validation of optimistic concurrency
+control, Kung & Robinson 1981).  The second condition is what makes every
 pair of committed records whose (start, commit) intervals overlap
 non-overlapping in the side-effect sense: their simplified sets are
 disjoint from each other's propagated and simplified sets.  An aborted
@@ -36,10 +38,9 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .abstract import HistoryKey
-from .matching import RunResult
 from .matching import iter_matches  # noqa: F401  (bench/instrument.py wraps it here)
 from .record import Record
-from .sequential import SequentialEngine, _StepLimit, _TickConflict
+from .sequential import SequentialEngine, _TickConflict
 from .syntax import Program
 from .terms import Constraint
 
@@ -117,7 +118,6 @@ class ConcurrentEngine(SequentialEngine):
         self.store = self.state.store
         rng = random.Random(cfg.seed) if cfg.workers > 1 else None
         self.pool = _Pool(self.state.goals, cfg.workers, rng)
-        self.last_prop_tick: dict[int, int] = {}
         self._crashed: Optional[BaseException] = None
 
     def _stop(self, status: str) -> None:
@@ -127,45 +127,30 @@ class ConcurrentEngine(SequentialEngine):
     # ----------------------------------------------------------- commits
 
     def _commit(self, effect, start: int, worker: int, item, goals: deque):
-        """The sequential commit under the store lock, with the interval
-        (start, seq); the step is the last propagation over its prop_ids."""
         with self.store.lock:
-            seq = len(self.trace)
-            if self.max_steps is not None and seq >= self.max_steps:
-                if self.status == "done":
-                    self._stop("step-limit")
-                raise _StepLimit
-            step = effect(seq, worker, (start, seq), item, goals)
-            if step is not None:
-                for i in step.prop_ids:
-                    self.last_prop_tick[i] = seq
-                # The append is the last write of every commit: a scan reads
-                # its start, len(self.trace) - 1, without the lock, as the
-                # last seq whose effects it can see.
-                self.trace.append(step)
-            return step
+            return super()._commit(effect, start, worker, item, goals)
 
     def commit_firing(self, simp_ids: tuple[int, ...],
                       prop_ids: tuple[int, ...], start_tick: int,
                       history_key: Optional[HistoryKey] = None) -> Optional[int]:
-        """Revalidate every involved id alive, refuse simplified ids
-        propagated over after start_tick (the last seq the scan saw), then
-        kill the simplified set and drop its ticks.  Returns the commit
-        tick, or None if nothing was mutated; _TickConflict means rescan.
-        Atomic inside `_commit`, whose lock is not re-entrant: nothing in a
-        commit may take it again, as `Store.candidates` does."""
+        """Revalidate every involved id alive, refuse simplified ids that a
+        step committed after start_tick (the last seq the scan saw)
+        propagated over, as the trace since then records, then kill the
+        simplified set.  Returns the commit tick, or None if nothing was
+        mutated; _TickConflict means rescan.  Atomic inside `_commit`, whose
+        lock is not re-entrant: nothing in a commit may take it again, as
+        `Store.candidates` does."""
         store = self.store
         if store.inconsistent:
             return None  # the run is failing; nothing may fire after that
         if not all(store.alive(i) for i in simp_ids + prop_ids):
             return None  # lost race: some head died under us
-        for i in simp_ids:
-            if self.last_prop_tick.get(i, -1) > start_tick:
+        trace = self.trace
+        for j in range(start_tick + 1, len(trace)):  # unseen by the scan
+            if any(i in trace[j].prop_ids for i in simp_ids):
                 raise _TickConflict
         if history_key in self.history:
             return None  # another worker fired this instance first
-        for i in simp_ids:  # a dead id is never checked again
-            self.last_prop_tick.pop(i, None)
         return super().commit_firing(simp_ids, prop_ids, start_tick, history_key)
 
     # --------------------------------------------------------------- run
@@ -181,12 +166,12 @@ class ConcurrentEngine(SequentialEngine):
             if local:
                 self.pool.push_front(local)
 
-    def run(self, goals: Iterable[Constraint]) -> RunResult:
+    def run(self, goals: Iterable[Constraint]) -> ConcurrentEngine:
         """Run workers 1..n-1 on threads of their own and worker 0 on the
-        calling thread; return once every worker has stopped.  A worker's
-        exception is re-raised here, after the joins.  If a thread cannot be
-        started, the run is stopped, the started threads are joined and
-        `WorkerStartError` is raised."""
+        calling thread; return the engine once every worker has stopped.
+        A worker's exception is re-raised here, after the joins.  If a
+        thread cannot be started, the run is stopped, the started threads
+        are joined and `WorkerStartError` is raised."""
         self.load_goals(goals)
         threads = []
         for w in range(1, self.cfg.workers):
@@ -206,11 +191,11 @@ class ConcurrentEngine(SequentialEngine):
             t.join()
         if self._crashed is not None:
             raise self._crashed
-        return RunResult(self.state, self.trace, self.history, self.status)
+        return self
 
 
 def run_concurrent(goals: Iterable[Constraint], program: Program,
-                   cfg: Optional[EngineConfig] = None) -> RunResult:
+                   cfg: Optional[EngineConfig] = None) -> ConcurrentEngine:
     engine = ConcurrentEngine(program, cfg or EngineConfig())
     return engine.run(goals)
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .abstract import HistoryKey
-from .record import Frozen, Record, setfield
-from .store import GoalItem, NumberedConstraint, State, Store
+from .record import Frozen, setfield
+from .store import GoalItem, NumberedConstraint, Store
 from .syntax import Occurrence, Program, Rule
 from .terms import Subst, holds, instantiate, match
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
@@ -65,20 +65,6 @@ class Match(Frozen):
         if self.kind == "Propagate":
             goals.append(self.goal)
         return goals
-
-
-class RunResult(Record):
-    """A goal-engine run; the trace is the committed steps in seq order, with
-    worker and interval set on the concurrent engine's."""
-
-    __slots__ = ("state", "trace", "history", "status")
-
-    def __init__(self, state: State, trace: list[Step],
-                 history: set[HistoryKey], status: str):
-        self.state = state
-        self.trace = trace
-        self.history = history
-        self.status = status  # done | failed | step-limit
 
 
 def iter_matches(store: Store, goal: NumberedConstraint,

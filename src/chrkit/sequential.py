@@ -21,7 +21,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from .abstract import HistoryKey
-from .matching import Match, RunResult, iter_matches
+from .matching import Match, iter_matches
 from .store import NumberedConstraint, State
 from .syntax import Program
 from .terms import Chr, Constraint, Eq, normalize_constraint
@@ -56,7 +56,7 @@ class SequentialEngine:
         self.state = State()
         self.trace: list[Step] = []  # the commit clock: a step's seq is its index
         self.history: set[HistoryKey] = set()
-        self.status = "done"
+        self.status = "done"  # | failed | step-limit
 
     def _stop(self, status: str) -> None:
         self.status = status
@@ -64,13 +64,20 @@ class SequentialEngine:
     def _commit(self, effect, start: int, worker, item, goals: deque):
         """Stop at the step limit, number the step by its trace position,
         apply `effect(seq, worker, interval, item, goals)` (None: nothing
-        mutated) and append the step; `start` is for concurrent commits."""
+        mutated) and append the step.  A step with a worker is a concurrent
+        commit and gets the interval (start, seq), `start` being the last
+        seq its scan saw; a step without one gets none."""
         seq = len(self.trace)
         if self.max_steps is not None and seq >= self.max_steps:
-            self._stop("step-limit")
+            if self.status == "done":
+                self._stop("step-limit")
             raise _StepLimit
-        step = effect(seq, worker, None, item, goals)
+        interval = None if worker is None else (start, seq)
+        step = effect(seq, worker, interval, item, goals)
         if step is not None:
+            # The append is the last write of every commit: a concurrent scan
+            # reads its start, len(self.trace) - 1, without the lock, as the
+            # last seq whose effects it can see.
             self.trace.append(step)
         return step
 
@@ -175,10 +182,11 @@ class SequentialEngine:
         for g in goals:
             add(normalize_constraint(g))
 
-    def run(self, goals: Iterable[Constraint]) -> RunResult:
+    def run(self, goals: Iterable[Constraint]) -> SequentialEngine:
+        """Run the goals; the engine returned holds the run's outcome."""
         self.load_goals(goals)
         self.run_goals(self.state.goals)
-        return RunResult(self.state, self.trace, self.history, self.status)
+        return self
 
     # -------------------------------------------------------- invariants
 
@@ -199,6 +207,6 @@ class SequentialEngine:
 
 def run_sequential(goals: Iterable[Constraint], program: Program,
                    policy: str = "fifo", max_steps: Optional[int] = None,
-                   check_invariants: bool = False) -> RunResult:
+                   check_invariants: bool = False) -> SequentialEngine:
     engine = SequentialEngine(program, policy, max_steps, check_invariants)
     return engine.run(goals)

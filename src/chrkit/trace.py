@@ -64,16 +64,6 @@ class Step(Record):
         self.worker = worker
         self.interval = interval
 
-    def __eq__(self, other):
-        if other.__class__ is not Step:
-            return NotImplemented
-        return ((self.seq, self.kind, self.goal, self.goal_id, self.rule,
-                 self.phi, self.prop_ids, self.simp_ids, self.worker,
-                 self.interval)
-                == (other.seq, other.kind, other.goal, other.goal_id,
-                    other.rule, other.phi, other.prop_ids, other.simp_ids,
-                    other.worker, other.interval))
-
 
 def _ids_text(ids) -> str:
     return "{" + ",".join(str(i) for i in ids) + "}"

@@ -11,7 +11,7 @@ import pytest
 import chrkit.sequential as sequential
 from chrkit.abstract import AbstractStore, LimitExceeded, canonical_multiset
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
-from chrkit.matching import RunResult, iter_matches
+from chrkit.matching import iter_matches
 from chrkit.store import NumberedConstraint, State, Store
 from chrkit.syntax import (ParseError, Program, Rule, Token, load_program,
                            parse_goals)
@@ -423,7 +423,7 @@ def concurrent_compose_check(s: AbstractStore,
 # ------------------------------------------------ scripted concurrent runs
 
 def run_scripted_pair(program: Program, goals: Iterable[Constraint],
-                      monkeypatch) -> RunResult:
+                      monkeypatch) -> ConcurrentEngine:
     """A concurrent run under a fixed two-worker schedule, in one thread.
 
     Worker 0 is the engine's own thread.  Each time it has found a match and

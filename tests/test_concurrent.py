@@ -11,8 +11,8 @@ from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                                _TickConflict)
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
-from chrkit.terms import Chr, Const, Var
-from chrkit.trace import serialize_trace, step_to_line
+from chrkit.terms import Chr, Const, Eq, Var
+from chrkit.trace import Step, serialize_trace, step_to_line
 from chrkit.verify import check_final, decompose_k, verify_run
 
 from conftest import (CORPUS, MULTI_FIRING, equation_fuzz_case, fuzz_case,
@@ -38,14 +38,13 @@ def test_empty_goals_empty_trace():
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_propagation_ticks_are_kept_for_live_ids_only(workers):
+def test_gcd_on_workers_simplifies_propagated_heads_down_to_one_entry(workers):
     rng = random.Random(3)
     goals = [Chr("Gcd", (Const(6 * rng.randint(1, 59)),)) for _ in range(100)]
     eng = ConcurrentEngine(load("gcd"), EngineConfig(workers=workers, seed=1))
-    res = eng.run(goals)
-    assert res.status == "done" and eng.store.size() == 1
-    assert any(s.prop_ids for s in res.trace if s.kind == "Simplify")
-    assert all(eng.store.alive(i) for i in eng.last_prop_tick)
+    assert eng.run(goals) is eng
+    assert eng.status == "done" and eng.store.size() == 1
+    assert any(s.prop_ids for s in eng.trace if s.kind == "Simplify")
 
 
 def _lines(trace):
@@ -154,6 +153,87 @@ def test_commit_firing_rejects_simplify_after_overlapping_propagation():
         eng.commit_firing((nc.id,), (), early_start)
     # with a fresh scan, which saw the propagation, it goes through
     assert eng.commit_firing((nc.id,), (), prop.seq) is not None
+
+
+def test_commit_firing_rejects_simplify_of_an_id_a_solve_woke_since():
+    """A Solve propagates over the ids it wakes: a firing whose scan started
+    before the Solve committed may not simplify them."""
+    eng = ConcurrentEngine(load("channel"), EngineConfig(workers=1))
+    get = eng.store.insert(Chr("Get", (Var("x"),)))
+    put = eng.store.insert(Chr("Put", (Const(1),)))
+    early_start = len(eng.trace) - 1
+    solve = eng.step_solve(Eq(Var("x"), Const(5)), deque(), 0)
+    assert (solve.kind, solve.prop_ids) == ("Solve", (get.id,))
+    with pytest.raises(_TickConflict):
+        eng.commit_firing((get.id, put.id), (), early_start)
+    assert eng.commit_firing((get.id, put.id), (), solve.seq) is not None
+
+
+def last_propagation_ticks(trace) -> dict[int, int]:
+    """The table the concurrent engine once kept beside its trace: per live
+    id, the seq of the last step that propagated over it.  Every commit
+    wrote its P; a simplified id left the table, since a dead id never
+    reaches the check."""
+    ticks: dict[int, int] = {}
+    for step in trace:
+        for i in step.simp_ids:
+            ticks.pop(i, None)
+        for i in step.prop_ids:
+            ticks[i] = step.seq
+    return ticks
+
+
+def test_tick_check_on_the_trace_agrees_with_a_last_propagation_table():
+    """On seeded random traces over a few ids, commit_firing refuses a
+    simplified set exactly when the table replayed from the same trace
+    says an id in it was propagated over after the scan's start; it
+    commits otherwise, unless an id is dead."""
+    rng = random.Random(25)
+
+    def pick(ids, lo, hi):
+        k = min(len(ids), rng.randint(lo, hi))
+        return tuple(sorted(rng.sample(ids, k)))
+
+    outcomes = Counter()
+    for case in range(600):
+        eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
+        ids = [eng.store.insert(Chr("P")).id for _ in range(8)]
+        for seq in range(rng.randint(0, 30)):
+            alive = [i for i in ids if eng.store.alive(i)]
+            kind = rng.choice(("Propagate", "Propagate", "Simplify", "Solve",
+                               "Drop"))
+            prop = () if kind == "Drop" else pick(alive, 0, 3)
+            simp = ()
+            if kind == "Simplify":
+                simp = pick([i for i in alive if i not in prop], 1, 2)
+                eng.store.kill(simp)
+            start = rng.randint(-1, seq - 1)
+            eng.trace.append(Step(seq, kind, Chr("P"), None, None, {}, prop,
+                                  simp, 0, (start, seq)))
+        start = rng.randint(-1, len(eng.trace) - 1)
+        # mostly live ids; now and then one that a Simplify step killed
+        pool = ids if rng.random() < 0.2 else [i for i in ids
+                                                if eng.store.alive(i)]
+        simp = pick(pool, 0, 2)
+        prop = pick([i for i in pool if i not in simp], 0, 2)
+        ticks = last_propagation_ticks(eng.trace)
+        if not all(eng.store.alive(i) for i in simp + prop):
+            want = "stale"
+        elif any(ticks.get(i, -1) > start for i in simp):
+            want = "conflict"
+            # the last propagation over the id need not be the last step
+            if all(ticks.get(i, -1) < len(eng.trace) - 1 for i in simp):
+                outcomes["conflict before the last step"] += 1
+        else:
+            want = "commit"
+        try:
+            tick = eng.commit_firing(simp, prop, start)
+            got = "stale" if tick is None else "commit"
+        except _TickConflict:
+            got = "conflict"
+        assert got == want, (case, start, simp, prop, eng.trace)
+        outcomes[want] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_propagation_history_insert_if_absent_is_atomic():
