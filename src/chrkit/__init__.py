@@ -6,7 +6,7 @@ goal-based executor) plus a verifier that replays recorded traces and
 checks them against the abstract semantics.
 """
 from .abstract import (AbstractStore, LimitExceeded, canonical_multiset,
-                       final_stores, is_final, rewrite_steps, run_abstract)
+                       final_stores, rewrite_steps, run_abstract)
 from .concurrent import ConcurrentEngine, EngineConfig, run_concurrent
 from .sequential import SequentialEngine, run_sequential
 from .store import NumberedConstraint, State, Store
@@ -16,6 +16,6 @@ from .terms import (App, Chr, Const, Eq, EvalError, Term, Var, apply_subst,
                     entails, eval_ground, match, mgu)
 from .trace import Step, parse_trace, serialize_trace
 from .verify import (Verdict, audit_overlap, check_final, decompose_k,
-                     project_abstract, replay, verify_run)
+                     project_abstract, verify_run)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -427,12 +427,6 @@ def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],
     return body, tuple(render_constraint(c) for c in body)
 
 
-def is_final(s: AbstractStore, p: Program) -> bool:
-    """No more rules apply (inconsistent equations also yield a final store,
-    mirroring the engines' failed-state convention)."""
-    return not rewrite_steps(s, p)
-
-
 # ------------------------------------------------------- canonical forms
 
 def canonical_multiset(cs: Iterable[Constraint]) -> tuple[str, ...]:

@@ -5,11 +5,12 @@
            [--trace PATH] [--verify] [--oracle] [--repeat N]
            [--check-invariants]
 
-Prints the final store in dump format.  Exit codes: 0 success, 1 parse or
-validation error (a term nested too deeply for the interpreter, or a flag
-the mode would ignore, included), unwritable trace file, a concurrent
-worker thread that could not be started (the run is stopped first),
-verification failure or step limit, 2 internal invariant breach.
+Prints the final store in dump format.  Exit codes: 0 success, 1 usage,
+parse or validation error (a malformed option, goal or program text nested
+past the depth bound, a flag the mode would ignore, --goals with
+--goals-file), unwritable trace file, a concurrent worker thread that could
+not be started (the run is stopped first), verification failure or step
+limit, 2 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -28,8 +29,13 @@ from .trace import TraceFormatError, serialize_trace
 from .verify import verify_run
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as other errors do
+        self.exit(1, f"error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="chrkit", description="Run a constraint-rule program.")
     ap.add_argument("program", help="rule program file (.chr)")
     ap.add_argument("--goals", default=None, help="inline goal list")
@@ -84,7 +90,10 @@ def _refuse_ignored_flags(args) -> None:
     """A ValueError for flags the mode would silently ignore: the oracle and
     the abstract walk run no goal engine, --repeat writes no trace, only the
     sequential engine checks invariants and has a goal policy, only the
-    concurrent one has workers, and the oracle takes no step limit."""
+    concurrent one has workers, and the oracle takes no step limit.  Goals
+    come from --goals or --goals-file, not both."""
+    if args.goals is not None and args.goals_file is not None:
+        raise ValueError("--goals-file does not take --goals")
     given = {"--verify": args.verify, "--trace": args.trace is not None,
              "--repeat": args.repeat is not None,
              "--check-invariants": args.check_invariants,

@@ -15,11 +15,10 @@ with conventional precedence (|| < && < comparisons < + - < *).  The
 precedences, and the rule that comparisons do not chain, are one table in
 `terms`, which the printer and this parser both read.
 
-A term may nest at most MAX_TERM_DEPTH (256) operators deep, by parentheses
-or by an operator chain such as `x+1+...+1`.  A deeper one is a ParseError
-"term nested too deeply" at the operator that went past the bound; so is a
-parenthesis nesting deeper than the recursion limit allows (a level costs
-three interpreter frames), at the token the parser had reached.
+A term in program or goal text may nest at most MAX_TERM_DEPTH (256) deep,
+by parentheses or by an operator chain such as `x+1+...+1`; a deeper one is
+a ParseError "term nested too deeply" at the parenthesis or operator past
+the bound.  Trace text, which a run writes, is read at any depth.
 
 Rule variables are renamed apart on load (an internal `.N` suffix per rule),
 so no two rules in a loaded program share a variable name and rule variables
@@ -32,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from .record import Frozen, setfield
 from .terms import (App, Chr, Const, Constraint, Eq, Term, Var, _LEFT_PREC,
-                    _PREC, apply_subst, render_constraint, render_term,
+                    _PREC, _PRIMARY, apply_subst, render_constraint, render_term,
                     vars_of, INT64_MAX, INT64_MIN)
 
 
@@ -105,19 +104,16 @@ def lex(text: str, allow_dotted: bool = False) -> list[Token]:
 
 # ---------------------------------------------------------------- parser
 
-_PRIMARY = max(_PREC.values()) + 1  # a primary binds tighter than any operator
-
-# The engines, the verifier and the printer walk a term recursively, about
-# three interpreter frames per level: from the command line, 330 levels run
-# and verify at the default recursion limit of 1000 and 331 do not.  The
-# bound leaves room for callers that start deeper in the stack.
+# How deep, in operators or parentheses, a term in program or goal text may
+# nest.  The trace reader takes terms of any depth: a run builds deeper ones.
 MAX_TERM_DEPTH = 256
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
+    def __init__(self, toks: list[Token], max_depth: Optional[int] = None):
         self.toks = toks
         self.pos = 0
+        self.max_depth = max_depth
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -140,65 +136,73 @@ class _Parser:
         return t.kind == "sym" and t.text == text
 
     def whole(self, parse, what: str):
-        """parse(self), which must consume every token.  Running out of
-        stack while parsing is a ParseError at the token reached."""
-        try:
-            out = parse(self)
-        except RecursionError:
-            t = self.peek()
-            raise ParseError("term nested too deeply", t.line, t.col) from None
+        """parse(self), which must consume every token."""
+        out = parse(self)
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"unexpected {t.text!r} after {what}", t.line, t.col)
         return out
 
-    # terms, precedence climbing over the printer's operator table
+    # terms: Dijkstra's shunting yard over the printer's operator table
 
-    def term(self, min_prec: int = 1) -> Term:
-        return self._term(min_prec)[0]
-
-    def _term(self, min_prec: int) -> tuple[Term, int]:
-        """The longest term here whose operators all have precedence
-        min_prec or more, and its depth."""
-        # top: t's outermost precedence
-        (t, depth), top = self._primary(), _PRIMARY
+    def term(self) -> Term:
+        """The longest term here.  An operator waits on a stack until one
+        that binds no tighter follows it or its group ends; one that cannot
+        take the operand before it, a chained comparison, ends the term."""
+        operands: list[Term] = []
+        ops: list[Token] = []  # operators and open parentheses
+        opened = 0  # the parentheses on ops
         while True:
-            tok = self.peek()
-            op = tok.text if tok.kind == "sym" else ""
-            prec = _PREC.get(op, 0)
-            if prec < min_prec or _LEFT_PREC[op] > top:
-                return t, depth
-            self.take()
-            rhs, rhs_depth = self._term(prec + 1)
-            # an operator chain is read in this loop, not by recursion
-            depth = max(depth, rhs_depth) + 1
-            if depth > MAX_TERM_DEPTH:
-                raise ParseError("term nested too deeply", tok.line, tok.col)
-            t, top = App(op, (t, rhs)), prec
+            tok = self.take()
+            while tok.kind == "sym" and tok.text == "(":
+                ops.append(tok)
+                opened += 1
+                self._bound(opened, tok)
+                tok = self.take()
+            operands.append(self._primary(tok))
+            top = _PRIMARY  # the outermost precedence of the last operand
+            while True:
+                tok = self.toks[self.pos]
+                prec = _PREC.get(tok.text, 0) if tok.kind == "sym" else 0
+                while ops and ops[-1].text != "(" and _PREC[ops[-1].text] >= (prec or 1):
+                    top = self._reduce(ops.pop(), operands)
+                if prec and _LEFT_PREC[tok.text] <= top:
+                    break
+                while ops and ops[-1].text != "(":  # the term or group ends
+                    top = self._reduce(ops.pop(), operands)
+                if not opened:
+                    return operands[0]
+                self.expect("sym", ")")
+                ops.pop()
+                opened, top = opened - 1, _PRIMARY
+            ops.append(self.take())
 
-    def _primary(self) -> tuple[Term, int]:
-        t = self.peek()
+    def _reduce(self, tok: Token, operands: list[Term]) -> int:
+        """Apply tok to the last two operands in their place; its precedence."""
+        rhs = operands.pop()
+        operands[-1] = t = App(tok.text, (operands[-1], rhs))
+        self._bound(t.depth, tok)
+        return _PREC[tok.text]
+
+    def _bound(self, depth: int, tok: Token) -> None:
+        if self.max_depth is not None and depth > self.max_depth:
+            raise ParseError("term nested too deeply", tok.line, tok.col)
+
+    def _primary(self, t: Token) -> Term:  # t is taken
         if t.kind == "int" or (t.kind == "sym" and t.text == "-"):
-            self.take()  # a '-' here starts a negative literal, nothing else
+            # a '-' here starts a negative literal, nothing else
             v = int(t.text) if t.kind == "int" else -int(self.expect("int").text)
             if not INT64_MIN <= v <= INT64_MAX:
                 raise ParseError("integer literal out of 64-bit range", t.line, t.col)
-            return Const(v), 0
+            return Const(v)
         if t.kind == "atom":
-            self.take()
-            return Const(t.text), 0
+            return Const(t.text)
         if t.kind == "lident":
-            self.take()
             if t.text == "true":
-                return Const(True), 0
+                return Const(True)
             if t.text == "false":
-                return Const(False), 0
-            return Var(t.text), 0
-        if t.kind == "sym" and t.text == "(":
-            self.take()
-            inner = self._term(1)
-            self.expect("sym", ")")
-            return inner
+                return Const(False)
+            return Var(t.text)
         raise ParseError(f"expected a term, found {t.text or t.kind!r}", t.line, t.col)
 
     # constraints
@@ -412,7 +416,7 @@ def _rules(p: _Parser) -> tuple[Rule, ...]:
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(lex(text))
+    p = _Parser(lex(text), MAX_TERM_DEPTH)
     return Program(p.whole(_rules, "program"))
 
 
@@ -421,14 +425,15 @@ load_program = parse_program
 
 
 def parse_goals(text: str) -> tuple[Constraint, ...]:
-    p = _Parser(lex(text))
+    p = _Parser(lex(text), MAX_TERM_DEPTH)
     if p.peek().kind == "eof":
         return ()
     return tuple(p.whole(_Parser.constraint_list, "goal list"))
 
 
 def parse_constraint_text(text: str) -> Constraint:
-    """Parse a single constraint (used by the trace reader)."""
+    """Parse a single constraint (used by the trace reader, which reads a
+    constraint or a term at any depth)."""
     p = _Parser(lex(text, allow_dotted=True))
     return p.whole(_Parser.constraint, "constraint")
 

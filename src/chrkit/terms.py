@@ -7,6 +7,12 @@ to call from any thread.  The terms and constraints are slotted classes on
 own `==` (the exact class and the fields) and hash, the hash of its fields'
 tuple as a frozen dataclass had it, so set and dict orders are unchanged.
 
+No function here recurses on a term's depth.  An application keeps its
+hash and depth; equality and matching walk pairs over a stack, and one
+scan, `_scan`, finds variables.  Substitution, instantiation, evaluation
+and printing call themselves on a term at most two deep, as the shipped
+programs' are, and hand a deeper one to one post-order fold, `_fold`.
+
 The firing path reads terms more than it builds them.  `holds` evaluates a
 guard in place, reading each variable from phi, then theta, without
 building the substituted guard; `instantiate` substitutes and normalizes a
@@ -16,6 +22,7 @@ without building tuples, so ground terms serve as index keys.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional, Union
 
 from .record import Frozen, setfield
@@ -40,6 +47,7 @@ class EvalError(Exception):
 
 class Var(Frozen):
     __slots__ = ("name",)
+    depth = 0  # applications deep
 
     def __init__(self, name: str):
         setfield(self, "name", name)
@@ -61,6 +69,7 @@ class Const(Frozen):
     """
 
     __slots__ = ("value",)
+    depth = 0
 
     def __init__(self, value: Value):
         setfield(self, "value", value)
@@ -75,7 +84,7 @@ class Const(Frozen):
 
 
 class App(Frozen, compared=("fn", "args")):
-    __slots__ = ("fn", "args", "_hash")
+    __slots__ = ("fn", "args", "depth", "_hash")
 
     def __init__(self, fn: str, args: tuple["Term", ...]):
         if fn not in FUNCTION_SYMBOLS:
@@ -84,13 +93,29 @@ class App(Frozen, compared=("fn", "args")):
             raise ValueError(f"{fn!r} expects 2 arguments, got {len(args)}")
         setfield(self, "fn", fn)
         setfield(self, "args", args)
+        a, b = args[0].depth, args[1].depth
+        setfield(self, "depth", (a if a > b else b) + 1)
         # computed once, from the arguments' own kept hashes: hashing a term
         # (the store indexes every argument) never recurses on its depth
         setfield(self, "_hash", hash((fn, args)))
 
     def __eq__(self, other):
-        return (other.__class__ is App and self.fn == other.fn
-                and self.args == other.args)
+        # pairs of subterms wait on a stack; unequal kept hashes are unequal
+        # terms, and one term shared by both is equal to itself
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not App:
+                if a != b:
+                    return False
+            elif (b.__class__ is not App or a._hash != b._hash
+                    or a.fn != b.fn):
+                return False
+            else:
+                todo += zip(a.args, b.args)
+        return True
 
     def __hash__(self):
         return self._hash
@@ -137,52 +162,100 @@ Constraint = Union[Chr, Eq]
 Subst = dict[str, Term]
 
 
+def _fold(t: App, leaf, node):
+    """The post-order fold of t over a stack, left first: leaf(u) at a variable
+    or constant u, node(a, x, y) at an application a, x and y its folded args."""
+    todo, done = [t], []
+    while todo:
+        u = todo.pop()
+        if u.__class__ is App:
+            todo += ((u,), u.args[1], u.args[0])
+        elif u.__class__ is tuple:  # (a,): a's arguments are folded
+            y = done.pop()
+            done[-1] = node(u[0], done[-1], y)
+        else:
+            done.append(leaf(u))
+    return done[0]
+
+
+def _scan(todo: list, tri: Subst) -> set[str]:
+    """The variable names in the terms todo and, for a bound variable, in its
+    term under tri, as the occurs check follows them: over a stack."""
+    seen: set[str] = set()
+    while todo:
+        t = todo.pop()
+        if t.__class__ is App:
+            todo += t.args
+        elif t.__class__ is Var and t.name not in seen:
+            seen.add(t.name)
+            if t.name in tri:
+                todo.append(tri[t.name])
+    return seen
+
+
 def vars_of(x: Union[Term, Constraint]) -> set[str]:
-    if isinstance(x, Var):
+    cls = x.__class__
+    if cls is Var:
         return {x.name}
-    if isinstance(x, Const):
+    if cls is Const:
         return set()
-    if isinstance(x, App):
-        out: set[str] = set()
-        for a in x.args:
-            out |= vars_of(a)
-        return out
-    if isinstance(x, Chr):
-        out = set()
-        for a in x.args:
-            out |= vars_of(a)
-        return out
-    return vars_of(x.lhs) | vars_of(x.rhs)
+    if cls is Chr:
+        return _scan(list(x.args), _NOTHING)
+    if cls is Eq:
+        return _scan([x.lhs, x.rhs], _NOTHING)
+    return _scan([x], _NOTHING)
+
+
+def _rebuilt(t: App, a: Term, b: Term) -> Term:
+    """t with arguments a and b: t itself when they are its own."""
+    return t if a is t.args[0] and b is t.args[1] else App(t.fn, (a, b))
+
+
+def _map(x, f, arg):
+    """x, a term or a constraint, with f(t, arg) for each term t: x itself
+    when none changes."""
+    cls = x.__class__
+    if cls is Chr:
+        args = tuple([f(a, arg) for a in x.args])
+        return x if args == x.args else Chr(x.pred, args)
+    if cls is Eq:
+        return Eq(f(x.lhs, arg), f(x.rhs, arg))
+    return f(x, arg)
+
+
+def _substituted(t: Term, s: Subst) -> Term:
+    if t.__class__ is not App:
+        return s.get(t.name, t) if t.__class__ is Var else t
+    if t.depth > 2:
+        return _fold(t, partial(_substituted, s=s), _rebuilt)
+    return _rebuilt(t, _substituted(t.args[0], s), _substituted(t.args[1], s))
 
 
 def apply_subst(s: Subst, x):
     """Replace every variable in s's domain; structure is preserved."""
-    if isinstance(x, Var):
-        return s.get(x.name, x)
-    if isinstance(x, Const):
-        return x
-    if isinstance(x, App):
-        return App(x.fn, tuple(apply_subst(s, a) for a in x.args))
-    if isinstance(x, Chr):
-        return Chr(x.pred, tuple(apply_subst(s, a) for a in x.args))
-    return Eq(apply_subst(s, x.lhs), apply_subst(s, x.rhs))
+    return s.get(x.name, x) if x.__class__ is Var else _map(x, _substituted, s)
 
 
 def _match_term(pattern: Term, cand: Term, subst: Subst) -> bool:
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = cand
-            return True
-        return bound == cand
-    if isinstance(pattern, Const):
-        return pattern == cand
-    return (
-        isinstance(cand, App)
-        and cand.fn == pattern.fn
-        and len(cand.args) == len(pattern.args)
-        and all(_match_term(p, c, subst) for p, c in zip(pattern.args, cand.args))
-    )
+    """Whether cand is pattern with its variables bound as in subst, each
+    unbound one bound to what it meets, left to right.  Pairs of subterms
+    wait on a stack."""
+    todo = [(pattern, cand)]
+    while todo:
+        p, c = todo.pop()
+        if p.__class__ is App:
+            if c.__class__ is not App or c.fn != p.fn:
+                return False
+            todo += ((p.args[1], c.args[1]), (p.args[0], c.args[0]))
+        elif p.__class__ is Var:
+            bound = subst.get(p.name)
+            if bound is None:
+                subst[p.name] = c
+            elif bound != c:
+                return False
+        elif p != c:
+            return False
+    return True
 
 
 def match(pattern: Chr, candidate: Chr, seed: Subst) -> Optional[Subst]:
@@ -223,27 +296,6 @@ def _walk(t: Term, tri: Subst) -> Term:
     return end
 
 
-def _occurs(x: str, t: Term, tri: Subst) -> bool:
-    """Whether the unbound variable x occurs in t resolved under tri; an
-    explicit stack, each bound variable followed once."""
-    stack, seen = [t], set()
-    while stack:
-        t = stack.pop()
-        cls = t.__class__
-        if cls is Var:
-            name = t.name
-            if name == x:
-                return True
-            if name not in seen:
-                seen.add(name)
-                bound = tri.get(name)
-                if bound is not None:
-                    stack.append(bound)
-        elif cls is App:
-            stack.extend(t.args)
-    return False
-
-
 def mgu(eqs: Iterable[Eq]) -> Optional[Subst]:
     """Most general unifier of the equations over the Herbrand universe,
     or None when they are unsatisfiable.  The result is idempotent and never
@@ -269,12 +321,12 @@ def mgu(eqs: Iterable[Eq]) -> Optional[Subst]:
             if r.__class__ is Var:
                 if r.name != l.name:
                     tri[l.name] = r
-            elif r.__class__ is Const or not _occurs(l.name, r, tri):
+            elif r.__class__ is Const or l.name not in _scan([r], tri):
                 tri[l.name] = r
             else:
                 return None
         elif r.__class__ is Var:
-            if l.__class__ is Const or not _occurs(r.name, l, tri):
+            if l.__class__ is Const or r.name not in _scan([l], tri):
                 tri[r.name] = l
             else:
                 return None
@@ -322,9 +374,10 @@ def _kind(v: Value) -> str:  # for a value of a class _KINDS lacks
     return "bool" if isinstance(v, bool) else "int" if isinstance(v, int) else "atom"
 
 
-def _apply(fn: str, a: Value, b: Value) -> Value:
-    """fn on two values, or EvalError: the kind, 64-bit and bool/int rules
-    that eval_ground documents."""
+def _apply(t: App, a: Value, b: Value) -> Value:
+    """t's operator on two values, or EvalError: the kind, 64-bit and
+    bool/int rules that eval_ground documents."""
+    fn = t.fn
     ka = _KINDS.get(a.__class__) or _kind(a)
     kb = _KINDS.get(b.__class__) or _kind(b)
     if fn in ARITH_OPS:
@@ -370,8 +423,9 @@ def _value(t: Term, phi: Subst, theta: Subst) -> Value:
         if bound.__class__ is Const:
             return bound.value
         return _value(bound, theta, _NOTHING)
-    return _apply(t.fn, _value(t.args[0], phi, theta),
-                  _value(t.args[1], phi, theta))
+    if t.depth > 2:
+        return _fold(t, partial(_value, phi=phi, theta=theta), _apply)
+    return _apply(t, _value(t.args[0], phi, theta), _value(t.args[1], phi, theta))
 
 
 def eval_ground(t: Term) -> Value:
@@ -408,33 +462,37 @@ def holds(theta: Subst, phi: Subst, guard: Term) -> bool:
         return False
 
 
+def _evaluated(t: App, a: Term, b: Term) -> Term:
+    """t with arguments a and b, evaluated if they are constants and it is
+    well-typed and does not overflow."""
+    if a.__class__ is Const and b.__class__ is Const:
+        try:
+            return Const(_apply(t, a.value, b.value))
+        except EvalError:
+            pass
+    return _rebuilt(t, a, b)
+
+
+def _instance(t: Term, phi: Subst) -> Term:
+    """normalize_term(apply_subst(phi, t)) for a term t: a bound term is
+    normalized once, its own variables left as they are."""
+    if t.__class__ is App:
+        if t.depth > 2:
+            return _fold(t, partial(_instance, phi=phi), _evaluated)
+        return _evaluated(t, _instance(t.args[0], phi), _instance(t.args[1], phi))
+    bound = phi.get(t.name) if t.__class__ is Var else None
+    if bound is None:
+        return t
+    return _instance(bound, _NOTHING) if bound.__class__ is App else bound
+
+
 def instantiate(phi: Subst, x):
     """normalize_constraint(apply_subst(phi, x)) for a constraint x, and
     normalize_term(apply_subst(phi, x)) for a term, in one pass: ground,
     well-typed applications are evaluated as they are rebuilt, ill-typed
     or overflowing ones stay symbolic.  What comes out unchanged is x
     itself, not a copy."""
-    cls = x.__class__
-    if cls is Var:
-        bound = phi.get(x.name)
-        if bound is None:
-            return x
-        return instantiate(_NOTHING, bound) if bound.__class__ is App else bound
-    if cls is Const:
-        return x
-    if cls is App:
-        args = x.args
-        a, b = instantiate(phi, args[0]), instantiate(phi, args[1])
-        if a.__class__ is Const and b.__class__ is Const:
-            try:
-                return Const(_apply(x.fn, a.value, b.value))
-            except EvalError:
-                pass
-        return x if a is args[0] and b is args[1] else App(x.fn, (a, b))
-    if cls is Chr:
-        args = tuple([instantiate(phi, a) for a in x.args])
-        return x if args == x.args else Chr(x.pred, args)
-    return Eq(instantiate(phi, x.lhs), instantiate(phi, x.rhs))
+    return _map(x, _instance, phi)
 
 
 def normalize_term(t: Term) -> Term:
@@ -460,21 +518,40 @@ _PREC = {"||": 1, "&&": 2, ">": 3, ">=": 3, "<": 3, "<=": 3, "==": 3, "!=": 3,
          "+": 4, "-": 4, "*": 5}
 _LEFT_PREC = {fn: p + 1 if fn in COMPARE_OPS or fn in EQUALITY_OPS else p
               for fn, p in _PREC.items()}
+_PRIMARY = max(_PREC.values()) + 1  # a primary binds tighter than any operator
 
 
-def render_term(t: Term, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        v = t.value
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, int):
-            return str(v)
-        return f"'{v}'"
+def _text(u: Term) -> str:  # a variable's or a constant's
+    if u.__class__ is Var:
+        return u.name
+    v = u.value
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return f"'{v}'"
+
+
+def _app_text(t: App, a: tuple[str, int], b: tuple[str, int]) -> tuple[str, int]:
+    """t's text and precedence from its arguments' texts and precedences."""
     p = _PREC[t.fn]
-    s = f"{render_term(t.args[0], _LEFT_PREC[t.fn])}{t.fn}{render_term(t.args[1], p + 1)}"
-    return f"({s})" if p < prec else s
+    left = a[0] if a[1] >= _LEFT_PREC[t.fn] else f"({a[0]})"
+    right = b[0] if b[1] > p else f"({b[0]})"
+    return left + t.fn + right, p
+
+
+def _rendered(t: Term) -> tuple[str, int]:
+    if t.__class__ is not App:
+        return _text(t), _PRIMARY
+    if t.depth > 2:
+        return _fold(t, _rendered, _app_text)
+    return _app_text(t, _rendered(t.args[0]), _rendered(t.args[1]))
+
+
+def render_term(t: Term) -> str:
+    if t.__class__ is not App:
+        return _text(t)
+    return _rendered(t)[0]
 
 
 def render_constraint(c: Constraint) -> str:

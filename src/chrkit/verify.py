@@ -338,14 +338,6 @@ def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
     return rep, Verdict(True, "replay"), projected
 
 
-def replay(trace: ParsedTrace, goals0: Iterable[Constraint],
-           program: Program) -> Verdict:
-    """Re-execute every step, in seq order, as the corresponding derivation
-    rule with the recorded substitution, heads and ids; then compare the
-    replayed store dump with the one the engine recorded."""
-    return _run_replay(trace, goals0, program)[1]
-
-
 def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
                      program: Program) -> Verdict:
     """Every step must leave the projection NoIds(G) + DropIds(Sn) unchanged

@@ -20,7 +20,8 @@ from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const
 from chrkit.trace import parse_trace, serialize_trace
-from chrkit.verify import audit_overlap_trace, check_final, replay, verify_run
+from chrkit.verify import (_run_replay, audit_overlap_trace, check_final,
+                           verify_run)
 
 from conftest import (CORPUS, MULTI_FIRING, canonical_modulo_equations,
                       equation_fuzz_case, fuzz_case, goals_for, load,
@@ -228,7 +229,8 @@ def test_criterion_4_equation_fuzzing():
 
 def test_criterion_5_replay_every_trace(all_artifacts):
     for art in all_artifacts:
-        verdict = replay(parse_trace(art.trace_text), art.goals, art.program)
+        verdict = _run_replay(parse_trace(art.trace_text), art.goals,
+                              art.program)[1]
         assert verdict.passed, (art.label, verdict.detail)
     print(f"\nCRITERION 5 PASS replay on {len(all_artifacts)} traces")
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import threading
@@ -241,6 +242,7 @@ def test_repeat_reports_distinct_stores(capsys):
      "--oracle does not take --workers"),
     (["--oracle", "--policy", "lifo", "--workers", "3", "--max-steps", "9"],
      "--oracle does not take --policy or --workers or --max-steps"),
+    (["--goals-file", os.devnull], "--goals-file does not take --goals"),
 ])
 def test_flags_the_mode_would_ignore_exit_1(tmp_path, capsys, flags, message):
     path = tmp_path / "run.trace"
@@ -271,6 +273,58 @@ def test_a_3000_link_equation_chain_verifies(tmp_path, capsys):
     verdicts = [line for line in err.splitlines() if ": " in line]
     assert verdicts and all(v.endswith(": PASS") for v in verdicts), err
     assert len(out.splitlines()) == 3000
+
+
+def assert_all_pass(code, err):
+    assert code == 0, err
+    verdicts = [line.split(": ", 1) for line in err.splitlines()]
+    assert verdicts and all(v[1].startswith("PASS") for v in verdicts), err
+
+
+ENGINES = [["--engine", "sequential"],
+           ["--engine", "concurrent", "--workers", "2"]]
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["sequential", "concurrent"])
+def test_a_1500_link_sum_chain_verifies(tmp_path, capsys, engine):
+    """x1=x0+1, ..., x1500=x1499+1: the firing's phi and its body equation
+    are 1500 applications deep, and the trace reads back."""
+    gf = tmp_path / "chain.txt"
+    gf.write_text(",".join(f"x{i}=x{i - 1}+1" for i in range(1, 1501))
+                  + ",Get(x1500),Put(z)\n")
+    code, out, err = run_cli(capsys, str(PROGRAMS / "channel.chr"),
+                             "--goals-file", str(gf), "--verify", *engine)
+    assert_all_pass(code, err)
+
+
+@pytest.mark.parametrize("n", [257, 300])
+@pytest.mark.parametrize("engine", ENGINES, ids=["sequential", "concurrent"])
+def test_goals_that_grow_past_the_text_bound_verify(tmp_path, capsys, engine,
+                                                    n):
+    """G(y,n) builds G(y+1+...+1,0), n applications deep: deeper than goal
+    text may be, and its trace still reads back."""
+    prog = tmp_path / "grow.chr"
+    prog.write_text("g @ G(x,n) <=> n > 0 | G(x+1, n-1).\n")
+    code, out, err = run_cli(capsys, str(prog), "--goals", f"G(y,{n})",
+                             "--verify", *engine)
+    assert_all_pass(code, err)
+    assert out.startswith("G(y" + "+1" * n + ",0)#")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "abc"], ["--engine", "foo"], ["--bogus"], ["--seed"],
+], ids=["non-integer", "unknown-choice", "unknown-flag", "missing-value"])
+def test_usage_errors_exit_1_with_one_error_line(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([str(PROGRAMS / "gcd.chr"), "--goals", "Gcd(4)", *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chrkit")
 
 
 def test_step_limit_exit_code(tmp_path, capsys):

@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
+from chrkit.syntax import parse_term_text
 from chrkit.terms import (App, Chr, Const, Eq, EvalError, Var, apply_subst,
-                          entails, eval_ground, match, mgu,
-                          normalize_term, render_constraint, render_term)
+                          entails, eval_ground, holds, instantiate, match, mgu,
+                          normalize_term, render_constraint, render_term,
+                          vars_of)
 
 from reference_mgu import reference_mgu
 
@@ -384,3 +386,57 @@ def test_terms_repr_copy_and_pickle():
                        "Const(value=1))), Const(value=True)))")
     for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert other == t and hash(other) == hash(t)
+
+
+DEEP = 10_000
+
+
+def left_chain():
+    """x+1+...+1, DEEP applications deep along the left argument."""
+    t = Var("x")
+    for _ in range(DEEP):
+        t = App("+", (t, Const(1)))
+    return t
+
+
+def right_nest():
+    """1-(1-(...(1-x))), DEEP applications deep along the right argument."""
+    t = Var("x")
+    for _ in range(DEEP):
+        t = App("-", (Const(1), t))
+    return t
+
+
+@pytest.mark.parametrize("build", [left_chain, right_nest])
+def test_deep_terms_compare_and_hash_without_recursing(build):
+    """Two equal terms built apart compare, hash and serve as a dict key
+    (inside a constraint, as the store's index keys them) at any depth."""
+    t, u = build(), build()
+    assert t is not u and t == u and hash(t) == hash(u)
+    assert not t != u
+    other = App(t.fn, (t.args[0], Const(2)) if build is left_chain
+                else (Const(2), t.args[1]))
+    assert t != other and other != t
+    index = {Chr("A", (t,)): "found"}
+    assert index[Chr("A", (u,))] == "found"
+    assert Chr("A", (other,)) not in index
+
+
+@pytest.mark.parametrize("build,value", [(left_chain, DEEP), (right_nest, 0)])
+def test_deep_terms_walk_without_recursing(build, value):
+    """Every walk over a term takes any depth at the default recursion
+    limit: variables, substitution, instantiation, guard evaluation, and
+    printing and reading back."""
+    t = build()
+    assert vars_of(t) == {"x"} and vars_of(Chr("A", (t, t))) == {"x"}
+    zero = {"x": Const(0)}
+    grounded = apply_subst(zero, t)
+    assert vars_of(grounded) == set() and grounded != t
+    assert apply_subst({"y": Const(0)}, t) == t
+    assert instantiate(zero, Chr("A", (t,))) == Chr("A", (Const(value),))
+    assert normalize_term(grounded) == Const(value)
+    assert holds({}, zero, App("==", (t, Const(value))))
+    assert holds(zero, {}, App("==", (t, Const(value))))
+    assert not holds({}, {}, App("==", (t, Const(value))))  # not ground
+    assert eval_ground(grounded) == value
+    assert parse_term_text(render_term(t)) == t

@@ -11,10 +11,12 @@ import random
 import chrkit.syntax as syntax
 import chrkit.trace as trace
 from chrkit.syntax import ParseError
-from chrkit.terms import (INT64_MAX, INT64_MIN, Const, Var, apply_subst,
-                          render_constraint, render_term)
-from chrkit.trace import (TraceFormatError, parse_line, parse_trace,
-                          read_constraint, read_term)
+from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
+                          Const, Var, apply_subst, render_constraint,
+                          render_term)
+from chrkit.trace import (FIRINGS, Step, TraceFormatError, parse_line,
+                          parse_trace, read_constraint, read_term,
+                          step_to_line)
 
 from test_kernel_differential import (GUARD_VARS, rand_constraint, rand_term,
                                       tree)
@@ -161,3 +163,35 @@ def test_a_trace_reads_each_flat_argument_once():
     assert first.args[1] is second.args[0] is steps[2].phi["x.0"] is solve.rhs
     assert steps[2].phi["y.0"] is solve.lhs is p.args[2]
     assert p.args[:2] == (Const(1), Const(True))  # distinct texts
+
+
+def flat_argument(rng):
+    return rng.choice([Var("x.0"), Var("n.12"), Var("y"), Const(True),
+                       Const(False), Const("a"), Const(rng.randrange(-9, 10)),
+                       Const(INT64_MIN), Const(INT64_MAX)])
+
+
+def deep_term(rng, depth):
+    """A random term `depth` applications deep: each level applies a random
+    operator to the term so far, on a random side, and a flat argument."""
+    t = flat_argument(rng)
+    for _ in range(depth):
+        other = flat_argument(rng)
+        t = App(rng.choice(FUNCTION_SYMBOLS),
+                (t, other) if rng.random() < 0.5 else (other, t))
+    return t
+
+
+def test_firings_with_deep_terms_read_back_as_written():
+    """Whatever term a run builds, its trace line reads back to the same
+    step: the reader takes any depth, unlike program and goal text."""
+    rng = random.Random(26)
+    for seq in range(40):
+        goal, x, n = (deep_term(rng, rng.choice([0, 1, 2, rng.randrange(2001)]))
+                      for _ in range(3))
+        goal = Chr("G", (goal, deep_term(rng, rng.randrange(2001))))
+        phi = {"x.0": x, "n.0": n}
+        step = Step(seq, rng.choice(FIRINGS), goal, rng.randrange(1, 99), "g",
+                    phi, (seq,), tuple(sorted(rng.sample(range(99), 2))),
+                    rng.choice([None, 0, 1]), rng.choice([None, (seq, seq)]))
+        assert parse_line(step_to_line(step)) == step

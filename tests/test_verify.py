@@ -14,8 +14,9 @@ from chrkit.terms import (FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var,
                           render_constraint)
 from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError, parse_line,
                           parse_trace, serialize_trace, step_to_line)
-from chrkit.verify import (Verdict, audit_overlap_trace, check_final,
-                           decompose_k, project_abstract, replay, verify_run)
+from chrkit.verify import (Verdict, _run_replay, audit_overlap_trace,
+                           check_final, decompose_k, project_abstract,
+                           verify_run)
 
 from conftest import (CORPUS, all_pairs_audit, equation_fuzz_case, fuzz_case,
                       goals_for, load)
@@ -46,7 +47,7 @@ def con_trace_text(name, workers=4, seed=0, goals=None):
 def test_replay_sequential_corpus():
     for name in CORPUS:
         p, goals, _, text = seq_trace_text(name)
-        verdict = replay(parse_trace(text), goals, p)
+        verdict = _run_replay(parse_trace(text), goals, p)[1]
         assert verdict.passed, (name, verdict.detail)
 
 
@@ -54,7 +55,7 @@ def test_replay_concurrent_traces():
     for name in ("gcd", "channel", "mergesort", "prop_once"):
         for seed in range(5):
             p, goals, _, text = con_trace_text(name, seed=seed)
-            verdict = replay(parse_trace(text), goals, p)
+            verdict = _run_replay(parse_trace(text), goals, p)[1]
             assert verdict.passed, (name, seed, verdict.detail)
 
 
@@ -64,7 +65,8 @@ def test_replay_rejects_forged_double_kill():
     # forge the second firing to re-kill the already-dead id 1
     forged = text.replace("S={2,4}", "S={1,4}")
     assert forged != text
-    verdict = replay(parse_trace(forged), parse_goals("Get(x1),Get(x2),Put(1),Put(2)"), p)
+    verdict = _run_replay(parse_trace(forged),
+                          parse_goals("Get(x1),Get(x2),Put(1),Put(2)"), p)[1]
     assert not verdict.passed
     assert "not alive" in verdict.detail
 
@@ -72,7 +74,7 @@ def test_replay_rejects_forged_double_kill():
 def test_replay_rejects_tampered_final_dump():
     p, goals, _, text = seq_trace_text("gcd")
     forged = text.replace("# final: Gcd(3)#6", "# final: Gcd(4)#6")
-    verdict = replay(parse_trace(forged), goals, p)
+    verdict = _run_replay(parse_trace(forged), goals, p)[1]
     assert not verdict.passed and "mismatch" in verdict.detail
 
 
@@ -83,7 +85,7 @@ def test_replay_rejects_duplicated_propagation():
     seq = int(prop.split(" ", 1)[0])
     lines.insert(lines.index(prop) + 1,
                  str(seq * 1000) + prop[prop.index(" "):])
-    verdict = replay(parse_trace("\n".join(lines)), goals, p)
+    verdict = _run_replay(parse_trace("\n".join(lines)), goals, p)[1]
     assert not verdict.passed
 
 
@@ -92,9 +94,9 @@ def test_replay_checks_wake_up_sets():
     goals = parse_goals("A(a),B(2),a=2")
     res = run_sequential(goals, p)
     text = serialize_trace(res.trace, {}, res.status, res.state.store.dump())
-    assert replay(parse_trace(text), goals, p).passed
+    assert _run_replay(parse_trace(text), goals, p)[1].passed
     forged = text.replace("Solve goal=a=2 P={1}", "Solve goal=a=2 P={}")
-    verdict = replay(parse_trace(forged), goals, p)
+    verdict = _run_replay(parse_trace(forged), goals, p)[1]
     assert not verdict.passed and "wake-up" in verdict.detail
 
 
@@ -106,7 +108,7 @@ def test_replay_activation_after_solve_records_normal_form():
     res = run_sequential(goals, p)
     assert res.state.store.dump() == "C(1)#3\nu=1"
     text = serialize_trace(res.trace, {}, res.status, res.state.store.dump())
-    assert replay(parse_trace(text), goals, p).passed
+    assert _run_replay(parse_trace(text), goals, p)[1].passed
 
 
 def test_replay_same_id_woken_twice():
@@ -114,7 +116,7 @@ def test_replay_same_id_woken_twice():
     goals = parse_goals("A(u,w),B(1,2),u=1,w=2")
     res = run_sequential(goals, p)
     text = serialize_trace(res.trace, {}, res.status, res.state.store.dump())
-    verdict = replay(parse_trace(text), goals, p)
+    verdict = _run_replay(parse_trace(text), goals, p)[1]
     assert verdict.passed, verdict.detail
 
 
@@ -151,7 +153,7 @@ def test_replay_failed_concurrent_runs():
         assert res.status == "failed"
         text = serialize_trace(res.trace, {}, res.status,
                                res.state.store.dump())
-        verdict = replay(parse_trace(text), goals, p)
+        verdict = _run_replay(parse_trace(text), goals, p)[1]
         assert verdict.passed, (seed, verdict.detail)
 
 
