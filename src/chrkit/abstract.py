@@ -507,10 +507,15 @@ def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],
     """Why firing `rule` at instance `phi` on head constraints with the given
     `solved_form`s under theta is not a single rewrite of a store whose
     equations solve to `theta` (None: inconsistent), or None when it is.
-    Each role's heads must be the rule's heads under phi, compared as sorted
-    forms, and the guard must hold under theta.  Validates a recorded engine
-    step without searching all rewrites.
+    phi must bind exactly the rule's head variables (one left unbound would
+    read as the goal variable of its name), each role's heads must be the
+    rule's heads under phi, compared as sorted forms, and the guard must
+    hold under theta.  Validates a recorded engine step without searching
+    all rewrites.
     """
+    if phi.keys() != rule.head_vars:
+        return (f"phi binds {{{','.join(sorted(phi))}}}, not the head variables "
+                f"{{{','.join(sorted(rule.head_vars))}}} of rule {rule.name}")
     for role, patterns, forms in (("propagated", rule.propagated, prop_forms),
                                   ("simplified", rule.simplified, simp_forms)):
         if (sorted(solved_form(theta, apply_subst(phi, h)) for h in patterns)

@@ -20,9 +20,11 @@ by parentheses or by an operator chain such as `x+1+...+1`; a deeper one is
 a ParseError "term nested too deeply" at the parenthesis or operator past
 the bound.  Trace text, which a run writes, is read at any depth.
 
-Rule variables are renamed apart on load (an internal `.N` suffix per rule),
-so no two rules in a loaded program share a variable name and rule variables
-can never collide with goal variables, which cannot contain dots.
+Rule variables keep their names and may share them with goal variables: no
+renaming is needed, since one is bound only by matching (range restriction)
+and guards and bodies read it through the match, applied once, so it never
+reaches the store.  `abstract.validate_rewrite` checks that a recorded
+match binds exactly the rule's head variables.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from typing import NamedTuple, Optional
 
 from .record import Frozen, setfield
 from .terms import (App, Chr, Const, Constraint, Eq, Term, Var, _LEFT_PREC,
-                    _PREC, _PRIMARY, apply_subst, render_constraint, render_term,
-                    vars_of, INT64_MAX, INT64_MIN)
+                    _PREC, _PRIMARY, render_constraint, render_term, vars_of,
+                    INT64_MAX, INT64_MIN)
 
 
 class ParseError(Exception):
@@ -59,24 +61,18 @@ _SYMBOLS = ["<=>", "==>", "==", "!=", ">=", "<=", "&&", "||",
             "@", "(", ")", ",", ".", "\\", "|", "=", "<", ">", "+", "-", "*"]
 
 
-def _token_re(dotted: bool) -> re.Pattern:
-    # \w is str.isalnum() or '_', \d is what int() accepts; a word must
-    # start with a letter or '_', which lex checks; dotted names (`x.0`)
-    # occur in trace text only
-    word = r"\w(?:\w|\.(?=\d))*" if dotted else r"\w+"
-    syms = "|".join(map(re.escape, _SYMBOLS))
-    return re.compile(rf"(?P<space>[ \t\r\n]+)|(?P<comment>%[^\n]*)"
-                      rf"|(?P<int>\d+)|(?P<atom>'[^']*')|(?P<word>{word})"
-                      rf"|(?P<sym>{syms})|(?P<bad>.)", re.DOTALL)
+# \w is str.isalnum() or '_', \d is what int() accepts; a word must start
+# with a letter or '_', which lex checks
+_TOKEN_RE = re.compile(rf"(?P<space>[ \t\r\n]+)|(?P<comment>%[^\n]*)"
+                       rf"|(?P<int>\d+)|(?P<atom>'[^']*')|(?P<word>\w+)"
+                       rf"|(?P<sym>{'|'.join(map(re.escape, _SYMBOLS))})"
+                       rf"|(?P<bad>.)", re.DOTALL)
 
 
-_TOKEN_RE = {dotted: _token_re(dotted) for dotted in (False, True)}
-
-
-def lex(text: str, allow_dotted: bool = False) -> list[Token]:
+def lex(text: str) -> list[Token]:
     toks: list[Token] = []
     line, line_start = 1, 0
-    for m in _TOKEN_RE[allow_dotted].finditer(text):
+    for m in _TOKEN_RE.finditer(text):
         kind, s, col = m.lastgroup, m.group(), m.start() - line_start + 1
         if kind == "space":
             if "\n" in s:
@@ -261,15 +257,16 @@ class Head(NamedTuple):
 
 class Rule(Frozen, compared=("name", "propagated", "simplified", "guard",
                             "body", "index")):
-    """A rule.  `heads` is all its heads in textual order; `body_vars` is
-    the body's variables, sorted (range restriction: all in heads)."""
+    """A rule.  `heads` is all its heads in textual order; `head_vars` is
+    the set of their variables, which a match binds; `body_vars` is the
+    body's variables, sorted (range restriction: all in heads)."""
 
     __slots__ = ("name", "propagated", "simplified", "guard", "body", "index",
-                 "heads", "body_vars")
+                 "heads", "head_vars", "body_vars")
 
     def __init__(self, name: str, propagated: tuple[Chr, ...],
                  simplified: tuple[Chr, ...], guard: Term,
-                 body: tuple[Constraint, ...], index: int = 0):
+                 body: tuple[Constraint, ...], index: int):
         setfield(self, "name", name)
         setfield(self, "propagated", propagated)  # kept heads (H_P)
         setfield(self, "simplified", simplified)  # removed heads (H_S)
@@ -279,6 +276,8 @@ class Rule(Frozen, compared=("name", "propagated", "simplified", "guard",
         setfield(self, "heads", tuple(
             [Head("propagated", i, h) for i, h in enumerate(propagated)]
             + [Head("simplified", i, h) for i, h in enumerate(simplified)]))
+        setfield(self, "head_vars", frozenset().union(
+            *(vars_of(h) for h in propagated + simplified)))
         setfield(self, "body_vars", tuple(sorted(
             set().union(*(vars_of(b) for b in body)))))
 
@@ -336,23 +335,6 @@ class Program(Frozen, compared=("rules",)):
         raise KeyError(name)
 
 
-def _rename_rule(rule: Rule, idx: int) -> Rule:
-    mapping = {v: Var(f"{v}.{idx}") for c in rule.propagated + rule.simplified
-               for v in vars_of(c)}
-
-    def sub(x):
-        return apply_subst(mapping, x)
-
-    return Rule(
-        name=rule.name,
-        propagated=tuple(sub(c) for c in rule.propagated),
-        simplified=tuple(sub(c) for c in rule.simplified),
-        guard=sub(rule.guard),
-        body=tuple(sub(b) for b in rule.body),
-        index=idx,
-    )
-
-
 def _rules(p: _Parser) -> tuple[Rule, ...]:
     rules: list[Rule] = []
     names: set[str] = set()
@@ -399,19 +381,14 @@ def _rules(p: _Parser) -> tuple[Rule, ...]:
         if not head_cs:
             raise ParseError(f"rule {name_tok.text!r} has an empty head",
                              name_tok.line, name_tok.col)
-        head_vars: set[str] = set()
-        for c in head_cs:
-            head_vars |= vars_of(c)
-        free = vars_of(guard) - head_vars
-        for b in body:
-            free |= vars_of(b) - head_vars
+        rule = Rule(name_tok.text, tuple(propagated), tuple(simplified),
+                    guard, tuple(body), len(rules))
+        free = (vars_of(guard) | set(rule.body_vars)) - rule.head_vars
         if free:  # range restriction keeps matching one-way
             raise ParseError(
                 f"rule {name_tok.text!r}: variable(s) {', '.join(sorted(free))} "
                 "not bound by any head", name_tok.line, name_tok.col)
-        rule = Rule(name_tok.text, tuple(propagated), tuple(simplified),
-                    guard, tuple(body))
-        rules.append(_rename_rule(rule, len(rules)))
+        rules.append(rule)
     return tuple(rules)
 
 
@@ -434,12 +411,12 @@ def parse_goals(text: str) -> tuple[Constraint, ...]:
 def parse_constraint_text(text: str) -> Constraint:
     """Parse a single constraint (used by the trace reader, which reads a
     constraint or a term at any depth)."""
-    p = _Parser(lex(text, allow_dotted=True))
+    p = _Parser(lex(text))
     return p.whole(_Parser.constraint, "constraint")
 
 
 def parse_term_text(text: str) -> Term:
-    p = _Parser(lex(text, allow_dotted=True))
+    p = _Parser(lex(text))
     return p.whole(_Parser.term, "term")
 
 
@@ -486,12 +463,8 @@ def _guard_at(guard: Term, heads: tuple[Head, ...], bound: set[str]) -> int:
 # ---------------------------------------------------------- pretty print
 
 def pretty_rule(r: Rule) -> str:
-    # rule variables print without their renaming suffix: v.N as v
-    plain = {v: Var(v.rsplit(".", 1)[0]) for h in r.heads
-             for v in vars_of(h.pattern)}
-
     def cs(items):
-        return ", ".join(render_constraint(apply_subst(plain, c)) for c in items)
+        return ", ".join(render_constraint(c) for c in items)
 
     if r.propagated and r.simplified:
         head = f"{cs(r.propagated)} \\ {cs(r.simplified)} <=>"
@@ -501,7 +474,7 @@ def pretty_rule(r: Rule) -> str:
         head = f"{cs(r.propagated)} ==>"
     guard = ""
     if r.guard != Const(True):
-        guard = f" {render_term(apply_subst(plain, r.guard))} |"
+        guard = f" {render_term(r.guard)} |"
     body = cs(r.body) if r.body else "true"
     return f"{r.name} @ {head}{guard} {body}."
 

@@ -120,6 +120,10 @@ class App(Frozen, compared=("fn", "args")):
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):  # Record's text, folded over a stack
+        return _fold(self, repr, lambda t, a, b:
+                     f"App(fn={t.fn!r}, args=({a}, {b}))")
+
 
 Term = Union[Var, Const, App]
 

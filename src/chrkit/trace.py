@@ -3,7 +3,7 @@
 Both goal engines record a run as a list of `Step`s, and the verifier reads
 the same `Step`s back from text.  One line per step:
 
-    <seq> <kind> goal=<constraint[#id]> [rule=<name>] [phi={x.0->3;y.0->m}]
+    <seq> <kind> goal=<constraint[#id]> [rule=<name>] [phi={x->3;y->m}]
         P={ids} S={ids} [worker=<k>] [interval=<start,commit>]
 
 `phi` is written for firings (Simplify/Propagate) only, `worker` and
@@ -16,7 +16,9 @@ call and shares the frozen terms between steps.  A text that is exactly
 what the printer writes for flat arguments (integers, `true`/`false` and
 variables) is read without the grammar, by `read_constraint` and
 `read_term`; any other text, malformed ones included, goes to the grammar
-and raises what it raises.
+and raises what it raises.  phi's keys are the rule's variables as the
+program names them (`syntax` says why no renaming is needed), so trace
+text has the lexical syntax of programs and goals.
 """
 from __future__ import annotations
 
@@ -145,11 +147,11 @@ def _parsed(cache: dict, parse, text: str):
 
 
 # A flat argument as render_term prints it: an integer, or a name that lex
-# reads as one lowercase word (`true`, `false`, a variable, dotted `x.0` in
-# trace text).  ASCII only; the grammar reads everything else.  The
-# patterns are compiled on first use, through the `re` module's cache, so
-# importing chrkit does not pay for them.
-_FLAT = r"-?[0-9]+|[a-z_][A-Za-z0-9_]*(?:\.[0-9][A-Za-z0-9_]*)*"
+# reads as one lowercase word (`true`, `false`, a variable).  ASCII only;
+# the grammar reads everything else.  The patterns are compiled on first
+# use, through the `re` module's cache, so importing chrkit does not pay for
+# them.
+_FLAT = r"-?[0-9]+|[a-z_][A-Za-z0-9_]*"
 _CHR = rf"([A-Z][A-Za-z0-9_]*)(?:\(((?:{_FLAT})(?:,(?:{_FLAT}))*)\))?"
 _EQ = rf"({_FLAT})=({_FLAT})"
 

@@ -202,8 +202,8 @@ class _Replica:
         """Goals that still await execution; numbered goals whose entry died
         are stale and not pending (engines discard them on dequeue)."""
         out = [key for key, n in self.goals.items() for _ in range(n)]
-        out.extend(f"#{cid}" for cid, n in self.numbered.items()
-                   if cid in self.alive for _ in range(n))
+        out.extend(f"{self.keys[i]}#{i}" for i, n in self.numbered.items()
+                   if i in self.alive for _ in range(n))
         return out
 
     def dump(self) -> str:

@@ -214,7 +214,7 @@ REFERENCE_SYMBOLS = ["<=>", "==>", "==", "!=", ">=", "<=", "&&", "||", "@",
                      "(", ")", ",", ".", "\\", "|", "=", "<", ">", "+", "-", "*"]
 
 
-def reference_lex(text: str, allow_dotted: bool = False) -> list[Token]:
+def reference_lex(text: str) -> list[Token]:
     toks: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -261,8 +261,7 @@ def reference_lex(text: str, allow_dotted: bool = False) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"
-                             or (allow_dotted and text[j] == "." and j + 1 < n and text[j + 1].isdigit())):
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
             kind = "uident" if word[0].isupper() else "lident"

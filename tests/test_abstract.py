@@ -213,7 +213,7 @@ def test_validate_rewrite_accepts_recorded_instances():
                                     [form[t] for _, t in st.simplified]) is None
     # the heads are compared by their forms under theta, not as written
     assert (form[0], form[1]) == ("A(2)", "B(2)")
-    assert validate_rewrite(p.rule("r1"), {"x.0": Const(2)}, theta,
+    assert validate_rewrite(p.rule("r1"), {"x": Const(2)}, theta,
                             [], ["A(a)", "B(2)"]) \
         == "simplified heads do not match rule r1"
 
@@ -231,9 +231,15 @@ def test_validate_rewrite_rejects_wrong_heads():
     assert validate_rewrite(rule, st.phi, {}, props, props) \
         == "simplified heads do not match rule gcd2"
     # roles and values swapped: the heads match, the guard m>=n fails
-    swapped = {"n.1": st.phi["m.1"], "m.1": st.phi["n.1"]}
+    swapped = {"n": st.phi["m"], "m": st.phi["n"]}
     assert validate_rewrite(rule, swapped, {}, simps, props) \
         == "guard of rule gcd2 not entailed"
+    # phi binds every head variable and nothing else
+    assert validate_rewrite(rule, {"n": st.phi["n"]}, {}, props, simps) \
+        == "phi binds {n}, not the head variables {m,n} of rule gcd2"
+    assert validate_rewrite(rule, {**st.phi, "k": Const(1)}, {}, props,
+                            simps) \
+        == "phi binds {k,m,n}, not the head variables {m,n} of rule gcd2"
     # an inconsistent store entails no guard
     assert validate_rewrite(rule, st.phi, None, props, simps) \
         == "guard of rule gcd2 not entailed"

@@ -1,9 +1,11 @@
 import pickle
 import random
+import re
 import string
 
 import pytest
 
+from chrkit.abstract import AbstractStore, LimitExceeded, final_stores
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.syntax import (MAX_TERM_DEPTH, ParseError, lex, load_program,
@@ -15,8 +17,8 @@ from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
 from chrkit.trace import parse_trace, serialize_trace
 from chrkit.verify import verify_run
 
-from conftest import (CORPUS, REFERENCE_SYMBOLS, program_text,
-                      reference_lex)
+from conftest import (CORPUS, REFERENCE_SYMBOLS, equation_fuzz_case,
+                      fuzz_case, program_text, reference_lex)
 
 
 def test_parse_simpagation_rule():
@@ -60,9 +62,9 @@ def test_rules_and_programs_are_immutable_values():
             setattr(value, field, None)
     # heads and body variables are worked out once, when the rule is built
     assert [(h.role, h.pos, h.pattern) for h in r.heads] == [
-        ("propagated", 0, Chr("Gcd", (Var("n.1"),))),
-        ("simplified", 0, Chr("Gcd", (Var("m.1"),)))]
-    assert r.body_vars == ("m.1", "n.1")
+        ("propagated", 0, Chr("Gcd", (Var("n"),))),
+        ("simplified", 0, Chr("Gcd", (Var("m"),)))]
+    assert r.head_vars == {"m", "n"} and r.body_vars == ("m", "n")
     # equal and hashed by their fields; the occurrence table is derived
     again = load_program(program_text("gcd"))
     assert again == p and again.rules[1] is not r
@@ -130,16 +132,50 @@ def test_comments_and_whitespace_are_insignificant():
     assert len(parse_program(text).rules) == 1
 
 
-def test_rules_renamed_apart():
-    p = parse_program("m1 @ Leq(x,a) \\ Leq(x,b) <=> a<b | Leq(a,b).\n"
-                      "m2 @ Merge(n,a), Merge(n,b) <=> a<b | Leq(a,b), Merge(n+1,a).")
-    seen: set[str] = set()
-    for r in p.rules:
-        rule_vars = set()
-        for c in r.propagated + r.simplified:
-            rule_vars |= vars_of(c)
-        assert not (rule_vars & seen)
-        seen |= rule_vars
+def _named_like_goal_variables(rng, text):
+    """A fuzz program with each rule's variables v<rule>x<k> renamed to a
+    seeded choice of distinct goal variable names, u, w and z."""
+    names: dict[str, list[str]] = {}
+
+    def rename(m):
+        return names.setdefault(m[1], rng.sample("uwz", 3))[int(m[2])]
+
+    return re.sub(r"\bv(\d+)x(\d+)\b", rename, text)
+
+
+def test_rule_variables_may_share_names_with_goal_variables():
+    """Rule variables keep their names, so they may be named as goal
+    variables are: the renamed program gives the original's dumps on both
+    engines, traces that verify (their phi keys are the new names) and the
+    original's final stores."""
+    rng = random.Random(27)
+    cases = ([fuzz_case(rng) for _ in range(300)]
+             + [equation_fuzz_case(rng) for _ in range(300)])
+    runs = (run_sequential,
+            lambda goals, p: run_concurrent(goals, p, EngineConfig(workers=1)))
+    shared = decided = 0
+    for text, goal_text in cases:
+        renamed = _named_like_goal_variables(rng, text)
+        goals = parse_goals(goal_text)
+        original, p = load_program(text), load_program(renamed)
+        assert renamed != text
+        shared += any(r.head_vars & vars_of(g) for r in p.rules for g in goals)
+        for concurrent, run in enumerate(runs):
+            want, res = run(goals, original), run(goals, p)
+            dump = res.state.store.dump()
+            assert dump == want.state.store.dump(), renamed
+            trace = serialize_trace(res.trace, {}, res.status, dump)
+            assert all(v.passed for v in verify_run(trace, goals, p,
+                                                    bool(concurrent))), renamed
+        try:
+            want = final_stores(AbstractStore.from_constraints(goals),
+                                original, max_states=5_000)
+        except LimitExceeded:
+            continue
+        assert final_stores(AbstractStore.from_constraints(goals), p,
+                            max_states=5_000) == want, renamed
+        decided += 1
+    assert shared > 100 and decided > 500, (shared, decided)
 
 
 def test_occurrence_table_gcd():
@@ -243,7 +279,7 @@ def _random_term(rng, depth):
         Const(rng.choice([rng.randrange(-99, 99), INT64_MIN, INT64_MAX])),
         Const(rng.choice(["a", "Zb_1", "x.0", "-"])),
         Const(rng.random() < 0.5),
-        Var(rng.choice(["x", "y", "v.3"]))])
+        Var(rng.choice(["x", "y", "v_3"]))])
 
 
 def test_render_then_parse_is_the_identity_on_terms():
@@ -277,27 +313,26 @@ def test_lexer_matches_the_character_scanner():
     (alphanumeric, neither letter nor digit), so the expected result is the
     reference's on the text with every '²' written as '¾'."""
 
-    def outcome(lexer, text, dotted):
+    def outcome(lexer, text):
         try:
-            return [(t.kind, t.text, t.line, t.col) for t in lexer(text, dotted)]
+            return [(t.kind, t.text, t.line, t.col) for t in lexer(text)]
         except ParseError as exc:
             return str(exc)
 
     rng = random.Random(9)
     fixed = ok = 0
-    for k in range(5000):
+    for _ in range(5000):
         text = "".join(rng.choice(rng.choice(LEX_GROUPS))
                        for _ in range(rng.randrange(12)))
-        dotted = k % 2 == 1
-        got = outcome(lex, text, dotted)
-        want = outcome(reference_lex, text.replace("²", "¾"), dotted)
+        got = outcome(lex, text)
+        want = outcome(reference_lex, text.replace("²", "¾"))
         if isinstance(want, str):
             want = want.replace("¾", "²")
         else:
             want = [(kind, s.replace("¾", "²"), line, col)
                     for kind, s, line, col in want]
         assert got == want, text
-        fixed += want != outcome(reference_lex, text, dotted)
+        fixed += want != outcome(reference_lex, text)
         ok += isinstance(got, list)
     assert fixed > 50 and ok > 1000  # both the fix and clean text occur
 

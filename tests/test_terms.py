@@ -440,3 +440,14 @@ def test_deep_terms_walk_without_recursing(build, value):
     assert not holds({}, {}, App("==", (t, Const(value))))  # not ground
     assert eval_ground(grounded) == value
     assert parse_term_text(render_term(t)) == t
+
+
+@pytest.mark.parametrize("build,head,tail", [
+    (left_chain, "App(fn='+', args=(", ", Const(value=1)))"),
+    (right_nest, "App(fn='-', args=(Const(value=1), ", "))")])
+def test_deep_terms_repr_without_recursing(build, head, tail):
+    """repr of a term DEEP applications deep is the text repr gives a
+    shallow one, level by level, at the default recursion limit."""
+    text = head * DEEP + "Var(name='x')" + tail * DEEP
+    assert repr(build()) == text
+    assert repr(Chr("A", (build(),))) == f"Chr(pred='A', args=({text},))"

@@ -29,11 +29,11 @@ RUNS = {
 
 DIGESTS = {
     "sequential fifo":
-        "af8352ce5aeffc906ab994fdb6498abb4bb5770617ca2139a037b0bd091a4189",
+        "6b621e5ad937f4cb3205c20bc6d4194c8c7e071012b021ff2bf27edb8670e1ec",
     "sequential lifo":
-        "4dfd0ed4f93d4a184f11a546aad58d4df136bfd9ce655c0e0096201b320970e7",
+        "8c34284b10b405a49d40c6ced8b30a62ddc197edeb7084f5dde3e7bd9c2bd397",
     "1 worker":
-        "c1af68a67b22b74746b9a5dede1584ca9eda4918fa51be42ac4aef338b19b5a7",
+        "ddb70cdda34793501a3862474021243813d239c7e3333130c7a517a7d07e65a3",
 }
 
 

@@ -346,7 +346,8 @@ FORGERIES = [
     # (name, program, goals, forge, check, detail)
     ("wrong rule", "gcd", None,
      lambda t: t.replace("rule=gcd2", "rule=gcd1", 1),
-     "replay", "step 3: propagated heads do not match rule gcd1"),
+     "replay", "step 3: phi binds {m,n}, not the head variables {} of rule "
+               "gcd1"),
     ("wrong wake-up set", None, None,
      lambda t: t.replace("Solve goal=a=2 P={1}", "Solve goal=a=2 P={}"),
      "replay", "step 4: wake-up mismatch: recorded [], expected [1]"),
@@ -369,35 +370,59 @@ FORGERIES = [
      "replay", "step 2: propagation instance fired twice: ('r1', (1,))"),
     ("firings without phi", "gcd", None,
      lambda t: re.sub(r" phi=\S*", "", t),
-     "replay", "step 3: propagated heads do not match rule gcd2"),
+     "replay", "step 3: phi binds {}, not the head variables {m,n} of rule "
+               "gcd2"),
     # Gcd(3)#2 \ Gcd(9)#4 turned round: the heads match, 3>=9 does not hold
     ("simplification turned into a propagation", "gcd", None,
      lambda t: t.replace("8 Simplify goal=Gcd(9)#4 rule=gcd2 "
-                         "phi={m.1->9;n.1->3} P={2} S={4}",
+                         "phi={m->9;n->3} P={2} S={4}",
                          "8 Propagate goal=Gcd(9)#4 rule=gcd2 "
-                         "phi={m.1->3;n.1->9} P={4} S={2}"),
+                         "phi={m->3;n->9} P={4} S={2}"),
      "replay", "step 8: guard of rule gcd2 not entailed"),
     ("wrong value in phi", "gcd", None,
-     lambda t: t.replace("phi={m.1->9;n.1->3}", "phi={m.1->8;n.1->3}"),
+     lambda t: t.replace("phi={m->9;n->3}", "phi={m->8;n->3}"),
      "replay", "step 8: simplified heads do not match rule gcd2"),
     # A(a)#1 matches A(x) with x=2 only under a=2, which is not solved yet
     ("firing before its equation", None, None,
      lambda t: t.replace("3 Drop goal=B(2)#2 P={} S={}",
-                         "3 Simplify goal=B(2)#2 rule=r1 phi={x.0->2} "
+                         "3 Simplify goal=B(2)#2 rule=r1 phi={x->2} "
                          "P={} S={1,2}"),
      "replay", "step 3: simplified heads do not match rule r1"),
     # x=a matches the heads under a=2 as well as x=2 does, but the body
     # C(a) is not the activated C(2)
     ("phi equal only under the equations", None, None,
-     lambda t: t.replace("phi={x.0->2}", "phi={x.0->a}"),
+     lambda t: t.replace("phi={x->2}", "phi={x->a}"),
      "replay", "step 6: activated goal C(2) not in the goal multiset"),
     # Get(a)#1 is woken by a=b (form Get(b)), then by b=1 (form Get(1)); its
     # firing recorded against the form before b=1 puts b=1 in the goals
     ("firing against the form before a wake-up", "channel",
      "Get(a),Get(b),a=b,Put(1),Put(1)",
-     lambda t: t.replace("phi={x.0->1;y.0->1} P={} S={1,4}",
-                         "phi={x.0->b;y.0->1} P={} S={1,4}"),
+     lambda t: t.replace("phi={x->1;y->1} P={} S={1,4}",
+                         "phi={x->b;y->1} P={} S={1,4}"),
      "replay", "step 12: solved equation 1=1 not in the goal multiset"),
+    ("activation without an id", "gcd", None,
+     lambda t: t.replace("0 Activate goal=Gcd(3)#1", "0 Activate goal=Gcd(3)"),
+     "replay", "step 0: activation without an id"),
+    ("activation of an id already used", "gcd", None,
+     lambda t: t.replace("2 Activate goal=Gcd(3)#2", "2 Activate goal=Gcd(3)#1"),
+     "replay", "step 2: id 1 is not fresh"),
+    ("equation activated", "channel", "Get(x1),Get(x2),Put(1),Put(2)",
+     lambda t: t.replace("6 Solve goal=x1=1", "6 Activate goal=x1=1#9"),
+     "replay", "step 6: only CHR constraints can be activated"),
+    ("CHR constraint solved", "gcd", None,
+     lambda t: t.replace("0 Activate goal=Gcd(3)#1", "0 Solve goal=Gcd(3)"),
+     "replay", "step 0: solve goal is not an equation"),
+    ("solve with a simplified set", "channel", "Get(x1),Get(x2),Put(1),Put(2)",
+     lambda t: t.replace("6 Solve goal=x1=1 P={} S={}",
+                         "6 Solve goal=x1=1 P={} S={2}"),
+     "replay", "step 6: solve must not simplify"),
+    ("drop without an id", "gcd", None,
+     lambda t: t.replace("1 Drop goal=Gcd(3)#1", "1 Drop goal=Gcd(3)"),
+     "replay", "step 1: Drop goal carries no id"),
+    ("an id both propagated and simplified", "gcd", None,
+     lambda t: t.replace("phi={m->3;n->3} P={2} S={1}",
+                         "phi={m->3;n->3} P={2} S={1,2}", 1),
+     "replay", "step 3: propagated and simplified sets overlap"),
 ]
 
 
@@ -418,6 +443,27 @@ def test_verify_run_rejects_forged_traces(name, prog, goals, forge, check,
     assert not verdicts[0].passed and verdicts[0].detail == detail, verdicts
 
 
+@pytest.mark.parametrize("phi,detail", [
+    ("{x->5}", None),
+    ("{}", "phi binds {}, not the head variables {x} of rule r"),
+    ("{x.0->5}", "phi binds {x.0}, not the head variables {x} of rule r"),
+    ("{x->5;y->1}", "phi binds {x,y}, not the head variables {x} of rule r"),
+])
+def test_firing_binds_exactly_its_rules_head_variables(phi, detail):
+    """The rule variable x and the goal variable x share a name.  A phi
+    that leaves the rule's x unbound would let theta's goal binding x=5
+    fill it, and the heads and guard would check; so phi must bind exactly
+    the rule's head variables."""
+    p, goals = load_program("r @ A(x) <=> x > 0 | B."), parse_goals("A(x),x=5")
+    res = run_sequential(goals, p)
+    text = serialize_trace(res.trace, {}, res.status, res.state.store.dump())
+    assert " rule=r phi={x->5} " in text
+    verdicts = verify_run(text.replace("phi={x->5}", f"phi={phi}"), goals, p)
+    assert [str(v) for v in verdicts] == (
+        ["replay: PASS", "project-abstract: PASS", "check-final: PASS"]
+        if detail is None else [f"replay: FAIL (step 3: {detail})"])
+
+
 def test_firing_after_unsatisfiable_equations_sees_entries_as_written():
     # u=1 makes the equations unsatisfiable; A(u)#1, woken to A(2) by u=2,
     # is compared as A(u) again, as the abstract check does without theta
@@ -429,7 +475,7 @@ def test_firing_after_unsatisfiable_equations_sees_entries_as_written():
         "2 Activate goal=B(2)#2 P={} S={}",
         "3 Solve goal=u=2 P={1} S={}",
         "4 Solve goal=u=1 P={} S={}",
-        "5 Simplify goal=A(2)#1 rule=r1 phi={x.0->2} P={} S={1,2}",
+        "5 Simplify goal=A(2)#1 rule=r1 phi={x->2} P={} S={1,2}",
         "# status=failed",
     ])
     verdicts = verify_run(text, parse_goals("A(u),B(2),u=2,u=1"), p)
@@ -446,13 +492,13 @@ MEMO_FORGERIES = [
     ("guard after the equations became unsatisfiable",
      "r @ A(x) <=> x>0 | B.", "A(1),A(1),u=1,u=2",
      ["0 Activate goal=A(1)#1 P={} S={}",
-      "1 Simplify goal=A(1)#1 rule=r phi={x.0->1} P={} S={1}",
+      "1 Simplify goal=A(1)#1 rule=r phi={x->1} P={} S={1}",
       "2 Activate goal=B#2 P={} S={}",
       "3 Drop goal=B#2 P={} S={}",
       "4 Solve goal=u=1 P={} S={}",
       "5 Solve goal=u=2 P={} S={}",
       "6 Activate goal=A(1)#3 P={} S={}",
-      "7 Simplify goal=A(1)#3 rule=r phi={x.0->1} P={} S={3}"],
+      "7 Simplify goal=A(1)#3 rule=r phi={x->1} P={} S={3}"],
      "step 7: guard of rule r not entailed"),
     # a=1 wakes K(a)#1 to K(1), which r fires on; the same rule and phi on
     # K(b)#2 must fail its head check
@@ -462,9 +508,9 @@ MEMO_FORGERIES = [
       "1 Activate goal=K(b)#2 P={} S={}",
       "2 Activate goal=A#3 P={} S={}",
       "3 Solve goal=a=1 P={1} S={}",
-      "4 Simplify goal=A#3 rule=r phi={x.0->1} P={1} S={3}",
+      "4 Simplify goal=A#3 rule=r phi={x->1} P={1} S={3}",
       "5 Activate goal=A#4 P={} S={}",
-      "6 Simplify goal=A#4 rule=r phi={x.0->1} P={2} S={4}"],
+      "6 Simplify goal=A#4 rule=r phi={x->1} P={2} S={4}"],
      "step 6: propagated heads do not match rule r"),
 ]
 
@@ -505,7 +551,8 @@ def test_each_distinct_firing_is_validated_once(monkeypatch):
 
 @pytest.mark.parametrize("footer,final", [
     (None, "check-final: FAIL (no status footer)"),
-    ("done", "check-final: FAIL (2 goal(s) still pending: ['Gcd(6)', '#1'])"),
+    ("done", "check-final: FAIL (2 goal(s) still pending: "
+             "['Gcd(6)', 'Gcd(4)#1'])"),
     ("running", "check-final: FAIL (unknown status 'running')"),
     ("x" * 50, "check-final: FAIL (unknown status "
                f"'{'x' * 40}...')"),
@@ -542,7 +589,7 @@ def test_verdicts_are_immutable_values():
 
 def test_step_equality_covers_every_field():
     fields = dict(seq=5, kind="Simplify", goal=Chr("A", (Const(1),)),
-                  goal_id=2, rule="r", phi={"x.0": Const(1)}, prop_ids=(1,),
+                  goal_id=2, rule="r", phi={"x": Const(1)}, prop_ids=(1,),
                   simp_ids=(2,), worker=0, interval=(3, 5))
     other = dict(seq=6, kind="Propagate", goal=Chr("B"), goal_id=3,
                  rule="s", phi={}, prop_ids=(), simp_ids=(2, 4), worker=1,
@@ -605,10 +652,10 @@ def test_parse_line_names_the_non_integer_field(line, field):
 def test_goal_text_repeated_as_a_phi_value_is_parsed_as_a_term():
     # the reader's cache is per parser: `A` is a goal, not a term
     text = ("# chr-trace v1\n0 Activate goal=A#1 P={} S={}\n"
-            "1 Simplify goal=A#1 rule=r phi={x.0->A} P={} S={1}\n")
+            "1 Simplify goal=A#1 rule=r phi={x->A} P={} S={1}\n")
     with pytest.raises(TraceFormatError, match=re.escape(
             "line 3: phi is not a substitution (col 1: expected a term, "
-            "found 'A'): '{x.0->A}'")):
+            "found 'A'): '{x->A}'")):
         parse_trace(text)
 
 
@@ -665,7 +712,7 @@ def test_trace_line_roundtrip_over_generated_steps():
         rule, phi = None, {}
         if kind in FIRINGS:
             rule = "r1"
-            phi = {f"v{j}.0": _random_term(rng) for j in range(rng.randrange(3))}
+            phi = {f"v{j}": _random_term(rng) for j in range(rng.randrange(3))}
         ids = rng.sample(range(1, 20), rng.randrange(4))
         worker, interval = rng.choice([(None, None), (1, (3, 9))])
         step = Step(rng.randrange(10**6), kind, goal, goal_id, rule, phi,
@@ -724,11 +771,11 @@ def test_mutated_traces_give_verdicts_or_a_format_error(name):
 
 # sha256 of the outcomes of _mutation_outcomes, one per line
 MUTATION_DIGESTS = {
-    "gcd": "887a43c919954a6176dfc02fb35dc648c85a1ca038ceb97e6c4c18add7738f86",
+    "gcd": "26690d101661c997bba98cda9389c6558d9998d08774db0b16b79ac1bbbd282d",
     "channel":
-        "483b238c1b5bfd22c2e5dd8400f2b14f7d80e8001cbd189d90f59d3ade0abfeb",
+        "6095f09b55aee6daf11368091af2e763cf9d72b64cc6e3d672eae1076fb93c4c",
     "mergesort":
-        "d40eaffc1d079a891f7a24d19f423c65a08dc632dd237e357f7fad01c71fc647",
+        "ed764146dfdab94a6a91df5405b5a76d7233224616b1504e072e1d0547dd57c0",
 }
 
 
@@ -741,15 +788,17 @@ def test_mutated_trace_outcomes_are_pinned(name):
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == MUTATION_DIGESTS[name]
     if name == "gcd":
-        assert [outcomes[k] for k in (55, 182, 104, 45)] == [
-            "TraceFormatError: line 15: phi is not a substitution "
-            "(col 1: expected a term, found 'eof'): '{m.1->3;n.1->}'",
+        assert [outcomes[k] for k in (34, 184, 224, 32, 170)] == [
+            "TraceFormatError: line 11: phi is not a substitution "
+            "(col 1: expected a term, found 'eof'): '{m-9;n->3}'",
             "TraceFormatError: line 16: goal is not a constraint "
             "(col 7: expected ')', found 'eof'): 'Gcd(02#7'",
-            "replay: FAIL (step 12: simplified heads do not match rule gcd2)"
+            "replay: FAIL (step 3: simplified heads do not match rule gcd2)"
             " | audit-overlap: PASS (0 overlapping pair(s))",
             "replay: FAIL (duplicate seq numbers)"
-            " | audit-overlap: FAIL (steps 10 and 10: shared ids [5])"]
+            " | audit-overlap: FAIL (steps 14 and 14: shared ids [7])",
+            "replay: FAIL (step 12: phi binds {}, not the head variables "
+            "{m,n} of rule gcd2) | audit-overlap: PASS (0 overlapping pair(s))"]
 
 
 def test_parse_trace_reads_each_step_as_parse_line_does():
@@ -774,4 +823,4 @@ def test_parse_trace_reads_each_step_as_parse_line_does():
     assert steps[0].goal is steps[2].goal  # Gcd(3), read once
     # each step has its own phi, with shared terms
     assert steps[3].phi == steps[12].phi and steps[3].phi is not steps[12].phi
-    assert steps[3].phi["n.1"] is steps[12].phi["n.1"]
+    assert steps[3].phi["n"] is steps[12].phi["n"]
