@@ -5,17 +5,17 @@ rewriting oracle, a sequential goal-based interpreter and a concurrent
 goal-based executor) plus a verifier that replays recorded traces and
 checks them against the abstract semantics.
 """
-from .abstract import (AbstractStore, LimitExceeded, canonical_multiset,
-                       final_stores, rewrite_steps, run_abstract)
+from .abstract import (AbstractStore, LimitExceeded, final_stores,
+                       rewrite_steps, run_abstract)
 from .concurrent import ConcurrentEngine, EngineConfig, run_concurrent
 from .sequential import SequentialEngine, run_sequential
 from .store import NumberedConstraint, State, Store
 from .syntax import (ParseError, Program, Rule, load_program, parse_goals,
-                     parse_program, pretty_program)
+                     parse_program)
 from .terms import (App, Chr, Const, Eq, EvalError, Term, Var, apply_subst,
                     entails, eval_ground, match, mgu)
 from .trace import Step, parse_trace, serialize_trace
-from .verify import (Verdict, audit_overlap, check_final, decompose_k,
+from .verify import (Verdict, audit_overlap_trace, decompose_k,
                      project_abstract, verify_run)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

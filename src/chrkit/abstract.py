@@ -429,17 +429,6 @@ def _instantiate(rule: Rule, phi: Subst) -> tuple[tuple[Constraint, ...],
 
 # ------------------------------------------------------- canonical forms
 
-def canonical_multiset(cs: Iterable[Constraint]) -> tuple[str, ...]:
-    """Canonical form of a store as a multiset of constraints.
-
-    Store variables originate in the initial goals and are rigid (range
-    restriction means rules never introduce fresh ones), so they keep their
-    names: sorting the rendered constraints is a sound canonical form, and it
-    keeps answers like {m=1,n=8} and {m=8,n=1} distinct.
-    """
-    return tuple(sorted(render_constraint(c) for c in cs))
-
-
 def _state_key(s: AbstractStore) -> tuple:
     """The sorted rendered items, plus the history with each tag replaced by
     its item's position in that order (ties between equal items broken by
@@ -459,9 +448,13 @@ def _state_key(s: AbstractStore) -> tuple:
 def final_stores(s: AbstractStore, p: Program,
                  max_states: int = 200_000,
                  max_depth: int = 200) -> set[tuple[str, ...]]:
-    """All final stores reachable by exhaustive rule application, as canonical
-    multisets.  Raises LimitExceeded when the bounds are hit: the caller must
-    treat the oracle as unavailable, never as empty.
+    """All final stores reachable by exhaustive rule application, each as
+    its sorted rendered constraints.  Store variables originate in the
+    initial goals and are rigid (range restriction means rules never
+    introduce fresh ones), so they keep their names: that is a sound
+    canonical form of a multiset, and it keeps answers like {m=1,n=8} and
+    {m=8,n=1} distinct.  Raises LimitExceeded when the bounds are hit: the
+    caller must treat the oracle as unavailable, never as empty.
     """
     seen: set[tuple] = set()
     finals: set[tuple[str, ...]] = set()

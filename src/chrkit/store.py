@@ -238,12 +238,6 @@ class Store:
 
     # ------------------------------------------------------------ output
 
-    def drop_ids(self) -> list[Constraint]:
-        """The visible multiset: alive constraints without ids, plus eqs."""
-        out: list[Constraint] = list(self._raw.values())
-        out.extend(self._eqs)
-        return out
-
     def dump(self) -> str:
         """One constraint per line: `pred(args)#id` sorted by id, then
         equations sorted lexicographically.  Bit-exact for golden tests."""

@@ -33,8 +33,7 @@ from typing import NamedTuple, Optional
 
 from .record import Frozen, setfield
 from .terms import (App, Chr, Const, Constraint, Eq, Term, Var, _LEFT_PREC,
-                    _PREC, _PRIMARY, render_constraint, render_term, vars_of,
-                    INT64_MAX, INT64_MIN)
+                    _PREC, _PRIMARY, vars_of, INT64_MAX, INT64_MIN)
 
 
 class ParseError(Exception):
@@ -458,26 +457,3 @@ def _guard_at(guard: Term, heads: tuple[Head, ...], bound: set[str]) -> int:
             return k
         bound |= vars_of(h.pattern)
     return len(heads)
-
-
-# ---------------------------------------------------------- pretty print
-
-def pretty_rule(r: Rule) -> str:
-    def cs(items):
-        return ", ".join(render_constraint(c) for c in items)
-
-    if r.propagated and r.simplified:
-        head = f"{cs(r.propagated)} \\ {cs(r.simplified)} <=>"
-    elif r.simplified:
-        head = f"{cs(r.simplified)} <=>"
-    else:
-        head = f"{cs(r.propagated)} ==>"
-    guard = ""
-    if r.guard != Const(True):
-        guard = f" {render_term(r.guard)} |"
-    body = cs(r.body) if r.body else "true"
-    return f"{r.name} @ {head}{guard} {body}."
-
-
-def pretty_program(p: Program) -> str:
-    return "\n".join(pretty_rule(r) for r in p.rules) + "\n"

@@ -478,8 +478,8 @@ def _evaluated(t: App, a: Term, b: Term) -> Term:
 
 
 def _instance(t: Term, phi: Subst) -> Term:
-    """normalize_term(apply_subst(phi, t)) for a term t: a bound term is
-    normalized once, its own variables left as they are."""
+    """instantiate(phi, t) for a term t: a bound term is normalized once,
+    its own variables left as they are."""
     if t.__class__ is App:
         if t.depth > 2:
             return _fold(t, partial(_instance, phi=phi), _evaluated)
@@ -491,21 +491,16 @@ def _instance(t: Term, phi: Subst) -> Term:
 
 
 def instantiate(phi: Subst, x):
-    """normalize_constraint(apply_subst(phi, x)) for a constraint x, and
-    normalize_term(apply_subst(phi, x)) for a term, in one pass: ground,
-    well-typed applications are evaluated as they are rebuilt, ill-typed
-    or overflowing ones stay symbolic.  What comes out unchanged is x
-    itself, not a copy."""
+    """apply_subst(phi, x), normalized, for a constraint or a term x, in one
+    pass: ground, well-typed applications are evaluated as they are
+    rebuilt, ill-typed or overflowing ones stay symbolic.  What comes out
+    unchanged is x itself, not a copy."""
     return _map(x, _instance, phi)
 
 
-def normalize_term(t: Term) -> Term:
+def normalize_constraint(c: Constraint) -> Constraint:
     """Evaluate ground, well-typed applications bottom-up (9-3 becomes 6).
     Ill-typed ground applications are left symbolic."""
-    return instantiate(_NOTHING, t)
-
-
-def normalize_constraint(c: Constraint) -> Constraint:
     return instantiate(_NOTHING, c)
 
 

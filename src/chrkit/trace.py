@@ -7,9 +7,11 @@ the same `Step`s back from text.  One line per step:
         P={ids} S={ids} [worker=<k>] [interval=<start,commit>]
 
 `phi` is written for firings (Simplify/Propagate) only, `worker` and
-`interval` only when the step has them (concurrent commits).  Header lines
-start with `#` and carry the engine configuration; footer lines carry the
-run status and the final store dump so a trace file is self-contained
+`interval` only when the step has them (every concurrent commit).  An
+interval's commit is the step's seq and its start the last seq the step's
+scan saw, in [-1, seq); the verifier's overlap audit checks both.  Header
+lines start with `#` and carry the engine configuration; footer lines carry
+the run status and the final store dump so a trace file is self-contained
 evidence.  The verifier consumes this text format, never in-memory engine
 state.  `parse_trace` reads each distinct goal text and phi value once per
 call and shares the frozen terms between steps.  A text that is exactly
@@ -18,7 +20,8 @@ variables) is read without the grammar, by `read_constraint` and
 `read_term`; any other text, malformed ones included, goes to the grammar
 and raises what it raises.  phi's keys are the rule's variables as the
 program names them (`syntax` says why no renaming is needed), so trace
-text has the lexical syntax of programs and goals.
+text has the lexical syntax of programs and goals: each phi key must read
+as a variable, and no key may repeat.
 """
 from __future__ import annotations
 
@@ -218,7 +221,11 @@ def _phi(text: str, cache: dict) -> Subst:
         return phi
     for binding in inner.split(";"):
         name, _, value = binding.partition("->")
-        phi[name] = _parsed(cache, read_term, value)
+        term = _parsed(cache, read_term, value)
+        key = _parsed(cache, read_term, name)
+        if key.__class__ is not Var or key.name != name or name in phi:
+            raise ValueError(name)
+        phi[name] = term
     return phi
 
 

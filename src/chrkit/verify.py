@@ -21,10 +21,17 @@ every step:
 
 and then, over the replayed state and the trace's commit intervals:
 
-  check_final      a finished state's visible store admits no more rewrites
-  audit_overlap    time-overlapping commits have non-overlapping side-effects;
-                   a sweep over intervals sorted by start that keeps only the
-                   still-open ones, costing n log n + (overlapping pairs)
+  check_final      a finished replay has no pending goal, and its visible
+                   store admits no more rewrites
+  audit_overlap    each step of a concurrent trace commits at its seq and
+                   starts in [-1, seq); time-overlapping commits have
+                   non-overlapping side-effects: a sweep over intervals sorted
+                   by start that keeps only the still-open ones, costing
+                   n log n + (overlapping pairs)
+
+`project_abstract` is the replay's projection verdict: it passes when every
+step replays.  The inputs are trace text, goals and program, never engine
+state.
 
 The reader parses each distinct goal text and phi value once per trace,
 and reads what the printer writes for flat arguments without the grammar.
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
                        validate_rewrite)
@@ -60,9 +67,6 @@ from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst,
                     vars_of)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedTrace, Step, _excerpt, parse_trace
-
-if TYPE_CHECKING:
-    from .store import State  # annotations only, no engine code at runtime
 
 # (seq, (start, commit) interval, propagated ids, simplified ids)
 AuditRecord = tuple[int, tuple[int, int], tuple[int, ...], tuple[int, ...]]
@@ -85,12 +89,12 @@ class Verdict(Frozen):
 
 
 class _Replica:
-    """Fresh store + goal multiset driven purely by trace steps.  Un-numbered
-    goals are counted by rendered constraint; numbered goals by id alone, as
-    wake-ups can change the rendered form while a stale goal copy is still
-    queued.  Store entries stay raw (as activated), exactly like the engine
-    store.  `theta` is the m.g.u. of the equations, kept from one Solve to
-    the next; it is their only solved form, and `users` maps each variable
+    """Fresh store + goal multiset driven purely by trace steps.  `goals`
+    counts un-numbered goals by rendered constraint and numbered goals by id
+    alone, as wake-ups can change the rendered form while a stale goal copy is
+    still queued.  Store entries stay raw (as activated), exactly like the
+    engine store.  `theta` is the m.g.u. of the equations, kept from one Solve
+    to the next; it is their only solved form, and `users` maps each variable
     to the keys of theta whose binding mentions it.  `forms` holds each alive
     entry's `solved_form` under theta, computed at activation and refreshed
     for the entries a Solve wakes.  `occ` maps each variable not bound by
@@ -101,8 +105,7 @@ class _Replica:
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals = Counter(render_constraint(normalize_constraint(g))
-                             for g in goals0)
-        self.numbered: Counter = Counter()
+                             for g in goals0)  # text or id -> copies
         self.entries: dict[int, Chr] = {}
         self.keys: dict[int, str] = {}  # rendered raw entries
         self.forms: dict[int, str] = {}  # solved forms of the alive entries
@@ -126,21 +129,16 @@ class _Replica:
             key = self.rendered[goal] = render_constraint(goal)
         return key
 
-    def goal_remove(self, key: str) -> None:
+    def remove_goal(self, key) -> None:
         self.goals[key] -= 1
         if self.goals[key] <= 0:
             del self.goals[key]
-
-    def numbered_remove(self, cid: int) -> None:
-        self.numbered[cid] -= 1
-        if self.numbered[cid] <= 0:
-            del self.numbered[cid]
 
     def activate(self, cid: int, c: Chr, key: str) -> None:
         self.entries[cid] = c
         self.keys[cid] = key
         self.alive.add(cid)
-        self.numbered[cid] += 1
+        self.goals[cid] += 1
         self.note_vars(cid)
 
     def note_vars(self, cid: int) -> None:
@@ -201,8 +199,9 @@ class _Replica:
     def pending_goals(self) -> list[str]:
         """Goals that still await execution; numbered goals whose entry died
         are stale and not pending (engines discard them on dequeue)."""
-        out = [key for key, n in self.goals.items() for _ in range(n)]
-        out.extend(f"{self.keys[i]}#{i}" for i, n in self.numbered.items()
+        out = [key for key, n in self.goals.items() if key.__class__ is str
+               for _ in range(n)]
+        out.extend(f"{self.keys[i]}#{i}" for i, n in self.goals.items()
                    if i in self.alive for _ in range(n))
         return out
 
@@ -227,7 +226,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
         key = rep.render(st.goal)
         if rep.goals[key] <= 0:
             return f"activated goal {key} not in the goal multiset"
-        rep.goal_remove(key)
+        rep.remove_goal(key)
         rep.activate(st.goal_id, st.goal, key)
         return None
 
@@ -243,9 +242,9 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
         if list(st.prop_ids) != woken:
             return (f"wake-up mismatch: recorded {list(st.prop_ids)}, "
                     f"expected {woken}")
-        rep.goal_remove(key)
+        rep.remove_goal(key)
         for cid in woken:
-            rep.numbered[cid] += 1
+            rep.goals[cid] += 1
         return None
 
     # numbered-goal steps
@@ -254,13 +253,13 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     cid = st.goal_id
     if cid not in rep.alive:
         return f"goal id {cid} is not alive"
-    if rep.numbered[cid] <= 0:
+    if rep.goals[cid] <= 0:
         return f"goal #{cid} not in the goal multiset"
 
     if st.kind == "Drop":
         if st.prop_ids or st.simp_ids:
             return "drop carries side effects"
-        rep.numbered_remove(cid)
+        rep.remove_goal(cid)
         return None
 
     # Simplify / Propagate
@@ -299,11 +298,11 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
             return f"propagation instance fired twice: {hkey}"
         rep.history.add(hkey)
 
-    rep.numbered_remove(cid)
+    rep.remove_goal(cid)
     for i in st.simp_ids:
         rep.alive.discard(i)
     if st.kind == "Propagate":
-        rep.numbered[cid] += 1
+        rep.goals[cid] += 1
     if n == len(rep.bodies):
         rep.bodies.append(tuple(
             render_constraint(instantiate(st.phi, b)) for b in rule.body))
@@ -312,40 +311,34 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
 
 
 def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
-                program: Program) -> tuple[Optional[_Replica], Verdict, Verdict]:
+                program: Program) -> tuple[Optional[_Replica], Verdict]:
     """The single pass: replays every step in seq order.  Returns the
-    replica with the replay and the project-abstract verdicts.  A step that
-    does not replay fails both; the projection verdict rests on the per-step
-    checks, since a step that replays changes the projection by exactly what
-    the abstract semantics expects of it."""
+    replay verdict, with the replica unless a step did not replay."""
     steps = sorted(trace.steps, key=lambda s: s.seq)
     if len({s.seq for s in steps}) != len(steps):
-        detail = "duplicate seq numbers"
-        return (None, Verdict(False, "replay", detail),
-                Verdict(False, "project-abstract", detail))
+        return None, Verdict(False, "replay", "duplicate seq numbers")
     rep = _Replica(goals0)
-    projected = Verdict(True, "project-abstract")
     for st in steps:
         err = _replay_step(rep, st, program)
         if err is not None:
-            detail = f"step {st.seq}: {err}"
-            return (None, Verdict(False, "replay", detail),
-                    Verdict(False, "project-abstract", detail))
+            return None, Verdict(False, "replay", f"step {st.seq}: {err}")
     if trace.final_dump is not None and rep.dump() != trace.final_dump:
         return rep, Verdict(False, "replay",
                             f"final store mismatch:\nreplayed:\n{rep.dump()}\n"
-                            f"recorded:\n{trace.final_dump}"), projected
-    return rep, Verdict(True, "replay"), projected
+                            f"recorded:\n{trace.final_dump}")
+    return rep, Verdict(True, "replay")
 
 
 def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
                      program: Program) -> Verdict:
     """Every step must leave the projection NoIds(G) + DropIds(Sn) unchanged
     (Solve/Activate/Drop) or change it by one valid abstract rewrite
-    (Simplify/Propagate).  The verdict comes from the single pass: the
-    goal-multiset checks of each step, and `validate_rewrite` on each
-    firing's recorded rule, substitution and heads."""
-    return _run_replay(trace, goals0, program)[2]
+    (Simplify/Propagate).  The replay checks both at each step, so this
+    verdict fails exactly where a step does not replay."""
+    rep, replayed = _run_replay(trace, goals0, program)
+    if rep is None:
+        return Verdict(False, "project-abstract", replayed.detail)
+    return Verdict(True, "project-abstract")
 
 
 def unwatched_instances(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
@@ -361,36 +354,19 @@ def unwatched_instances(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
             if pending_ids.isdisjoint(step.used_tags)]
 
 
-def _finality(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
-              history: Iterable[HistoryKey], pending: list[str],
-              program: Program) -> Verdict:
-    """No goal may be pending, and the visible store must admit no abstract
-    rewrite beyond the propagation instances already fired."""
+def check_final_from_replay(rep: _Replica, program: Program) -> Verdict:
+    """No goal may be pending, and the replayed visible store must admit no
+    abstract rewrite beyond the propagation instances already fired."""
+    pending = rep.pending_goals()
     if pending:
         return Verdict(False, "check-final",
                        f"{len(pending)} goal(s) still pending: {pending[:5]}")
-    left = unwatched_instances(items, eqs, history, frozenset(), program)
+    left = unwatched_instances(rep.live_items(), rep.eqs, rep.history,
+                               frozenset(), program)
     if not left:
         return Verdict(True, "check-final")
     return Verdict(False, "check-final",
                    f"rule {left[0][0]} still applies to ids {left[0][1]}")
-
-
-def check_final(state: State, program: Program,
-                history: Iterable[HistoryKey] = ()) -> Verdict:
-    """A finished engine state must admit no further abstract rewrite
-    (beyond propagation instances already fired)."""
-    store = state.store
-    items = [(nc.constraint, nc.id) for nc in store.live_items()]
-    pending = [render_constraint(g) if isinstance(g, (Chr, Eq)) else g.render()
-               for g in state.goals]
-    return _finality(items, store.eqs(), history, pending, program)
-
-
-def check_final_from_replay(rep: _Replica, program: Program) -> Verdict:
-    """check_final over the replayed state."""
-    return _finality(rep.live_items(), rep.eqs, rep.history,
-                     rep.pending_goals(), program)
 
 
 def decompose_k(records: Iterable[AuditRecord]
@@ -428,9 +404,25 @@ def decompose_k(records: Iterable[AuditRecord]
     return pairs, violation
 
 
-def audit_overlap(records: Iterable[AuditRecord]) -> Verdict:
-    """Definition of non-overlapping side-effects, applied to every pair of
-    committed steps whose (start, commit) intervals overlap in time."""
+def audit_overlap_trace(trace: ParsedTrace) -> Verdict:
+    """The definition of non-overlapping side-effects, applied to every pair
+    of committed steps whose (start, commit) intervals overlap in time.  A
+    trace with no interval (a sequential run's) has no such pair; once one
+    step has an interval, every step needs one whose commit is its seq and
+    whose start, the last seq its scan saw, is in [-1, seq).  decompose_k
+    sorts the records it needs."""
+    records: list[AuditRecord] = []
+    if any(st.interval is not None for st in trace.steps):
+        for st in trace.steps:
+            if st.interval is None:
+                return Verdict(False, "audit-overlap",
+                               f"step {st.seq}: no interval")
+            start, commit = st.interval
+            if commit != st.seq or not -1 <= start < commit:
+                return Verdict(False, "audit-overlap",
+                               f"step {st.seq}: interval {start},{commit} is "
+                               f"not s,{st.seq} with -1 <= s < {st.seq}")
+            records.append((st.seq, st.interval, st.prop_ids, st.simp_ids))
     pairs, violation = decompose_k(records)
     if violation is not None:
         a, b, clash = violation
@@ -439,24 +431,16 @@ def audit_overlap(records: Iterable[AuditRecord]) -> Verdict:
     return Verdict(True, "audit-overlap", f"{len(pairs)} overlapping pair(s)")
 
 
-def audit_overlap_trace(trace: ParsedTrace) -> Verdict:
-    """audit_overlap over a parsed (serialized) trace, in its own order:
-    decompose_k sorts the records it needs."""
-    return audit_overlap(
-        (st.seq, st.interval, st.prop_ids, st.simp_ids)
-        for st in trace.steps if st.interval is not None)
-
-
 def verify_run(trace_text: str, goals0: Iterable[Constraint],
                program: Program, concurrent: bool = False) -> list[Verdict]:
     """The full check battery over one serialized trace: one parse, one
     replay.  Finality is checked when the status is `done`; a missing or
     unknown status (not `failed` or `step-limit`) fails check-final."""
     trace = parse_trace(trace_text)
-    rep, replayed, projected = _run_replay(trace, list(goals0), program)
+    rep, replayed = _run_replay(trace, list(goals0), program)
     verdicts = [replayed]
     if replayed.passed:
-        verdicts.append(projected)
+        verdicts.append(Verdict(True, "project-abstract"))
         if trace.status == "done":
             verdicts.append(check_final_from_replay(rep, program))
         elif trace.status not in ("failed", "step-limit"):

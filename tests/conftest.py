@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple, Optional
 import pytest
 
 import chrkit.sequential as sequential
-from chrkit.abstract import AbstractStore, LimitExceeded, canonical_multiset
+from chrkit.abstract import AbstractStore, LimitExceeded
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import iter_matches
 from chrkit.store import NumberedConstraint, State, Store
@@ -19,6 +19,7 @@ from chrkit.terms import (Chr, Constraint, Eq, Subst, Var, apply_subst,
                           entails, match, mgu, normalize_constraint,
                           render_constraint, render_term)
 from chrkit.trace import Step
+from chrkit.verify import unwatched_instances
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -136,6 +137,27 @@ def equation_fuzz_case(rng):
     if rng.random() < 0.3:
         goals.append(f"{rng.choice('uwz')}={rng.choice(args)}")
     return "\n".join(lines), ",".join(goals)
+
+
+def canonical(store) -> tuple[str, ...]:
+    """A store as a multiset, ids dropped: the sorted rendered constraints
+    of an engine `Store` (its alive entries and equations), of an
+    `AbstractStore`, or of constraints."""
+    if isinstance(store, Store):
+        store = [nc.constraint for nc in store.live_items()] + [*store.eqs()]
+    elif isinstance(store, AbstractStore):
+        store = store.constraints()
+    return tuple(sorted(map(render_constraint, store)))
+
+
+def leftover(state: State, program: Program, history=()) -> list:
+    """What keeps a finished engine state from being final, as the
+    verifier's check-final sees a replayed one: its pending goals, then the
+    abstract rewrites of its visible store beyond the propagation instances
+    in `history`, as (rule, head ids).  Empty when the state is final."""
+    items = [(nc.constraint, nc.id) for nc in state.store.live_items()]
+    return [*state.goals, *unwatched_instances(
+        items, state.store.eqs(), history, frozenset(), program)]
 
 
 def canonical_modulo_equations(cs: Iterable[Constraint]) -> tuple[str, ...]:
@@ -394,7 +416,7 @@ def reference_final_stores(s: AbstractStore, p: Program,
             raise LimitExceeded(f"depth bound {max_depth} exceeded")
         steps = rewrite_steps(cur, p)
         if not steps:
-            finals.add(canonical_multiset(cur.constraints()))
+            finals.add(canonical(cur))
             continue
         for st in steps:
             key = reference_state_key(st.result)

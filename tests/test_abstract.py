@@ -4,29 +4,26 @@ import random
 import pytest
 
 import chrkit.abstract as abstract
-from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
-                             final_stores, rewrite_steps,
-                             run_abstract, solved_form, validate_rewrite)
+from chrkit.abstract import (AbstractStore, LimitExceeded, final_stores,
+                             rewrite_steps, run_abstract, solved_form,
+                             validate_rewrite)
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var, mgu
 
-from conftest import concurrent_compose_check, load
+from conftest import canonical, concurrent_compose_check, load
 
 
 def store_of(text):
     return AbstractStore.from_constraints(parse_goals(text))
 
 
-def canon(store):
-    return canonical_multiset(store.constraints())
-
-
 def test_rewrite_steps_gcd_pair():
     gcd = load("gcd")
     steps = rewrite_steps(store_of("Gcd(3),Gcd(9)"), gcd)
-    results = {canon(st.result) for st in steps}
+    results = {canonical(st.result) for st in steps}
     assert ("Gcd(3)", "Gcd(6)") in results
-    subs = [st.phi for st in steps if canon(st.result) == ("Gcd(3)", "Gcd(6)")]
+    subs = [st.phi for st in steps
+            if canonical(st.result) == ("Gcd(3)", "Gcd(6)")]
     assert any(phi[next(k for k in phi if k.startswith("n"))] == Const(3) and
                phi[next(k for k in phi if k.startswith("m"))] == Const(9)
                for phi in subs)
@@ -38,7 +35,7 @@ def test_rewrite_steps_empty_store():
 
 def test_rewrite_steps_equal_copies():
     steps = rewrite_steps(store_of("Gcd(3),Gcd(3)"), load("gcd"))
-    assert ("Gcd(0)", "Gcd(3)") in {canon(st.result) for st in steps}
+    assert ("Gcd(0)", "Gcd(3)") in {canonical(st.result) for st in steps}
 
 
 def test_rewrite_steps_deterministic_order():
@@ -110,7 +107,7 @@ def test_final_stores_propagation_history_stops_refiring():
 def test_run_abstract_walks_to_a_final_store():
     final, status = run_abstract(store_of("Gcd(3),Gcd(3),Gcd(9)"), load("gcd"), seed=5)
     assert status == "done"
-    assert canon(final) == ("Gcd(3)",)
+    assert canonical(final) == ("Gcd(3)",)
 
 
 def test_run_abstract_step_limit():
@@ -127,7 +124,7 @@ def test_run_abstract_refuses_a_negative_step_limit():
     final, status = run_abstract(start, countdown, max_steps=0)
     assert status == "step-limit" and final is start
     final, status = run_abstract(store_of("A(0)"), countdown, max_steps=0)
-    assert status == "done" and canon(final) == ("A(0)",)
+    assert status == "done" and canonical(final) == ("A(0)",)
     _, status = run_abstract(store_of("A(50)"), countdown, max_steps=50)
     assert status == "done"
 
@@ -194,7 +191,7 @@ def test_monotonicity_recorded_steps_replay_in_larger_store():
             assert matching, f"step {rule}{ptags}\\{stags} lost in the larger store"
             big = matching[0].result
         live = [c for c, _ in big.items if c.pred != "Inert"]
-        assert canonical_multiset(live) == canon(cur)
+        assert canonical(live) == canonical(cur)
 
 
 def test_validate_rewrite_accepts_recorded_instances():

@@ -13,18 +13,18 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from chrkit.abstract import (AbstractStore, LimitExceeded, canonical_multiset,
-                             final_stores, run_abstract)
+from chrkit.abstract import (AbstractStore, LimitExceeded, final_stores,
+                             run_abstract)
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const
 from chrkit.trace import parse_trace, serialize_trace
-from chrkit.verify import (_run_replay, audit_overlap_trace, check_final,
-                           verify_run)
+from chrkit.verify import _run_replay, audit_overlap_trace, verify_run
 
-from conftest import (CORPUS, MULTI_FIRING, canonical_modulo_equations,
-                      equation_fuzz_case, fuzz_case, goals_for, load,
+from conftest import (CORPUS, MULTI_FIRING, canonical,
+                      canonical_modulo_equations, equation_fuzz_case,
+                      fuzz_case, goals_for, leftover, load,
                       overlapping_firing_pairs, run_pitfall_variant,
                       scripted_overlap, unstamped)
 
@@ -102,7 +102,7 @@ def merge_runs():
         arts.append(_con_artifact(f"merge/w4/{rep}", program, goals, 4, rep))
         final, status = run_abstract(AbstractStore.from_constraints(goals),
                                      program, seed=rep)
-        walks.append((canonical_multiset(final.constraints()), status))
+        walks.append((canonical(final), status))
     return arts, walks, time.perf_counter() - t0
 
 
@@ -142,8 +142,7 @@ def test_criterion_1_gcd_answer_all_engines(gcd_runs):
     assert len(arts) == 500
     for art in arts:
         assert art.status == "done", art.label
-        store = canonical_multiset(art.state.store.drop_ids())
-        assert store == GCD_ANSWER, art.label
+        assert canonical(art.state.store) == GCD_ANSWER, art.label
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
     print(f"\nCRITERION 1 PASS gcd answer exact on 500 runs in {elapsed:.2f}s")
 
@@ -154,7 +153,7 @@ def test_criterion_2_channel_answers(channel_runs):
     assert finals == CHANNEL_ANSWERS
     for art in channel_runs:
         assert art.status == "done", art.label
-        got = canonical_multiset(art.state.store.drop_ids())
+        got = canonical(art.state.store)
         assert got in CHANNEL_ANSWERS, (art.label, got)
     print("\nCRITERION 2 PASS channel: oracle finds exactly both answers; "
           "200 concurrent runs all land in them")
@@ -164,11 +163,10 @@ def test_criterion_3_merge_sort_chain(merge_runs):
     arts, walks, elapsed = merge_runs
     for art in arts:
         assert art.status == "done", art.label
-        got = tuple(sorted(canonical_multiset(art.state.store.drop_ids())))
-        assert got == MERGE_CHAIN, art.label
+        assert canonical(art.state.store) == MERGE_CHAIN, art.label
     for canon, status in walks:
         assert status == "done"
-        assert tuple(sorted(canon)) == MERGE_CHAIN
+        assert canon == MERGE_CHAIN
     assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
     print(f"\nCRITERION 3 PASS merge sort chain on all engines, "
           f"150 runs in {elapsed:.2f}s")
@@ -181,7 +179,7 @@ def test_criterion_4_oracle_equivalence_fuzzing(fuzz_runs):
     assert skipped / total < 0.05, f"oracle skip rate {skipped}/{total}"
     for art, finals in zip(arts, oracle_finals):
         assert art.status == "done", art.label
-        got = canonical_multiset(art.state.store.drop_ids())
+        got = canonical(art.state.store)
         assert got in finals, (art.label, got, sorted(finals)[:3])
     print(f"\nCRITERION 4 PASS {len(arts)} fuzz cases inside the oracle set "
           f"({skipped} skipped)")
@@ -217,7 +215,8 @@ def test_criterion_4_equation_fuzzing():
             verdicts = verify_run(art.trace_text, goals, program,
                                   concurrent=art.concurrent)
             assert all(v.passed for v in verdicts), (art.label, verdicts)
-            got = canonical_modulo_equations(art.state.store.drop_ids())
+            got = canonical_modulo_equations(
+                parse_goals(",".join(canonical(art.state.store))))
             assert got in answers, (art.label, got, sorted(answers)[:3])
             # a failed run is the oracle's inconsistent final, and only it
             assert (art.status == "failed") == (got == ("false",)), art.label
@@ -240,8 +239,8 @@ def test_criterion_6_finality_every_done_run(all_artifacts):
     for art in all_artifacts:
         if art.status != "done":
             continue
-        verdict = check_final(art.state, art.program, art.history)
-        assert verdict.passed, (art.label, verdict.detail)
+        left = leftover(art.state, art.program, art.history)
+        assert not left, (art.label, left)
         checked += 1
     print(f"\nCRITERION 6 PASS finality on {checked} done runs")
 
@@ -292,12 +291,11 @@ def test_criterion_9_pitfall_variants_reach_stuck_states():
         state = run_pitfall_variant(list(thread_goals), program, variant)
         if want_dump is not None:
             assert state.store.dump() == want_dump
-        verdict = check_final(state, program)
-        assert not verdict.passed, (variant, state.store.dump())
+        assert leftover(state, program), (variant, state.store.dump())
         # the shipped engine finishes the same workload exhaustively
         flat = [g for gs in thread_goals for g in gs]
         res = run_concurrent(flat, program, EngineConfig(workers=2, seed=0))
-        assert check_final(res.state, program, res.history).passed
+        assert not leftover(res.state, program, res.history)
     print("\nCRITERION 9 PASS all three rejected variants get stuck and "
           "the finality check reports them")
 
@@ -334,7 +332,7 @@ def test_scalability_smoke_report():
                                  EngineConfig(workers=workers, seed=0))
             times[workers] = time.perf_counter() - t0
             assert res.status == "done"
-            assert canonical_multiset(res.state.store.drop_ids()) == ("Gcd(8)",)
+            assert canonical(res.state.store) == ("Gcd(8)",)
         # the 8-worker run is the largest contended trace in the suite
         text = serialize_trace(res.trace, {"engine": "concurrent"},
                                res.status, res.state.store.dump())

@@ -6,23 +6,19 @@ import pytest
 
 import chrkit.concurrent
 import chrkit.sequential
-from chrkit.abstract import canonical_multiset
 from chrkit.concurrent import (ConcurrentEngine, EngineConfig, run_concurrent,
                                _TickConflict)
 from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var
 from chrkit.trace import Step, serialize_trace, step_to_line
-from chrkit.verify import check_final, decompose_k, verify_run
+from chrkit.verify import decompose_k, verify_run
 
-from conftest import (CORPUS, MULTI_FIRING, equation_fuzz_case, fuzz_case,
-                      goals_for, load, overlapping_firing_pairs,
+from conftest import (CORPUS, MULTI_FIRING, canonical, equation_fuzz_case,
+                      fuzz_case, goals_for, leftover, load,
+                      overlapping_firing_pairs,
                       run_pitfall_variant, run_scripted_pair, scripted_overlap,
                       unstamped)
-
-
-def canon_store(state):
-    return canonical_multiset(state.store.drop_ids())
 
 
 def test_config_validation():
@@ -88,7 +84,7 @@ def test_gcd_answer_stable_across_workers_and_seeds():
         for seed in range(8):
             res = run_concurrent(goals, p, EngineConfig(workers=workers, seed=seed))
             assert res.status == "done"
-            assert canon_store(res.state) == ("Gcd(3)",)
+            assert canonical(res.state.store) == ("Gcd(3)",)
 
 
 def test_channel_always_one_of_the_two_answers():
@@ -98,7 +94,7 @@ def test_channel_always_one_of_the_two_answers():
     for seed in range(40):
         res = run_concurrent(goals, p, EngineConfig(workers=4, seed=seed))
         assert res.status == "done"
-        got = canon_store(res.state)
+        got = canonical(res.state.store)
         assert got in answers
         seen.add(got)
     # committed choice: which pairing wins is schedule-dependent
@@ -257,7 +253,7 @@ def test_solve_wakes_under_concurrency():
     for seed in range(20):
         res = run_concurrent(goals, p, EngineConfig(workers=3, seed=seed))
         assert res.status == "done"
-        assert canon_store(res.state) == ("C(2)", "a=2"), seed
+        assert canonical(res.state.store) == ("C(2)", "a=2"), seed
 
 
 def test_failed_status_on_inconsistency():
@@ -460,24 +456,23 @@ def test_store_on_drop_activation_reaches_stuck_state():
     goals = parse_goals("A(1),B(2)")
     state = run_pitfall_variant([[goals[0]], [goals[1]]], p, "store_on_drop")
     assert state.store.dump() == "A(1)#1\nB(2)#2"
-    verdict = check_final(state, p)
-    assert not verdict.passed
+    assert leftover(state, p)
 
 
 def test_split_store_execution_reaches_stuck_state():
     p = load("pitfall_split")
     g = parse_goals("A,E,B,D")
     state = run_pitfall_variant([[g[0], g[1]], [g[2], g[3]]], p, "split_store")
-    assert sorted(canonical_multiset(state.store.drop_ids())) == ["A", "B", "D", "E"]
-    assert not check_final(state, p).passed
+    assert canonical(state.store) == ("A", "B", "D", "E")
+    assert leftover(state, p)
 
 
 def test_multi_step_before_join_reaches_stuck_state():
     p = load("pitfall_single")
     g = parse_goals("A,B")
     state = run_pitfall_variant([[g[0]], [g[1]]], p, "multi_step")
-    assert sorted(canonical_multiset(state.store.drop_ids())) == ["A", "B"]
-    assert not check_final(state, p).passed
+    assert canonical(state.store) == ("A", "B")
+    assert leftover(state, p)
 
 
 def test_shipped_engine_avoids_all_three_pitfalls():
@@ -487,4 +482,4 @@ def test_shipped_engine_avoids_all_three_pitfalls():
         for seed in range(10):
             res = run_concurrent(goals, p, EngineConfig(workers=split, seed=seed))
             assert res.status == "done"
-            assert check_final(res.state, p, res.history).passed, (name, seed)
+            assert not leftover(res.state, p, res.history), (name, seed)

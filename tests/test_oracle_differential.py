@@ -16,9 +16,9 @@ from chrkit.sequential import run_sequential
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var, render_constraint
 
-from conftest import (CORPUS, equation_fuzz_case, fuzz_case, goals_for, load,
-                      reference_final_stores, reference_rewrite_steps,
-                      reference_state_key)
+from conftest import (CORPUS, equation_fuzz_case, fuzz_case, goals_for,
+                      leftover, load, reference_final_stores,
+                      reference_rewrite_steps, reference_state_key)
 
 # keeps the 200-case fuzz check to a few seconds; cases that reach it are
 # still compared state by state, and both searches must stop at the same one
@@ -389,7 +389,6 @@ def test_check_final_looks_partners_up(monkeypatch):
     """check-final on a 128-value mergesort final store matches each item
     against its occurrences and looks its partners up: under 2 match calls
     per item, where a bucket scan makes one per pair of Leq items."""
-    from chrkit.verify import check_final
     program = load("mergesort")
     values = random.Random(1).sample(range(1, 1000), 128)
     res = run_sequential(
@@ -402,6 +401,6 @@ def test_check_final_looks_partners_up(monkeypatch):
         return match(*args)
 
     monkeypatch.setattr(abstract, "match", counted)
-    assert check_final(res.state, program, res.history).passed
+    assert not leftover(res.state, program, res.history)
     size = res.state.store.size()
     assert size == 128 and 0 < calls[0] <= 2 * size

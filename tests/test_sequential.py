@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from chrkit.abstract import canonical_multiset
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import SequentialEngine, run_sequential
 from chrkit.store import NumberedConstraint
@@ -11,11 +10,7 @@ from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var
 from chrkit.verify import unwatched_instances
 
-from conftest import CORPUS, goals_for, load
-
-
-def canon_store(state):
-    return canonical_multiset(state.store.drop_ids())
+from conftest import CORPUS, canonical, goals_for, load
 
 
 def test_channel_four_goals_ten_steps_fifo():
@@ -41,7 +36,7 @@ def test_channel_named_goals():
 def test_gcd_reaches_single_answer():
     res = run_sequential(goals_for("gcd"), load("gcd"))
     assert res.status == "done"
-    assert canon_store(res.state) == ("Gcd(3)",)
+    assert canonical(res.state.store) == ("Gcd(3)",)
 
 
 def test_empty_goals_finish_immediately():
@@ -101,7 +96,7 @@ def test_propagation_fires_once_per_instance():
     fires = [s for s in res.trace if s.kind == "Propagate"]
     assert len(fires) == 2
     assert {s.prop_ids for s in fires} == {(1,), (3,)}
-    assert sorted(canon_store(res.state)) == ["P", "P", "Q", "Q"]
+    assert sorted(canonical(res.state.store)) == ["P", "P", "Q", "Q"]
     assert res.history == {("r1", (1,)), ("r1", (3,))}
 
 
@@ -197,9 +192,9 @@ def test_goal_monotonicity_inert_goals_do_not_disturb_the_run():
         extra = [Chr("Quiet", (Const(k),)) for k in range(rng.randrange(1, 4))]
         plain = run_sequential(goals, p)
         padded = run_sequential(goals + extra, p)
-        want = sorted(canon_store(plain.state) +
+        want = sorted(canonical(plain.state.store) +
                       tuple(f"Quiet({k})" for k in range(len(extra))))
-        assert sorted(canon_store(padded.state)) == want
+        assert sorted(canonical(padded.state.store)) == want
 
 
 def test_active_instance_invariant_on_corpus():
@@ -280,7 +275,7 @@ def test_a_run_keeps_only_live_store_entries():
     res = run_sequential([Chr("Gcd", (Const(v),)) for v in values], load("gcd"))
     store = res.state.store
     assert len(store._raw) == len(store._view) == store.size() == 1
-    assert store.drop_ids() == [Chr("Gcd", (Const(math.gcd(*values)),))]
+    assert canonical(store) == (f"Gcd({math.gcd(*values)})",)
     assert sum(s.kind == "Activate" for s in res.trace) > 10_000
 
 
@@ -290,4 +285,4 @@ def test_stale_woken_goal_is_discarded():
     p = load_program("r2 @ A(x), A(y) <=> x==y | B(x).")
     res = run_sequential(parse_goals("A(u),A(u),u=3"), p)
     assert res.status == "done"
-    assert canon_store(res.state) == ("B(3)", "u=3")
+    assert canonical(res.state.store) == ("B(3)", "u=3")

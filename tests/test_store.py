@@ -101,7 +101,6 @@ def test_a_killed_entry_is_freed_everywhere():
     assert dead.id not in st._raw and dead.id not in st._view
     assert st.size() == 1 and st.live_items() == [keep]
     assert st.dump() == "B(y,1)#1"
-    assert st.drop_ids() == [keep.constraint]
     pattern = Chr("B", (Var("w"), Var("x")))
     by_index = st.candidates(pattern, 1, {"x": Const(1)})
     by_scan = st.candidates(pattern, None, {})
@@ -533,19 +532,6 @@ def test_add_equation_wakes_by_the_brute_force_rule(monkeypatch):
         run_sequential(goals, program)
         run_concurrent(goals, program, EngineConfig(workers=1))
     assert woke[True] >= 40 and woke[False] >= 40  # 50 of 424 Solves wake
-
-
-def test_drop_ids_multiset():
-    st = Store()
-    st.insert(Chr("Get", (Var("x2"),)))
-    st.add_equation(Eq(Var("x1"), Const(1)))
-    got = sorted(map(str, st.drop_ids()))
-    assert len(got) == 2
-    assert st.dump() == "Get(x2)#1\nx1=1"
-
-
-def test_drop_ids_empty():
-    assert Store().drop_ids() == []
 
 
 def test_dump_format_sorted_by_id_then_equations():

@@ -10,15 +10,15 @@ from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
 from chrkit.syntax import (MAX_TERM_DEPTH, ParseError, lex, load_program,
                            parse_constraint_text, parse_goals, parse_program,
-                           parse_term_text, pretty_program)
+                           parse_term_text)
 from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
                           Const, Eq, Var, render_constraint, render_term,
                           vars_of)
 from chrkit.trace import parse_trace, serialize_trace
 from chrkit.verify import verify_run
 
-from conftest import (CORPUS, REFERENCE_SYMBOLS, equation_fuzz_case,
-                      fuzz_case, program_text, reference_lex)
+from conftest import (REFERENCE_SYMBOLS, equation_fuzz_case, fuzz_case,
+                      program_text, reference_lex)
 
 
 def test_parse_simpagation_rule():
@@ -218,18 +218,6 @@ def test_join_plan_guard_first_when_active_head_binds_all():
     p = load_program("r @ A(x,y) \\ B(x), C(y) <=> x>y | D.")
     occ = next(o for o in p.occurrences["A"])
     assert occ.guard_at == 0
-
-
-def test_pretty_roundtrip_corpus():
-    for name in CORPUS:
-        text = program_text(name)
-        p = parse_program(text)
-        printed = pretty_program(p)
-        # identical token stream up to whitespace
-        tok = lambda s: [(t.kind, t.text) for t in lex(s)]
-        assert tok(printed) == tok(text)
-        # and a parse of the printed form prints identically
-        assert pretty_program(parse_program(printed)) == printed
 
 
 def test_negative_literals_and_atoms():

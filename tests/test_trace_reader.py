@@ -8,6 +8,8 @@ out each constant's value class, or the same error.
 """
 import random
 
+import pytest
+
 import chrkit.syntax as syntax
 import chrkit.trace as trace
 from chrkit.syntax import ParseError
@@ -140,6 +142,30 @@ def test_damaged_texts_give_the_grammars_errors(monkeypatch):
     errors = sum(kind == "error" for kind, _ in got)
     assert 1000 < errors < len(got) - 1000, (errors, len(got))
 
+
+@pytest.mark.parametrize("phi,error", [
+    ("{m}->3;n->3}", "(col 2: unexpected character '}')"),
+    ("{m->3;m->3}", ""),
+    ("{3->3}", ""),
+    ("{true->3}", ""),
+    ("{(m)->3}", ""),
+    ("{m+1->3}", ""),
+    ("{x.0->3}", "(col 2: unexpected '.' after term)"),
+    ("{->3}", "(col 1: expected a term, found 'eof')"),
+    ("{m->3;n->3}", None),
+    ("{é->3}", None),
+])
+def test_a_phi_key_is_a_variable_read_once(phi, error):
+    """A phi key must read as the variable it names, and no key may come
+    twice: other texts are a TraceFormatError naming the phi field."""
+    line = f"3 Simplify goal=Gcd(3)#1 rule=gcd2 phi={phi} P={{}} S={{1}}"
+    if error is None:
+        assert step_to_line(parse_line(line)) == line
+    else:
+        with pytest.raises(TraceFormatError) as exc:
+            parse_line(line)
+        why = f" {error}" if error else ""
+        assert str(exc.value) == f"phi is not a substitution{why}: {phi!r}"
 
 
 def test_a_trace_reads_each_flat_argument_once():

@@ -8,18 +8,17 @@ import pytest
 
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
-from chrkit.store import NumberedConstraint, State
+from chrkit.store import NumberedConstraint
 from chrkit.syntax import ParseError, load_program, parse_goals, parse_term_text
 from chrkit.terms import (FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var,
                           render_constraint)
 from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError, parse_line,
                           parse_trace, serialize_trace, step_to_line)
 from chrkit.verify import (Verdict, _run_replay, audit_overlap_trace,
-                           check_final, decompose_k, project_abstract,
-                           verify_run)
+                           decompose_k, project_abstract, verify_run)
 
-from conftest import (CORPUS, all_pairs_audit, equation_fuzz_case, fuzz_case,
-                      goals_for, load)
+from conftest import (CORPUS, all_pairs_audit, canonical, equation_fuzz_case,
+                      fuzz_case, goals_for, leftover, load)
 
 
 def seq_trace_text(name, goals=None):
@@ -169,9 +168,7 @@ def test_project_abstract_sequential_corpus():
 def test_project_abstract_concurrent_channel_reaches_an_answer():
     p, goals, res, text = con_trace_text("channel", seed=2)
     assert project_abstract(parse_trace(text), goals, p).passed
-    from chrkit.abstract import canonical_multiset
-    answer = canonical_multiset(res.state.store.drop_ids())
-    assert answer in {("m=1", "n=8"), ("m=8", "n=1")}
+    assert canonical(res.state.store) in {("m=1", "n=8"), ("m=8", "n=1")}
 
 
 def test_project_abstract_empty_trace():
@@ -194,16 +191,20 @@ def test_check_final_passes_on_finished_runs():
     for name in CORPUS:
         p, goals = load(name), goals_for(name)
         res = run_sequential(goals, p)
-        assert check_final(res.state, p, res.history).passed, name
+        assert not leftover(res.state, p, res.history), name
+
+
+def _final_verdict(steps, goals, program):
+    text = "\n".join(["# chr-trace v1", *steps, "# status=done"]) + "\n"
+    return str(verify_run(text, parse_goals(goals), load_program(program))[-1])
 
 
 def test_check_final_rejects_stuck_pair():
-    p = load_program("r1 @ A, B <=> C.")
-    st = State()
-    st.store.insert(Chr("A"))
-    st.store.insert(Chr("B"))
-    verdict = check_final(st, p)
-    assert not verdict.passed and "r1" in verdict.detail
+    steps = ["0 Activate goal=A#1 P={} S={}", "1 Drop goal=A#1 P={} S={}",
+             "2 Activate goal=B#2 P={} S={}", "3 Drop goal=B#2 P={} S={}",
+             "# final: A#1", "# final: B#2"]
+    assert _final_verdict(steps, "A,B", "r1 @ A, B <=> C.") == \
+        "check-final: FAIL (rule r1 still applies to ids (1, 2))"
 
 
 def test_the_verifier_imports_no_engine_module():
@@ -211,7 +212,7 @@ def test_the_verifier_imports_no_engine_module():
     with open(chrkit.verify.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     imported = set()
-    for node in tree.body:  # top level only: not the type-checking imports
+    for node in ast.walk(tree):  # type-checking and local imports too
         if isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").split(".")[-1])
             imported.update(a.name.split(".")[-1] for a in node.names)
@@ -223,13 +224,13 @@ def test_the_verifier_imports_no_engine_module():
 
 
 def test_check_final_empty_state_passes():
-    assert check_final(State(), load("gcd")).passed
+    assert _final_verdict([], "", "gcd1 @ Gcd(0) <=> true.") == \
+        "check-final: PASS"
 
 
 def test_check_final_rejects_pending_goals():
-    st = State()
-    st.goals.append(Chr("A"))
-    assert not check_final(st, load_program("r1 @ A <=> true.")).passed
+    assert _final_verdict([], "A", "r1 @ A <=> true.") == \
+        "check-final: FAIL (1 goal(s) still pending: ['A'])"
 
 
 # ---------------------------------------------------------- audit_overlap
@@ -262,7 +263,7 @@ def test_audit_overlap_audits_a_trace_with_duplicated_seqs():
     text = "\n".join([
         "# chr-trace v1",
         "10 Simplify goal=G(x1)#1 rule=r P={} S={1,3} worker=0 interval=1,10",
-        "10 Simplify goal=G(x1)#1 rule=r P={} S={1,4} worker=1 interval=2,11",
+        "10 Simplify goal=G(x1)#1 rule=r P={} S={1,4} worker=1 interval=2,10",
         "# status=done",
     ])
     assert str(audit_overlap_trace(parse_trace(text))) \
@@ -342,8 +343,27 @@ def _duplicate_propagation(lines):
     return lines[:k + 1] + [lines[k]] + lines[k + 1:]
 
 
+# `_overlap` rewrites the 1-worker trace of OVERLAP on A(1) so that worker 1
+# simplifies A(1)#1 at seq 2 after a scan from seq 0: interval 0,2, which
+# overlaps the propagation over id 1 at seq 1; `tail` stands in for
+# ` worker=1 interval=0,2`
+OVERLAP = "p @ A(x) ==> B(x). k @ A(x) <=> C(x)."
+
+
+def _overlap(tail):
+    return lambda t: t.replace(
+        "2 Activate goal=B(1)#2 P={} S={} worker=0 interval=1,2\n"
+        "3 Drop goal=B(1)#2 P={} S={} worker=0 interval=2,3\n"
+        "4 Simplify goal=A(1)#1 rule=k phi={x->1} P={} S={1} worker=0 "
+        "interval=3,4\n",
+        f"2 Simplify goal=A(1)#1 rule=k phi={{x->1}} P={{}} S={{1}}{tail}\n"
+        "3 Activate goal=B(1)#2 P={} S={} worker=0 interval=1,3\n"
+        "4 Drop goal=B(1)#2 P={} S={} worker=0 interval=3,4\n")
+
+
 FORGERIES = [
-    # (name, program, goals, forge, check, detail)
+    # (name, program, goals, forge, check, detail); an audit-overlap row
+    # forges a 1-worker concurrent trace of the program, given as text
     ("wrong rule", "gcd", None,
      lambda t: t.replace("rule=gcd2", "rule=gcd1", 1),
      "replay", "step 3: phi binds {m,n}, not the head variables {} of rule "
@@ -423,6 +443,17 @@ FORGERIES = [
      lambda t: t.replace("phi={m->3;n->3} P={2} S={1}",
                          "phi={m->3;n->3} P={2} S={1,2}", 1),
      "replay", "step 3: propagated and simplified sets overlap"),
+    ("overlapping commits that share an id", OVERLAP, "A(1)",
+     _overlap(" worker=1 interval=0,2"),
+     "audit-overlap", "steps 1 and 2: shared ids [1]"),
+    ("overlap hidden by a commit that is not the seq", OVERLAP, "A(1)",
+     _overlap(" worker=1 interval=0,0"),
+     "audit-overlap", "step 2: interval 0,0 is not s,2 with -1 <= s < 2"),
+    ("overlap hidden by a start at the seq", OVERLAP, "A(1)",
+     _overlap(" worker=1 interval=2,2"),
+     "audit-overlap", "step 2: interval 2,2 is not s,2 with -1 <= s < 2"),
+    ("overlap hidden by a deleted interval", OVERLAP, "A(1)", _overlap(""),
+     "audit-overlap", "step 2: no interval"),
 ]
 
 
@@ -430,23 +461,29 @@ FORGERIES = [
                          ids=[f[0] for f in FORGERIES])
 def test_verify_run_rejects_forged_traces(name, prog, goals, forge, check,
                                           detail):
+    concurrent = check == "audit-overlap"
     if prog is None:
         p, goals, text = _wake_program()
+    elif concurrent:
+        p, goals = load_program(prog), parse_goals(goals)
+        res = run_concurrent(goals, p, EngineConfig(workers=1))
+        text = serialize_trace(res.trace, {}, res.status,
+                               res.state.store.dump())
     else:
         goals = parse_goals(goals) if goals else goals_for(prog)
         p, goals, _, text = seq_trace_text(prog, goals)
-    assert all(v.passed for v in verify_run(text, goals, p))
+    assert all(v.passed for v in verify_run(text, goals, p, concurrent))
     forged = forge(text)
     assert forged != text
-    verdicts = verify_run(forged, goals, p)
-    assert [v.check for v in verdicts] == [check]
-    assert not verdicts[0].passed and verdicts[0].detail == detail, verdicts
+    passed = ["replay: PASS", "project-abstract: PASS", "check-final: PASS"]
+    assert [str(v) for v in verify_run(forged, goals, p, concurrent)] == \
+        (passed if concurrent else []) + [f"{check}: FAIL ({detail})"]
 
 
 @pytest.mark.parametrize("phi,detail", [
     ("{x->5}", None),
     ("{}", "phi binds {}, not the head variables {x} of rule r"),
-    ("{x.0->5}", "phi binds {x.0}, not the head variables {x} of rule r"),
+    ("{y->5}", "phi binds {y}, not the head variables {x} of rule r"),
     ("{x->5;y->1}", "phi binds {x,y}, not the head variables {x} of rule r"),
 ])
 def test_firing_binds_exactly_its_rules_head_variables(phi, detail):
@@ -771,11 +808,11 @@ def test_mutated_traces_give_verdicts_or_a_format_error(name):
 
 # sha256 of the outcomes of _mutation_outcomes, one per line
 MUTATION_DIGESTS = {
-    "gcd": "26690d101661c997bba98cda9389c6558d9998d08774db0b16b79ac1bbbd282d",
+    "gcd": "c4e551dc632bff20a94b1c0007a28c3699fff1139c22baa94903248a7fe6d867",
     "channel":
-        "6095f09b55aee6daf11368091af2e763cf9d72b64cc6e3d672eae1076fb93c4c",
+        "836107a2988c2a29beb8422afe15ff080570bf19a60b76a3af28192643a9c5db",
     "mergesort":
-        "ed764146dfdab94a6a91df5405b5a76d7233224616b1504e072e1d0547dd57c0",
+        "ae65ba6e8d1d11c1dd18095dd0c2592a125a3d9fa76f980ba08931994a5b9f10",
 }
 
 
@@ -788,7 +825,7 @@ def test_mutated_trace_outcomes_are_pinned(name):
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == MUTATION_DIGESTS[name]
     if name == "gcd":
-        assert [outcomes[k] for k in (34, 184, 224, 32, 170)] == [
+        assert [outcomes[k] for k in (34, 184, 224, 32, 170, 176, 11, 479)] == [
             "TraceFormatError: line 11: phi is not a substitution "
             "(col 1: expected a term, found 'eof'): '{m-9;n->3}'",
             "TraceFormatError: line 16: goal is not a constraint "
@@ -798,7 +835,13 @@ def test_mutated_trace_outcomes_are_pinned(name):
             "replay: FAIL (duplicate seq numbers)"
             " | audit-overlap: FAIL (steps 14 and 14: shared ids [7])",
             "replay: FAIL (step 12: phi binds {}, not the head variables "
-            "{m,n} of rule gcd2) | audit-overlap: PASS (0 overlapping pair(s))"]
+            "{m,n} of rule gcd2) | audit-overlap: PASS (0 overlapping pair(s))",
+            "TraceFormatError: line 6: phi is not a substitution "
+            "(col 2: unexpected character '}'): '{m}->3;n->3}'",
+            "replay: PASS | project-abstract: PASS | check-final: PASS"
+            " | audit-overlap: FAIL (step 2: no interval)",
+            "replay: FAIL (duplicate seq numbers) | audit-overlap: FAIL "
+            "(step 1: interval 14,15 is not s,1 with -1 <= s < 1)"]
 
 
 def test_parse_trace_reads_each_step_as_parse_line_does():
