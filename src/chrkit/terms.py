@@ -124,6 +124,28 @@ class App(Frozen, compared=("fn", "args")):
         return _fold(self, repr, lambda t, a, b:
                      f"App(fn={t.fn!r}, args=({a}, {b}))")
 
+    def __deepcopy__(self, memo=None):  # immutable: a copy is the term
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        """Pickled as its post-order list, in which an operator symbol
+        applies to the two terms before it: neither way recurses."""
+        post: list = []
+        _fold(self, post.append, lambda t, a, b: post.append(t.fn))
+        return _unfolded, (post,)
+
+
+def _unfolded(post: list) -> App:
+    done: list = []
+    for u in post:
+        if u.__class__ is str:
+            done[-2:] = [App(u, tuple(done[-2:]))]
+        else:
+            done.append(u)
+    return done[0]
+
 
 Term = Union[Var, Const, App]
 

@@ -1,27 +1,30 @@
 """Derivation traces: the step record and its stable line format.
 
 Both goal engines record a run as a list of `Step`s, and the verifier reads
-the same `Step`s back from text.  One line per step:
+the same `Step`s back from text.  One line per step, its fields separated
+by single spaces in exactly this order (brackets mark optional fields):
 
-    <seq> <kind> goal=<constraint[#id]> [rule=<name>] [phi={x->3;y->m}]
-        P={ids} S={ids} [worker=<k>] [interval=<start,commit>]
+    <seq> <kind> goal=<constraint>[#<id>] [rule=<name>] [phi={x->3;y->m}]
+        P={<ids>} S={<ids>} [worker=<k>] [interval=<start>,<commit>]
 
-`phi` is written for firings (Simplify/Propagate) only, `worker` and
-`interval` only when the step has them (every concurrent commit).  An
-interval's commit is the step's seq and its start the last seq the step's
-scan saw, in [-1, seq); the verifier's overlap audit checks both.  Header
-lines start with `#` and carry the engine configuration; footer lines carry
-the run status and the final store dump so a trace file is self-contained
-evidence.  The verifier consumes this text format, never in-memory engine
-state.  `parse_trace` reads each distinct goal text and phi value once per
-call and shares the frozen terms between steps.  A text that is exactly
-what the printer writes for flat arguments (integers, `true`/`false` and
-variables) is read without the grammar, by `read_constraint` and
-`read_term`; any other text, malformed ones included, goes to the grammar
-and raises what it raises.  phi's keys are the rule's variables as the
-program names them (`syntax` says why no renaming is needed), so trace
-text has the lexical syntax of programs and goals: each phi key must read
-as a variable, and no key may repeat.
+`phi` is written for firings only, `worker` and `interval` for every
+concurrent commit.  Numbers are written as `str` writes them, in ASCII
+digits; only an interval's start, the last seq the step's scan saw, may be
+negative.  Header lines start with `#` and carry the engine configuration;
+footer lines carry the run status and the final store dump, so a trace
+file is self-contained evidence.
+
+`parse_line` reads a line with one pattern, `_LINE`, that takes only what
+`step_to_line` writes; a refused line is a TraceFormatError naming the
+first field, in that order, that is missing or does not read (`P is not a
+set of integers: 'Pr={}'`), or the text after the last one.  `parse_trace`
+reads each distinct goal text and flat argument once per call and shares
+the frozen terms between steps.  A text that is exactly what the printer
+writes for flat arguments (integers, `true`/`false` and variables) is read
+without the grammar, by `read_constraint` and `read_term`; any other text
+goes to the grammar and raises what it raises.  phi's keys are the rule's
+variables as the program names them (`syntax` says why no renaming is
+needed): each must read as a variable, and none may repeat.
 """
 from __future__ import annotations
 
@@ -40,15 +43,10 @@ FIRINGS = ("Simplify", "Propagate")
 class Step(Record):
     """One derivation step.  `goal_id` is set when the goal is a numbered
     constraint; `prop_ids`/`simp_ids` are the side effect H_P \\ H_S, the
-    sorted ids the step propagated over and simplified away.  In both
-    engines seq is the step's position in its trace, which is commit order.
-    A concurrent commit also carries its worker and its (start, commit)
-    interval: commit is its seq, start the last seq its scan saw.
-
-    Not `Frozen`, because an immutable record pays a call per field to
-    build and both engines build one per step: a `Step` is a value, so no
-    code assigns to its fields (build a changed copy with the
-    constructor)."""
+    sorted ids the step propagated over and simplified away.  seq is the
+    step's position in its trace, which is commit order.  Not `Frozen`, as
+    an immutable record pays a call per field to build and both engines
+    build one per step; no code assigns to a `Step`'s fields."""
 
     __slots__ = ("seq", "kind", "goal", "goal_id", "rule", "phi", "prop_ids",
                  "simp_ids", "worker", "interval")
@@ -100,14 +98,8 @@ def step_to_line(step: Step) -> str:
 class ParsedTrace(Record):
     __slots__ = ("meta", "steps", "final_dump", "status")
 
-    def __init__(self, meta: Optional[dict[str, str]] = None,
-                 steps: Optional[list[Step]] = None,
-                 final_dump: Optional[str] = None,
-                 status: Optional[str] = None):
-        self.meta = {} if meta is None else meta
-        self.steps = [] if steps is None else steps
-        self.final_dump = final_dump
-        self.status = status
+    def __init__(self):  # as parse_trace fills it in
+        self.meta, self.steps, self.final_dump, self.status = {}, [], None, None
 
 
 class TraceFormatError(Exception):
@@ -131,16 +123,7 @@ def _field(name: str, what: str, parse, text: str, *args):
             f"{name} is not {what}{why}: {_excerpt(text)}") from None
 
 
-def _int(name: str, text: str) -> int:
-    return _field(name, "an integer", int, text)
-
-
-def _ids(text: str) -> tuple[int, ...]:
-    inner = text.strip("{}")
-    return tuple(sorted(int(x) for x in inner.split(","))) if inner else ()
-
-
-def _parsed(cache: dict, parse, text: str):
+def _parsed(text: str, cache: dict, parse):
     """parse(text, cache), once per parser and distinct text in cache."""
     key = (parse, text)
     found = cache.get(key)
@@ -196,18 +179,10 @@ def read_constraint(text: str, cache: Optional[dict] = None) -> Constraint:
     cache = {} if cache is None else cache
     m = re.fullmatch(_CHR, text)
     if m is not None:
-        pred, inner = m.groups()
-        if inner is None:
-            return Chr(pred)
-        args = []
-        for a in inner.split(","):
-            t = _flat(a, cache)
-            if t is None:
-                return parse_constraint_text(text)  # raises
-            args.append(t)
-        return Chr(pred, tuple(args))
-    m = re.fullmatch(_EQ, text)
-    if m is not None:
+        args = tuple([_flat(a, cache) for a in m[2].split(",")]) if m[2] else ()
+        if None not in args:  # else the grammar raises
+            return Chr(m[1], args)
+    elif (m := re.fullmatch(_EQ, text)) is not None:
         lhs, rhs = _flat(m[1], cache), _flat(m[2], cache)
         if lhs is not None and rhs is not None:
             return Eq(lhs, rhs)
@@ -215,81 +190,74 @@ def read_constraint(text: str, cache: Optional[dict] = None) -> Constraint:
 
 
 def _phi(text: str, cache: dict) -> Subst:
-    inner = text.strip("{}")
     phi: Subst = {}
-    if not inner:
-        return phi
-    for binding in inner.split(";"):
+    for binding in text[1:-1].split(";") if text != "{}" else ():
         name, _, value = binding.partition("->")
-        term = _parsed(cache, read_term, value)
-        key = _parsed(cache, read_term, name)
+        term = _parsed(value, cache, read_term)
+        key = _parsed(name, cache, read_term)
         if key.__class__ is not Var or key.name != name or name in phi:
             raise ValueError(name)
         phi[name] = term
     return phi
 
 
-def _goal(text: str, cache: dict) -> tuple[Constraint, Optional[int]]:
-    base, hash_, idtext = text.rpartition("#")
-    if hash_ and idtext.isdigit():
-        return _parsed(cache, read_constraint, base), int(idtext)
-    return _parsed(cache, read_constraint, text), None
+_NAT = "0|[1-9][0-9]*"  # a number as str() writes it, in ASCII digits
+_IDS = rf"\{{((?:{_NAT})(?:,(?:{_NAT}))*)?\}}"
+# (name, separator, what, value pattern, optional) of each field, in the
+# order step_to_line writes them; seq and kind go without their names
+_FIELDS = (("seq", "", "an integer", f"({_NAT})", False),
+           ("kind", " ", "a step kind", f"({'|'.join(KINDS)})", False),
+           ("goal", " goal=", "a constraint",  # whose text never ends in "}"
+            rf"(?:(\S*[^\s}}])#({_NAT})|(\S*[^\s}}]))", False),
+           ("rule", " rule=", "a rule name", r"(\S+)", True),
+           ("phi", " phi=", "a substitution", r"(\{\S*\})", True),
+           ("P", " P=", "a set of integers", _IDS, False),
+           ("S", " S=", "a set of integers", _IDS, False),
+           ("worker", " worker=", "an integer", f"({_NAT})", True),
+           ("interval", " interval=", "two integers",
+            f"(-?[1-9][0-9]*|0),({_NAT})", True))
+_LINE = "".join(f"(?:{sep}{value})?" if optional else sep + value
+               for _, sep, _, value, optional in _FIELDS)
+
+
+def _refusal(line: str) -> str:
+    """Why _LINE refuses line: the first field, in the printer's order, that
+    is missing or does not read, or the text after the last field."""
+    parts, k = line.split(" "), 0
+    for name, sep, what, value, optional in _FIELDS:
+        part = parts[k] if k < len(parts) else ""
+        if part.startswith(sep[1:]):
+            part = part[len(sep[1:]):]
+            if re.fullmatch(value, part):
+                k += 1
+                continue
+        elif optional:
+            continue
+        return f"{name} is not {what}: {_excerpt(part)}"
+    return f"trailing text: {_excerpt(' '.join(parts[k:]))}"
 
 
 def parse_line(line: str, cache: Optional[dict] = None) -> Step:
-    """One step line; `cache` keeps parsed goal and phi texts, and flat
-    arguments, for reuse.
-    A field that does not read inline is read again by its helper, to raise
-    the `TraceFormatError` that names it."""
+    """One step line, read with `_LINE`; `cache` keeps parsed goal and phi
+    texts, and flat arguments, for reuse.  A refused line raises the
+    TraceFormatError `_refusal` words."""
+    m = re.fullmatch(_LINE, line)
+    if m is None:
+        raise TraceFormatError(_refusal(line))
     cache = {} if cache is None else cache
-    parts = line.split(" ")
-    if len(parts) < 3:
-        raise TraceFormatError(f"malformed trace line: {_excerpt(line)}")
-    try:
-        seq = int(parts[0])
-    except ValueError:
-        seq = _int("seq", parts[0])  # raises
-    kind = parts[1]
-    if kind not in KINDS:
-        raise TraceFormatError(f"unknown step kind {_excerpt(kind)}")
-    fields: dict[str, str] = {}
-    for p in parts[2:]:
-        key, eq, value = p.partition("=")
-        if not eq:
-            raise TraceFormatError(f"malformed field {_excerpt(p)}")
-        fields[key] = value
-    if "goal" not in fields:
-        raise TraceFormatError("missing goal field")
-    text = fields["goal"]
-    base, hash_, idtext = text.rpartition("#")
-    goal = (cache.get((read_constraint, base))
-            if hash_ and idtext.isascii() and idtext.isdigit() else None)
-    if goal is None:
-        goal, goal_id = _field("goal", "a constraint", _goal, text, cache)
-    else:
-        goal_id = int(idtext)
-    interval = worker = None
-    if "interval" in fields:
-        a, _, b = fields["interval"].partition(",")
-        try:
-            interval = (int(a), int(b))
-        except ValueError:
-            interval = (_int("interval", a), _int("interval", b))  # raises
-    phi = (_field("phi", "a substitution", _phi, fields["phi"], cache)
-           if "phi" in fields else {})
-    p, s = fields.get("P", "{}"), fields.get("S", "{}")
-    try:
-        prop_ids, simp_ids = _ids(p), _ids(s)
-    except ValueError:  # one of these raises
-        prop_ids = _field("P", "a set of integers", _ids, p)
-        simp_ids = _field("S", "a set of integers", _ids, s)
-    if "worker" in fields:
-        try:
-            worker = int(fields["worker"])
-        except ValueError:
-            worker = _int("worker", fields["worker"])  # raises
-    return Step(seq, kind, goal, goal_id, fields.get("rule"), phi, prop_ids,
-                simp_ids, worker, interval)
+    (seq, kind, goal, goal_id, plain, rule, phi, p, s, worker, start,
+     commit) = m.groups()
+    goal = goal or plain
+    c = cache.get((read_constraint, goal))
+    if c is None:
+        c = _field("goal", "a constraint", _parsed, goal, cache,
+                   read_constraint)
+    return Step(int(seq), kind, c, goal_id and int(goal_id), rule,
+                phi and _field("phi", "a substitution", _phi, phi, cache),
+                () if p is None else tuple(map(int, p.split(","))),
+                () if s is None else tuple(map(int, s.split(","))),
+                worker and int(worker),
+                None if start is None else (int(start), int(commit)))
 
 
 def serialize_trace(steps, meta: dict[str, str], status: str,

@@ -6,7 +6,8 @@ machinery, so an engine bug cannot mask itself.  `verify_run` parses a trace
 into `trace.Step`s once and replays them once.  That single pass checks, at
 every step:
 
-  replay           the step's preconditions hold at its turn in seq order;
+  replay           the i-th step carries seq i, and its preconditions hold
+                   at its turn: a numbered step's goal is its entry's form;
                    after the last step, the replayed store dump equals the
                    engine's
   project_abstract the step leaves the projection NoIds(G) + DropIds(Sn)
@@ -33,24 +34,18 @@ and then, over the replayed state and the trace's commit intervals:
 step replays.  The inputs are trace text, goals and program, never engine
 state.
 
-The reader parses each distinct goal text and phi value once per trace,
-and reads what the printer writes for flat arguments without the grammar.
-The replica solves each equation once, at its Solve step, extending the
-m.g.u. it keeps by that equation alone and rewriting, in place, only the
-bindings its own variable -> bindings map says mention a newly bound
-variable, so a Solve costs what it touches, not the number of equations;
-the wake-up check looks up the entries that mention a newly bound variable
-in the replica's own variable -> ids occurrence map.  An activated goal is rendered once per distinct
-goal term, and that text is its form under the m.g.u. when the m.g.u.
-leaves it as it is; otherwise the form is rendered at activation, and
-again only when a Solve wakes the entry.  So a firing check renders
-just the rule's heads under the recorded substitution, once per distinct
-(rule, phi, head forms) and m.g.u.; a body is rendered once per distinct
-(rule, phi).  A 5,500-step gcd trace checks about 30 firings; a trace whose
-firings are all distinct pays a few microseconds per firing for the keys.
-check-final asks the oracle's `rewrite_steps` about the replayed store,
-which looks a partner up by its bound argument rather than scanning its
-bucket: about one `match` per store entry on a mergesort chain.
+The reader parses each distinct goal text and phi value once per trace.
+The replica solves each equation once, at its Solve step: it extends its
+m.g.u. by that equation alone, rewrites in place only the bindings that
+mention a newly bound variable, and wakes the entries its variable -> ids
+map lists under one, so a Solve costs what it touches.  An entry's form
+under the m.g.u. is rendered at activation and again only when a Solve
+wakes it.  A firing renders just the rule's heads under the recorded
+substitution, once per distinct (rule, phi, head forms) and m.g.u., and a
+body once per distinct (rule, phi): a 5,500-step gcd trace checks about 30
+firings.  check-final asks the oracle's `rewrite_steps` about the replayed
+store, which looks a partner up by its bound argument: about one `match`
+per store entry on a mergesort chain.
 """
 from __future__ import annotations
 
@@ -112,6 +107,7 @@ class _Replica:
         self.alive: set[int] = set()
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
+        self.solved: Subst = {}  # the last theta, once it is None
         self.occ: dict[str, set[int]] = {}
         self.users: dict[str, set[str]] = {}  # variable -> keys of theta
         self.history: set[HistoryKey] = set()
@@ -121,13 +117,25 @@ class _Replica:
         self.rendered: dict[Constraint, str] = {}
 
     def render(self, goal: Constraint) -> str:
-        """The goal's rendered form, once per distinct goal term (the reader
-        shares the terms of repeated texts, so most lookups hit by
-        identity)."""
+        """The goal's text, rendered once per distinct goal term."""
         key = self.rendered.get(goal)
         if key is None:
             key = self.rendered[goal] = render_constraint(goal)
         return key
+
+    def form_error(self, goal: Constraint, cid: int) -> Optional[str]:
+        """Why goal, recorded for entry cid, is not its form, or None.  A
+        concurrent scan records the form it read, which a later Solve may
+        have woken, so goal is compared under theta; once the equations are
+        unsatisfiable, under the last theta, as the engines keep reading."""
+        c = self.entries[cid]
+        if goal is c:  # the reader shares the term of a repeated text
+            return None
+        theta = self.solved if self.theta is None else self.theta
+        form = render_constraint(instantiate(theta, c))
+        if render_constraint(instantiate(theta, goal)) == form:
+            return None
+        return f"goal {render_constraint(goal)}#{cid} is not the form {form} of #{cid}"
 
     def remove_goal(self, key) -> None:
         self.goals[key] -= 1
@@ -171,7 +179,7 @@ class _Replica:
         if sigma != {}:  # theta changes: it binds a variable, or fails
             self.valid.clear()
         if sigma is None:
-            self.theta = None
+            self.solved, self.theta = theta, None
             for cid in self.alive:  # forms without equations from now on
                 self.note_vars(cid)
             return []
@@ -255,6 +263,8 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
         return f"goal id {cid} is not alive"
     if rep.goals[cid] <= 0:
         return f"goal #{cid} not in the goal multiset"
+    if (err := rep.form_error(st.goal, cid)) is not None:
+        return err
 
     if st.kind == "Drop":
         if st.prop_ids or st.simp_ids:
@@ -312,16 +322,15 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
 
 def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
                 program: Program) -> tuple[Optional[_Replica], Verdict]:
-    """The single pass: replays every step in seq order.  Returns the
-    replay verdict, with the replica unless a step did not replay."""
-    steps = sorted(trace.steps, key=lambda s: s.seq)
-    if len({s.seq for s in steps}) != len(steps):
-        return None, Verdict(False, "replay", "duplicate seq numbers")
+    """The single pass: replays the steps in the order they were read, the
+    i-th of which must carry seq i.  Returns the replay verdict, with the
+    replica unless a step did not replay."""
     rep = _Replica(goals0)
-    for st in steps:
-        err = _replay_step(rep, st, program)
+    for i, st in enumerate(trace.steps):
+        err = (_replay_step(rep, st, program) if st.seq == i
+               else f"seq is {st.seq}")
         if err is not None:
-            return None, Verdict(False, "replay", f"step {st.seq}: {err}")
+            return None, Verdict(False, "replay", f"step {i}: {err}")
     if trace.final_dump is not None and rep.dump() != trace.final_dump:
         return rep, Verdict(False, "replay",
                             f"final store mismatch:\nreplayed:\n{rep.dump()}\n"

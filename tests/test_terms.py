@@ -451,3 +451,16 @@ def test_deep_terms_repr_without_recursing(build, head, tail):
     text = head * DEEP + "Var(name='x')" + tail * DEEP
     assert repr(build()) == text
     assert repr(Chr("A", (build(),))) == f"Chr(pred='A', args=({text},))"
+
+
+@pytest.mark.parametrize("build", [left_chain, right_nest])
+def test_deep_terms_pickle_and_copy_without_recursing(build):
+    """A term DEEP applications deep pickles to an equal term, in every
+    protocol, and copies to itself: it is immutable."""
+    t = build()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(Chr("A", (t,)), protocol))
+        assert back == Chr("A", (t,)) and back.args[0] is not t
+        assert back.args[0].depth == DEEP
+    assert copy.deepcopy(t) is t and copy.copy(t) is t
+    assert copy.deepcopy(Chr("A", (t,))).args[0] is t

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -274,7 +275,7 @@ def test_audit_overlap_audits_a_trace_with_duplicated_seqs():
     copied = "\n".join(lines[:k + 1] + lines[k:])
     seq, simplified = lines[k].split(" ")[0], parse_line(lines[k]).simp_ids
     assert [str(v) for v in verify_run(copied, goals, p, concurrent=True)] == [
-        "replay: FAIL (duplicate seq numbers)",
+        f"replay: FAIL (step {int(seq) + 1}: seq is {seq})",
         f"audit-overlap: FAIL (steps {seq} and {seq}: shared ids "
         f"{list(simplified)})"]
 
@@ -377,7 +378,20 @@ FORGERIES = [
      "replay", "step 4: goal id 3 is not alive"),
     ("duplicate seq", "gcd", None,
      lambda t: t.replace("\n5 Simplify", "\n4 Simplify"),
-     "replay", "duplicate seq numbers"),
+     "replay", "step 5: seq is 4"),
+    # #2 is simplified later, so only the gap in the seqs shows the deletion
+    ("Drop line deleted", "gcd", None,
+     lambda t: t.replace("6 Drop goal=Gcd(3)#2 P={} S={}\n", ""),
+     "replay", "step 6: seq is 7"),
+    ("goal text of a simplification", "gcd", None,
+     lambda t: t.replace("8 Simplify goal=Gcd(9)#4", "8 Simplify goal=G1cd(9)#4"),
+     "replay", "step 8: goal G1cd(9)#4 is not the form Gcd(9) of #4"),
+    ("goal text of a propagation", "gcd", None,
+     lambda t: t.replace("3 Propagate goal=Gcd(3)#2", "3 Propagate goal=Gci(3)#2"),
+     "replay", "step 3: goal Gci(3)#2 is not the form Gcd(3) of #2"),
+    ("goal text of a drop", "channel", None,
+     lambda t: t.replace("6 Drop goal=Get(n)#3", "6 Drop goal=Get(a)#3"),
+     "replay", "step 6: goal Get(a)#3 is not the form Get(n) of #3"),
     ("altered final dump", "gcd", None,
      lambda t: t.replace("# final: Gcd(3)#6", "# final: Gcd(4)#6"),
      "replay", "final store mismatch:\nreplayed:\nGcd(3)#6\nrecorded:\nGcd(4)#6"),
@@ -686,6 +700,50 @@ def test_parse_line_names_the_non_integer_field(line, field):
         parse_trace("# chr-trace v1\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    # a field name the printer does not write
+    ("3 Activate goal=A#1 Pr={} S={}", "P is not a set of integers: 'Pr={}'"),
+    ("3 Activate goal=A#1 oP={} S={}", "P is not a set of integers: 'oP={}'"),
+    ("3 Activate goal=A#1 P={} S={} wrker=0", "trailing text: 'wrker=0'"),
+    # braces that do not close
+    ("3 Activate goal=A#1 P={ S={}", "P is not a set of integers: '{'"),
+    ("3 Activate goal=A#1 P={} S={2 worker=0",
+     "S is not a set of integers: '{2'"),
+    # a repeated field, fields out of order, trailing text
+    ("3 Activate goal=A#1 P={} P={} S={}", "S is not a set of integers: 'P={}'"),
+    ("3 Activate goal=A#1 P={} S={} worker=0 worker=0",
+     "trailing text: 'worker=0'"),
+    ("3 Activate goal=A#1 S={} P={}", "P is not a set of integers: 'S={}'"),
+    ("3 Activate goal=A#1 P={} S={} interval=2,3 worker=0",
+     "trailing text: 'worker=0'"),
+    ("3 Activate goal=A#1 P={} S={} x", "trailing text: 'x'"),
+    ("3 Activate goal=A#1 P={} S={} ", "trailing text: ''"),
+    ("3 Activate P={} S={}", "goal is not a constraint: 'P={}'"),
+    # a goal text never ends in "}": here it ran into the next field
+    ("3 Activate goal=A#1P={} S={}", "goal is not a constraint: 'A#1P={}'"),
+    # numbers only as str() writes them: ASCII digits, no leading zero
+    ("١ Activate goal=A#1 P={} S={}", "seq is not an integer: '١'"),
+    ("03 Activate goal=A#1 P={} S={}", "seq is not an integer: '03'"),
+    ("3 Activate goal=A#1 P={} S={١}",
+     "S is not a set of integers: '{١}'"),
+    ("3 Activate goal=A#1 P={} S={} worker=0 interval=-0,3",
+     "interval is not two integers: '-0,3'"),
+    ("3 Activate goal=A#01 P={} S={}", "goal is not a constraint "
+     "(col 2: unexpected character '#'): 'A#01'"),
+    ("3 Bogus goal=A#1 P={} S={}", "kind is not a step kind: 'Bogus'"),
+])
+def test_parse_line_refuses_what_the_printer_does_not_write(line, message):
+    """A step line reads only as step_to_line writes it; a refused line
+    names the first field, in the printer's order, that does not read."""
+    with pytest.raises(TraceFormatError) as exc:
+        parse_line(line)
+    assert str(exc.value) == message
+    if line == line.strip():  # parse_trace strips each line
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace("# chr-trace v1\n" + line + "\n")
+        assert str(exc.value) == "line 2: " + message
+
+
 def test_goal_text_repeated_as_a_phi_value_is_parsed_as_a_term():
     # the reader's cache is per parser: `A` is a goal, not a term
     text = ("# chr-trace v1\n0 Activate goal=A#1 P={} S={}\n"
@@ -697,9 +755,9 @@ def test_goal_text_repeated_as_a_phi_value_is_parsed_as_a_term():
 
 
 @pytest.mark.parametrize("line,message", [
-    ("0 Activate{long}", "malformed trace line"),
-    ("0 Bogus{long} goal=A#1", "unknown step kind"),
-    ("0 Activate goal=A#1 P={{}} S={{}} junk{long}", "malformed field"),
+    ("0 Activate{long}", "kind is not a step kind"),
+    ("0 Bogus{long} goal=A#1", "kind is not a step kind"),
+    ("0 Activate goal=A#1 P={{}} S={{}} junk{long}", "trailing text"),
     ("0 Activate goal=A(1+{long} P={{}} S={{}}", "goal is not a constraint"),
 ])
 def test_trace_errors_quote_only_the_start_of_a_long_text(line, message):
@@ -780,15 +838,23 @@ def _mutate(rng, text):
 
 
 @functools.lru_cache(maxsize=None)
-def _mutation_outcomes(name):
-    """verify_run on 500 seeded one-line edits of a 1-worker concurrent trace
-    of `name`: each edit's verdict strings, or its TraceFormatError."""
+def _mutations(name):
+    """A 1-worker concurrent trace of `name`, its program and goals, and 500
+    seeded one-line edits of it."""
     p, goals, _, text = con_trace_text(name, workers=1)
     rng = random.Random(name)
+    return p, goals, text, tuple(_mutate(rng, text) for _ in range(500))
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_outcomes(name):
+    """verify_run on each edit of `_mutations(name)`: its verdict strings, or
+    its TraceFormatError."""
+    p, goals, _, edits = _mutations(name)
     outcomes = []
-    for _ in range(500):
+    for edited in edits:
         try:
-            verdicts = verify_run(_mutate(rng, text), goals, p, concurrent=True)
+            verdicts = verify_run(edited, goals, p, concurrent=True)
         except TraceFormatError as exc:
             outcomes.append(f"TraceFormatError: {exc}")
         else:
@@ -806,13 +872,61 @@ def test_mutated_traces_give_verdicts_or_a_format_error(name):
     assert outcomes == {"format error", True, False}
 
 
+def _unrefuted_kind(before, after):
+    """The kind of a one-line edit of trace `before` that no check can
+    refute from the trace alone, or None for any other edit."""
+    if after == before:
+        return "no change"
+    a, b = ([l for l in t.splitlines() if not l.lstrip().startswith("#")]
+            for t in (before, after))
+    if a == b:
+        return "# line"
+    changed = [(x, y) for x, y in zip(a, b) if x != y]
+    if len(a) != len(b) or len(changed) != 1:
+        return None
+    (x, y), = changed
+    if x.strip() == y.strip():
+        return "whitespace at a line's ends"
+    if re.sub(" worker=[0-9]+", "", x) == re.sub(" worker=[0-9]+", "", y):
+        return "worker number"
+    m = re.fullmatch(r"([0-9]+) .* interval=(-?[0-9]+),[0-9]+", y)
+    start = " interval=-?[0-9]+,"
+    if (m and -1 <= int(m[2]) < int(m[1])
+            and re.sub(start, "", x) == re.sub(start, "", y)):
+        return "interval start"
+    return None
+
+
+# the edits of _mutations that pass every check, by kind
+UNREFUTED = {
+    "gcd": {"# line": 55, "no change": 8},
+    "channel": {"# line": 72, "whitespace at a line's ends": 1,
+                "no change": 4},
+    "mergesort": {"# line": 10, "whitespace at a line's ends": 1,
+                  "no change": 4, "interval start": 2},
+}
+
+
+@pytest.mark.parametrize("name", ["gcd", "channel", "mergesort"])
+def test_an_edit_that_passes_every_check_is_one_no_check_can_refute(name):
+    """A trace alone cannot refute an edit to a `#` line other than the
+    status and final store, whitespace at a line's ends, a worker number,
+    or an interval start moved within [-1, seq): the start is the engine's
+    own claim about its scan.  Every edit that passes is one of these."""
+    text, edits = _mutations(name)[2:]
+    kinds = Counter(_unrefuted_kind(text, edited)
+                    for edited, o in zip(edits, _mutation_outcomes(name))
+                    if "FAIL" not in o and not o.startswith("TraceFormatError"))
+    assert kinds == UNREFUTED[name]
+
+
 # sha256 of the outcomes of _mutation_outcomes, one per line
 MUTATION_DIGESTS = {
-    "gcd": "c4e551dc632bff20a94b1c0007a28c3699fff1139c22baa94903248a7fe6d867",
+    "gcd": "0db48fb0aad2f02cbe30f96566c484d86726e85af98a2dca6aea5d7f86453954",
     "channel":
-        "836107a2988c2a29beb8422afe15ff080570bf19a60b76a3af28192643a9c5db",
+        "dc550e7848b7a5a979c61ea17f5ed6cb0f446b820af27e5bef9e9da42de38f84",
     "mergesort":
-        "ae65ba6e8d1d11c1dd18095dd0c2592a125a3d9fa76f980ba08931994a5b9f10",
+        "2f46fc6d03f16f47edb77419415aafc84ff591f0d6fdc77593039af3ec380a70",
 }
 
 
@@ -825,23 +939,26 @@ def test_mutated_trace_outcomes_are_pinned(name):
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == MUTATION_DIGESTS[name]
     if name == "gcd":
-        assert [outcomes[k] for k in (34, 184, 224, 32, 170, 176, 11, 479)] == [
+        passed = " | audit-overlap: PASS (0 overlapping pair(s))"
+        assert [outcomes[k] for k in
+                (34, 184, 224, 100, 49, 176, 32, 479, 261, 92)] == [
             "TraceFormatError: line 11: phi is not a substitution "
             "(col 1: expected a term, found 'eof'): '{m-9;n->3}'",
             "TraceFormatError: line 16: goal is not a constraint "
-            "(col 7: expected ')', found 'eof'): 'Gcd(02#7'",
-            "replay: FAIL (step 3: simplified heads do not match rule gcd2)"
-            " | audit-overlap: PASS (0 overlapping pair(s))",
-            "replay: FAIL (duplicate seq numbers)"
-            " | audit-overlap: FAIL (steps 14 and 14: shared ids [7])",
-            "replay: FAIL (step 12: phi binds {}, not the head variables "
-            "{m,n} of rule gcd2) | audit-overlap: PASS (0 overlapping pair(s))",
+            "(col 7: expected ')', found 'eof'): 'Gcd(02'",
+            "TraceFormatError: line 6: S is not a set of integers: 'S3={1}'",
+            "TraceFormatError: line 10: P is not a set of integers: 'Pr={}'",
+            "TraceFormatError: line 7: trailing text: "
+            "'wrker=0 interval=3,4'",
             "TraceFormatError: line 6: phi is not a substitution "
             "(col 2: unexpected character '}'): '{m}->3;n->3}'",
-            "replay: PASS | project-abstract: PASS | check-final: PASS"
-            " | audit-overlap: FAIL (step 2: no interval)",
-            "replay: FAIL (duplicate seq numbers) | audit-overlap: FAIL "
-            "(step 1: interval 14,15 is not s,1 with -1 <= s < 1)"]
+            "replay: FAIL (step 15: seq is 14)"
+            " | audit-overlap: FAIL (steps 14 and 14: shared ids [7])",
+            "replay: FAIL (step 15: seq is 1) | audit-overlap: FAIL "
+            "(step 1: interval 14,15 is not s,1 with -1 <= s < 1)",
+            "replay: FAIL (step 6: seq is 7)" + passed,
+            "replay: FAIL (step 8: goal G1cd(9)#4 is not the form Gcd(9) "
+            "of #4)" + passed]
 
 
 def test_parse_trace_reads_each_step_as_parse_line_does():
