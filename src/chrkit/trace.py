@@ -10,21 +10,29 @@ by single spaces in exactly this order (brackets mark optional fields):
 `phi` is written for firings only, `worker` and `interval` for every
 concurrent commit.  Numbers are written as `str` writes them, in ASCII
 digits; only an interval's start, the last seq the step's scan saw, may be
-negative.  Header lines start with `#` and carry the engine configuration;
-footer lines carry the run status and the final store dump, so a trace
-file is self-contained evidence.
+negative.  `P` and `S` list their ids in ascending order, each once.
+Header lines start with `#` and carry the engine configuration; footer
+lines carry the run status and the final store dump, so a trace file is
+self-contained evidence.
 
-`parse_line` reads a line with one pattern, `_LINE`, that takes only what
-`step_to_line` writes; a refused line is a TraceFormatError naming the
-first field, in that order, that is missing or does not read (`P is not a
-set of integers: 'Pr={}'`), or the text after the last one.  `parse_trace`
-reads each distinct goal text and flat argument once per call and shares
-the frozen terms between steps.  A text that is exactly what the printer
-writes for flat arguments (integers, `true`/`false` and variables) is read
-without the grammar, by `read_constraint` and `read_term`; any other text
-goes to the grammar and raises what it raises.  phi's keys are the rule's
-variables as the program names them (`syntax` says why no renaming is
-needed): each must read as a variable, and none may repeat.
+A reader (`_reader`) matches a line with one pattern, `_LINE`, compiled
+on first use, that takes only what `step_to_line` writes; a refused line
+is a TraceFormatError naming the first field, in that order, that is
+missing or does not read (`P is not a set of integers: 'Pr={}'`), or the
+text after the last one.  The reader reads each distinct goal, phi and id
+set text once, and each term text (flat argument or phi value) once, and
+shares the frozen terms between the steps that repeat a text.  A text
+that is exactly what the printer writes for flat arguments (integers,
+`true`/`false` and variables) is read without the grammar, by
+`read_constraint` and `read_term`; any other text goes to the grammar and
+raises what it raises, and must then be the printer's text of the term it
+reads as (`Gcd(06)`, `Gcd((6))` and `m->09` are refused), so a goal text
+is the one text of its term and the replay can key on it.  phi's keys are
+the rule's variables as the program names them (`syntax` says why no
+renaming is needed): each must read as a variable, and none may repeat.
+`parse_line` reads one line, with a given reader or a fresh one;
+`parse_trace` reads a whole trace with one reader, keeping each step's
+goal text beside the steps.
 """
 from __future__ import annotations
 
@@ -96,10 +104,14 @@ def step_to_line(step: Step) -> str:
 
 
 class ParsedTrace(Record):
-    __slots__ = ("meta", "steps", "final_dump", "status")
+    """A read trace.  `goal_texts[i]` is `steps[i]`'s goal as its line writes
+    it, which is the printer's text of that goal, without the `#id`."""
+
+    __slots__ = ("meta", "steps", "goal_texts", "final_dump", "status")
 
     def __init__(self):  # as parse_trace fills it in
-        self.meta, self.steps, self.final_dump, self.status = {}, [], None, None
+        self.meta, self.steps, self.goal_texts = {}, [], []
+        self.final_dump = self.status = None
 
 
 class TraceFormatError(Exception):
@@ -113,31 +125,23 @@ def _excerpt(text: str) -> str:
 
 def _field(name: str, what: str, parse, text: str, *args):
     """parse(text, *args), or a TraceFormatError naming the trace field, the
-    parser's reason and column if it gave them, and the field's start."""
+    parser's reason (and column) if it gave one, and the field's text."""
     try:
         return parse(text, *args)
     except (ValueError, ParseError) as exc:
         why = (f" (col {exc.col}: {exc.reason})"
-               if isinstance(exc, ParseError) else "")
+               if isinstance(exc, ParseError) else
+               f" ({exc.args[0]})" if exc.args else "")
         raise TraceFormatError(
             f"{name} is not {what}{why}: {_excerpt(text)}") from None
 
 
-def _parsed(text: str, cache: dict, parse):
-    """parse(text, cache), once per parser and distinct text in cache."""
-    key = (parse, text)
-    found = cache.get(key)
-    if found is None:
-        found = cache[key] = parse(text, cache)
-    return found
-
-
-# A flat argument as render_term prints it: an integer, or a name that lex
-# reads as one lowercase word (`true`, `false`, a variable).  ASCII only;
-# the grammar reads everything else.  The patterns are compiled on first
-# use, through the `re` module's cache, so importing chrkit does not pay for
-# them.
-_FLAT = r"-?[0-9]+|[a-z_][A-Za-z0-9_]*"
+# A flat argument as render_term prints it: an integer as `str` writes it,
+# or a name that lex reads as one lowercase word (`true`, `false`, a
+# variable).  ASCII only; the grammar reads everything else.  These
+# patterns are compiled on first use, through the `re` module's cache, so
+# importing chrkit does not pay for them.
+_FLAT = r"0|-?[1-9][0-9]*|[a-z_][A-Za-z0-9_]*"
 _CHR = rf"([A-Z][A-Za-z0-9_]*)(?:\(((?:{_FLAT})(?:,(?:{_FLAT}))*)\))?"
 _EQ = rf"({_FLAT})=({_FLAT})"
 
@@ -189,20 +193,54 @@ def read_constraint(text: str, cache: Optional[dict] = None) -> Constraint:
     return parse_constraint_text(text)
 
 
-def _phi(text: str, cache: dict) -> Subst:
+def _check_printed(text: str, x, render) -> None:
+    """Refuse text, read as x, unless the printer writes x as text: the
+    grammar also reads `06`, `-0` and `(6)`, which the printer never
+    writes, so a text that reads back is the one text of its term."""
+    printed = render(x)
+    if printed != text:
+        raise ValueError(f"the printer writes {_excerpt(printed)} "
+                         f"for {_excerpt(text)}")
+
+
+def _goal(text: str, terms: dict) -> Constraint:
+    c = read_constraint(text, terms)
+    _check_printed(text, c, render_constraint)
+    return c
+
+
+def _phi(text: str, terms: dict) -> Subst:
+    """The substitution phi's text writes.  Each key must read as the
+    variable it names, once; each value is read once per distinct text,
+    into terms, and must be the printer's text of its term."""
     phi: Subst = {}
     for binding in text[1:-1].split(";") if text != "{}" else ():
         name, _, value = binding.partition("->")
-        term = _parsed(value, cache, read_term)
-        key = _parsed(name, cache, read_term)
+        term = terms.get(value)
+        if term is None:
+            term = read_term(value, terms)
+            _check_printed(value, term, render_term)
+            terms[value] = term
+        key = terms.get(name) or read_term(name, terms)
         if key.__class__ is not Var or key.name != name or name in phi:
-            raise ValueError(name)
+            raise ValueError()
         phi[name] = term
     return phi
 
 
+def _ids(text: str) -> tuple[int, ...]:
+    """The ids of a nonempty `{...}` set that _IDS matches, which the
+    printer writes in ascending order, each once."""
+    if "," not in text:
+        return (int(text[1:-1]),)
+    ids = tuple(map(int, text[1:-1].split(",")))
+    if ids != tuple(sorted(set(ids))):
+        raise ValueError("not strictly ascending")
+    return ids
+
+
 _NAT = "0|[1-9][0-9]*"  # a number as str() writes it, in ASCII digits
-_IDS = rf"\{{((?:{_NAT})(?:,(?:{_NAT}))*)?\}}"
+_IDS = rf"(\{{(?:(?:{_NAT})(?:,(?:{_NAT}))*)?\}})"
 # (name, separator, what, value pattern, optional) of each field, in the
 # order step_to_line writes them; seq and kind go without their names
 _FIELDS = (("seq", "", "an integer", f"({_NAT})", False),
@@ -237,27 +275,59 @@ def _refusal(line: str) -> str:
     return f"trailing text: {_excerpt(' '.join(parts[k:]))}"
 
 
-def parse_line(line: str, cache: Optional[dict] = None) -> Step:
-    """One step line, read with `_LINE`; `cache` keeps parsed goal and phi
-    texts, and flat arguments, for reuse.  A refused line raises the
-    TraceFormatError `_refusal` words."""
-    m = re.fullmatch(_LINE, line)
-    if m is None:
-        raise TraceFormatError(_refusal(line))
-    cache = {} if cache is None else cache
-    (seq, kind, goal, goal_id, plain, rule, phi, p, s, worker, start,
-     commit) = m.groups()
-    goal = goal or plain
-    c = cache.get((read_constraint, goal))
-    if c is None:
-        c = _field("goal", "a constraint", _parsed, goal, cache,
-                   read_constraint)
-    return Step(int(seq), kind, c, goal_id and int(goal_id), rule,
-                phi and _field("phi", "a substitution", _phi, phi, cache),
-                () if p is None else tuple(map(int, p.split(","))),
-                () if s is None else tuple(map(int, s.split(","))),
-                worker and int(worker),
-                None if start is None else (int(start), int(commit)))
+def _reader(goal_texts: list):
+    """A function that reads one step line, with `_LINE`, to its Step, and
+    appends the line's goal text, without its `#id`, to goal_texts.  It
+    reads each distinct goal, phi and id-set text it meets once, and keeps
+    in `terms` every term text read (flat arguments and phi values), so
+    the steps that repeat a text share its terms; each Step gets its own
+    copy of its phi.  A refused line raises the TraceFormatError
+    `_refusal` words, or the one `_field` words for the first field, in
+    the printer's order, that does not read."""
+    match = re.compile(_LINE).fullmatch  # compiled once, in re's cache
+    terms: dict[str, Term] = {}
+    goals: dict[str, tuple[str, Constraint]] = {}  # text -> (text, c)
+    phis: dict[str, Subst] = {}
+    id_sets: dict[str, tuple[int, ...]] = {"{}": ()}
+    keep = goal_texts.append
+
+    def read(line: str) -> Step:
+        m = match(line)
+        if m is None:
+            raise TraceFormatError(_refusal(line))
+        (seq, kind, goal, goal_id, plain, rule, phi, p, s, worker, start,
+         commit) = m.groups()
+        if goal is None:
+            goal = plain
+        found = goals.get(goal)
+        if found is None:
+            found = goals[goal] = (goal, _field("goal", "a constraint",
+                                                _goal, goal, terms))
+        goal, c = found
+        if phi is not None:
+            sub = phis.get(phi)
+            if sub is None:
+                sub = phis[phi] = _field("phi", "a substitution", _phi, phi,
+                                         terms)
+            phi = sub.copy()
+        prop = id_sets.get(p)
+        if prop is None:
+            prop = id_sets[p] = _field("P", "a set of integers", _ids, p)
+        simp = id_sets.get(s)
+        if simp is None:
+            simp = id_sets[s] = _field("S", "a set of integers", _ids, s)
+        keep(goal)
+        return Step(int(seq), kind, c, goal_id and int(goal_id), rule, phi,
+                    prop, simp, worker and int(worker),
+                    None if start is None else (int(start), int(commit)))
+
+    return read
+
+
+def parse_line(line: str, read=None) -> Step:
+    """One step line, read by `read`, a `_reader` whose caches the calls
+    share, or by a fresh reader."""
+    return (read or _reader([]))(line)
 
 
 def serialize_trace(steps, meta: dict[str, str], status: str,
@@ -274,9 +344,11 @@ def serialize_trace(steps, meta: dict[str, str], status: str,
 
 def parse_trace(text: str) -> ParsedTrace:
     """Parse a serialized trace; a malformed step line raises
-    TraceFormatError prefixed with its 1-based line number.  Each distinct
-    goal text, phi value and flat argument is read once per call."""
-    out, cache = ParsedTrace(), {}
+    TraceFormatError prefixed with its 1-based line number.  One `_reader`
+    reads every step line, so each distinct goal, phi, phi value, id set
+    and flat argument text is read once per call."""
+    out = ParsedTrace()
+    read, steps = _reader(out.goal_texts), out.steps
     dump_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -295,7 +367,7 @@ def parse_trace(text: str) -> ParsedTrace:
                         out.meta[k] = v
             continue
         try:
-            out.steps.append(parse_line(line, cache))
+            steps.append(parse_line(line, read))
         except TraceFormatError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
     out.final_dump = "\n".join(dump_lines)

@@ -34,23 +34,28 @@ and then, over the replayed state and the trace's commit intervals:
 step replays.  The inputs are trace text, goals and program, never engine
 state.
 
-The reader parses each distinct goal text and phi value once per trace.
-The replica solves each equation once, at its Solve step: it extends its
-m.g.u. by that equation alone, rewrites in place only the bindings that
-mention a newly bound variable, and wakes the entries its variable -> ids
-map lists under one, so a Solve costs what it touches.  An entry's form
-under the m.g.u. is rendered at activation and again only when a Solve
-wakes it.  A firing renders just the rule's heads under the recorded
-substitution, once per distinct (rule, phi, head forms) and m.g.u., and a
-body once per distinct (rule, phi): a 5,500-step gcd trace checks about 30
-firings.  check-final asks the oracle's `rewrite_steps` about the replayed
-store, which looks a partner up by its bound argument: about one `match`
-per store entry on a mergesort chain.
+The reader parses each distinct goal, phi and id-set text once per trace and
+takes a goal text only as the printer writes its term, so the replay uses
+the line's own goal text as the goal multiset's key and an entry's raw form,
+and renders no goal it reads.  An activation costs a few dict operations:
+the variables of each distinct activated text are found once, and a ground
+entry, or any entry while the m.g.u. is empty, is its own form, with no
+instantiation.  The replica solves each equation once, at its Solve step: it
+extends its m.g.u. by that equation alone, rewrites in place only the
+bindings that mention a newly bound variable, and wakes the entries its
+variable -> ids map lists under one, so a Solve costs what it touches.  An
+entry's form under a nonempty m.g.u. is rendered at activation, unless the
+entry is ground, and again only when a Solve wakes it; a numbered step whose
+goal text is its entry's form needs no render.  A firing renders just the
+rule's heads under the recorded substitution, once per distinct (rule, phi,
+head forms) and m.g.u., and a body once per distinct (rule, phi): a
+5,500-step gcd trace checks about 30 firings.  check-final asks the oracle's
+`rewrite_steps` about the replayed store, which looks a partner up by its
+bound argument: about one `match` per store entry on a mergesort chain.
 """
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import AbstractSet, Iterable, Optional
 
 from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
@@ -86,21 +91,25 @@ class Verdict(Frozen):
 class _Replica:
     """Fresh store + goal multiset driven purely by trace steps.  `goals`
     counts un-numbered goals by rendered constraint and numbered goals by id
-    alone, as wake-ups can change the rendered form while a stale goal copy is
-    still queued.  Store entries stay raw (as activated), exactly like the
-    engine store.  `theta` is the m.g.u. of the equations, kept from one Solve
-    to the next; it is their only solved form, and `users` maps each variable
-    to the keys of theta whose binding mentions it.  `forms` holds each alive
-    entry's `solved_form` under theta, computed at activation and refreshed
-    for the entries a Solve wakes.  `occ` maps each variable not bound by
-    theta to the ids (dead ones too) whose form under theta mentions it.
-    `fired` numbers each distinct (rule, phi) and `bodies` keeps its body
-    goals, rendered.  `valid` holds the firings validate_rewrite accepted
-    under theta, as (number, sorted head forms), until theta changes."""
+    alone, each key present while its count is positive, as wake-ups can
+    change the rendered form while a stale goal copy is still queued.  Store
+    entries stay raw (as activated), exactly like the engine store.  `theta`
+    is the m.g.u. of the equations, kept from one Solve to the next; it is
+    their only solved form, and `users` maps each variable to the keys of
+    theta whose binding mentions it.  `forms` holds each alive entry's
+    `solved_form` under theta, computed at activation and refreshed for the
+    entries a Solve wakes; `text_vars` the variables of each distinct
+    activated text, so a ground entry, whose form is its text whatever theta
+    is, costs no term walk.  `occ` maps each variable not bound by theta to
+    the ids (dead ones too) whose form under theta mentions it.  `fired`
+    numbers each distinct (rule, phi) and `bodies` keeps its body goals,
+    rendered.  `valid` holds the firings validate_rewrite accepted under
+    theta, as (number, sorted head forms), until theta changes."""
 
     def __init__(self, goals0: Iterable[Constraint]):
-        self.goals = Counter(render_constraint(normalize_constraint(g))
-                             for g in goals0)  # text or id -> copies
+        self.goals: dict = {}  # text or id -> copies
+        for g in goals0:
+            self.add_goal(render_constraint(normalize_constraint(g)))
         self.entries: dict[int, Chr] = {}
         self.keys: dict[int, str] = {}  # rendered raw entries
         self.forms: dict[int, str] = {}  # solved forms of the alive entries
@@ -114,52 +123,66 @@ class _Replica:
         self.fired: dict[tuple, int] = {}
         self.bodies: list[tuple[str, ...]] = []
         self.valid: set[tuple] = set()
-        self.rendered: dict[Constraint, str] = {}
+        self.text_vars: dict[str, tuple[str, ...]] = {}
 
-    def render(self, goal: Constraint) -> str:
-        """The goal's text, rendered once per distinct goal term."""
-        key = self.rendered.get(goal)
-        if key is None:
-            key = self.rendered[goal] = render_constraint(goal)
-        return key
-
-    def form_error(self, goal: Constraint, cid: int) -> Optional[str]:
-        """Why goal, recorded for entry cid, is not its form, or None.  A
-        concurrent scan records the form it read, which a later Solve may
-        have woken, so goal is compared under theta; once the equations are
-        unsatisfiable, under the last theta, as the engines keep reading."""
+    def form_error(self, goal: Constraint, text: str,
+                   cid: int) -> Optional[str]:
+        """Why goal, written text and recorded for entry cid, is not its
+        form, or None.  A concurrent scan records the form it read, which a
+        later Solve may have woken, so goal is compared under theta; once
+        the equations are unsatisfiable, under the last theta, as the
+        engines keep reading."""
         c = self.entries[cid]
-        if goal is c:  # the reader shares the term of a repeated text
+        # the reader shares the term of a repeated text, and a text that is
+        # the entry's form now is that form's term, which theta leaves as is
+        if goal is c or text == self.forms[cid]:
             return None
         theta = self.solved if self.theta is None else self.theta
         form = render_constraint(instantiate(theta, c))
         if render_constraint(instantiate(theta, goal)) == form:
             return None
-        return f"goal {render_constraint(goal)}#{cid} is not the form {form} of #{cid}"
+        return f"goal {text}#{cid} is not the form {form} of #{cid}"
+
+    def add_goal(self, key) -> None:
+        self.goals[key] = self.goals.get(key, 0) + 1
 
     def remove_goal(self, key) -> None:
-        self.goals[key] -= 1
-        if self.goals[key] <= 0:
+        """Take one copy of key, which goals holds, from the multiset."""
+        n = self.goals[key]
+        if n == 1:
             del self.goals[key]
+        else:
+            self.goals[key] = n - 1
 
     def activate(self, cid: int, c: Chr, key: str) -> None:
+        """Add the fresh entry cid, the normalized c, whose text is key."""
         self.entries[cid] = c
         self.keys[cid] = key
         self.alive.add(cid)
-        self.goals[cid] += 1
+        self.goals[cid] = 1
         self.note_vars(cid)
 
     def note_vars(self, cid: int) -> None:
         """Record the entry's solved form and the variables it mentions; the
         rendered raw entry is its solved form when theta leaves it as it
-        is."""
+        is, as it does a ground entry (which never wakes) and any entry
+        while theta is empty."""
+        key = self.keys[cid]
+        names = self.text_vars.get(key)
+        if names is None:
+            names = self.text_vars[key] = tuple(vars_of(self.entries[cid]))
+        theta = self.theta
+        if not names or not theta:
+            self.forms[cid] = key
+            if names and theta is not None:
+                for v in names:
+                    self.occ.setdefault(v, set()).add(cid)
+            return
         c = self.entries[cid]
-        solved = instantiate(self.theta or {}, c)
-        self.forms[cid] = (self.keys[cid] if solved is c
-                           else render_constraint(solved))
-        if self.theta is not None and vars_of(c):  # ground entries never wake
-            for v in vars_of(apply_subst(self.theta, c)):
-                self.occ.setdefault(v, set()).add(cid)
+        solved = instantiate(theta, c)
+        self.forms[cid] = key if solved is c else render_constraint(solved)
+        for v in vars_of(apply_subst(theta, c)):
+            self.occ.setdefault(v, set()).add(cid)
 
     def solve(self, e: Eq) -> list[int]:
         """Add e to the equations and return the woken ids: the alive
@@ -219,9 +242,13 @@ class _Replica:
         return "\n".join(lines)
 
 
-def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
-    """Apply one step to the replica, or say why its preconditions do not
-    hold at this turn (a firing must be one valid abstract rewrite)."""
+def _replay_step(rep: _Replica, st: Step, key: str,
+                 program: Program) -> Optional[str]:
+    """Apply one step, whose goal the trace writes as key, to the replica,
+    or say why its preconditions do not hold at this turn (a firing must be
+    one valid abstract rewrite).  The reader takes a goal text only as the
+    printer writes it, so key is the goal's rendered text, the goal
+    multiset's key for it."""
     if st.kind == "Activate":
         if st.goal_id is None:
             return "activation without an id"
@@ -231,8 +258,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
             return "only CHR constraints can be activated"
         if st.prop_ids or st.simp_ids:
             return "activation carries side effects"
-        key = rep.render(st.goal)
-        if rep.goals[key] <= 0:
+        if key not in rep.goals:
             return f"activated goal {key} not in the goal multiset"
         rep.remove_goal(key)
         rep.activate(st.goal_id, st.goal, key)
@@ -241,8 +267,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     if st.kind == "Solve":
         if not isinstance(st.goal, Eq):
             return "solve goal is not an equation"
-        key = render_constraint(st.goal)
-        if rep.goals[key] <= 0:
+        if key not in rep.goals:
             return f"solved equation {key} not in the goal multiset"
         if st.simp_ids:
             return "solve must not simplify"
@@ -252,7 +277,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
                     f"expected {woken}")
         rep.remove_goal(key)
         for cid in woken:
-            rep.goals[cid] += 1
+            rep.add_goal(cid)
         return None
 
     # numbered-goal steps
@@ -261,9 +286,9 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     cid = st.goal_id
     if cid not in rep.alive:
         return f"goal id {cid} is not alive"
-    if rep.goals[cid] <= 0:
+    if cid not in rep.goals:
         return f"goal #{cid} not in the goal multiset"
-    if (err := rep.form_error(st.goal, cid)) is not None:
+    if (err := rep.form_error(st.goal, key, cid)) is not None:
         return err
 
     if st.kind == "Drop":
@@ -285,7 +310,7 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     all_ids = set(st.prop_ids) | set(st.simp_ids)
     if len(st.prop_ids) + len(st.simp_ids) != len(all_ids):
         return "propagated and simplified sets overlap"
-    dead = [i for i in all_ids if i not in rep.alive]
+    dead = all_ids - rep.alive
     if dead:
         return f"side-effect ids not alive: {sorted(dead)}"
 
@@ -296,12 +321,12 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     n = rep.fired.setdefault(fired, len(rep.fired))
     prop = sorted([rep.forms[i] for i in st.prop_ids])
     simp = sorted([rep.forms[i] for i in st.simp_ids])
-    key = (n, len(prop), *prop, *simp)
-    if key not in rep.valid:
+    checked = (n, len(prop), *prop, *simp)
+    if checked not in rep.valid:
         err = validate_rewrite(rule, st.phi, rep.theta, prop, simp)
         if err is not None:
             return err
-        rep.valid.add(key)
+        rep.valid.add(checked)
     if st.kind == "Propagate":
         hkey = (rule.name, tuple(sorted(all_ids)))
         if hkey in rep.history:
@@ -312,11 +337,12 @@ def _replay_step(rep: _Replica, st: Step, program: Program) -> Optional[str]:
     for i in st.simp_ids:
         rep.alive.discard(i)
     if st.kind == "Propagate":
-        rep.goals[cid] += 1
+        rep.add_goal(cid)
     if n == len(rep.bodies):
         rep.bodies.append(tuple(
             render_constraint(instantiate(st.phi, b)) for b in rule.body))
-    rep.goals.update(rep.bodies[n])
+    for body_goal in rep.bodies[n]:
+        rep.add_goal(body_goal)
     return None
 
 
@@ -326,8 +352,8 @@ def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
     i-th of which must carry seq i.  Returns the replay verdict, with the
     replica unless a step did not replay."""
     rep = _Replica(goals0)
-    for i, st in enumerate(trace.steps):
-        err = (_replay_step(rep, st, program) if st.seq == i
+    for i, (st, key) in enumerate(zip(trace.steps, trace.goal_texts)):
+        err = (_replay_step(rep, st, key, program) if st.seq == i
                else f"seq is {st.seq}")
         if err is not None:
             return None, Verdict(False, "replay", f"step {i}: {err}")

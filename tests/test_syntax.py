@@ -14,7 +14,7 @@ from chrkit.syntax import (MAX_TERM_DEPTH, ParseError, lex, load_program,
 from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
                           Const, Eq, Var, render_constraint, render_term,
                           vars_of)
-from chrkit.trace import parse_trace, serialize_trace
+from chrkit.trace import TraceFormatError, parse_trace, serialize_trace
 from chrkit.verify import verify_run
 
 from conftest import (REFERENCE_SYMBOLS, equation_fuzz_case, fuzz_case,
@@ -350,9 +350,17 @@ def test_term_nested_too_deeply_is_a_positioned_error():
             parse(text)
     goal = parse_constraint_text(deep)
     assert parse_term_text(deep[4:-1]) == goal.args[0]
-    line = f"0 Activate goal={deep}#1 P={{}} S={{}}"
+    # a trace holds the printer's text, which writes no parentheses around
+    # the innermost 1, and the reader takes no other
+    printed = render_constraint(goal)
+    assert printed == deep.replace("(1)", "1")
+    line = f"0 Activate goal={printed}#1 P={{}} S={{}}"
     step, = parse_trace("# chr-trace v1\n" + line + "\n").steps
     assert (step.goal, step.goal_id) == (goal, 1)
+    line = f"0 Activate goal={deep}#1 P={{}} S={{}}"
+    with pytest.raises(TraceFormatError, match=r"^line 2: goal is not a "
+                       r"constraint \(the printer writes 'Gcd\(x-"):
+        parse_trace("# chr-trace v1\n" + line + "\n")
 
 
 def _chain_goal(depth):

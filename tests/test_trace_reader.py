@@ -15,9 +15,9 @@ import chrkit.trace as trace
 from chrkit.syntax import ParseError
 from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
                           Const, Var, render_constraint, render_term)
-from chrkit.trace import (FIRINGS, Step, TraceFormatError, parse_line,
-                          parse_trace, read_constraint, read_term,
-                          step_to_line)
+from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError,
+                          parse_line, parse_trace, read_constraint, read_term,
+                          serialize_trace, step_to_line)
 
 from test_kernel_differential import (GUARD_VARS, rand_constraint, rand_term,
                                       tree)
@@ -214,3 +214,41 @@ def test_firings_with_deep_terms_read_back_as_written():
                     phi, (seq,), tuple(sorted(rng.sample(range(99), 2))),
                     rng.choice([None, 0, 1]), rng.choice([None, (seq, seq)]))
         assert parse_line(step_to_line(step)) == step
+
+
+def test_every_line_the_printer_writes_reads_back():
+    """The reader refuses goal and phi texts that are not the printer's
+    text of their terms, and id sets out of order; it takes every line the
+    printer writes, for the kernel generators' constraints and terms
+    (negative and 64-bit edge integers, booleans, quoted atoms, nested
+    applications) and for deep terms, and reads it back to the same step.
+    The goal text it keeps for a step is the printer's text of the goal."""
+    rng = random.Random(30)
+    steps = []
+    for seq in range(2000):
+        kind = rng.choice(KINDS)
+        goal = rand_constraint(rng)
+        if rng.random() < 0.05:
+            goal = Chr("G", (deep_term(rng, rng.randrange(50)),))
+        rule, phi = None, {}
+        if kind in FIRINGS:
+            rule = "r"
+            phi = {v: rand_term(rng, rng.randrange(0, 4), GUARD_VARS)
+                   for v in rng.sample(GUARD_VARS, rng.randrange(4))}
+        ids = sorted(rng.sample(range(40), rng.randrange(5)))
+        k = rng.randrange(len(ids) + 1)
+        worker, interval = rng.choice([(None, None), (1, (seq - 1, seq))])
+        steps.append(Step(seq, kind, goal, rng.choice([None, seq + 1]), rule,
+                          phi, tuple(ids[:k]), tuple(ids[k:]), worker,
+                          interval))
+    for step in steps:
+        assert parse_line(step_to_line(step)) == step, step_to_line(step)
+    read = parse_trace(serialize_trace(steps, {}, "done", ""))
+    assert read.steps == steps
+    assert read.goal_texts == [render_constraint(st.goal) for st in steps]
+    # the lines have negative integers as arguments and operands, 64-bit
+    # edges, booleans, quoted atoms and parenthesized operands
+    lines = "\n".join(map(step_to_line, steps))
+    for text in (",-1", "*-1", f"({INT64_MIN}", str(INT64_MAX), "true",
+                 "false", "'a'", ")*("):
+        assert text in lines, text

@@ -731,6 +731,33 @@ def test_parse_line_names_the_non_integer_field(line, field):
     ("3 Activate goal=A#01 P={} S={}", "goal is not a constraint "
      "(col 2: unexpected character '#'): 'A#01'"),
     ("3 Bogus goal=A#1 P={} S={}", "kind is not a step kind: 'Bogus'"),
+    # goal and phi texts only as the printer writes their terms: integers
+    # as str() writes them, no redundant parentheses
+    ("3 Activate goal=Gcd(06)#1 P={} S={}", "goal is not a constraint "
+     "(the printer writes 'Gcd(6)' for 'Gcd(06)'): 'Gcd(06)'"),
+    ("3 Activate goal=Gcd(-0)#1 P={} S={}", "goal is not a constraint "
+     "(the printer writes 'Gcd(0)' for 'Gcd(-0)'): 'Gcd(-0)'"),
+    ("3 Activate goal=Gcd((6))#1 P={} S={}", "goal is not a constraint "
+     "(the printer writes 'Gcd(6)' for 'Gcd((6))'): 'Gcd((6))'"),
+    ("3 Activate goal=Merge(1,05)#1 P={} S={}", "goal is not a constraint "
+     "(the printer writes 'Merge(1,5)' for 'Merge(1,05)'): 'Merge(1,05)'"),
+    ("3 Activate goal=G(x+(1*2))#1 P={} S={}", "goal is not a constraint "
+     "(the printer writes 'G(x+1*2)' for 'G(x+(1*2))'): 'G(x+(1*2))'"),
+    ("3 Solve goal=x=(y) P={} S={}", "goal is not a constraint "
+     "(the printer writes 'x=y' for 'x=(y)'): 'x=(y)'"),
+    ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={m->09;n->6} P={} S={1}",
+     "phi is not a substitution (the printer writes '9' for '09'): "
+     "'{m->09;n->6}'"),
+    ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={m->9;n->(6)} P={} S={1}",
+     "phi is not a substitution (the printer writes '6' for '(6)'): "
+     "'{m->9;n->(6)}'"),
+    # id sets in ascending order, each id once
+    ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={m->9;n->6} P={} S={2,1}",
+     "S is not a set of integers (not strictly ascending): '{2,1}'"),
+    ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={m->9;n->6} P={3,3} S={1}",
+     "P is not a set of integers (not strictly ascending): '{3,3}'"),
+    ("3 Solve goal=x=1 P={4,12,7} S={}",
+     "P is not a set of integers (not strictly ascending): '{4,12,7}'"),
 ])
 def test_parse_line_refuses_what_the_printer_does_not_write(line, message):
     """A step line reads only as step_to_line writes it; a refused line
@@ -742,6 +769,26 @@ def test_parse_line_refuses_what_the_printer_does_not_write(line, message):
         with pytest.raises(TraceFormatError) as exc:
             parse_trace("# chr-trace v1\n" + line + "\n")
         assert str(exc.value) == "line 2: " + message
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("mergesort", "Merge(1,5)", "Merge(1,05)"),
+    ("mergesort", "S={1,2}", "S={2,1}"),
+    ("gcd", "Gcd(6)", "Gcd(06)"),
+    ("gcd", "Gcd(6)", "Gcd((6))"),
+    ("gcd", "Gcd(0)", "Gcd(-0)"),
+    ("gcd", "m->9;", "m->09;"),
+])
+def test_a_text_the_printer_does_not_write_is_refused_everywhere(name, old,
+                                                                new):
+    """Texts that read as the terms the printer writes, edited at every
+    occurrence in a real trace so that the goal multiset, the store and the
+    final dump still agree: the reader refuses them."""
+    p, goals, _, text = seq_trace_text(name)
+    assert all(v.passed for v in verify_run(text, goals, p))
+    assert old in text
+    with pytest.raises(TraceFormatError):
+        verify_run(text.replace(old, new), goals, p)
 
 
 def test_goal_text_repeated_as_a_phi_value_is_parsed_as_a_term():
