@@ -42,12 +42,12 @@ import random
 from bisect import bisect_left, insort
 from itertools import count
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .record import Frozen, Record, setfield
 from .syntax import Program, Rule
-from .terms import (Chr, Const, Constraint, Eq, Subst, Term, apply_subst,
-                    holds, instantiate, match, mgu, normalize_constraint,
+from .terms import (Chr, Const, Constraint, Eq, Subst, Term, holds,
+                    instantiate, match, mgu, normalize_constraint,
                     render_constraint, vars_of)
 from .terms import entails  # noqa: F401  (bench/instrument.py counts it here)
 
@@ -259,11 +259,6 @@ class _Expansion(Record):
                 if len(args) > pos:
                     index.setdefault(args[pos], []).append(it)
         return index.get(arg, ())
-
-
-def solved_form(theta: Optional[Subst], c: Constraint) -> str:
-    """The rendered form of c under theta that validate_rewrite compares."""
-    return render_constraint(instantiate(theta or {}, c))
 
 
 def rewrite_steps(s: AbstractStore, p: Program) -> list[RewriteStep]:
@@ -494,26 +489,14 @@ def run_abstract(s: AbstractStore, p: Program, seed: int = 0,
     return s, "step-limit" if rewrite_steps(s, p) else "done"
 
 
-def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],
-                     prop_forms: list[str],
-                     simp_forms: list[str]) -> Optional[str]:
-    """Why firing `rule` at instance `phi` on head constraints with the given
-    `solved_form`s under theta is not a single rewrite of a store whose
-    equations solve to `theta` (None: inconsistent), or None when it is.
-    phi must bind exactly the rule's head variables (one left unbound would
-    read as the goal variable of its name), each role's heads must be the
-    rule's heads under phi, compared as sorted forms, and the guard must
-    hold under theta.  Validates a recorded engine step without searching
-    all rewrites.
-    """
-    if phi.keys() != rule.head_vars:
-        return (f"phi binds {{{','.join(sorted(phi))}}}, not the head variables "
-                f"{{{','.join(sorted(rule.head_vars))}}} of rule {rule.name}")
-    for role, patterns, forms in (("propagated", rule.propagated, prop_forms),
-                                  ("simplified", rule.simplified, simp_forms)):
-        if (sorted(solved_form(theta, apply_subst(phi, h)) for h in patterns)
-                != sorted(forms)):
-            return f"{role} heads do not match rule {rule.name}"
-    if theta is None or not holds(theta, phi, rule.guard):
-        return f"guard of rule {rule.name} not entailed"
-    return None
+def unwatched_instances(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
+                        history: Iterable[HistoryKey],
+                        pending_ids: AbstractSet[int],
+                        program: Program) -> list[tuple[str, tuple[int, ...]]]:
+    """The abstract rewrites of the visible store, beyond the propagation
+    instances already fired, with no head among `pending_ids`, as (rule,
+    sorted head ids).  A goal-based state has none: every rule instance
+    has a pending goal among its heads, so a finished state is final."""
+    s = AbstractStore.from_identified(items, eqs, history)
+    return [(step.rule, step.used_tags) for step in rewrite_steps(s, program)
+            if pending_ids.isdisjoint(step.used_tags)]

@@ -20,13 +20,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .abstract import HistoryKey
+from .abstract import HistoryKey, unwatched_instances
 from .matching import Match, iter_matches
 from .store import NumberedConstraint, State
 from .syntax import Program
 from .terms import Chr, Constraint, Eq, normalize_constraint
 from .trace import Step
-from .verify import unwatched_instances
 
 
 class InvariantViolation(Exception):

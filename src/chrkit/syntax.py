@@ -23,7 +23,7 @@ the bound.  Trace text, which a run writes, is read at any depth.
 Rule variables keep their names and may share them with goal variables: no
 renaming is needed, since one is bound only by matching (range restriction)
 and guards and bodies read it through the match, applied once, so it never
-reaches the store.  `abstract.validate_rewrite` checks that a recorded
+reaches the store.  `verify.validate_rewrite` checks that a recorded
 match binds exactly the rule's head variables.
 """
 from __future__ import annotations

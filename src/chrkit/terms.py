@@ -582,3 +582,15 @@ def render_constraint(c: Constraint) -> str:
         args = ",".join(render_term(a) for a in c.args)
         return f"{c.pred}({args})"
     return f"{render_term(c.lhs)}={render_term(c.rhs)}"
+
+
+def render_instance(phi: Subst, c: Constraint) -> str:
+    """render_constraint(instantiate(phi, c)), printed argument by argument
+    without building the instance."""
+    if c.__class__ is Chr:
+        if not c.args:
+            return c.pred
+        args = ",".join([render_term(_instance(a, phi)) for a in c.args])
+        return f"{c.pred}({args})"
+    lhs, rhs = _instance(c.lhs, phi), _instance(c.rhs, phi)
+    return f"{render_term(lhs)}={render_term(rhs)}"

@@ -27,9 +27,12 @@ that is exactly what the printer writes for flat arguments (integers,
 `read_constraint` and `read_term`; any other text goes to the grammar and
 raises what it raises, and must then be the printer's text of the term it
 reads as (`Gcd(06)`, `Gcd((6))` and `m->09` are refused), so a goal text
-is the one text of its term and the replay can key on it.  phi's keys are
-the rule's variables as the program names them (`syntax` says why no
-renaming is needed): each must read as a variable, and none may repeat.
+is the one text of its term and the replay can key on it.  Only a text
+the grammar read is rendered back to check this: the flat patterns take
+only what the printer writes, so a flat text is its term's text as read.
+phi's keys are the rule's variables as the program names them (`syntax`
+says why no renaming is needed): each must read as a variable, and none
+may repeat.
 `parse_line` reads one line, with a given reader or a fresh one;
 `parse_trace` reads a whole trace with one reader, keeping each step's
 goal text beside the steps.
@@ -144,6 +147,7 @@ def _field(name: str, what: str, parse, text: str, *args):
 _FLAT = r"0|-?[1-9][0-9]*|[a-z_][A-Za-z0-9_]*"
 _CHR = rf"([A-Z][A-Za-z0-9_]*)(?:\(((?:{_FLAT})(?:,(?:{_FLAT}))*)\))?"
 _EQ = rf"({_FLAT})=({_FLAT})"
+_FLAT_GOAL = rf"{_CHR}|{_EQ}"
 
 
 def _flat(text: str, cache: dict) -> Optional[Term]:
@@ -204,22 +208,27 @@ def _check_printed(text: str, x, render) -> None:
 
 
 def _goal(text: str, terms: dict) -> Constraint:
+    """The constraint text writes, which must be the printer's text of it:
+    a flat text is as read, so only one the grammar read is rendered."""
     c = read_constraint(text, terms)
-    _check_printed(text, c, render_constraint)
+    if re.fullmatch(_FLAT_GOAL, text) is None:
+        _check_printed(text, c, render_constraint)
     return c
 
 
 def _phi(text: str, terms: dict) -> Subst:
     """The substitution phi's text writes.  Each key must read as the
     variable it names, once; each value is read once per distinct text,
-    into terms, and must be the printer's text of its term."""
+    into terms, and must be the printer's text of its term, which a flat
+    value is as read."""
     phi: Subst = {}
     for binding in text[1:-1].split(";") if text != "{}" else ():
         name, _, value = binding.partition("->")
         term = terms.get(value)
         if term is None:
             term = read_term(value, terms)
-            _check_printed(value, term, render_term)
+            if re.fullmatch(_FLAT, value) is None:
+                _check_printed(value, term, render_term)
             terms[value] = term
         key = terms.get(name) or read_term(name, terms)
         if key.__class__ is not Var or key.name != name or name in phi:

@@ -46,25 +46,28 @@ bindings that mention a newly bound variable, and wakes the entries its
 variable -> ids map lists under one, so a Solve costs what it touches.  An
 entry's form under a nonempty m.g.u. is rendered at activation, unless the
 entry is ground, and again only when a Solve wakes it; a numbered step whose
-goal text is its entry's form needs no render.  A firing renders just the
-rule's heads under the recorded substitution, once per distinct (rule, phi,
-head forms) and m.g.u., and a body once per distinct (rule, phi): a
-5,500-step gcd trace checks about 30 firings.  check-final asks the oracle's
-`rewrite_steps` about the replayed store, which looks a partner up by its
-bound argument: about one `match` per store entry on a mergesort chain.
+goal text is its entry's form needs no render.  A firing renders no head:
+each entry's term under the m.g.u. is kept beside its form, and
+`validate_rewrite` compares the rule's head patterns with the recorded
+heads' terms argument by argument, phi's values normalized under the
+m.g.u. once per check.  It checks once per distinct (rule, phi, head forms)
+and m.g.u., and a body is rendered once per distinct (rule, phi), argument
+by argument, without building its terms: a 5,500-step gcd trace checks
+about 30 firings.  check-final asks the oracle's `rewrite_steps` about the
+replayed store, which looks a partner up by its bound argument: about one
+`match` per store entry on a mergesort chain.
 """
 from __future__ import annotations
 
 import heapq
-from typing import AbstractSet, Iterable, Optional
+from typing import Iterable, Optional
 
-from .abstract import (AbstractStore, HistoryKey, rewrite_steps,
-                       validate_rewrite)
+from .abstract import AbstractStore, HistoryKey, rewrite_steps
 from .record import Frozen, setfield
-from .syntax import Program
-from .terms import (Chr, Const, Constraint, Eq, Subst, apply_subst,
-                    instantiate, mgu, normalize_constraint, render_constraint,
-                    vars_of)
+from .syntax import Program, Rule
+from .terms import (App, Chr, Const, Constraint, Eq, Subst, Var, apply_subst,
+                    holds, instantiate, mgu, render_constraint,
+                    render_instance, vars_of)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedTrace, Step, _excerpt, parse_trace
 
@@ -88,6 +91,60 @@ class Verdict(Frozen):
         return f"{self.check}: {mark}{tail}"
 
 
+def _paired(patterns: tuple[Chr, ...], heads: list[Chr],
+            values: Subst) -> bool:
+    """Whether heads are the patterns under phi and theta, one head to each
+    pattern: values is phi normalized under theta, so a variable argument
+    is its value, a constant itself and an application is instantiated.
+    Each pattern's instance is fixed, phi binding every head variable, so
+    pairing each head with the first unpaired pattern it equals is exact."""
+    if len(heads) != len(patterns):
+        return False
+    left = list(patterns)
+    for c in heads:
+        for k, h in enumerate(left):
+            if h.pred != c.pred or len(h.args) != len(c.args):
+                continue
+            for p, a in zip(h.args, c.args):
+                cls = p.__class__
+                want = (values[p.name] if cls is Var else
+                        instantiate(values, p) if cls is App else p)
+                if want is not a and want != a:
+                    break
+            else:
+                del left[k]
+                break
+        else:
+            return False
+    return True
+
+
+def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],
+                     prop_heads: list[Chr],
+                     simp_heads: list[Chr]) -> Optional[str]:
+    """Why firing `rule` at instance `phi` on the head constraints whose
+    terms under theta are given is not a single rewrite of a store whose
+    equations solve to `theta` (None: inconsistent), or None when it is.
+    phi must bind exactly the rule's head variables (one left unbound would
+    read as the goal variable of its name), each role's heads must be the
+    rule's heads under phi and theta, compared as terms, and the guard must
+    hold under theta.  Validates a recorded step without searching all
+    rewrites."""
+    if phi.keys() != rule.head_vars:
+        return (f"phi binds {{{','.join(sorted(phi))}}}, not the head variables "
+                f"{{{','.join(sorted(rule.head_vars))}}} of rule {rule.name}")
+    solved = theta or {}
+    values = {x: t if t.__class__ is Const else instantiate(solved, t)
+              for x, t in phi.items()}
+    for role, patterns, heads in (("propagated", rule.propagated, prop_heads),
+                                  ("simplified", rule.simplified, simp_heads)):
+        if not _paired(patterns, heads, values):
+            return f"{role} heads do not match rule {rule.name}"
+    if theta is None or not holds(theta, phi, rule.guard):
+        return f"guard of rule {rule.name} not entailed"
+    return None
+
+
 class _Replica:
     """Fresh store + goal multiset driven purely by trace steps.  `goals`
     counts un-numbered goals by rendered constraint and numbered goals by id
@@ -96,23 +153,26 @@ class _Replica:
     entries stay raw (as activated), exactly like the engine store.  `theta`
     is the m.g.u. of the equations, kept from one Solve to the next; it is
     their only solved form, and `users` maps each variable to the keys of
-    theta whose binding mentions it.  `forms` holds each alive entry's
-    `solved_form` under theta, computed at activation and refreshed for the
-    entries a Solve wakes; `text_vars` the variables of each distinct
-    activated text, so a ground entry, whose form is its text whatever theta
-    is, costs no term walk.  `occ` maps each variable not bound by theta to
-    the ids (dead ones too) whose form under theta mentions it.  `fired`
-    numbers each distinct (rule, phi) and `bodies` keeps its body goals,
-    rendered.  `valid` holds the firings validate_rewrite accepted under
-    theta, as (number, sorted head forms), until theta changes."""
+    theta whose binding mentions it.  `terms` holds each alive entry's
+    term under theta (as activated once theta is None) and `forms` that
+    term's text, both computed at activation and refreshed for the entries
+    a Solve wakes: validate_rewrite compares the terms, and the memo keys
+    on the texts.  `text_vars` holds the variables of each distinct
+    activated text, so a ground entry, whose form is its text whatever
+    theta is, costs no term walk.  `occ` maps each variable not bound by
+    theta to the ids (dead ones too) whose form under theta mentions it.
+    `fired` numbers each distinct (rule, phi) and `bodies` keeps its body
+    goals, rendered.  `valid` holds the firings validate_rewrite accepted
+    under theta, as (number, sorted head forms), until theta changes."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals: dict = {}  # text or id -> copies
         for g in goals0:
-            self.add_goal(render_constraint(normalize_constraint(g)))
+            self.add_goal(render_instance({}, g))
         self.entries: dict[int, Chr] = {}
         self.keys: dict[int, str] = {}  # rendered raw entries
-        self.forms: dict[int, str] = {}  # solved forms of the alive entries
+        self.terms: dict[int, Chr] = {}  # the alive entries under theta
+        self.forms: dict[int, str] = {}  # and those terms' texts
         self.alive: set[int] = set()
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
@@ -138,8 +198,8 @@ class _Replica:
         if goal is c or text == self.forms[cid]:
             return None
         theta = self.solved if self.theta is None else self.theta
-        form = render_constraint(instantiate(theta, c))
-        if render_constraint(instantiate(theta, goal)) == form:
+        form = render_instance(theta, c)
+        if render_instance(theta, goal) == form:
             return None
         return f"goal {text}#{cid} is not the form {form} of #{cid}"
 
@@ -172,14 +232,14 @@ class _Replica:
         if names is None:
             names = self.text_vars[key] = tuple(vars_of(self.entries[cid]))
         theta = self.theta
+        c = self.entries[cid]
         if not names or not theta:
-            self.forms[cid] = key
+            self.forms[cid], self.terms[cid] = key, c
             if names and theta is not None:
                 for v in names:
                     self.occ.setdefault(v, set()).add(cid)
             return
-        c = self.entries[cid]
-        solved = instantiate(theta, c)
+        solved = self.terms[cid] = instantiate(theta, c)
         self.forms[cid] = key if solved is c else render_constraint(solved)
         for v in vars_of(apply_subst(theta, c)):
             self.occ.setdefault(v, set()).add(cid)
@@ -323,7 +383,10 @@ def _replay_step(rep: _Replica, st: Step, key: str,
     simp = sorted([rep.forms[i] for i in st.simp_ids])
     checked = (n, len(prop), *prop, *simp)
     if checked not in rep.valid:
-        err = validate_rewrite(rule, st.phi, rep.theta, prop, simp)
+        terms = rep.terms
+        err = validate_rewrite(rule, st.phi, rep.theta,
+                               [terms[i] for i in st.prop_ids],
+                               [terms[i] for i in st.simp_ids])
         if err is not None:
             return err
         rep.valid.add(checked)
@@ -336,11 +399,12 @@ def _replay_step(rep: _Replica, st: Step, key: str,
     rep.remove_goal(cid)
     for i in st.simp_ids:
         rep.alive.discard(i)
+        del rep.terms[i], rep.forms[i]
     if st.kind == "Propagate":
         rep.add_goal(cid)
     if n == len(rep.bodies):
-        rep.bodies.append(tuple(
-            render_constraint(instantiate(st.phi, b)) for b in rule.body))
+        rep.bodies.append(tuple([render_instance(st.phi, b)
+                                 for b in rule.body]))
     for body_goal in rep.bodies[n]:
         rep.add_goal(body_goal)
     return None
@@ -376,19 +440,6 @@ def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
     return Verdict(True, "project-abstract")
 
 
-def unwatched_instances(items: list[tuple[Chr, int]], eqs: Iterable[Eq],
-                        history: Iterable[HistoryKey],
-                        pending_ids: AbstractSet[int],
-                        program: Program) -> list[tuple[str, tuple[int, ...]]]:
-    """The abstract rewrites of the visible store, beyond the propagation
-    instances already fired, with no head among `pending_ids`, as (rule,
-    sorted head ids).  A goal-based state has none: every rule instance
-    has a pending goal among its heads, so a finished state is final."""
-    s = AbstractStore.from_identified(items, eqs, history)
-    return [(step.rule, step.used_tags) for step in rewrite_steps(s, program)
-            if pending_ids.isdisjoint(step.used_tags)]
-
-
 def check_final_from_replay(rep: _Replica, program: Program) -> Verdict:
     """No goal may be pending, and the replayed visible store must admit no
     abstract rewrite beyond the propagation instances already fired."""
@@ -396,12 +447,12 @@ def check_final_from_replay(rep: _Replica, program: Program) -> Verdict:
     if pending:
         return Verdict(False, "check-final",
                        f"{len(pending)} goal(s) still pending: {pending[:5]}")
-    left = unwatched_instances(rep.live_items(), rep.eqs, rep.history,
-                               frozenset(), program)
+    s = AbstractStore.from_identified(rep.live_items(), rep.eqs, rep.history)
+    left = rewrite_steps(s, program)
     if not left:
         return Verdict(True, "check-final")
-    return Verdict(False, "check-final",
-                   f"rule {left[0][0]} still applies to ids {left[0][1]}")
+    return Verdict(False, "check-final", f"rule {left[0].rule} still applies "
+                                         f"to ids {left[0].used_tags}")
 
 
 def decompose_k(records: Iterable[AuditRecord]

@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple, Optional
 import pytest
 
 import chrkit.sequential as sequential
-from chrkit.abstract import AbstractStore, LimitExceeded
+from chrkit.abstract import AbstractStore, LimitExceeded, unwatched_instances
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import iter_matches
 from chrkit.store import NumberedConstraint, State, Store
@@ -19,7 +19,6 @@ from chrkit.terms import (Chr, Constraint, Eq, Subst, Var, apply_subst,
                           entails, match, mgu, normalize_constraint,
                           render_constraint, render_term)
 from chrkit.trace import Step
-from chrkit.verify import unwatched_instances
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

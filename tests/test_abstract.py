@@ -5,10 +5,10 @@ import pytest
 
 import chrkit.abstract as abstract
 from chrkit.abstract import (AbstractStore, LimitExceeded, final_stores,
-                             rewrite_steps, run_abstract, solved_form,
-                             validate_rewrite)
+                             rewrite_steps, run_abstract)
 from chrkit.syntax import load_program, parse_goals
-from chrkit.terms import Chr, Const, Eq, Var, mgu
+from chrkit.terms import Chr, Const, Eq, Var, instantiate, mgu, render_constraint
+from chrkit.verify import validate_rewrite
 
 from conftest import canonical, concurrent_compose_check, load
 
@@ -201,17 +201,17 @@ def test_validate_rewrite_accepts_recorded_instances():
     for p, goals in cases:
         s = store_of(goals)
         theta = mgu(s.eqs())
-        form = {t: solved_form(theta, c) for c, t in s.items}
+        solved = {t: instantiate(theta, c) for c, t in s.items}
         steps = rewrite_steps(s, p)
         assert steps
         for st in steps:
             assert validate_rewrite(p.rule(st.rule), st.phi, theta,
-                                    [form[t] for _, t in st.propagated],
-                                    [form[t] for _, t in st.simplified]) is None
-    # the heads are compared by their forms under theta, not as written
-    assert (form[0], form[1]) == ("A(2)", "B(2)")
+                                    [solved[t] for _, t in st.propagated],
+                                    [solved[t] for _, t in st.simplified]) is None
+    # the heads are compared as their terms under theta, not as written
+    assert [render_constraint(solved[t]) for t in (0, 1)] == ["A(2)", "B(2)"]
     assert validate_rewrite(p.rule("r1"), {"x": Const(2)}, theta,
-                            [], ["A(a)", "B(2)"]) \
+                            [], list(parse_goals("A(a),B(2)"))) \
         == "simplified heads do not match rule r1"
 
 
@@ -220,10 +220,12 @@ def test_validate_rewrite_rejects_wrong_heads():
     s = store_of("Gcd(3),Gcd(9)")
     st = rewrite_steps(s, gcd)[0]
     rule = gcd.rule(st.rule)
-    props = [solved_form({}, c) for c, _ in st.propagated]
-    simps = [solved_form({}, c) for c, _ in st.simplified]
-    assert (props, simps) == (["Gcd(3)"], ["Gcd(9)"])
-    assert validate_rewrite(rule, st.phi, {}, ["Gcd(77)"], simps) \
+    props = [c for c, _ in st.propagated]
+    simps = [c for c, _ in st.simplified]
+    assert (props, simps) == (list(parse_goals("Gcd(3)")),
+                              list(parse_goals("Gcd(9)")))
+    assert validate_rewrite(rule, st.phi, {}, list(parse_goals("Gcd(77)")),
+                            simps) \
         == "propagated heads do not match rule gcd2"
     assert validate_rewrite(rule, st.phi, {}, props, props) \
         == "simplified heads do not match rule gcd2"

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from chrkit.abstract import unwatched_instances
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import SequentialEngine, run_sequential
 from chrkit.store import NumberedConstraint
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var
-from chrkit.verify import unwatched_instances
 
 from conftest import CORPUS, canonical, goals_for, load
 

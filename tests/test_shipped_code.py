@@ -58,3 +58,21 @@ def test_every_definition_in_src_has_a_caller():
                             and node.lineno <= line <= node.end_lineno)
                    for user, names in refs.items() for name, line in names)]
     assert sorted(uncalled) == sorted(ALLOWED)
+
+
+def test_no_engine_imports_the_verifier():
+    """The verifier checks the engines' traces, so nothing it checks may
+    lean on it: only the command line and the package's re-exports import
+    `verify`, the abstract oracle included."""
+    importers = set()
+    for path in sorted((ROOT / "src" / "chrkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "verify" for n in names):
+                importers.add(path.stem)
+    assert importers == {"cli", "__init__"}

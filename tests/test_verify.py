@@ -20,6 +20,8 @@ from chrkit.verify import (Verdict, _run_replay, audit_overlap_trace,
 
 from conftest import (CORPUS, all_pairs_audit, canonical, equation_fuzz_case,
                       fuzz_case, goals_for, leftover, load)
+from reference_heads import reference_validate_rewrite
+from test_union_find import union_find_goals
 
 
 def seq_trace_text(name, goals=None):
@@ -471,21 +473,26 @@ FORGERIES = [
 ]
 
 
+def _forged_row_trace(prog, goals, concurrent):
+    """The program, goals and unforged trace of a FORGERIES row."""
+    if prog is None:
+        return _wake_program()
+    if concurrent:
+        p, goals = load_program(prog), parse_goals(goals)
+        res = run_concurrent(goals, p, EngineConfig(workers=1))
+        return p, goals, serialize_trace(res.trace, {}, res.status,
+                                         res.state.store.dump())
+    goals = parse_goals(goals) if goals else goals_for(prog)
+    p, goals, _, text = seq_trace_text(prog, goals)
+    return p, goals, text
+
+
 @pytest.mark.parametrize("name,prog,goals,forge,check,detail", FORGERIES,
                          ids=[f[0] for f in FORGERIES])
 def test_verify_run_rejects_forged_traces(name, prog, goals, forge, check,
                                           detail):
     concurrent = check == "audit-overlap"
-    if prog is None:
-        p, goals, text = _wake_program()
-    elif concurrent:
-        p, goals = load_program(prog), parse_goals(goals)
-        res = run_concurrent(goals, p, EngineConfig(workers=1))
-        text = serialize_trace(res.trace, {}, res.status,
-                               res.state.store.dump())
-    else:
-        goals = parse_goals(goals) if goals else goals_for(prog)
-        p, goals, _, text = seq_trace_text(prog, goals)
+    p, goals, text = _forged_row_trace(prog, goals, concurrent)
     assert all(v.passed for v in verify_run(text, goals, p, concurrent))
     forged = forge(text)
     assert forged != text
@@ -596,6 +603,207 @@ def test_each_distinct_firing_is_validated_once(monkeypatch):
                           tuple(sorted(forms[i] for i in st.prop_ids)),
                           tuple(sorted(forms[i] for i in st.simp_ids))))
     assert len(calls) == len(distinct) < firings
+
+
+# ------------------------------------------- heads compared as terms
+
+class _Forgetful(set):
+    """A `valid` memo that never holds a firing, so each is validated."""
+
+    def __contains__(self, item):
+        return False
+
+
+@pytest.fixture
+def head_checks(monkeypatch):
+    """The verdicts of `validate_rewrite` at every firing a replay meets
+    (the memo is bypassed), each asserted equal to the render-based
+    reference's on the same firing: the heads' forms are their terms as
+    the printer writes them."""
+    import chrkit.verify
+    real, seen = chrkit.verify.validate_rewrite, []
+
+    def both(rule, phi, theta, prop, simp):
+        got = real(rule, phi, theta, prop, simp)
+        want = reference_validate_rewrite(
+            rule, phi, theta, [render_constraint(c) for c in prop],
+            [render_constraint(c) for c in simp])
+        assert got == want, (rule.name, phi, theta, prop, simp)
+        seen.append(got)
+        return got
+
+    init = chrkit.verify._Replica.__init__
+
+    def forgetful(self, goals0):
+        init(self, goals0)
+        self.valid = _Forgetful()
+
+    monkeypatch.setattr(chrkit.verify, "validate_rewrite", both)
+    monkeypatch.setattr(chrkit.verify._Replica, "__init__", forgetful)
+    return seen
+
+
+def test_head_check_agrees_with_the_reference_on_run_traces(head_checks):
+    """The corpus on both engines, seeded fuzz and equation fuzz cases, and
+    union-find, whose Solves wake goals: every firing passes both checks."""
+    runs = [(load(name), goals_for(name)) for name in CORPUS]
+    runs.append((load("union_find"), union_find_goals(20, 1)[1]))
+    rng = random.Random(5)
+    runs += [(load_program(t), parse_goals(g))
+             for t, g in (fuzz_case(rng) for _ in range(60))]
+    rng = random.Random(20240817)
+    runs += [(load_program(t), parse_goals(g))
+             for t, g in (equation_fuzz_case(rng) for _ in range(60))]
+    for p, goals in runs:
+        for concurrent, res in (
+                (False, run_sequential(goals, p)),
+                (True, run_concurrent(goals, p, EngineConfig(workers=2)))):
+            text = serialize_trace(res.trace, {}, res.status,
+                                   res.state.store.dump())
+            assert all(v.passed for v in verify_run(text, goals, p,
+                                                    concurrent))
+    assert len(head_checks) > 1000 and set(head_checks) == {None}
+
+
+@pytest.mark.parametrize("row", FORGERIES + MEMO_FORGERIES,
+                         ids=[f[0] for f in FORGERIES + MEMO_FORGERIES])
+def test_head_check_agrees_with_the_reference_on_forged_rows(row, head_checks):
+    """Each forged row gives its pinned verdict with every firing checked
+    by both checks, the memo bypassed."""
+    if len(row) == 6:
+        _, prog, goals, forge, check, detail = row
+        concurrent = check == "audit-overlap"
+        p, goals, text = _forged_row_trace(prog, goals, concurrent)
+        text = forge(text)
+        want = (["replay: PASS", "project-abstract: PASS",
+                 "check-final: PASS"] if concurrent else []) + \
+            [f"{check}: FAIL ({detail})"]
+    else:
+        _, prog, goals, lines, detail = row
+        p, goals, concurrent = load_program(prog), parse_goals(goals), False
+        text = "\n".join(["# chr-trace v1", *lines, "# status=done"]) + "\n"
+        want = [f"replay: FAIL ({detail})"]
+    assert [str(v) for v in verify_run(text, goals, p, concurrent)] == want
+
+
+D_RULE = "d @ D(x+1), F(x) <=> E(x)."
+K_RULE = "k @ K(0,a,a) \\ L(a) <=> M(a)."
+# D(y+1)#1 and F(y)#2, then y=2, which wakes both (D(3) and F(2))
+_D_WOKEN = ["0 Activate goal=D(y+1)#1 P={} S={}",
+            "1 Drop goal=D(y+1)#1 P={} S={}",
+            "2 Activate goal=F(y)#2 P={} S={}",
+            "3 Drop goal=F(y)#2 P={} S={}",
+            "4 Solve goal=y=2 P={1,2} S={}",
+            "5 Drop goal=D(3)#1 P={} S={}"]
+# K(0,z,w)#1 and L(z)#2, then z=w, which wakes both (K(0,w,w) and L(w))
+_K_WOKEN = ["0 Activate goal=K(0,z,w)#1 P={} S={}",
+            "1 Drop goal=K(0,z,w)#1 P={} S={}",
+            "2 Activate goal=L(z)#2 P={} S={}",
+            "3 Drop goal=L(z)#2 P={} S={}",
+            "4 Solve goal=z=w P={1,2} S={}",
+            "5 Drop goal=K(0,w,w)#1 P={} S={}"]
+
+HEAD_FORGERIES = [
+    # (name, program, goals, step and final lines, replay detail or None)
+    ("arithmetic head pattern before the Solve", D_RULE, "D(y+1),F(y),y=2",
+     ["0 Activate goal=D(y+1)#1 P={} S={}",
+      "1 Drop goal=D(y+1)#1 P={} S={}",
+      "2 Activate goal=F(y)#2 P={} S={}",
+      "3 Simplify goal=F(y)#2 rule=d phi={x->y} P={} S={1,2}",
+      "4 Activate goal=E(y)#3 P={} S={}",
+      "5 Drop goal=E(y)#3 P={} S={}",
+      "6 Solve goal=y=2 P={3} S={}",
+      "7 Drop goal=E(2)#3 P={} S={}",
+      "# final: E(y)#3", "# final: y=2"], None),
+    # D(2+1) is D(3), not D(y+1), until y=2 is solved
+    ("arithmetic head pattern at the value before the Solve", D_RULE,
+     "D(y+1),F(y),y=2",
+     ["0 Activate goal=D(y+1)#1 P={} S={}",
+      "1 Drop goal=D(y+1)#1 P={} S={}",
+      "2 Activate goal=F(y)#2 P={} S={}",
+      "3 Simplify goal=F(y)#2 rule=d phi={x->2} P={} S={1,2}"],
+     "step 3: simplified heads do not match rule d"),
+    # F(2) matches F(x), but D(2+1) is not D(5)
+    ("arithmetic head pattern on another value", D_RULE, "D(5),F(2)",
+     ["0 Activate goal=D(5)#1 P={} S={}",
+      "1 Drop goal=D(5)#1 P={} S={}",
+      "2 Activate goal=F(2)#2 P={} S={}",
+      "3 Simplify goal=F(2)#2 rule=d phi={x->2} P={} S={1,2}"],
+     "step 3: simplified heads do not match rule d"),
+    ("arithmetic head pattern after the Solve", D_RULE, "D(y+1),F(y),y=2",
+     _D_WOKEN + ["6 Simplify goal=F(2)#2 rule=d phi={x->2} P={} S={1,2}",
+                 "7 Activate goal=E(2)#3 P={} S={}",
+                 "8 Drop goal=E(2)#3 P={} S={}",
+                 "# final: E(2)#3", "# final: y=2"], None),
+    # F(3) is not F(2), and D(3+1) not D(3)
+    ("arithmetic head pattern after the Solve, wrong value", D_RULE,
+     "D(y+1),F(y),y=2",
+     _D_WOKEN + ["6 Simplify goal=F(2)#2 rule=d phi={x->3} P={} S={1,2}"],
+     "step 6: simplified heads do not match rule d"),
+    # the pattern K(0,a,a) is K(0,z,z), not the entry K(0,z,w)
+    ("repeated head variable on two variables", K_RULE, "K(0,z,w),L(z)",
+     ["0 Activate goal=K(0,z,w)#1 P={} S={}",
+      "1 Drop goal=K(0,z,w)#1 P={} S={}",
+      "2 Activate goal=L(z)#2 P={} S={}",
+      "3 Simplify goal=L(z)#2 rule=k phi={a->z} P={1} S={2}"],
+     "step 3: propagated heads do not match rule k"),
+    # under z=w, a->z makes K(0,z,z) and L(z) the entries' K(0,w,w), L(w)
+    ("heads equal to the patterns only under theta", K_RULE,
+     "K(0,z,w),L(z),z=w",
+     _K_WOKEN + ["6 Simplify goal=L(w)#2 rule=k phi={a->z} P={1} S={2}",
+                 "7 Activate goal=M(z)#3 P={} S={}",
+                 "8 Drop goal=M(w)#3 P={} S={}",
+                 "# final: K(0,z,w)#1", "# final: M(z)#3",
+                 "# final: z=w"], None),
+    # both heads are Merge(n,a)'s instance; none is Merge(n,b)'s Merge(1,7)
+    ("two heads paired with one pattern",
+     "merge2 @ Merge(n,a), Merge(n,b) <=> a<b | Leq(a,b), Merge(n+1,a).",
+     "Merge(1,5),Merge(1,5)",
+     ["0 Activate goal=Merge(1,5)#1 P={} S={}",
+      "1 Drop goal=Merge(1,5)#1 P={} S={}",
+      "2 Activate goal=Merge(1,5)#2 P={} S={}",
+      "3 Simplify goal=Merge(1,5)#2 rule=merge2 phi={a->5;b->7;n->1} P={} "
+      "S={1,2}"],
+     "step 3: simplified heads do not match rule merge2"),
+    ("head constant on another constant", "gcd1 @ Gcd(0) <=> true.",
+     "Gcd(1)",
+     ["0 Activate goal=Gcd(1)#1 P={} S={}",
+      "1 Simplify goal=Gcd(1)#1 rule=gcd1 phi={} P={} S={1}"],
+     "step 1: simplified heads do not match rule gcd1"),
+    # the reader takes 1+1 as the printer's text of 1+1, which is 2
+    ("phi value written unnormalized", K_RULE, "K(0,2,2),L(2)",
+     ["0 Activate goal=K(0,2,2)#1 P={} S={}",
+      "1 Drop goal=K(0,2,2)#1 P={} S={}",
+      "2 Activate goal=L(2)#2 P={} S={}",
+      "3 Simplify goal=L(2)#2 rule=k phi={a->1+1} P={1} S={2}",
+      "4 Activate goal=M(2)#3 P={} S={}",
+      "5 Drop goal=M(2)#3 P={} S={}",
+      "# final: K(0,2,2)#1", "# final: M(2)#3"], None),
+    ("phi value written unnormalized, wrong value", K_RULE, "K(0,2,2),L(2)",
+     ["0 Activate goal=K(0,2,2)#1 P={} S={}",
+      "1 Drop goal=K(0,2,2)#1 P={} S={}",
+      "2 Activate goal=L(2)#2 P={} S={}",
+      "3 Simplify goal=L(2)#2 rule=k phi={a->1+2} P={1} S={2}"],
+     "step 3: propagated heads do not match rule k"),
+]
+
+
+@pytest.mark.parametrize("name,prog,goals,lines,detail", HEAD_FORGERIES,
+                         ids=[f[0] for f in HEAD_FORGERIES])
+def test_heads_are_compared_as_terms(name, prog, goals, lines, detail,
+                                     head_checks):
+    """Firings where a head's term and its text could part: an arithmetic
+    pattern, a repeated head variable, a head constant, an unnormalized
+    phi value and heads equal to the patterns only under theta.  Every
+    firing gets the reference's verdict."""
+    steps = [l for l in lines if not l.startswith("#")]
+    text = "\n".join(["# chr-trace v1", *steps, "# status=done",
+                      *(l for l in lines if l.startswith("#"))]) + "\n"
+    verdicts = verify_run(text, parse_goals(goals), load_program(prog))
+    assert [str(v) for v in verdicts] == (
+        ["replay: PASS", "project-abstract: PASS", "check-final: PASS"]
+        if detail is None else [f"replay: FAIL ({detail})"])
+    assert head_checks
 
 
 # ---------------------------------------------------------- status footer
