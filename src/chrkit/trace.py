@@ -23,10 +23,11 @@ text after the last one.  The reader reads each distinct goal, phi and id
 set text once, and each term text (flat argument or phi value) once, and
 shares the frozen terms between the steps that repeat a text.  A text
 that is exactly what the printer writes for flat arguments (integers,
-`true`/`false` and variables) is read without the grammar, by
-`read_constraint` and `read_term`; any other text goes to the grammar and
-raises what it raises, and must then be the printer's text of the term it
-reads as (`Gcd(06)`, `Gcd((6))` and `m->09` are refused), so a goal text
+`true`/`false` and variables) is read without the grammar, a goal text
+with one pattern match (`_flat_constraint`), a term text by `read_term`;
+any other text goes to the grammar and raises what it raises, and must
+then be the printer's text of the term it reads as (`Gcd(06)`,
+`Gcd((6))` and `m->09` are refused), so a goal text
 is the one text of its term and the replay can key on it.  Only a text
 the grammar read is rendered back to check this: the flat patterns take
 only what the printer writes, so a flat text is its term's text as read.
@@ -35,7 +36,7 @@ says why no renaming is needed): each must read as a variable, and none
 may repeat.
 `parse_line` reads one line, with a given reader or a fresh one;
 `parse_trace` reads a whole trace with one reader, keeping each step's
-goal text beside the steps.
+goal text and phi text beside the steps.
 """
 from __future__ import annotations
 
@@ -108,12 +109,15 @@ def step_to_line(step: Step) -> str:
 
 class ParsedTrace(Record):
     """A read trace.  `goal_texts[i]` is `steps[i]`'s goal as its line writes
-    it, which is the printer's text of that goal, without the `#id`."""
+    it, which is the printer's text of that goal, without the `#id`, and
+    `phi_texts[i]` its phi as the line writes it, or None for a step with
+    no phi field."""
 
-    __slots__ = ("meta", "steps", "goal_texts", "final_dump", "status")
+    __slots__ = ("meta", "steps", "goal_texts", "phi_texts", "final_dump",
+                 "status")
 
     def __init__(self):  # as parse_trace fills it in
-        self.meta, self.steps, self.goal_texts = {}, [], []
+        self.meta, self.steps, self.goal_texts, self.phi_texts = {}, [], [], []
         self.final_dump = self.status = None
 
 
@@ -180,21 +184,26 @@ def read_term(text: str, cache: Optional[dict] = None) -> Term:
     return parse_term_text(text)
 
 
+def _flat_constraint(text: str, cache: dict) -> Optional[Constraint]:
+    """The CHR constraint or equation over flat arguments that text writes,
+    read with one `_FLAT_GOAL` match and its arguments through cache as
+    `_flat` keeps them, or None for any other text, and for one with an
+    integer out of 64-bit range, which the grammar refuses."""
+    m = re.fullmatch(_FLAT_GOAL, text)
+    if m is None:
+        return None
+    if m[1] is not None:
+        args = tuple([_flat(a, cache) for a in m[2].split(",")]) if m[2] else ()
+        return None if None in args else Chr(m[1], args)
+    lhs, rhs = _flat(m[3], cache), _flat(m[4], cache)
+    return None if lhs is None or rhs is None else Eq(lhs, rhs)
+
+
 def read_constraint(text: str, cache: Optional[dict] = None) -> Constraint:
     """parse_constraint_text(text); a CHR constraint or an equation over
-    flat arguments is read without the grammar, its arguments through
-    cache as `_flat` keeps them."""
-    cache = {} if cache is None else cache
-    m = re.fullmatch(_CHR, text)
-    if m is not None:
-        args = tuple([_flat(a, cache) for a in m[2].split(",")]) if m[2] else ()
-        if None not in args:  # else the grammar raises
-            return Chr(m[1], args)
-    elif (m := re.fullmatch(_EQ, text)) is not None:
-        lhs, rhs = _flat(m[1], cache), _flat(m[2], cache)
-        if lhs is not None and rhs is not None:
-            return Eq(lhs, rhs)
-    return parse_constraint_text(text)
+    flat arguments is read without the grammar, by `_flat_constraint`."""
+    c = _flat_constraint(text, {} if cache is None else cache)
+    return parse_constraint_text(text) if c is None else c
 
 
 def _check_printed(text: str, x, render) -> None:
@@ -210,8 +219,9 @@ def _check_printed(text: str, x, render) -> None:
 def _goal(text: str, terms: dict) -> Constraint:
     """The constraint text writes, which must be the printer's text of it:
     a flat text is as read, so only one the grammar read is rendered."""
-    c = read_constraint(text, terms)
-    if re.fullmatch(_FLAT_GOAL, text) is None:
+    c = _flat_constraint(text, terms)
+    if c is None:  # not flat, so read_constraint hands it to the grammar
+        c = read_constraint(text, terms)
         _check_printed(text, c, render_constraint)
     return c
 
@@ -284,9 +294,10 @@ def _refusal(line: str) -> str:
     return f"trailing text: {_excerpt(' '.join(parts[k:]))}"
 
 
-def _reader(goal_texts: list):
+def _reader(goal_texts: list, phi_texts: list):
     """A function that reads one step line, with `_LINE`, to its Step, and
-    appends the line's goal text, without its `#id`, to goal_texts.  It
+    appends the line's goal text, without its `#id`, to goal_texts and its
+    phi text, or None, to phi_texts.  It
     reads each distinct goal, phi and id-set text it meets once, and keeps
     in `terms` every term text read (flat arguments and phi values), so
     the steps that repeat a text share its terms; each Step gets its own
@@ -296,9 +307,9 @@ def _reader(goal_texts: list):
     match = re.compile(_LINE).fullmatch  # compiled once, in re's cache
     terms: dict[str, Term] = {}
     goals: dict[str, tuple[str, Constraint]] = {}  # text -> (text, c)
-    phis: dict[str, Subst] = {}
+    phis: dict[str, tuple[str, Subst]] = {}  # text -> (text, phi)
     id_sets: dict[str, tuple[int, ...]] = {"{}": ()}
-    keep = goal_texts.append
+    keep, keep_phi = goal_texts.append, phi_texts.append
 
     def read(line: str) -> Step:
         m = match(line)
@@ -313,12 +324,13 @@ def _reader(goal_texts: list):
             found = goals[goal] = (goal, _field("goal", "a constraint",
                                                 _goal, goal, terms))
         goal, c = found
+        phi_text = phi
         if phi is not None:
-            sub = phis.get(phi)
-            if sub is None:
-                sub = phis[phi] = _field("phi", "a substitution", _phi, phi,
-                                         terms)
-            phi = sub.copy()
+            read_phi = phis.get(phi)
+            if read_phi is None:
+                read_phi = phis[phi] = (phi, _field(
+                    "phi", "a substitution", _phi, phi, terms))
+            phi_text, phi = read_phi[0], read_phi[1].copy()
         prop = id_sets.get(p)
         if prop is None:
             prop = id_sets[p] = _field("P", "a set of integers", _ids, p)
@@ -326,6 +338,7 @@ def _reader(goal_texts: list):
         if simp is None:
             simp = id_sets[s] = _field("S", "a set of integers", _ids, s)
         keep(goal)
+        keep_phi(phi_text)
         return Step(int(seq), kind, c, goal_id and int(goal_id), rule, phi,
                     prop, simp, worker and int(worker),
                     None if start is None else (int(start), int(commit)))
@@ -336,7 +349,7 @@ def _reader(goal_texts: list):
 def parse_line(line: str, read=None) -> Step:
     """One step line, read by `read`, a `_reader` whose caches the calls
     share, or by a fresh reader."""
-    return (read or _reader([]))(line)
+    return (read or _reader([], []))(line)
 
 
 def serialize_trace(steps, meta: dict[str, str], status: str,
@@ -357,7 +370,7 @@ def parse_trace(text: str) -> ParsedTrace:
     reads every step line, so each distinct goal, phi, phi value, id set
     and flat argument text is read once per call."""
     out = ParsedTrace()
-    read, steps = _reader(out.goal_texts), out.steps
+    read, steps = _reader(out.goal_texts, out.phi_texts), out.steps
     dump_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -50,24 +50,27 @@ goal text is its entry's form needs no render.  A firing renders no head:
 each entry's term under the m.g.u. is kept beside its form, and
 `validate_rewrite` compares the rule's head patterns with the recorded
 heads' terms argument by argument, phi's values normalized under the
-m.g.u. once per check.  It checks once per distinct (rule, phi, head forms)
-and m.g.u., and a body is rendered once per distinct (rule, phi), argument
-by argument, without building its terms: a 5,500-step gcd trace checks
-about 30 firings.  check-final asks the oracle's `rewrite_steps` about the
-replayed store, which looks a partner up by its bound argument: about one
-`match` per store entry on a mergesort chain.
+m.g.u. once per check.  It checks once per distinct (rule, phi text, head
+forms) and m.g.u., and a body is rendered once per distinct (rule, phi
+text), argument by argument, without building its terms: a 5,500-step gcd
+trace checks about 30 firings.  check-final runs no oracle code: its own
+search, `_first_rewrite`, joins each rule's heads over the replica's live
+terms and stops at the first instance that applies.  A head whose argument
+is a constant or already bound is looked up by it, so a mergesort chain
+costs about one `match` per store entry.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
-from .abstract import AbstractStore, HistoryKey, rewrite_steps
+from .abstract import HistoryKey
+from .abstract import rewrite_steps  # noqa: F401  (bench/instrument.py wraps it)
 from .record import Frozen, setfield
 from .syntax import Program, Rule
-from .terms import (App, Chr, Const, Constraint, Eq, Subst, Var, apply_subst,
-                    holds, instantiate, mgu, render_constraint,
-                    render_instance, vars_of)
+from .terms import (App, Chr, Const, Constraint, Eq, Subst, Term, Var,
+                    apply_subst, holds, instantiate, match, mgu,
+                    render_constraint, render_instance, vars_of)
 from .terms import entails  # noqa: F401  (kept for tools that wrap verify.entails)
 from .trace import ParsedTrace, Step, _excerpt, parse_trace
 
@@ -161,8 +164,8 @@ class _Replica:
     activated text, so a ground entry, whose form is its text whatever
     theta is, costs no term walk.  `occ` maps each variable not bound by
     theta to the ids (dead ones too) whose form under theta mentions it.
-    `fired` numbers each distinct (rule, phi) and `bodies` keeps its body
-    goals, rendered.  `valid` holds the firings validate_rewrite accepted
+    `fired` numbers each distinct (rule, phi text) and `bodies` keeps its
+    body goals, rendered.  `valid` holds the firings validate_rewrite accepted
     under theta, as (number, sorted head forms), until theta changes."""
 
     def __init__(self, goals0: Iterable[Constraint]):
@@ -285,7 +288,8 @@ class _Replica:
         return woken
 
     def live_items(self) -> list[tuple[Chr, int]]:
-        return [(self.entries[i], i) for i in sorted(self.alive)]
+        """The alive entries' terms under theta, with their ids, ascending."""
+        return [(self.terms[i], i) for i in sorted(self.alive)]
 
     def pending_goals(self) -> list[str]:
         """Goals that still await execution; numbered goals whose entry died
@@ -302,13 +306,13 @@ class _Replica:
         return "\n".join(lines)
 
 
-def _replay_step(rep: _Replica, st: Step, key: str,
+def _replay_step(rep: _Replica, st: Step, key: str, phi_key: Optional[str],
                  program: Program) -> Optional[str]:
-    """Apply one step, whose goal the trace writes as key, to the replica,
-    or say why its preconditions do not hold at this turn (a firing must be
-    one valid abstract rewrite).  The reader takes a goal text only as the
-    printer writes it, so key is the goal's rendered text, the goal
-    multiset's key for it."""
+    """Apply one step, whose goal the trace writes as key and whose phi as
+    phi_key, to the replica, or say why its preconditions do not hold at
+    this turn (a firing must be one valid abstract rewrite).  The reader
+    takes a goal text only as the printer writes it, so key is the goal's
+    rendered text, the goal multiset's key for it."""
     if st.kind == "Activate":
         if st.goal_id is None:
             return "activation without an id"
@@ -376,9 +380,10 @@ def _replay_step(rep: _Replica, st: Step, key: str,
 
     # the abstract semantics' own check, on the heads alone, under the
     # replica's current solved equations: once per distinct firing and theta.
-    # Terms hash slowly, so (rule, phi) is hashed once, for its number.
-    fired = (rule.name, *st.phi, *st.phi.values())
-    n = rep.fired.setdefault(fired, len(rep.fired))
+    # A firing is numbered by its rule and phi text, not by hashing phi's
+    # terms: the reader reads one text to one phi, so equal texts are equal
+    # phis, and a phi written two ways only costs a second check.
+    n = rep.fired.setdefault((rule.name, phi_key), len(rep.fired))
     prop = sorted([rep.forms[i] for i in st.prop_ids])
     simp = sorted([rep.forms[i] for i in st.simp_ids])
     checked = (n, len(prop), *prop, *simp)
@@ -416,8 +421,9 @@ def _run_replay(trace: ParsedTrace, goals0: Iterable[Constraint],
     i-th of which must carry seq i.  Returns the replay verdict, with the
     replica unless a step did not replay."""
     rep = _Replica(goals0)
-    for i, (st, key) in enumerate(zip(trace.steps, trace.goal_texts)):
-        err = (_replay_step(rep, st, key, program) if st.seq == i
+    for i, (st, key, phi_key) in enumerate(zip(trace.steps, trace.goal_texts,
+                                               trace.phi_texts)):
+        err = (_replay_step(rep, st, key, phi_key, program) if st.seq == i
                else f"seq is {st.seq}")
         if err is not None:
             return None, Verdict(False, "replay", f"step {i}: {err}")
@@ -440,19 +446,99 @@ def project_abstract(trace: ParsedTrace, goals0: Iterable[Constraint],
     return Verdict(True, "project-abstract")
 
 
+def _first_rewrite(items: list[tuple[Chr, int]], theta: Optional[Subst],
+                   history: AbstractSet[HistoryKey], program: Program
+                   ) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first rule instance that applies to a store, as (rule name,
+    sorted head ids), or None when the store is final.  items are the
+    store's CHR constraints under theta, the m.g.u. of its equations, with
+    their ids, in ascending id order; an inconsistent store (theta None)
+    admits nothing.  A pure propagation instance in history does not
+    apply.  First is in the order the oracle's rewrite_steps lists
+    rewrites: rules top to bottom, then head ids in the rule's textual
+    head order.  The heads are joined by nested loops in textual order,
+    each over candidates in ascending id order, so the first instance
+    found is that one, and the search stops there.  A head with a
+    constant argument, or a variable an earlier head bound, takes its
+    candidates from an index of its predicate's items by that argument,
+    built on first use; any other head scans its predicate's items.  The
+    guard is tested as soon as the heads before it bind its variables."""
+    if theta is None:
+        return None
+    by_pred: dict[str, list[tuple[Chr, int]]] = {}
+    for it in items:
+        by_pred.setdefault(it[0].pred, []).append(it)
+    index: dict[tuple[str, int], dict[Term, list[tuple[Chr, int]]]] = {}
+    used: list[int] = []  # the ids of the heads joined so far
+
+    def search(k: int, phi: Subst) -> Optional[tuple[int, ...]]:
+        # rule, patterns, keys and guard_at: the rule the loop below is at
+        if k == guard_at and not holds(theta, phi, rule.guard):
+            return None
+        if k == len(patterns):
+            ids = tuple(sorted(used))
+            if rule.simplified or (rule.name, ids) not in history:
+                return ids
+            return None
+        pattern, key = patterns[k], keys[k]
+        cands = by_pred.get(pattern.pred, ())
+        if key is not None:
+            by_arg = index.get((pattern.pred, key))
+            if by_arg is None:
+                by_arg = index[pattern.pred, key] = {}
+                for it in cands:
+                    if len(it[0].args) > key:
+                        by_arg.setdefault(it[0].args[key], []).append(it)
+            arg = pattern.args[key]
+            cands = by_arg.get(arg if arg.__class__ is Const
+                               else phi[arg.name], ())
+        for c, i in cands:
+            if i in used or (phi2 := match(pattern, c, phi)) is None:
+                continue
+            used.append(i)
+            ids = search(k + 1, phi2)
+            if ids is not None:
+                return ids
+            used.pop()
+        return None
+
+    found = None
+    for rule in program.rules:
+        patterns = [h.pattern for h in rule.heads]
+        if any(h.pred not in by_pred for h in patterns):
+            continue  # a head no item can fill
+        keys: list[Optional[int]] = []
+        need, bound, guard_at = vars_of(rule.guard), set(), len(patterns)
+        for k, pattern in enumerate(patterns):
+            if guard_at == len(patterns) and need <= bound:
+                guard_at = k
+            keys.append(next((j for j, a in enumerate(pattern.args)
+                              if a.__class__ is Const or a.__class__ is Var
+                              and a.name in bound), None))
+            bound |= vars_of(pattern)
+        ids = search(0, {})
+        if ids is not None:
+            found = rule.name, ids
+            break
+    search = None  # break the closure's cycle through itself
+    return found
+
+
 def check_final_from_replay(rep: _Replica, program: Program) -> Verdict:
     """No goal may be pending, and the replayed visible store must admit no
-    abstract rewrite beyond the propagation instances already fired."""
+    abstract rewrite beyond the propagation instances already fired.  The
+    verifier searches the replica's own live terms for the first rule
+    instance that still applies (`_first_rewrite`), sharing no search with
+    the oracle."""
     pending = rep.pending_goals()
     if pending:
         return Verdict(False, "check-final",
                        f"{len(pending)} goal(s) still pending: {pending[:5]}")
-    s = AbstractStore.from_identified(rep.live_items(), rep.eqs, rep.history)
-    left = rewrite_steps(s, program)
-    if not left:
+    left = _first_rewrite(rep.live_items(), rep.theta, rep.history, program)
+    if left is None:
         return Verdict(True, "check-final")
-    return Verdict(False, "check-final", f"rule {left[0].rule} still applies "
-                                         f"to ids {left[0].used_tags}")
+    return Verdict(False, "check-final", f"rule {left[0]} still applies "
+                                         f"to ids {left[1]}")
 
 
 def decompose_k(records: Iterable[AuditRecord]

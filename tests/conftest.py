@@ -150,10 +150,12 @@ def canonical(store) -> tuple[str, ...]:
 
 
 def leftover(state: State, program: Program, history=()) -> list:
-    """What keeps a finished engine state from being final, as the
-    verifier's check-final sees a replayed one: its pending goals, then the
-    abstract rewrites of its visible store beyond the propagation instances
-    in `history`, as (rule, head ids).  Empty when the state is final."""
+    """What keeps a finished engine state from being final, as the oracle
+    sees it: its pending goals, then the abstract rewrites of its visible
+    store beyond the propagation instances in `history`, as (rule, head
+    ids).  Empty when the state is final.  The verifier's check-final asks
+    the same question of a replayed store with its own search, which
+    test_finality_search.py checks against the oracle's."""
     items = [(nc.constraint, nc.id) for nc in state.store.live_items()]
     return [*state.goals, *unwatched_instances(
         items, state.store.eqs(), history, frozenset(), program)]
