@@ -359,7 +359,7 @@ def _join(exp: _Expansion, new: list[tuple[Chr, int]],
     found: list[_Match] = []
     for c, t in new:
         for occ in p.occurrences.get(c.pred, ()):
-            rule = p.rules[occ.rule_index]
+            rule = occ.rule
             n_prop, partners, keys = (len(rule.propagated), occ.partners,
                                       occ.keys)
             guards, guard_vars = (memo.guards[rule.index],

@@ -82,7 +82,7 @@ def iter_matches(store: Store, goal: NumberedConstraint,
     if theta is None:
         return  # an inconsistent store entails no guard
     for occ in program.occurrences.get(goal.constraint.pred, ()):
-        rule = program.rules[occ.rule_index]
+        rule = occ.rule
         phi0 = match(occ.pattern, goal.constraint, {})
         if phi0 is None:
             continue

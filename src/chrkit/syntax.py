@@ -282,7 +282,7 @@ class Rule(Frozen, compared=("name", "propagated", "simplified", "guard",
 
 
 class Occurrence(Frozen):
-    """One head position of one rule, from the active goal's point of view.
+    """One head position of `rule`, from the active goal's point of view.
 
     `partners` is the join order for the remaining heads and `keys[k]` the
     position of partner k's key: its first argument that is a constant or a
@@ -293,13 +293,13 @@ class Occurrence(Frozen):
     point in the plan at which all guard variables are bound.
     """
 
-    __slots__ = ("rule_index", "role", "pos", "pattern", "partners",
-                 "guard_at", "keys")
+    __slots__ = ("rule", "role", "pos", "pattern", "partners", "guard_at",
+                 "keys")
 
-    def __init__(self, rule_index: int, role: str, pos: int, pattern: Chr,
+    def __init__(self, rule: Rule, role: str, pos: int, pattern: Chr,
                  partners: tuple[Head, ...], guard_at: int,
                  keys: tuple[Optional[int], ...]):
-        setfield(self, "rule_index", rule_index)
+        setfield(self, "rule", rule)
         setfield(self, "role", role)
         setfield(self, "pos", pos)
         setfield(self, "pattern", pattern)
@@ -320,10 +320,9 @@ class Program(Frozen, compared=("rules",)):
         occ: dict[str, list[Occurrence]] = {}
         for r in rules:
             for head in r.heads:
-                partners, keys = _join_plan(r, head)
+                partners, keys, guard_at = _join_plan(r, head)
                 occ.setdefault(head.pattern.pred, []).append(Occurrence(
-                    r.index, head.role, head.pos, head.pattern, partners,
-                    _guard_at(r.guard, partners, vars_of(head.pattern)),
+                    r, head.role, head.pos, head.pattern, partners, guard_at,
                     keys))
         setfield(self, "occurrences", {k: tuple(v) for k, v in occ.items()})
 
@@ -422,16 +421,22 @@ def parse_term_text(text: str) -> Term:
 # ------------------------------------------------------ occurrence tables
 
 def _join_plan(rule: Rule, active: Head) -> tuple[tuple[Head, ...],
-                                                 tuple[Optional[int], ...]]:
-    """The other heads of rule in join order, and per head the position of
-    its key: its first argument that is a constant or a variable bound by
-    the active head or a head before it, or None.  A head with a key comes
+                                                 tuple[Optional[int], ...],
+                                                 int]:
+    """The other heads of rule in join order, per head the position of its
+    key: its first argument that is a constant or a variable bound by the
+    active head or a head before it, or None, and the guard point: how
+    many of them, matched in order, bind every guard variable (all of them
+    when some guard variable is in no head).  A head with a key comes
     first, ties in textual order."""
     remaining = [h for h in rule.heads if h != active]
-    bound = vars_of(active.pattern)
+    bound, need = vars_of(active.pattern), vars_of(rule.guard)
     order: list[Head] = []
     keys: list[Optional[int]] = []
+    guard_at = len(remaining)
     while remaining:
+        if need <= bound:
+            guard_at = min(guard_at, len(order))
         pick, key = remaining[0], None
         for h in remaining:
             key = next((i for i, a in enumerate(h.pattern.args)
@@ -444,16 +449,4 @@ def _join_plan(rule: Rule, active: Head) -> tuple[tuple[Head, ...],
         order.append(pick)
         keys.append(key)
         bound |= vars_of(pick.pattern)
-    return tuple(order), tuple(keys)
-
-
-def _guard_at(guard: Term, heads: tuple[Head, ...], bound: set[str]) -> int:
-    """How many of heads, matched in order after the variables in bound,
-    bind every guard variable (all of them when some guard variable is in
-    no head)."""
-    need, bound = vars_of(guard), set(bound)
-    for k, h in enumerate(heads):
-        if need <= bound:
-            return k
-        bound |= vars_of(h.pattern)
-    return len(heads)
+    return tuple(order), tuple(keys), guard_at

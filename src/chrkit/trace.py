@@ -24,7 +24,7 @@ set text once, and each term text (flat argument or phi value) once, and
 shares the frozen terms between the steps that repeat a text.  A text
 that is exactly what the printer writes for flat arguments (integers,
 `true`/`false` and variables) is read without the grammar, a goal text
-with one pattern match (`_flat_constraint`), a term text by `read_term`;
+with one pattern match (`_flat_constraint`), a phi value by `_term`;
 any other text goes to the grammar and raises what it raises, and must
 then be the printer's text of the term it reads as (`Gcd(06)`,
 `Gcd((6))` and `m->09` are refused), so a goal text
@@ -32,8 +32,8 @@ is the one text of its term and the replay can key on it.  Only a text
 the grammar read is rendered back to check this: the flat patterns take
 only what the printer writes, so a flat text is its term's text as read.
 phi's keys are the rule's variables as the program names them (`syntax`
-says why no renaming is needed): each must read as a variable, and none
-may repeat.
+says why no renaming is needed): each must read as a variable, none may
+repeat, and they come in the printer's (sorted) order.
 `parse_line` reads one line, with a given reader or a fresh one;
 `parse_trace` reads a whole trace with one reader, keeping each step's
 goal text and phi text beside the steps.
@@ -174,16 +174,6 @@ def _flat(text: str, cache: dict) -> Optional[Term]:
     return t
 
 
-def read_term(text: str, cache: Optional[dict] = None) -> Term:
-    """parse_term_text(text); a flat argument is read without the grammar,
-    through cache as `_flat` keeps it."""
-    if re.fullmatch(_FLAT, text):
-        t = _flat(text, {} if cache is None else cache)
-        if t is not None:
-            return t
-    return parse_term_text(text)
-
-
 def _flat_constraint(text: str, cache: dict) -> Optional[Constraint]:
     """The CHR constraint or equation over flat arguments that text writes,
     read with one `_FLAT_GOAL` match and its arguments through cache as
@@ -197,13 +187,6 @@ def _flat_constraint(text: str, cache: dict) -> Optional[Constraint]:
         return None if None in args else Chr(m[1], args)
     lhs, rhs = _flat(m[3], cache), _flat(m[4], cache)
     return None if lhs is None or rhs is None else Eq(lhs, rhs)
-
-
-def read_constraint(text: str, cache: Optional[dict] = None) -> Constraint:
-    """parse_constraint_text(text); a CHR constraint or an equation over
-    flat arguments is read without the grammar, by `_flat_constraint`."""
-    c = _flat_constraint(text, {} if cache is None else cache)
-    return parse_constraint_text(text) if c is None else c
 
 
 def _check_printed(text: str, x, render) -> None:
@@ -220,30 +203,42 @@ def _goal(text: str, terms: dict) -> Constraint:
     """The constraint text writes, which must be the printer's text of it:
     a flat text is as read, so only one the grammar read is rendered."""
     c = _flat_constraint(text, terms)
-    if c is None:  # not flat, so read_constraint hands it to the grammar
-        c = read_constraint(text, terms)
+    if c is None:
+        c = parse_constraint_text(text)
         _check_printed(text, c, render_constraint)
     return c
 
 
+def _term(text: str, terms: dict) -> Term:
+    """The term a phi value's text writes, read once per distinct text
+    into terms: a flat argument by `_flat`, any other text by the grammar,
+    and then it must be the printer's text of its term."""
+    t = terms.get(text)
+    if t is None and re.fullmatch(_FLAT, text):
+        t = _flat(text, terms)
+    if t is None:
+        t = parse_term_text(text)
+        _check_printed(text, t, render_term)
+        terms[text] = t
+    return t
+
+
 def _phi(text: str, terms: dict) -> Subst:
-    """The substitution phi's text writes.  Each key must read as the
-    variable it names, once; each value is read once per distinct text,
-    into terms, and must be the printer's text of its term, which a flat
-    value is as read."""
+    """The substitution phi's text writes.  Each value is read by `_term`;
+    each key must read as the variable it names, once, and sort after the
+    key before it, as the printer writes them."""
     phi: Subst = {}
+    last = ""
     for binding in text[1:-1].split(";") if text != "{}" else ():
         name, _, value = binding.partition("->")
-        term = terms.get(value)
-        if term is None:
-            term = read_term(value, terms)
-            if re.fullmatch(_FLAT, value) is None:
-                _check_printed(value, term, render_term)
-            terms[value] = term
-        key = terms.get(name) or read_term(name, terms)
+        term = _term(value, terms)
+        key = (terms.get(name) or re.fullmatch(_FLAT, name)
+               and _flat(name, terms) or parse_term_text(name))
         if key.__class__ is not Var or key.name != name or name in phi:
             raise ValueError()
-        phi[name] = term
+        if name < last:
+            raise ValueError("keys not in the printer's order")
+        phi[name], last = term, name
     return phi
 
 

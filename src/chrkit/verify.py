@@ -50,10 +50,15 @@ goal text is its entry's form needs no render.  A firing renders no head:
 each entry's term under the m.g.u. is kept beside its form, and
 `validate_rewrite` compares the rule's head patterns with the recorded
 heads' terms argument by argument, phi's values normalized under the
-m.g.u. once per check.  It checks once per distinct (rule, phi text, head
-forms) and m.g.u., and a body is rendered once per distinct (rule, phi
-text), argument by argument, without building its terms: a 5,500-step gcd
-trace checks about 30 firings.  check-final runs no oracle code: its own
+m.g.u. once per check.  One table maps each distinct (rule, phi text,
+head forms) that checked under the current m.g.u. to its body, rendered
+argument by argument without building its terms: a 5,500-step gcd trace
+checks about 30 firings.  The replica holds each fact of this state once,
+and an entry only while it lives: a kill deletes its id everywhere, with
+any queued goal copy; an Activate id must exceed every earlier one; and
+the history keeps only instances of rules with no simplified head, the
+ones that could fire again.  So its memory follows the live store, not
+the run's length.  check-final runs no oracle code: its own
 search, `_first_rewrite`, joins each rule's heads over the replica's live
 terms and stops at the first instance that applies.  A head whose argument
 is a constant or already bound is looked up by it, so a mergesort chain
@@ -150,23 +155,24 @@ def validate_rewrite(rule: Rule, phi: Subst, theta: Optional[Subst],
 
 class _Replica:
     """Fresh store + goal multiset driven purely by trace steps.  `goals`
-    counts un-numbered goals by rendered constraint and numbered goals by id
-    alone, each key present while its count is positive, as wake-ups can
-    change the rendered form while a stale goal copy is still queued.  Store
-    entries stay raw (as activated), exactly like the engine store.  `theta`
-    is the m.g.u. of the equations, kept from one Solve to the next; it is
-    their only solved form, and `users` maps each variable to the keys of
-    theta whose binding mentions it.  `terms` holds each alive entry's
-    term under theta (as activated once theta is None) and `forms` that
-    term's text, both computed at activation and refreshed for the entries
-    a Solve wakes: validate_rewrite compares the terms, and the memo keys
-    on the texts.  `text_vars` holds the variables of each distinct
-    activated text, so a ground entry, whose form is its text whatever
-    theta is, costs no term walk.  `occ` maps each variable not bound by
-    theta to the ids (dead ones too) whose form under theta mentions it.
-    `fired` numbers each distinct (rule, phi text) and `bodies` keeps its
-    body goals, rendered.  `valid` holds the firings validate_rewrite accepted
-    under theta, as (number, sorted head forms), until theta changes."""
+    counts un-numbered goals by rendered constraint and numbered goals by
+    id alone, as wake-ups can change the rendered form while a goal copy
+    is queued.  `entries` (raw, as activated, like the engine store),
+    `keys` (their texts), `terms` (their terms under theta; as activated
+    once theta is None) and `forms` (those terms' texts) hold exactly the
+    live ids, as do the numbered keys of `goals`.  `last_id` is the highest
+    id activated; the engines number entries in ascending order.  `theta`
+    is the m.g.u. of the equations, kept from one Solve to the next, and
+    `users` maps each variable to the keys of theta whose binding mentions
+    it.  `terms` and `forms` are refreshed for the entries a Solve wakes:
+    validate_rewrite compares the terms, and `firings` keys on the texts.
+    `text_vars` holds the variables of each distinct activated text, so a
+    ground entry costs no term walk.  `occ` maps each variable not bound
+    by theta to the ids (dead ones too) whose form mentions it.  `history`
+    holds the fired instances of rules with no simplified head.
+    `firings` maps each firing validate_rewrite accepted under theta, as
+    (rule, phi text, number of propagated heads, sorted head forms), to
+    its rendered body goals, until theta changes."""
 
     def __init__(self, goals0: Iterable[Constraint]):
         self.goals: dict = {}  # text or id -> copies
@@ -174,18 +180,16 @@ class _Replica:
             self.add_goal(render_instance({}, g))
         self.entries: dict[int, Chr] = {}
         self.keys: dict[int, str] = {}  # rendered raw entries
-        self.terms: dict[int, Chr] = {}  # the alive entries under theta
+        self.terms: dict[int, Chr] = {}  # the entries under theta
         self.forms: dict[int, str] = {}  # and those terms' texts
-        self.alive: set[int] = set()
+        self.last_id = -1  # below every id a trace can write
         self.eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # None once the eqs are unsatisfiable
         self.solved: Subst = {}  # the last theta, once it is None
         self.occ: dict[str, set[int]] = {}
         self.users: dict[str, set[str]] = {}  # variable -> keys of theta
         self.history: set[HistoryKey] = set()
-        self.fired: dict[tuple, int] = {}
-        self.bodies: list[tuple[str, ...]] = []
-        self.valid: set[tuple] = set()
+        self.firings: dict[tuple, tuple[str, ...]] = {}
         self.text_vars: dict[str, tuple[str, ...]] = {}
 
     def form_error(self, goal: Constraint, text: str,
@@ -221,7 +225,7 @@ class _Replica:
         """Add the fresh entry cid, the normalized c, whose text is key."""
         self.entries[cid] = c
         self.keys[cid] = key
-        self.alive.add(cid)
+        self.last_id = cid
         self.goals[cid] = 1
         self.note_vars(cid)
 
@@ -248,7 +252,7 @@ class _Replica:
             self.occ.setdefault(v, set()).add(cid)
 
     def solve(self, e: Eq) -> list[int]:
-        """Add e to the equations and return the woken ids: the alive
+        """Add e to the equations and return the woken ids: the live
         entries whose form changes from the old theta to the new one, none
         when the equations become unsatisfiable.  Only e is solved: sigma,
         the m.g.u. of theta(e), is composed onto theta, and an entry's form
@@ -263,10 +267,10 @@ class _Replica:
         sigma = mgu([Eq(apply_subst(theta, e.lhs),
                         apply_subst(theta, e.rhs))])
         if sigma != {}:  # theta changes: it binds a variable, or fails
-            self.valid.clear()
+            self.firings.clear()
         if sigma is None:
             self.solved, self.theta = theta, None
-            for cid in self.alive:  # forms without equations from now on
+            for cid in self.entries:  # forms without equations from now on
                 self.note_vars(cid)
             return []
         touched: set[str] = set()
@@ -282,26 +286,25 @@ class _Replica:
         ids: set[int] = set()
         for v in sigma:
             ids.update(self.occ.pop(v, ()))
-        woken = sorted(ids & self.alive)
+        woken = sorted(ids & self.terms.keys())  # iterates the smaller
         for cid in woken:
             self.note_vars(cid)
         return woken
 
     def live_items(self) -> list[tuple[Chr, int]]:
-        """The alive entries' terms under theta, with their ids, ascending."""
-        return [(self.terms[i], i) for i in sorted(self.alive)]
+        """The live entries' terms under theta, with their ids, ascending."""
+        return [(self.terms[i], i) for i in sorted(self.terms)]
 
     def pending_goals(self) -> list[str]:
-        """Goals that still await execution; numbered goals whose entry died
-        are stale and not pending (engines discard them on dequeue)."""
+        """Goals that still await execution, un-numbered ones first."""
         out = [key for key, n in self.goals.items() if key.__class__ is str
                for _ in range(n)]
         out.extend(f"{self.keys[i]}#{i}" for i, n in self.goals.items()
-                   if i in self.alive for _ in range(n))
+                   if i.__class__ is int for _ in range(n))
         return out
 
     def dump(self) -> str:
-        lines = [f"{self.keys[cid]}#{cid}" for cid in sorted(self.alive)]
+        lines = [f"{self.keys[cid]}#{cid}" for cid in sorted(self.keys)]
         lines.extend(sorted(render_constraint(e) for e in self.eqs))
         return "\n".join(lines)
 
@@ -316,7 +319,7 @@ def _replay_step(rep: _Replica, st: Step, key: str, phi_key: Optional[str],
     if st.kind == "Activate":
         if st.goal_id is None:
             return "activation without an id"
-        if st.goal_id in rep.entries:
+        if st.goal_id <= rep.last_id:
             return f"id {st.goal_id} is not fresh"
         if not isinstance(st.goal, Chr):
             return "only CHR constraints can be activated"
@@ -348,7 +351,7 @@ def _replay_step(rep: _Replica, st: Step, key: str, phi_key: Optional[str],
     if st.goal_id is None:
         return f"{st.kind} goal carries no id"
     cid = st.goal_id
-    if cid not in rep.alive:
+    if cid not in rep.terms:
         return f"goal id {cid} is not alive"
     if cid not in rep.goals:
         return f"goal #{cid} not in the goal multiset"
@@ -374,43 +377,38 @@ def _replay_step(rep: _Replica, st: Step, key: str, phi_key: Optional[str],
     all_ids = set(st.prop_ids) | set(st.simp_ids)
     if len(st.prop_ids) + len(st.simp_ids) != len(all_ids):
         return "propagated and simplified sets overlap"
-    dead = all_ids - rep.alive
-    if dead:
-        return f"side-effect ids not alive: {sorted(dead)}"
+    if not all_ids <= rep.terms.keys():  # walks all_ids, not the store
+        dead = sorted(i for i in all_ids if i not in rep.terms)
+        return f"side-effect ids not alive: {dead}"
 
     # the abstract semantics' own check, on the heads alone, under the
     # replica's current solved equations: once per distinct firing and theta.
-    # A firing is numbered by its rule and phi text, not by hashing phi's
+    # A firing is keyed by its rule and phi text, not by hashing phi's
     # terms: the reader reads one text to one phi, so equal texts are equal
     # phis, and a phi written two ways only costs a second check.
-    n = rep.fired.setdefault((rule.name, phi_key), len(rep.fired))
     prop = sorted([rep.forms[i] for i in st.prop_ids])
     simp = sorted([rep.forms[i] for i in st.simp_ids])
-    checked = (n, len(prop), *prop, *simp)
-    if checked not in rep.valid:
+    checked = (rule.name, phi_key, len(prop), *prop, *simp)
+    body = rep.firings.get(checked)
+    if body is None:
         terms = rep.terms
         err = validate_rewrite(rule, st.phi, rep.theta,
                                [terms[i] for i in st.prop_ids],
                                [terms[i] for i in st.simp_ids])
         if err is not None:
             return err
-        rep.valid.add(checked)
-    if st.kind == "Propagate":
-        hkey = (rule.name, tuple(sorted(all_ids)))
+        body = rep.firings[checked] = tuple([render_instance(st.phi, b)
+                                             for b in rule.body])
+    if not rule.simplified:  # a simplified id dies, so only these can repeat
+        hkey = (rule.name, st.prop_ids)  # which the reader keeps ascending
         if hkey in rep.history:
             return f"propagation instance fired twice: {hkey}"
         rep.history.add(hkey)
 
-    rep.remove_goal(cid)
-    for i in st.simp_ids:
-        rep.alive.discard(i)
-        del rep.terms[i], rep.forms[i]
-    if st.kind == "Propagate":
-        rep.add_goal(cid)
-    if n == len(rep.bodies):
-        rep.bodies.append(tuple([render_instance(st.phi, b)
-                                 for b in rule.body]))
-    for body_goal in rep.bodies[n]:
+    for i in st.simp_ids:  # with any queued copy, which engines drop unrun
+        del rep.entries[i], rep.keys[i], rep.terms[i], rep.forms[i]
+        rep.goals.pop(i, None)
+    for body_goal in body:
         rep.add_goal(body_goal)
     return None
 

@@ -94,7 +94,7 @@ def test_finality_search_agrees_with_the_oracle_on_replayed_stores(runs):
                                     trace.phi_texts[k - 1], program) is None
             got = _first_rewrite(rep.live_items(), rep.theta, rep.history,
                                  program)
-            raw = [(rep.entries[i], i) for i in sorted(rep.alive)]
+            raw = [(rep.entries[i], i) for i in sorted(rep.entries)]
             want = _oracle_first(raw, rep.eqs, rep.history, program)
             assert got == want, (label, k)
             seen["stores"] += 1

@@ -180,7 +180,7 @@ def test_rule_variables_may_share_names_with_goal_variables():
 
 def test_occurrence_table_gcd():
     p = load_program(program_text("gcd"))
-    occ = [(o.rule_index, o.role, o.pos) for o in p.occurrences["Gcd"]]
+    occ = [(o.rule.index, o.role, o.pos) for o in p.occurrences["Gcd"]]
     # enumerated by hand from the two rules, top to bottom then left to right
     assert occ == [(0, "simplified", 0), (1, "propagated", 0), (1, "simplified", 0)]
 
@@ -191,8 +191,8 @@ def test_occurrence_table_empty_program():
 
 def test_occurrence_table_mergesort_grouped_by_predicate():
     p = load_program(program_text("mergesort"))
-    leq = [(o.rule_index, o.role, o.pos) for o in p.occurrences["Leq"]]
-    merge = [(o.rule_index, o.role, o.pos) for o in p.occurrences["Merge"]]
+    leq = [(o.rule.index, o.role, o.pos) for o in p.occurrences["Leq"]]
+    merge = [(o.rule.index, o.role, o.pos) for o in p.occurrences["Merge"]]
     assert leq == [(0, "propagated", 0), (0, "simplified", 0)]
     assert merge == [(1, "simplified", 0), (1, "simplified", 1)]
 

@@ -1,12 +1,14 @@
 """The trace reader's flat path against the grammar.
 
-`trace.read_constraint` and `trace.read_term` read a text that is exactly
-what the printer writes for flat arguments without the grammar, and hand
-every other text to `parse_constraint_text`/`parse_term_text`.  Both must
-give what the grammar gives: the same term, compared as a tree that spells
-out each constant's value class, or the same error.
+`trace._flat_constraint` reads a goal text, and `trace._flat` a term text,
+that is exactly what the printer writes for flat arguments without the
+grammar; the reader hands every other text to
+`parse_constraint_text`/`parse_term_text`.  Read in that order, a text
+must give what the grammar gives: the same term, compared as a tree that
+spells out each constant's value class, or the same error.
 """
 import random
+import re
 
 import pytest
 
@@ -16,8 +18,8 @@ from chrkit.syntax import ParseError
 from chrkit.terms import (FUNCTION_SYMBOLS, INT64_MAX, INT64_MIN, App, Chr,
                           Const, Var, render_constraint, render_term)
 from chrkit.trace import (FIRINGS, KINDS, Step, TraceFormatError,
-                          parse_line, parse_trace, read_constraint, read_term,
-                          serialize_trace, step_to_line)
+                          parse_line, parse_trace, serialize_trace,
+                          step_to_line)
 
 from test_kernel_differential import (GUARD_VARS, rand_constraint, rand_term,
                                       tree)
@@ -48,6 +50,29 @@ def outcome(read, text):
         return ("error", str(exc))
 
 
+def _flat_term(text, cache):
+    return trace._flat(text, cache) if re.fullmatch(trace._FLAT, text) else None
+
+
+def flat_first(flat, parse, grammar=None):
+    """A reader of text as trace.py reads one: flat(text, {}), or
+    parse(text) when the flat path reads no term; the texts that reach
+    the grammar are appended to grammar."""
+    def read(text):
+        t = flat(text, {})
+        if t is None:
+            if grammar is not None:
+                grammar.append(text)
+            return parse(text)
+        return t
+    return read
+
+
+read_constraint = flat_first(trace._flat_constraint,
+                             syntax.parse_constraint_text)
+read_term = flat_first(_flat_term, syntax.parse_term_text)
+
+
 def rendered_cases():
     """Texts the printer writes for the kernel generators' constraints and
     terms."""
@@ -64,31 +89,24 @@ def rendered_cases():
     return constraints, terms
 
 
-def test_flat_texts_read_as_the_grammar_reads_them(monkeypatch):
+def test_flat_texts_read_as_the_grammar_reads_them():
     constraints, terms = rendered_cases()
-    grammar = {"constraint": 0, "term": 0}
-
-    def counted(kind, parse):
-        def wrapper(text):
-            grammar[kind] += 1
-            return parse(text)
-        return wrapper
-
-    monkeypatch.setattr(trace, "parse_constraint_text",
-                        counted("constraint", syntax.parse_constraint_text))
-    monkeypatch.setattr(trace, "parse_term_text",
-                        counted("term", syntax.parse_term_text))
+    grammar = {"constraint": [], "term": []}
+    read_c = flat_first(trace._flat_constraint, syntax.parse_constraint_text,
+                        grammar["constraint"])
+    read_t = flat_first(_flat_term, syntax.parse_term_text, grammar["term"])
     for text in constraints + EDGE_CASES:
-        assert outcome(read_constraint, text) == \
+        assert outcome(read_c, text) == \
             outcome(syntax.parse_constraint_text, text), text
     for text in terms + TERM_EDGE_CASES:
-        assert outcome(read_term, text) == \
+        assert outcome(read_t, text) == \
             outcome(syntax.parse_term_text, text), text
     # both paths are exercised
-    flat = len(constraints) + len(EDGE_CASES) - grammar["constraint"]
-    assert 1000 < flat and grammar["constraint"] > 1000, grammar
-    flat = len(terms) + len(TERM_EDGE_CASES) - grammar["term"]
-    assert 1000 < flat and grammar["term"] > 200, grammar
+    n = {kind: len(texts) for kind, texts in grammar.items()}
+    flat = len(constraints) + len(EDGE_CASES) - n["constraint"]
+    assert 1000 < flat and n["constraint"] > 1000, n
+    flat = len(terms) + len(TERM_EDGE_CASES) - n["term"]
+    assert 1000 < flat and n["term"] > 200, n
 
 
 EDIT_CHARS = "P(),-.=#'0123456789xyt_e;>{} \tAé"
@@ -133,10 +151,10 @@ def test_damaged_texts_give_the_grammars_errors(monkeypatch):
             lines.append(f"5 Simplify goal=P(1)#4 rule=r phi={{x->{bad}}} "
                          "P={} S={4}")
     got = [line_outcome(line) for line in lines]
-    monkeypatch.setattr(trace, "read_constraint",
-                        lambda text, cache: syntax.parse_constraint_text(text))
-    monkeypatch.setattr(trace, "read_term",
-                        lambda text, cache: syntax.parse_term_text(text))
+    # the flat path patched out: every goal, phi value and key text goes
+    # to the grammar
+    monkeypatch.setattr(trace, "_flat_constraint", lambda text, cache: None)
+    monkeypatch.setattr(trace, "_flat", lambda text, cache: None)
     want = [line_outcome(line) for line in lines]
     assert got == want
     errors = sum(kind == "error" for kind, _ in got)
@@ -152,12 +170,14 @@ def test_damaged_texts_give_the_grammars_errors(monkeypatch):
     ("{m+1->3}", ""),
     ("{x.0->3}", "(col 2: unexpected '.' after term)"),
     ("{->3}", "(col 1: expected a term, found 'eof')"),
+    ("{n->3;m->3}", "(keys not in the printer's order)"),
     ("{m->3;n->3}", None),
     ("{é->3}", None),
 ])
 def test_a_phi_key_is_a_variable_read_once(phi, error):
-    """A phi key must read as the variable it names, and no key may come
-    twice: other texts are a TraceFormatError naming the phi field."""
+    """A phi key must read as the variable it names, no key may come
+    twice, and the keys come sorted, as the printer writes them: other
+    texts are a TraceFormatError naming the phi field."""
     line = f"3 Simplify goal=Gcd(3)#1 rule=gcd2 phi={phi} P={{}} S={{1}}"
     if error is None:
         assert step_to_line(parse_line(line)) == line

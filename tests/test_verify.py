@@ -607,11 +607,11 @@ def test_each_distinct_firing_is_validated_once(monkeypatch):
 
 # ------------------------------------------- heads compared as terms
 
-class _Forgetful(set):
-    """A `valid` memo that never holds a firing, so each is validated."""
+class _Forgetful(dict):
+    """A firing table that never holds a firing, so each is validated."""
 
-    def __contains__(self, item):
-        return False
+    def get(self, key, default=None):
+        return default
 
 
 @pytest.fixture
@@ -636,7 +636,7 @@ def head_checks(monkeypatch):
 
     def forgetful(self, goals0):
         init(self, goals0)
-        self.valid = _Forgetful()
+        self.firings = _Forgetful()
 
     monkeypatch.setattr(chrkit.verify, "validate_rewrite", both)
     monkeypatch.setattr(chrkit.verify._Replica, "__init__", forgetful)
@@ -959,6 +959,10 @@ def test_parse_line_names_the_non_integer_field(line, field):
     ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={m->9;n->(6)} P={} S={1}",
      "phi is not a substitution (the printer writes '6' for '(6)'): "
      "'{m->9;n->(6)}'"),
+    # phi's keys in the printer's (sorted) order
+    ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={n->6;m->9} P={} S={1}",
+     "phi is not a substitution (keys not in the printer's order): "
+     "'{n->6;m->9}'"),
     # id sets in ascending order, each id once
     ("3 Simplify goal=Gcd(6)#1 rule=gcd2 phi={m->9;n->6} P={} S={2,1}",
      "S is not a set of integers (not strictly ascending): '{2,1}'"),
@@ -997,6 +1001,19 @@ def test_a_text_the_printer_does_not_write_is_refused_everywhere(name, old,
     assert old in text
     with pytest.raises(TraceFormatError):
         verify_run(text.replace(old, new), goals, p)
+
+
+def test_phi_keys_out_of_the_printers_order_are_refused():
+    """Each key still reads as a variable, once, but the printer writes a
+    phi's keys sorted, so a trace with them swapped is not its text."""
+    p, goals, _, text = seq_trace_text("gcd", parse_goals("Gcd(6),Gcd(9)"))
+    assert all(v.passed for v in verify_run(text, goals, p))
+    assert " phi={m->9;n->6} " in text
+    with pytest.raises(TraceFormatError, match=re.escape(
+            "phi is not a substitution (keys not in the printer's order): "
+            "'{n->6;m->9}'")):
+        verify_run(text.replace("phi={m->9;n->6}", "phi={n->6;m->9}"), goals,
+                   p)
 
 
 def test_goal_text_repeated_as_a_phi_value_is_parsed_as_a_term():
