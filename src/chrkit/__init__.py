@@ -9,7 +9,7 @@ from .abstract import (AbstractStore, LimitExceeded, final_stores,
                        rewrite_steps, run_abstract)
 from .concurrent import ConcurrentEngine, EngineConfig, run_concurrent
 from .sequential import SequentialEngine, run_sequential
-from .store import NumberedConstraint, State, Store
+from .store import State, Store
 from .syntax import (ParseError, Program, Rule, load_program, parse_goals,
                      parse_program)
 from .terms import (App, Chr, Const, Eq, EvalError, Term, Var, apply_subst,

@@ -9,9 +9,8 @@ writes the fields through `setfield`.  A frozen record hashes to the hash
 of the tuple of its compared fields, the value a frozen dataclass hashes
 to, so set and dict orders, and so traces, do not depend on how the class
 is built.  This generic `==` and hash read the fields by name, at about
-twice the cost of a dataclass's; the classes built per term or store
-entry (the terms, `NumberedConstraint`) write their own, with the same
-results.
+twice the cost of a dataclass's; the classes built per term (`Var`,
+`Const`, `App`, `Chr`, `Eq`) write their own, with the same results.
 
 The classes are written out rather than generated by `dataclasses`:
 importing that pulls in `inspect`, `ast` and `dis`, and each decoration

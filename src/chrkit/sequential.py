@@ -4,7 +4,10 @@ Each iteration takes one goal and performs one derivation step:
 
   equation            -> Solve (store it, wake the affected constraints)
   plain constraint    -> Activate (fresh id, stored immediately)
-  numbered constraint -> one rule firing (Simplify/Propagate) or Drop
+  numbered goal       -> one rule firing (Simplify/Propagate) or Drop
+
+A numbered goal c#i is its entry's id i; its step reads the entry's
+current form from the store.
 
 The step and the loop are written once, here, over one commit method;
 this engine commits by a direct call, and a concurrent step is the same
@@ -22,7 +25,7 @@ from typing import Iterable, Optional
 
 from .abstract import HistoryKey, unwatched_instances
 from .matching import Match, iter_matches
-from .store import NumberedConstraint, State
+from .store import State
 from .syntax import Program
 from .terms import Chr, Constraint, Eq, normalize_constraint
 from .trace import Step
@@ -95,9 +98,9 @@ class SequentialEngine:
     # They build their Step positionally: keywords make it about 14% dearer.
 
     def _activate(self, seq, worker, interval, c: Chr, goals: deque) -> Step:
-        nc = self.state.store.insert(c)
-        goals.appendleft(nc)  # executes next
-        return Step(seq, "Activate", c, nc.id, None, {}, (), (), worker, interval)
+        cid = self.state.store.insert(c)
+        goals.appendleft(cid)  # executes next
+        return Step(seq, "Activate", c, cid, None, {}, (), (), worker, interval)
 
     def _solve(self, seq, worker, interval, e: Eq, goals: deque) -> Step:
         store = self.state.store
@@ -105,8 +108,8 @@ class SequentialEngine:
         goals.extendleft(reversed(woken))  # ascending id order
         if store.inconsistent:
             self._stop("failed")
-        return Step(seq, "Solve", e, None, None, {},
-                    tuple(nc.id for nc in woken), (), worker, interval)
+        return Step(seq, "Solve", e, None, None, {}, tuple(woken), (),
+                    worker, interval)
 
     def _fire(self, seq, worker, interval, m: Match, goals: deque):
         start = None if interval is None else interval[0]
@@ -119,8 +122,8 @@ class SequentialEngine:
         goal = self.state.store.get(goal_id)  # the goal stays in the store
         if goal is None:
             return None  # simplified since the scan
-        return Step(seq, "Drop", goal.constraint, goal_id, None,
-                    {}, (), (), worker, interval)
+        return Step(seq, "Drop", goal, goal_id, None, {}, (), (), worker,
+                    interval)
 
     def step_activate(self, c: Chr, goals: deque, worker=None) -> Optional[Step]:
         return self._commit(self._activate, len(self.trace) - 1, worker, c, goals)
@@ -130,19 +133,20 @@ class SequentialEngine:
         whose normal form it changes (they are the step's propagated set)."""
         return self._commit(self._solve, len(self.trace) - 1, worker, e, goals)
 
-    def execute_goal(self, goal: NumberedConstraint, goals: deque,
+    def execute_goal(self, cid: int, goals: deque,
                      worker=None) -> Optional[Step]:
-        """Fire the goal's first match whose instance is not in the
-        propagation history, else drop it (it stays in the store).  A scan
-        reads the goal's form once, after its start: None (stale) is no step."""
-        store, cid = self.state.store, goal.id
+        """Fire the first match of the numbered goal cid whose instance is
+        not in the propagation history, else drop it (it stays in the
+        store).  A scan reads the goal's form once, after its start: None
+        (stale) is no step."""
+        store = self.state.store
         while True:
             start = len(self.trace) - 1  # the last seq the scan can see
             goal = store.get(cid)  # the current normal form, or None
             if goal is None:
                 return None  # simplified while it waited
             try:
-                for m in iter_matches(store, goal, self.program):
+                for m in iter_matches(store, goal, cid, self.program):
                     if m.history_key in self.history:
                         continue  # fired already; a commit rechecks
                     step = self._commit(self._fire, start, worker, m, goals)
@@ -163,7 +167,7 @@ class SequentialEngine:
             elif more is None or (g := more()) is None:
                 break
             try:
-                if isinstance(g, NumberedConstraint):
+                if isinstance(g, int):
                     self.execute_goal(g, goals, worker)
                 elif isinstance(g, Eq):
                     self.step_solve(g, goals, worker)
@@ -194,11 +198,9 @@ class SequentialEngine:
         numbered constraint still in the goals (so it will eventually fire);
         instances recorded in the propagation history are already handled."""
         store = self.state.store
-        items = [(nc.constraint, nc.id) for nc in store.live_items()]
-        pending = {g.id for g in self.state.goals
-                   if isinstance(g, NumberedConstraint)}
-        violations = unwatched_instances(items, store.eqs(), self.history,
-                                         pending, self.program)
+        pending = {g for g in self.state.goals if isinstance(g, int)}
+        violations = unwatched_instances(store.live_items(), store.eqs(),
+                                         self.history, pending, self.program)
         if violations:
             raise InvariantViolation(
                 f"rule-head instance(s) with no active goal: {violations}")

@@ -21,17 +21,19 @@ variable wakes, so a Solve never scans the whole store.
 The store holds live entries only, as Sn does.  A kill deletes both forms
 and unlists the entry from the buckets of its current normal form, the
 form it was indexed under (a wake-up unlists an entry before it replaces
-that form); an emptied argument bucket goes too.  `get` reads liveness and
-the current form at once: None once the entry is dead.  Ids are never
-reused; equations only grow within a run.  A view is a
-`NumberedConstraint`, an immutable slotted value (`record.Frozen`), so
-`get` and `candidates` hand out the stored views themselves, never copies.
+that form); an emptied argument bucket goes too.  Ids are never reused;
+equations only grow within a run.  An entry is its id, as a numbered goal
+c#i names entry i: `insert` returns it, `add_equation` returns the woken
+ones and `candidates` lists the partners' ids, and `get` reads liveness
+and the current normal form at once, None once the entry is dead, so a
+partner search reads the form only of the entries it tries.
 
 A concurrent run mutates the store only inside `ConcurrentEngine._commit`,
 which holds `lock` for the whole commit, so `insert`, `kill` and
 `add_equation` take no lock and are each one atomic transition there.
-`candidates`, the one read made while others commit, snapshots a bucket
-under that plain lock, which is not re-entrant.
+`candidates` snapshots a bucket's ids under that plain lock, which is
+not re-entrant; `get`, one dict read, takes no lock, so a form read while
+others commit may be newer than the snapshot, or gone.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ import threading
 from collections import deque
 from typing import Iterable, Optional, Union
 
-from .record import Frozen, Record, setfield
+from .record import Record
 from .terms import (Chr, Const, Constraint, Eq, Subst, Term, Var, apply_subst,
                     instantiate, mgu, render_constraint, vars_of)
 from .terms import render_term  # noqa: F401  (bench/instrument.py wraps it here)
@@ -49,25 +51,9 @@ class DeadIdError(Exception):
     """A kill targeted an id that is not alive (a lost race, or a bug)."""
 
 
-class NumberedConstraint(Frozen):
-    __slots__ = ("constraint", "id")
-
-    def __init__(self, constraint: Chr, id: int):
-        setfield(self, "constraint", constraint)
-        setfield(self, "id", id)
-
-    def __eq__(self, other):
-        return (other.__class__ is NumberedConstraint and self.id == other.id
-                and self.constraint == other.constraint)
-
-    def __hash__(self):
-        return hash((self.constraint, self.id))
-
-    def render(self) -> str:
-        return f"{render_constraint(self.constraint)}#{self.id}"
-
-
-GoalItem = Union[Constraint, NumberedConstraint]
+# a goal: a constraint not yet stored, an equation, or a numbered goal c#i,
+# which is its entry's id i
+GoalItem = Union[Constraint, int]
 
 
 class Store:
@@ -75,7 +61,7 @@ class Store:
         self.lock = threading.Lock()  # held by commits and `candidates`
         # live entries only, in id order (ids ascend and are never reused)
         self._raw: dict[int, Chr] = {}   # as inserted, never rewritten
-        self._view: dict[int, NumberedConstraint] = {}  # equation-normal
+        self._view: dict[int, Chr] = {}  # equation-normal
         self._eqs: list[Eq] = []
         self.theta: Optional[Subst] = {}  # m.g.u. of _eqs; None once inconsistent
         # variable -> the variables whose binding in theta mentions it
@@ -94,13 +80,14 @@ class Store:
     def alive(self, cid: int) -> bool:
         return cid in self._view
 
-    def get(self, cid: int) -> Optional[NumberedConstraint]:
-        """The matching view (equation-normal form) of an entry; None once
-        it is dead, so one read says whether and as what it lives."""
+    def get(self, cid: int) -> Optional[Chr]:
+        """The equation-normal form of an entry, which matching reads; None
+        once it is dead, so one read says whether and as what it lives."""
         return self._view.get(cid)
 
-    def live_items(self) -> list[NumberedConstraint]:
-        return [NumberedConstraint(c, i) for i, c in self._raw.items()]
+    def live_items(self) -> list[tuple[Chr, int]]:
+        """The live entries as (raw constraint, id) pairs, in id order."""
+        return [(c, i) for i, c in self._raw.items()]
 
     def eqs(self) -> tuple[Eq, ...]:
         return tuple(self._eqs)
@@ -119,7 +106,7 @@ class Store:
                     self._occ.setdefault(v, {})[cid] = None
 
     def _index_remove(self, cid: int) -> None:
-        c = self._view[cid].constraint
+        c = self._view[cid]
         del self._pred_index[c.pred][cid]
         for pos, arg in enumerate(c.args):
             key = (c.pred, pos, arg)
@@ -131,16 +118,15 @@ class Store:
                 for v in vars_of(arg):  # add_equation has dropped those it wakes
                     self._occ.get(v, {}).pop(cid, None)
 
-    def insert(self, c: Chr) -> NumberedConstraint:
-        """Store c under a fresh id; ids are never reused.  Returns the raw
-        form, which is also what trace lines show."""
+    def insert(self, c: Chr) -> int:
+        """Store c under a fresh id, which is returned; ids are never
+        reused."""
         cid = self._next_id
         self._next_id += 1
         self._raw[cid] = c
-        view = NumberedConstraint(instantiate(self.theta or {}, c), cid)
-        self._view[cid] = view
-        self._index_add(cid, view.constraint)
-        return NumberedConstraint(c, cid)
+        view = self._view[cid] = instantiate(self.theta or {}, c)
+        self._index_add(cid, view)
+        return cid
 
     def kill(self, ids: Iterable[int]) -> None:
         """Free all ids, or none if one is dead.  One atomic transition under
@@ -155,10 +141,10 @@ class Store:
 
     # --------------------------------------------------------- equations
 
-    def add_equation(self, e: Eq) -> list[NumberedConstraint]:
-        """Move e into the equation substore and return the woken
-        constraints: with phi the m.g.u. before and theta the one after, every
-        alive c#i with phi(c) != theta(c).  Only e is solved: sigma, the
+    def add_equation(self, e: Eq) -> list[int]:
+        """Move e into the equation substore and return the woken ids, in
+        ascending order: with phi the m.g.u. before and theta the one after,
+        every alive c#i with phi(c) != theta(c).  Only e is solved: sigma, the
         m.g.u. of phi(e), is composed onto phi, so theta(c) = sigma(phi(c)),
         and c is woken exactly when its normal form mentions a variable that
         sigma binds.  A variable-to-variable equation binds its left side
@@ -200,29 +186,28 @@ class Store:
         ids: set[int] = set()
         for v in sigma:
             ids.update(self._occ.pop(v, ()))
-        woken = [NumberedConstraint(self._raw[cid], cid)
-                 for cid in sorted(ids)]
-        for nc in woken:
-            new = instantiate(theta, nc.constraint)
-            self._index_remove(nc.id)
-            self._view[nc.id] = NumberedConstraint(new, nc.id)
-            self._index_add(nc.id, new)
+        woken = sorted(ids)
+        for cid in woken:
+            self._index_remove(cid)
+            new = self._view[cid] = instantiate(theta, self._raw[cid])
+            self._index_add(cid, new)
         return woken
 
     # ------------------------------------------------------------ search
 
     def candidates(self, pattern: Chr, key: Optional[int],
-                   phi: Subst) -> list[NumberedConstraint]:
-        """Alive constraints of the pattern's predicate that could match it
-        under the bindings phi, in their equation-normal form.  `key` is the
-        pattern's key position from the join plan (`Occurrence.keys`), whose
+                   phi: Subst) -> list[int]:
+        """The ids of the alive entries of the pattern's predicate that could
+        match it under the bindings phi, snapshotted under the lock; the
+        caller reads each one's form with `get`.  `key` is the pattern's
+        key position from the join plan (`Occurrence.keys`), whose
         argument is a constant or a variable phi binds: the argument index,
         keyed by that term, ground or not, gives (expected) constant-time
         lookup of exactly the entries with that argument, in ascending id
         order.  With no key the predicate bucket is scanned, in the order
         its entries were last indexed: a wake-up re-indexes the woken entry
         after every entry indexed before it (`A(x)#1`, `A(1)#2`, then
-        `x=5`: ids 2, 1).  No constraint is yielded twice.
+        `x=5`: ids 2, 1).  No id is listed twice.
         """
         pred = pattern.pred
         if key is not None:
@@ -231,18 +216,15 @@ class Store:
                 arg = phi[arg.name]
         with self.lock:
             if key is not None:
-                ids = sorted(self._arg_index.get((pred, key, arg), ()))
-            else:
-                ids = list(self._pred_index.get(pred, ()))  # indexing order
-            return list(map(self._view.__getitem__, ids))  # live ids only
+                return sorted(self._arg_index.get((pred, key, arg), ()))
+            return list(self._pred_index.get(pred, ()))  # indexing order
 
     # ------------------------------------------------------------ output
 
     def dump(self) -> str:
         """One constraint per line: `pred(args)#id` sorted by id, then
         equations sorted lexicographically.  Bit-exact for golden tests."""
-        lines = [NumberedConstraint(c, i).render()
-                 for i, c in self._raw.items()]
+        lines = [f"{render_constraint(c)}#{i}" for i, c in self._raw.items()]
         lines.extend(sorted(render_constraint(e) for e in self._eqs))
         return "\n".join(lines)
 

@@ -166,10 +166,9 @@ class _Replica:
     `users` maps each variable to the keys of theta whose binding mentions
     it.  `terms` and `forms` are refreshed for the entries a Solve wakes:
     validate_rewrite compares the terms, and `firings` keys on the texts.
-    `text_vars` holds the variables of each distinct activated text, so a
-    ground entry costs no term walk.  `occ` maps each variable not bound
-    by theta to the ids (dead ones too) whose form mentions it.  `history`
-    holds the fired instances of rules with no simplified head.
+    `occ` maps each variable not bound by theta to the ids (dead ones too)
+    whose form mentions it.  `history` holds the fired instances of rules
+    with no simplified head.
     `firings` maps each firing validate_rewrite accepted under theta, as
     (rule, phi text, number of propagated heads, sorted head forms), to
     its rendered body goals, until theta changes."""
@@ -190,7 +189,6 @@ class _Replica:
         self.users: dict[str, set[str]] = {}  # variable -> keys of theta
         self.history: set[HistoryKey] = set()
         self.firings: dict[tuple, tuple[str, ...]] = {}
-        self.text_vars: dict[str, tuple[str, ...]] = {}
 
     def form_error(self, goal: Constraint, text: str,
                    cid: int) -> Optional[str]:
@@ -234,12 +232,9 @@ class _Replica:
         rendered raw entry is its solved form when theta leaves it as it
         is, as it does a ground entry (which never wakes) and any entry
         while theta is empty."""
-        key = self.keys[cid]
-        names = self.text_vars.get(key)
-        if names is None:
-            names = self.text_vars[key] = tuple(vars_of(self.entries[cid]))
+        c, key = self.entries[cid], self.keys[cid]
+        names = vars_of(c)
         theta = self.theta
-        c = self.entries[cid]
         if not names or not theta:
             self.forms[cid], self.terms[cid] = key, c
             if names and theta is not None:

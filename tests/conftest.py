@@ -12,7 +12,7 @@ import chrkit.sequential as sequential
 from chrkit.abstract import AbstractStore, LimitExceeded, unwatched_instances
 from chrkit.concurrent import ConcurrentEngine, EngineConfig
 from chrkit.matching import iter_matches
-from chrkit.store import NumberedConstraint, State, Store
+from chrkit.store import State, Store
 from chrkit.syntax import (ParseError, Program, Rule, Token, load_program,
                            parse_goals)
 from chrkit.terms import (Chr, Constraint, Eq, Subst, Var, apply_subst,
@@ -143,7 +143,7 @@ def canonical(store) -> tuple[str, ...]:
     of an engine `Store` (its alive entries and equations), of an
     `AbstractStore`, or of constraints."""
     if isinstance(store, Store):
-        store = [nc.constraint for nc in store.live_items()] + [*store.eqs()]
+        store = [c for c, _ in store.live_items()] + [*store.eqs()]
     elif isinstance(store, AbstractStore):
         store = store.constraints()
     return tuple(sorted(map(render_constraint, store)))
@@ -156,9 +156,9 @@ def leftover(state: State, program: Program, history=()) -> list:
     ids).  Empty when the state is final.  The verifier's check-final asks
     the same question of a replayed store with its own search, which
     test_finality_search.py checks against the oracle's."""
-    items = [(nc.constraint, nc.id) for nc in state.store.live_items()]
     return [*state.goals, *unwatched_instances(
-        items, state.store.eqs(), history, frozenset(), program)]
+        state.store.live_items(), state.store.eqs(), history, frozenset(),
+        program)]
 
 
 def canonical_modulo_equations(cs: Iterable[Constraint]) -> tuple[str, ...]:
@@ -189,16 +189,16 @@ def canonical_modulo_equations(cs: Iterable[Constraint]) -> tuple[str, ...]:
     return tuple(chrs + bindings)
 
 
-def brute_force_woken(items: Iterable[NumberedConstraint], phi: Subst,
+def brute_force_woken(items: Iterable[tuple[Chr, int]], phi: Subst,
                       theta: Optional[Subst]) -> list[int]:
     """The wake-up rule by brute force, over the whole store: the ids of the
-    (raw, alive) items whose form under the old m.g.u. phi differs from
-    their form under the new one theta; none when theta is None (the
-    equations became unsatisfiable)."""
+    (raw, alive) (constraint, id) items whose form under the old m.g.u. phi
+    differs from their form under the new one theta; none when theta is
+    None (the equations became unsatisfiable)."""
     if theta is None:
         return []
-    return [nc.id for nc in items
-            if apply_subst(phi, nc.constraint) != apply_subst(theta, nc.constraint)]
+    return [i for c, i in items
+            if apply_subst(phi, c) != apply_subst(theta, c)]
 
 
 def program_text(name: str) -> str:
@@ -462,13 +462,15 @@ def run_scripted_pair(program: Program, goals: Iterable[Constraint],
     pool = engine.pool.items
     nested = []
 
-    def fires(nc: NumberedConstraint) -> bool:
-        return any(m.history_key not in engine.history
-                   for m in real_matches(engine.store, nc, program))
+    def fires(cid: int) -> bool:
+        goal = engine.store.get(cid)  # None: simplified while it waited
+        return goal is not None and any(
+            m.history_key not in engine.history
+            for m in real_matches(engine.store, goal, cid, program))
 
     def second_worker() -> None:
         for g in list(pool):
-            if not isinstance(g, (Chr, NumberedConstraint)):
+            if not isinstance(g, (Chr, int)):
                 continue
             pool.remove(g)
             local: deque = deque()
@@ -482,8 +484,8 @@ def run_scripted_pair(program: Program, goals: Iterable[Constraint],
             pool.extendleft(reversed(local))
             return
 
-    def matches(store, goal, prog):
-        for m in real_matches(store, goal, prog):
+    def matches(store, goal, goal_id, prog):
+        for m in real_matches(store, goal, goal_id, prog):
             if not nested:
                 nested.append(goal)
                 try:
@@ -521,6 +523,12 @@ def scripted_overlap(program: Program, goals, monkeypatch):
 PITFALL_VARIANTS = ("store_on_drop", "split_store", "multi_step")
 
 
+class _Numbered(NamedTuple):
+    """A pitfall executor's numbered goal, which carries its own form."""
+    constraint: Chr
+    id: int
+
+
 def run_pitfall_variant(goals_per_thread: list[list[Constraint]],
                         program: Program, variant: str) -> State:
     if variant not in PITFALL_VARIANTS:
@@ -534,18 +542,17 @@ def run_pitfall_variant(goals_per_thread: list[list[Constraint]],
         visible = [{} for _ in range(n)]
     next_id = 1
 
-    def scan(view: dict[int, Chr], nc: NumberedConstraint):
+    def scan(view: dict[int, Chr], nc: _Numbered):
         temp = Store()
         remap: dict[int, int] = {}
         for cid in sorted(view):
-            got = temp.insert(view[cid])
-            remap[got.id] = cid
+            remap[temp.insert(view[cid])] = cid
         mine = temp.insert(nc.constraint)
-        remap[mine.id] = nc.id
-        for m in iter_matches(temp, mine, program):
+        remap[mine] = nc.id
+        for m in iter_matches(temp, temp.get(mine), mine, program):
             kill = [remap[i] for i in m.simp_ids]
             body = [normalize_constraint(apply_subst(m.phi, b))
-                    for b in m.rule.body]
+                    for b in m.occurrence.rule.body]
             return kill, body, m.kind
         return None
 
@@ -564,13 +571,13 @@ def run_pitfall_variant(goals_per_thread: list[list[Constraint]],
                     break
                 g = queues[t].popleft()
                 if isinstance(g, Chr):
-                    nc = NumberedConstraint(g, next_id)
+                    nc = _Numbered(g, next_id)
                     next_id += 1
                     if variant != "store_on_drop":
                         view[nc.id] = nc.constraint
                         acts.append(("store", nc))
                     queues[t].appendleft(nc)
-                elif isinstance(g, NumberedConstraint):
+                elif isinstance(g, _Numbered):
                     found = scan(view, g)
                     if found is None:
                         acts.append(("drop", g))

@@ -347,7 +347,7 @@ def test_check_invariants_reports_a_breach_with_exit_2(capsys, monkeypatch):
     # a matcher that finds nothing leaves the merge2 instance unwatched
     # once the goal #2 is dropped
     monkeypatch.setattr("chrkit.sequential.iter_matches",
-                        lambda store, goal, program: iter(()))
+                        lambda store, goal, goal_id, program: iter(()))
     code, out, err = run_cli(capsys, str(PROGRAMS / "mergesort.chr"),
                              "--goals", "Merge(1,2),Merge(1,1)",
                              "--check-invariants")

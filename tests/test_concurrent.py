@@ -118,37 +118,37 @@ def test_commit_firing_loses_race_on_dead_id():
     g1 = eng.store.insert(Chr("Get", (Var("x1"),)))
     g2 = eng.store.insert(Chr("Get", (Var("x2"),)))
     put = eng.store.insert(Chr("Put", (Const(1),)))
-    first = eng.commit_firing((g1.id, put.id), (), len(eng.trace) - 1)
+    first = eng.commit_firing((g1, put), (), len(eng.trace) - 1)
     assert first is not None
     # the same Put can only die once: the second firing must abort, even
     # from a scan that saw the first commit
-    second = eng.commit_firing((g2.id, put.id), (), first)
+    second = eng.commit_firing((g2, put), (), first)
     assert second is None
-    assert eng.store.alive(g2.id)  # aborted commit mutated nothing
+    assert eng.store.alive(g2)  # aborted commit mutated nothing
 
 
 def test_commit_firing_empty_simplified_set_commits():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
-    nc = eng.store.insert(Chr("P"))
-    tick = eng.commit_firing((), (nc.id,), len(eng.trace) - 1)
+    cid = eng.store.insert(Chr("P"))
+    tick = eng.commit_firing((), (cid,), len(eng.trace) - 1)
     assert tick is not None
-    assert eng.store.alive(nc.id)
+    assert eng.store.alive(cid)
     assert eng.store.dump() == "P#1"
 
 
 def test_commit_firing_rejects_simplify_after_overlapping_propagation():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
-    nc = eng.store.insert(Chr("P"))
+    cid = eng.store.insert(Chr("P"))
     early_start = len(eng.trace) - 1
-    eng.execute_goal(nc, deque(), 0)  # commits r1, propagating over P
+    eng.execute_goal(cid, deque(), 0)  # commits r1, propagating over P
     (prop,) = eng.trace
-    assert (prop.kind, prop.prop_ids) == ("Propagate", (nc.id,))
+    assert (prop.kind, prop.prop_ids) == ("Propagate", (cid,))
     # a firing whose scan started before that propagation committed must
     # retry rather than kill the propagated head
     with pytest.raises(_TickConflict):
-        eng.commit_firing((nc.id,), (), early_start)
+        eng.commit_firing((cid,), (), early_start)
     # with a fresh scan, which saw the propagation, it goes through
-    assert eng.commit_firing((nc.id,), (), prop.seq) is not None
+    assert eng.commit_firing((cid,), (), prop.seq) is not None
 
 
 def test_commit_firing_rejects_simplify_of_an_id_a_solve_woke_since():
@@ -159,10 +159,10 @@ def test_commit_firing_rejects_simplify_of_an_id_a_solve_woke_since():
     put = eng.store.insert(Chr("Put", (Const(1),)))
     early_start = len(eng.trace) - 1
     solve = eng.step_solve(Eq(Var("x"), Const(5)), deque(), 0)
-    assert (solve.kind, solve.prop_ids) == ("Solve", (get.id,))
+    assert (solve.kind, solve.prop_ids) == ("Solve", (get,))
     with pytest.raises(_TickConflict):
-        eng.commit_firing((get.id, put.id), (), early_start)
-    assert eng.commit_firing((get.id, put.id), (), solve.seq) is not None
+        eng.commit_firing((get, put), (), early_start)
+    assert eng.commit_firing((get, put), (), solve.seq) is not None
 
 
 def last_propagation_ticks(trace) -> dict[int, int]:
@@ -193,7 +193,7 @@ def test_tick_check_on_the_trace_agrees_with_a_last_propagation_table():
     outcomes = Counter()
     for case in range(600):
         eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
-        ids = [eng.store.insert(Chr("P")).id for _ in range(8)]
+        ids = [eng.store.insert(Chr("P")) for _ in range(8)]
         for seq in range(rng.randint(0, 30)):
             alive = [i for i in ids if eng.store.alive(i)]
             kind = rng.choice(("Propagate", "Propagate", "Simplify", "Solve",
@@ -234,11 +234,11 @@ def test_tick_check_on_the_trace_agrees_with_a_last_propagation_table():
 
 def test_propagation_history_insert_if_absent_is_atomic():
     eng = ConcurrentEngine(load("prop_once"), EngineConfig(workers=1))
-    nc = eng.store.insert(Chr("P"))
-    key = ("r1", (nc.id,))
-    tick = eng.commit_firing((), (nc.id,), len(eng.trace) - 1, key)
+    cid = eng.store.insert(Chr("P"))
+    key = ("r1", (cid,))
+    tick = eng.commit_firing((), (cid,), len(eng.trace) - 1, key)
     assert tick is not None
-    assert eng.commit_firing((), (nc.id,), tick, key) is None
+    assert eng.commit_firing((), (cid,), tick, key) is None
 
 
 def test_two_concurrent_solves_both_land():
@@ -353,11 +353,11 @@ def test_a_worker_crash_is_reraised_after_every_worker_stops(crashing,
     wid, searching = threading.local(), set()
     iter_matches = chrkit.sequential.iter_matches
 
-    def crashing_iter_matches(store, goal, program):
+    def crashing_iter_matches(store, goal, goal_id, program):
         searching.add(wid.value)
         if wid.value == crashing and len(searching) == 3:
             raise _Boom(crashing)
-        return iter_matches(store, goal, program)
+        return iter_matches(store, goal, goal_id, program)
 
     class Tagged(ConcurrentEngine):
         def _worker(self, w):

@@ -95,8 +95,7 @@ def test_engine_built_root_stores():
             res = run_sequential(goals_for(name), program, max_steps=k)
             store = res.state.store
             s = AbstractStore.from_identified(
-                [(nc.constraint, nc.id) for nc in store.live_items()],
-                store.eqs(), res.history)
+                store.live_items(), store.eqs(), res.history)
             _same_steps(abstract.rewrite_steps(s, program),
                         reference_rewrite_steps(s, program))
             stores += 1
@@ -296,9 +295,8 @@ def test_inherited_propagation_match_leaves_with_its_history_entry(monkeypatch):
 def _engine_store(program, goals, max_steps=None) -> AbstractStore:
     res = run_sequential(goals, program, max_steps=max_steps)
     store = res.state.store
-    return AbstractStore.from_identified(
-        [(nc.constraint, nc.id) for nc in store.live_items()], store.eqs(),
-        res.history)
+    return AbstractStore.from_identified(store.live_items(), store.eqs(),
+                                         res.history)
 
 
 def _lookups(monkeypatch) -> list:

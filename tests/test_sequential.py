@@ -6,7 +6,6 @@ import pytest
 from chrkit.abstract import unwatched_instances
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import SequentialEngine, run_sequential
-from chrkit.store import NumberedConstraint
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import Chr, Const, Eq, Var
 
@@ -54,7 +53,7 @@ def test_activation_stores_immediately_and_ids_increase():
     assert step.goal == Chr("Get", (Var("x1"),)) and step.goal_id == 1
     assert eng.state.store.alive(1)
     # executes next
-    assert eng.state.goals[0] == NumberedConstraint(step.goal, 1)
+    assert eng.state.goals[0] == 1
     eng.state.goals.popleft()
     assert eng.step_activate(Chr("Put", (Const(1),)),
                              eng.state.goals).goal_id == 2
@@ -68,10 +67,10 @@ def test_solve_moves_equation_and_wakes():
     eng.state.goals.append(Eq(Var("a"), Const(2)))
     eng.state.goals.popleft()
     step = eng.step_solve(Eq(Var("a"), Const(2)), eng.state.goals)
-    assert step.prop_ids == (a.id,)
+    assert step.prop_ids == (a,)
     assert step.simp_ids == ()
-    assert eng.state.goals[0].id == a.id
-    assert eng.state.store.get(a.id).constraint == Chr("A", (Const(2),))
+    assert eng.state.goals[0] == a
+    assert eng.state.store.get(a) == Chr("A", (Const(2),))
 
 
 def test_solve_wake_then_fire():
@@ -116,7 +115,7 @@ def test_propagation_keeps_goal_after_body():
     g = eng.state.goals.popleft()
     eng.execute_goal(g, eng.state.goals)
     # body goal first, then the still-active goal
-    assert [type(x).__name__ for x in eng.state.goals] == ["Chr", "NumberedConstraint"]
+    assert [type(x).__name__ for x in eng.state.goals] == ["Chr", "int"]
 
 
 def test_simplify_removes_goal_and_heads():
@@ -260,11 +259,34 @@ def test_isolation_firings_ignore_unrelated_store_constraints():
             small = Store()
             remap = {}
             for old_id in sorted(keep):
-                remap[old_id] = small.insert(keep[old_id]).id
-            g_small = small.get(remap[step.goal_id])
-            hits = [m for m in iter_matches(small, g_small, p)
-                    if m.rule.name == step.rule]
+                remap[old_id] = small.insert(keep[old_id])
+            g_small = remap[step.goal_id]
+            hits = [m for m in iter_matches(small, small.get(g_small),
+                                            g_small, p)
+                    if m.occurrence.rule.name == step.rule]
             assert hits, f"{step.rule} lost in the isolated store"
+
+
+def test_a_partner_killed_since_the_lookup_is_skipped(monkeypatch):
+    """The partner search reads a partner's form only when it tries it, so
+    an id that a lookup listed but that died since, as a concurrent commit
+    may kill it, is skipped and the search goes on to the next."""
+    from chrkit.matching import iter_matches
+    from chrkit.store import Store
+
+    p = load_program("r @ A(x), B(y) <=> C(x,y).")
+    st = Store()
+    dead = st.insert(Chr("B", (Const(1),)))
+    live = st.insert(Chr("B", (Const(2),)))
+    goal = st.insert(Chr("A", (Const(0),)))
+    st.kill({dead})
+    listed = st.candidates
+    monkeypatch.setattr(st, "candidates", lambda pattern, key, phi:
+                        [dead, *listed(pattern, key, phi)])
+    assert st.candidates(Chr("B", (Var("y"),)), None, {}) == [dead, live]
+    got = list(iter_matches(st, st.get(goal), goal, p))
+    assert [(m.simp_ids, m.phi) for m in got] == [
+        ((live, goal), {"x": Const(0), "y": Const(2)})]
 
 
 def test_a_run_keeps_only_live_store_entries():

@@ -5,7 +5,7 @@ import pytest
 
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
-from chrkit.store import DeadIdError, NumberedConstraint, Store
+from chrkit.store import DeadIdError, Store
 from chrkit.syntax import load_program, parse_goals
 from chrkit.terms import (App, Chr, Const, Eq, Var, apply_subst, match, mgu,
                           render_constraint)
@@ -26,28 +26,18 @@ def ordered(theta):
     return None if theta is None else list(theta.items())
 
 
-def test_numbered_constraints_are_immutable_values():
-    nc = NumberedConstraint(Chr("A", (Const(1),)), 3)
-    for field in ("constraint", "id"):
-        with pytest.raises(AttributeError):
-            setattr(nc, field, None)
-    assert nc == NumberedConstraint(Chr("A", (Const(1),)), 3)
-    assert nc != NumberedConstraint(Chr("A", (Const(1),)), 4)
-    assert hash(nc) == hash((Chr("A", (Const(1),)), 3))
-
-
 def test_insert_assigns_fresh_ids():
     st = Store()
-    nc = st.insert(Chr("Get", (Var("x1"),)))
-    assert nc.id == 1
-    assert nc.render() == "Get(x1)#1"
+    cid = st.insert(Chr("Get", (Var("x1"),)))
+    assert cid == 1
+    assert st.dump() == "Get(x1)#1"
 
 
 def test_insert_same_constraint_twice_gets_distinct_ids():
     st = Store()
     a = st.insert(chr1("Gcd", 3))
     b = st.insert(chr1("Gcd", 3))
-    assert a.id != b.id
+    assert a != b
     assert len(st.live_items()) == 2
 
 
@@ -55,17 +45,17 @@ def test_ids_count_up():
     st = Store()
     for _ in range(3):
         st.insert(chr1("A", 1))
-    assert st.insert(chr1("B", 2)).id == 4
+    assert st.insert(chr1("B", 2)) == 4
 
 
 def test_kill_marks_dead_and_removes_from_lookups():
     st = Store()
     a = st.insert(chr1("A", 1))
     b = st.insert(chr1("B", 2))
-    st.kill({a.id})
-    assert not st.alive(a.id)
-    assert st.alive(b.id)
-    assert [nc.id for nc in st.live_items()] == [b.id]
+    st.kill({a})
+    assert not st.alive(a)
+    assert st.alive(b)
+    assert [i for _, i in st.live_items()] == [b]
     assert st.candidates(Chr("A", (Var("x"),)), None, {}) == []
 
 
@@ -74,15 +64,15 @@ def test_kill_empty_set_is_identity():
     a = st.insert(chr1("A", 1))
     before = st.dump()
     st.kill(set())
-    assert st.dump() == before and st.alive(a.id)
+    assert st.dump() == before and st.alive(a)
 
 
 def test_kill_dead_id_raises():
     st = Store()
     a = st.insert(chr1("A", 1))
-    st.kill({a.id})
+    st.kill({a})
     with pytest.raises(DeadIdError):
-        st.kill({a.id})
+        st.kill({a})
 
 
 def _listing(st, cid):
@@ -95,37 +85,38 @@ def test_a_killed_entry_is_freed_everywhere():
     st = Store()
     keep = st.insert(Chr("B", (Var("y"), Const(1))))
     dead = st.insert(Chr("B", (Var("y"), Const(1))))
-    assert _listing(st, dead.id)  # listed while alive
-    st.kill({dead.id})
-    assert st.get(dead.id) is None and not st.alive(dead.id)
-    assert dead.id not in st._raw and dead.id not in st._view
-    assert st.size() == 1 and st.live_items() == [keep]
+    assert _listing(st, dead)  # listed while alive
+    st.kill({dead})
+    assert st.get(dead) is None and not st.alive(dead)
+    assert dead not in st._raw and dead not in st._view
+    assert st.size() == 1
+    assert st.live_items() == [(Chr("B", (Var("y"), Const(1))), keep)]
     assert st.dump() == "B(y,1)#1"
     pattern = Chr("B", (Var("w"), Var("x")))
     by_index = st.candidates(pattern, 1, {"x": Const(1)})
     by_scan = st.candidates(pattern, None, {})
-    assert [nc.id for nc in by_index] == [nc.id for nc in by_scan] == [keep.id]
-    assert _listing(st, dead.id) == []
+    assert by_index == by_scan == [keep]
+    assert _listing(st, dead) == []
     with pytest.raises(DeadIdError):
-        st.kill({dead.id})
-    st.kill({keep.id})
-    assert _listing(st, keep.id) == [] and st._arg_index == {}
+        st.kill({dead})
+    st.kill({keep})
+    assert _listing(st, keep) == [] and st._arg_index == {}
 
 
 def test_a_woken_entry_leaves_the_buckets_of_its_current_form():
     st = Store()
     a = st.insert(Chr("A", (Var("x"),)))
-    assert _listing(st, a.id) == [("_pred_index", "A"),
-                                  ("_arg_index", ("A", 0, Var("x"))),
-                                  ("_occ", "x")]
+    assert _listing(st, a) == [("_pred_index", "A"),
+                               ("_arg_index", ("A", 0, Var("x"))),
+                               ("_occ", "x")]
     st.add_equation(Eq(Var("x"), Const(3)))
-    assert _listing(st, a.id) == [("_pred_index", "A"),
-                                  ("_arg_index", ("A", 0, Const(3)))]
+    assert _listing(st, a) == [("_pred_index", "A"),
+                               ("_arg_index", ("A", 0, Const(3)))]
     assert ("A", 0, Var("x")) not in st._arg_index
-    st.kill({a.id})
-    assert _listing(st, a.id) == []
+    st.kill({a})
+    assert _listing(st, a) == []
     assert ("A", 0, Const(3)) not in st._arg_index and "x" not in st._occ
-    assert st.get(a.id) is None and st.dump() == "x=3"
+    assert st.get(a) is None and st.dump() == "x=3"
 
 
 def test_kill_pair_after_firing():
@@ -133,8 +124,8 @@ def test_kill_pair_after_firing():
     g1 = st.insert(Chr("Get", (Var("x1"),)))
     g2 = st.insert(Chr("Get", (Var("x2"),)))
     p1 = st.insert(chr1("Put", 1))
-    st.kill({g1.id, p1.id})
-    assert [nc.id for nc in st.live_items()] == [g2.id]
+    st.kill({g1, p1})
+    assert [i for _, i in st.live_items()] == [g2]
 
 
 def test_candidates_uses_ground_argument_index():
@@ -143,7 +134,7 @@ def test_candidates_uses_ground_argument_index():
     st.insert(chr1("B", 2))
     st.insert(chr1("B", 7))
     got = st.candidates(Chr("B", (Var("x"),)), 0, {"x": Const(1)})
-    assert [nc.id for nc in got] == [nc.id for nc in hits]
+    assert got == hits
 
 
 def test_candidates_empty_store():
@@ -158,7 +149,7 @@ def test_candidates_non_ground_key_scans_predicate():
     st.insert(chr1("B", 9))
     got = st.candidates(Chr("A", (Var("x"),)), None, {})
     # linear-scan oracle: every alive A in id order
-    assert [nc.id for nc in got] == [nc.id for nc in inserted]
+    assert got == inserted
 
 
 def test_bucket_scan_lists_a_woken_entry_after_those_indexed_before():
@@ -169,33 +160,31 @@ def test_bucket_scan_lists_a_woken_entry_after_those_indexed_before():
     st = Store()
     st.insert(Chr("A", (Var("x"),)))
     st.insert(chr1("A", 1))
-    assert [nc.id for nc in st.add_equation(Eq(Var("x"), Const(5)))] == [1]
+    assert st.add_equation(Eq(Var("x"), Const(5))) == [1]
     st.insert(chr1("A", 5))
     scan = st.candidates(Chr("A", (Var("y"),)), None, {})
-    assert [nc.id for nc in scan] == [2, 1, 3]
+    assert scan == [2, 1, 3]
     hits = st.candidates(Chr("A", (Var("y"),)), 0, {"y": Const(5)})
-    assert [nc.id for nc in hits] == [1, 3]
+    assert hits == [1, 3]
 
 
 def test_candidates_index_agrees_with_linear_scan_randomized():
     rng = random.Random(3)
     st = Store()
-    all_ncs = []
+    all_ids = []
     for _ in range(200):
         pred = rng.choice("AB")
         arg = rng.randrange(4)
-        all_ncs.append(st.insert(chr1(pred, arg)))
+        all_ids.append(st.insert(chr1(pred, arg)))
     for _ in range(40):
-        victim = rng.choice(all_ncs)
-        if st.alive(victim.id):
-            st.kill({victim.id})
+        victim = rng.choice(all_ids)
+        if st.alive(victim):
+            st.kill({victim})
     for pred in "AB":
         for v in range(4):
-            got = [nc.id for nc in
-                   st.candidates(Chr(pred, (Var("x"),)), 0, {"x": Const(v)})]
-            want = [nc.id for nc in st.live_items()
-                    if nc.constraint.pred == pred
-                    and nc.constraint.args[0] == Const(v)]
+            got = st.candidates(Chr(pred, (Var("x"),)), 0, {"x": Const(v)})
+            want = [i for c, i in st.live_items()
+                    if c.pred == pred and c.args[0] == Const(v)]
             assert got == want
 
 
@@ -205,15 +194,15 @@ def test_candidates_for_1_never_return_true():
     p_one = st.insert(Chr("P", (Const(1),)))
     p_sum = st.insert(Chr("P", (App("+", (Const(0), Const(1))),)))
     got = st.candidates(Chr("P", (Const(1),)), 0, {})
-    assert [nc.id for nc in got] == [p_one.id, p_sum.id]
+    assert got == [p_one, p_sum]
     pattern = Chr("P", (Var("x"),))
     got = st.candidates(pattern, 0, {"x": Const(True)})
-    assert [nc.id for nc in got] == [p_true.id]
+    assert got == [p_true]
     got = st.candidates(pattern, 0, {"x": Const(1)})
-    assert [nc.id for nc in got] == [p_one.id, p_sum.id]
-    st.kill({p_one.id})
+    assert got == [p_one, p_sum]
+    st.kill({p_one})
     got = st.candidates(pattern, 0, {"x": Const(1)})
-    assert [nc.id for nc in got] == [p_sum.id]
+    assert got == [p_sum]
 
 
 def test_candidates_by_an_unsolved_variable():
@@ -227,15 +216,15 @@ def test_candidates_by_an_unsolved_variable():
         st.insert(Chr("Root", (arg,)))
     pattern = Chr("Root", (Var("a"),))
     got = st.candidates(pattern, 0, {"a": Var("x")})
-    assert [nc.id for nc in got] == [1, 4]
-    assert [nc.id for nc in st.add_equation(Eq(Var("x"), Const(5)))] == [1, 4, 5]
+    assert got == [1, 4]
+    assert st.add_equation(Eq(Var("x"), Const(5))) == [1, 4, 5]
     assert st.candidates(pattern, 0, {"a": Var("x")}) == []
     got = st.candidates(pattern, 0, {"a": Const(5)})
-    assert [nc.id for nc in got] == [1, 3, 4]
+    assert got == [1, 3, 4]
     got = st.candidates(pattern, 0, {"a": Const(6)})
-    assert [nc.id for nc in got] == [5]
+    assert got == [5]
     got = st.candidates(pattern, None, {})
-    assert [nc.id for nc in got] == [2, 3, 1, 4, 5]
+    assert got == [2, 3, 1, 4, 5]
 
 
 def test_a_deep_argument_is_indexed_and_looked_up():
@@ -250,7 +239,7 @@ def test_a_deep_argument_is_indexed_and_looked_up():
     st.insert(Chr("A", (t,)))
     st.insert(Chr("A", (App("+", (t, Const(1))),)))
     got = st.candidates(Chr("A", (Var("a"),)), 0, {"a": t})
-    assert [nc.id for nc in got] == [1]
+    assert got == [1]
 
 
 def random_argument(rng, depth=0):
@@ -274,7 +263,7 @@ def test_keyed_candidates_agree_with_a_filtered_bucket_scan():
     for _ in range(150):
         st = Store()
         for _ in range(rng.randrange(5, 30)):
-            alive = [nc.id for nc in st.live_items()]
+            alive = [i for _, i in st.live_items()]
             roll = rng.random()
             if roll < 0.6 or not alive:
                 st.insert(Chr(rng.choice("AB"), (random_argument(rng),
@@ -285,7 +274,7 @@ def test_keyed_candidates_agree_with_a_filtered_bucket_scan():
                 woken += len(st.add_equation(
                     Eq(Var(rng.choice(VARS)), random_argument(rng, 2))))
             values = [a for i in alive if st.get(i)
-                      for a in st.get(i).constraint.args]
+                      for a in st.get(i).args]
             values += [random_argument(rng) for _ in range(3)]
             for _ in range(6):
                 pred, key = rng.choice("AB"), rng.randrange(2)
@@ -296,13 +285,12 @@ def test_keyed_candidates_agree_with_a_filtered_bucket_scan():
                 else:
                     phi[args[key].name] = value
                 pattern = Chr(pred, tuple(args))
-                keyed = [nc.id for nc in st.candidates(pattern, key, phi)]
+                keyed = st.candidates(pattern, key, phi)
                 scan = st.candidates(pattern, None, {})
-                assert sorted(nc.id for nc in scan) == [
-                    nc.id for nc in st.live_items()
-                    if nc.constraint.pred == pred]
-                matched = [nc.id for nc in scan
-                           if match(pattern, nc.constraint, phi) is not None]
+                assert sorted(scan) == [
+                    i for c, i in st.live_items() if c.pred == pred]
+                matched = [i for i in scan
+                           if match(pattern, st.get(i), phi) is not None]
                 assert keyed == sorted(matched), (pattern, phi, st.dump())
                 hits += bool(keyed)
     assert woken > 300 and hits > 3000
@@ -310,10 +298,10 @@ def test_keyed_candidates_agree_with_a_filtered_bucket_scan():
 
 def test_index_completeness():
     st = Store()
-    ncs = [st.insert(chr1("A", k % 3)) for k in range(9)]
-    st.kill({ncs[0].id, ncs[4].id})
-    listed = {nc.id for nc in st.candidates(Chr("A", (Var("v"),)), None, {})}
-    assert listed == {nc.id for nc in st.live_items()}
+    ids = [st.insert(chr1("A", k % 3)) for k in range(9)]
+    st.kill({ids[0], ids[4]})
+    listed = set(st.candidates(Chr("A", (Var("v"),)), None, {}))
+    assert listed == {i for _, i in st.live_items()}
 
 
 def test_wake_up_returns_constraints_whose_normal_form_changes():
@@ -321,7 +309,16 @@ def test_wake_up_returns_constraints_whose_normal_form_changes():
     a = st.insert(Chr("A", (Var("a"),)))
     st.insert(chr1("B", 2))
     woken = st.add_equation(Eq(Var("a"), Const(2)))
-    assert [nc.id for nc in woken] == [a.id]
+    assert woken == [a]
+    # the woken ids ascend, whichever variable the Solve binds first: y
+    # here, which wakes the higher id
+    st = Store()
+    low = st.insert(Chr("A", (Var("x"),)))
+    for _ in range(7):
+        st.insert(chr1("B", 2))
+    high = st.insert(Chr("A", (Var("y"),)))
+    pair = Eq(App("+", (Var("x"), Var("y"))), App("+", (Const(1), Const(2))))
+    assert st.add_equation(pair) == [low, high]
 
 
 def test_wake_up_empty_store():
@@ -348,12 +345,12 @@ def test_add_equation_renormalizes_matching_view():
     st = Store()
     a = st.insert(Chr("A", (Var("a"),)))
     woken = st.add_equation(Eq(Var("a"), Const(2)))
-    assert [nc.id for nc in woken] == [a.id]
+    assert woken == [a]
     # the raw entry never changes; the matching view and index follow theta
-    assert st.live_items() == [NumberedConstraint(Chr("A", (Var("a"),)), a.id)]
-    assert st.get(a.id).constraint == chr1("A", 2)
+    assert st.live_items() == [(Chr("A", (Var("a"),)), a)]
+    assert st.get(a) == chr1("A", 2)
     got = st.candidates(Chr("A", (Var("x"),)), 0, {"x": Const(2)})
-    assert [nc.id for nc in got] == [a.id]
+    assert got == [a]
     assert st.dump() == "A(a)#1\na=2"
 
 
@@ -424,7 +421,7 @@ def test_incremental_solve_agrees_with_whole_list_mgu():
             rep.activate(cid, c, render_constraint(c))
         for e in eqs:
             phi = st.theta and dict(st.theta)
-            woken = [nc.id for nc in st.add_equation(e)]
+            woken = st.add_equation(e)
             assert rep.solve(e) == woken
             assert ordered(rep.theta) == ordered(st.theta)
             if phi and st.theta is not None:  # sigma composed onto phi
@@ -520,7 +517,7 @@ def test_add_equation_wakes_by_the_brute_force_rule(monkeypatch):
         woken = real(self, e)
         expected = [] if phi is None else brute_force_woken(items, phi,
                                                             self.theta)
-        assert [nc.id for nc in woken] == expected, (e, items, phi)
+        assert woken == expected, (e, items, phi)
         woke[bool(woken)] += 1
         return woken
 
@@ -552,11 +549,11 @@ def test_equations_only_grow():
 
 def test_kill_idempotent_on_visible_multiset():
     st = Store()
-    ncs = [st.insert(chr1("A", k)) for k in range(5)]
-    before = {nc.id for nc in st.live_items()}
-    st.kill({ncs[1].id, ncs[3].id})
-    after = {nc.id for nc in st.live_items()}
-    assert after == before - {ncs[1].id, ncs[3].id}
+    ids = [st.insert(chr1("A", k)) for k in range(5)]
+    before = {i for _, i in st.live_items()}
+    st.kill({ids[1], ids[3]})
+    after = {i for _, i in st.live_items()}
+    assert after == before - {ids[1], ids[3]}
 
 
 def test_wake_up_conservative_covers_newly_enabled_instances():
@@ -578,13 +575,13 @@ def test_wake_up_conservative_covers_newly_enabled_instances():
         e = Eq(Var(rng.choice("uvw")), Const(rng.randrange(3)))
 
         def instances(extra_eqs):
-            items = [(nc.constraint, nc.id) for nc in st.live_items()]
-            s = AbstractStore.from_identified(items, list(st.eqs()) + extra_eqs)
+            s = AbstractStore.from_identified(st.live_items(),
+                                              list(st.eqs()) + extra_eqs)
             return {frozenset(step.used_tags) for step in rewrite_steps(s, program)}
 
         before = instances([])
         after = instances([e])
-        woken = {nc.id for nc in st.add_equation(e)}
+        woken = set(st.add_equation(e))
         if st.inconsistent:
             continue
         for inst in after - before:

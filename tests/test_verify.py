@@ -9,7 +9,6 @@ import pytest
 
 from chrkit.concurrent import EngineConfig, run_concurrent
 from chrkit.sequential import run_sequential
-from chrkit.store import NumberedConstraint
 from chrkit.syntax import ParseError, load_program, parse_goals, parse_term_text
 from chrkit.terms import (FUNCTION_SYMBOLS, App, Chr, Const, Eq, Var,
                           render_constraint)
@@ -1085,7 +1084,7 @@ def test_trace_line_roundtrip_over_generated_steps():
         step = Step(rng.randrange(10**6), kind, goal, goal_id, rule, phi,
                     tuple(ids[:1]), tuple(sorted(ids[1:])), worker, interval)
         assert parse_line(step_to_line(step)) == step
-        dump = "" if kind == "Solve" else NumberedConstraint(c, cid).render()
+        dump = "" if kind == "Solve" else f"{render_constraint(c)}#{cid}"
         whole = parse_trace(serialize_trace([step], {}, "done", dump))
         assert whole.steps == [step] and whole.final_dump == dump
 
